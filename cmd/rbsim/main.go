@@ -18,11 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/branch"
-	"repro/internal/bypass"
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/emu"
@@ -87,16 +85,10 @@ func main() {
 		os.Exit(2)
 	}
 	if *noLevels != "" {
-		bp := bypass.Full()
-		for _, f := range strings.Split(*noLevels, ",") {
-			lvl, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || lvl < 1 || lvl > bypass.NumLevels {
-				fmt.Fprintf(os.Stderr, "rbsim: bad bypass level %q\n", f)
-				os.Exit(2)
-			}
-			bp = bp.Without(lvl)
+		if cfg, err = machine.IdealWithout(*width, *noLevels); err != nil {
+			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
+			os.Exit(2)
 		}
-		cfg = machine.NewIdealLimited(*width, bp)
 	}
 	cfg.DatapathCheck = *check
 	cfg.ModelWrongPath = *wrongPath

@@ -23,6 +23,7 @@ package bypass
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -80,19 +81,26 @@ func None() Config { return Config{} }
 // Has reports whether level k is present.
 func (c Config) Has(k int) bool { return k >= 1 && k <= NumLevels && c.levels>>k&1 != 0 }
 
-// String renders like "Full", "No-2", "No-1,2".
-func (c Config) String() string {
-	var missing []string
-	for k := 1; k <= NumLevels; k++ {
-		if !c.Has(k) {
-			missing = append(missing, fmt.Sprintf("%d", k))
+// String renders like "Full", "No-2", "No-1,2". Every cell key carries
+// it, so the names are built once per level mask, not on each lookup.
+func (c Config) String() string { return configNames[c.levels] }
+
+// configNames is String for every level mask.
+var configNames = func() (names [2 << NumLevels]string) {
+	for m := range names {
+		var missing []string
+		for k := 1; k <= NumLevels; k++ {
+			if m>>k&1 == 0 {
+				missing = append(missing, strconv.Itoa(k))
+			}
+		}
+		names[m] = "Full"
+		if len(missing) > 0 {
+			names[m] = "No-" + strings.Join(missing, ",")
 		}
 	}
-	if len(missing) == 0 {
-		return "Full"
-	}
-	return "No-" + strings.Join(missing, ",")
-}
+	return names
+}()
 
 // Schedule is the availability function of one produced value form for one
 // consumer class, relative to the form's production cycle. It is exactly the

@@ -117,27 +117,27 @@ func (h *Harness) Runs() int64 { return h.runs.Load() }
 // CacheStats exposes the cell cache counters (the server's /metrics).
 func (h *Harness) CacheStats() rcache.Stats { return h.cache.Stats() }
 
-// RunCell simulates one (machine, workload) cell, memoized: concurrent
-// misses on the same cell block on the winner's simulation instead of
-// duplicating it.
+// RunCell simulates one (machine, workload) cell, memoized under its
+// CellKey: concurrent misses on the same cell block on the winner's
+// simulation instead of duplicating it, and a second config under a cached
+// cell's name is refused (ErrBadCell).
 func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.Workload) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := cfg.Name + "|" + w.Name
-	v, _, err := h.cache.Do(ctx, key, func() (any, int64, error) {
+	v, err := CachedCell(ctx, h.cache, CellKey(&cfg, w.Name, nil), &cfg, func() (any, error) {
 		h.runs.Add(1)
 		trace, err := w.Trace()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		buf := h.getBuf()
 		defer h.putBuf(buf)
 		r, err := buf.Run(cfg, w.Name, trace)
 		if err != nil {
-			return nil, 0, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
+			return nil, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
 		}
-		return r, 1, nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err
@@ -149,68 +149,26 @@ func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.W
 // pool when the harness has one, inline otherwise — and returns results
 // indexed by config name then workload name.
 func (h *Harness) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
-	out := make(map[string]map[string]*core.Result, len(cfgs))
-	for _, c := range cfgs {
-		out[c.Name] = make(map[string]*core.Result, len(wls))
-	}
-	if h.pool == nil {
-		for _, c := range cfgs {
-			for _, w := range wls {
-				r, err := h.RunCell(ctx, c, w)
-				if err != nil {
-					return nil, err
-				}
-				out[c.Name][w.Name] = r
-			}
-		}
-		return out, nil
-	}
-	// Pre-trace workloads serially: traces are cached and shared between
-	// cells, and doing it here avoids duplicate work behind the cache mutex.
-	for _, w := range wls {
-		if _, err := w.Trace(); err != nil {
-			return nil, err
-		}
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-submit:
-	for _, c := range cfgs {
+	if h.pool != nil {
+		// Pre-trace workloads serially: traces are cached and shared between
+		// cells, and doing it here avoids duplicate work behind the cache
+		// mutex.
 		for _, w := range wls {
-			c, w := c, w
-			wg.Add(1)
-			err := h.pool.Submit(ctx, func() {
-				defer wg.Done()
-				r, err := h.RunCell(ctx, c, w)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				out[c.Name][w.Name] = r
-			})
-			if err != nil {
-				wg.Done()
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				break submit
+			if _, err := w.Trace(); err != nil {
+				return nil, err
 			}
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	return Matrix(ctx, cfgs, wls, h.submit(), h.RunCell)
+}
+
+// submit is where the harness fans cells out: its pool, or nil (inline, in
+// order) when it is serial.
+func (h *Harness) submit() func(context.Context, func()) error {
+	if h.pool == nil {
+		return nil
 	}
-	return out, nil
+	return h.pool.Submit
 }
 
 // suiteWorkloads resolves a suite name to its workloads.

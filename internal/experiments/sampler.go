@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/branch"
 	"repro/internal/ckpt"
@@ -211,53 +210,13 @@ func (h *Harness) library(ctx context.Context, cfg machine.Config, w *workload.W
 // harness has a pool, memoized per cell — and returns their CPIs in order.
 func (h *Harness) cellCPIs(ctx context.Context, cfg machine.Config, w *workload.Workload, spec SampleSpec, lib *ckptLibrary, starts []int64) ([]float64, error) {
 	cpis := make([]float64, len(starts))
-	if h.pool == nil {
-		for i := range starts {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cpi, err := h.runSampleCell(ctx, cfg, w, spec, lib, starts[i], i)
-			if err != nil {
-				return nil, err
-			}
-			cpis[i] = cpi
-		}
-		return cpis, nil
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for i := range starts {
-		i := i
-		wg.Add(1)
-		err := h.pool.Submit(ctx, func() {
-			defer wg.Done()
-			cpi, err := h.runSampleCell(ctx, cfg, w, spec, lib, starts[i], i)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			cpis[i] = cpi
-		})
-		if err != nil {
-			wg.Done()
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			break
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := FanOut(ctx, len(starts), h.submit(), func(i int) error {
+		var err error
+		cpis[i], err = h.runSampleCell(ctx, cfg, w, spec, lib, starts[i], i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cpis, nil
 }
@@ -297,21 +256,19 @@ func summarize(cfg machine.Config, w *workload.Workload, spec SampleSpec, lib *c
 func (h *Harness) runSampleCell(ctx context.Context, cfg machine.Config, w *workload.Workload, spec SampleSpec, lib *ckptLibrary, start int64, i int) (float64, error) {
 	j := start / lib.stride
 	gap := start - j*lib.stride
-	key := strings.Join([]string{
-		"sample", cfg.Name, lib.prints[j],
-		fmt.Sprintf("%d/%d+%d/%d", spec.FFWarm, gap, spec.Warmup, spec.Measure),
-	}, "|")
-	v, _, err := h.cache.Do(ctx, key, func() (any, int64, error) {
+	key := cellKey(&cfg, w.Name, fmt.Sprintf("window/%s/%d/%d+%d/%d",
+		lib.prints[j], spec.FFWarm, gap, spec.Warmup, spec.Measure))
+	v, err := CachedCell(ctx, h.cache, key, &cfg, func() (any, error) {
 		h.runs.Add(1)
 		prog, err := w.Program()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		st := lib.states[j]
 		e := emu.Resume(prog, st.Arch)
 		hier, err := mem.NewHierarchy(cfg.Mem)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		hier.SetState(st.Hier)
 		pred := branch.New()
@@ -320,7 +277,7 @@ func (h *Harness) runSampleCell(ctx context.Context, cfg machine.Config, w *work
 		var te emu.TraceEntry
 		for n := int64(0); n < gap; n++ {
 			if err := e.StepInto(&te); err != nil {
-				return nil, 0, fmt.Errorf("cell %d of %s at inst %d: %w", i, w.Name, e.InstCount(), err)
+				return nil, fmt.Errorf("cell %d of %s at inst %d: %w", i, w.Name, e.InstCount(), err)
 			}
 			warmer.Observe(&te)
 		}
@@ -328,7 +285,7 @@ func (h *Harness) runSampleCell(ctx context.Context, cfg machine.Config, w *work
 		trace := make([]emu.TraceEntry, 0, window)
 		for int64(len(trace)) < window && !e.Halted() {
 			if err := e.StepInto(&te); err != nil {
-				return nil, 0, fmt.Errorf("cell %d of %s at inst %d: %w", i, w.Name, e.InstCount(), err)
+				return nil, fmt.Errorf("cell %d of %s at inst %d: %w", i, w.Name, e.InstCount(), err)
 			}
 			trace = append(trace, te)
 		}
@@ -352,12 +309,12 @@ func (h *Harness) runSampleCell(ctx context.Context, cfg machine.Config, w *work
 			Buffers: buf,
 		})
 		if err != nil {
-			return nil, 0, fmt.Errorf("cell %d of %s on %s: %w", i, w.Name, cfg.Name, err)
+			return nil, fmt.Errorf("cell %d of %s on %s: %w", i, w.Name, cfg.Name, err)
 		}
 		if wr.MeasuredInstructions == 0 {
-			return nil, 0, fmt.Errorf("cell %d of %s on %s: empty measurement window", i, w.Name, cfg.Name)
+			return nil, fmt.Errorf("cell %d of %s on %s: empty measurement window", i, w.Name, cfg.Name)
 		}
-		return float64(wr.MeasuredCycles) / float64(wr.MeasuredInstructions), 1, nil
+		return float64(wr.MeasuredCycles) / float64(wr.MeasuredInstructions), nil
 	})
 	if err != nil {
 		return 0, err

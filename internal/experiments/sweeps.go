@@ -28,19 +28,6 @@ type SweepData struct {
 	WidthIPC  map[int]map[string]float64
 }
 
-// sweepPair builds Baseline and RB-full at a given width and window.
-func sweepPair(width, window int) []machine.Config {
-	out := make([]machine.Config, 0, 2)
-	for _, mk := range []func(int) machine.Config{machine.NewBaseline, machine.NewRBFull} {
-		c := mk(width)
-		c.WindowSize = window
-		c.SchedulerSize = window / c.NumSchedulers
-		c.Name = fmt.Sprintf("%s-win%d", c.Name, window)
-		out = append(out, c)
-	}
-	return out
-}
-
 // Sweeps runs both sensitivity studies.
 func Sweeps(ctx context.Context, r Runner) (*SweepData, error) {
 	d := &SweepData{
@@ -53,15 +40,26 @@ func Sweeps(ctx context.Context, r Runner) (*SweepData, error) {
 	}
 	wls := workload.SPECint95()
 
-	var cfgs []machine.Config
+	// Baseline and RB-full at each (width, window) point; width 8 is shared
+	// with the window sweep's 128 point.
+	var points [][2]int
 	for _, win := range d.Windows {
-		cfgs = append(cfgs, sweepPair(8, win)...)
+		points = append(points, [2]int{8, win})
 	}
 	for _, width := range d.Widths {
-		if width == 8 {
-			continue // shared with the window sweep's 128 point
+		if width != 8 {
+			points = append(points, [2]int{width, 128})
 		}
-		cfgs = append(cfgs, sweepPair(width, 128)...)
+	}
+	var cfgs []machine.Config
+	for _, p := range points {
+		for _, c := range []machine.Config{machine.NewBaseline(p[0]), machine.NewRBFull(p[0])} {
+			c, err := machine.WithWindow(c, p[1])
+			if err != nil {
+				return nil, err
+			}
+			cfgs = append(cfgs, c)
+		}
 	}
 	results, err := r.RunMatrix(ctx, cfgs, wls)
 	if err != nil {

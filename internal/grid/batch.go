@@ -2,18 +2,15 @@ package grid
 
 // BatchSpec is the /v1/batch sweep description: the existing experiment
 // axes (machines x widths x optional window sweep x optional limited-bypass
-// variants x workload suite), optionally sampled. Expansion mirrors the
-// conventions of internal/experiments exactly — sweepPair's "-winN" naming,
-// machine.NewIdealLimited's "Ideal-W-No-…" naming — so batch cells share
-// cache keys with the figures that also compute them, on the coordinator's
-// shared tier and on every worker.
+// variants x workload suite), optionally sampled. Variants come from the
+// same constructors the experiments use — machine.WithWindow's "-winN" naming,
+// machine.IdealWithout's "Ideal-W-No-…" naming — so batch cells share cache
+// keys with the figures that also compute them, on the coordinator's shared
+// tier and on every worker.
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
-	"repro/internal/bypass"
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/workload"
@@ -79,22 +76,19 @@ func (b *BatchSpec) Cells() ([]CellRequest, error) {
 				continue
 			}
 			for _, win := range b.Windows {
-				wcfg, err := withWindow(cfg, win)
+				wcfg, err := machine.WithWindow(cfg, win)
 				if err != nil {
-					return nil, err
+					return nil, badSpec("%v", err)
 				}
 				cfgs = append(cfgs, wcfg)
 			}
 		}
 		for _, spec := range b.NoBypassLevels {
-			bp, err := parseNoBypass(spec)
+			cfg, err := machine.IdealWithout(width, spec)
 			if err != nil {
-				return nil, err
+				return nil, badSpec("%v", err)
 			}
-			if width < 2 || width%2 != 0 || width > 64 {
-				return nil, badSpec("invalid width %d (want an even width in [2, 64])", width)
-			}
-			cfgs = append(cfgs, machine.NewIdealLimited(width, bp))
+			cfgs = append(cfgs, cfg)
 		}
 	}
 	cells := make([]CellRequest, 0, len(cfgs)*len(wls))
@@ -104,35 +98,6 @@ func (b *BatchSpec) Cells() ([]CellRequest, error) {
 		}
 	}
 	return cells, nil
-}
-
-// withWindow resizes a machine's reservation window, mirroring the sweeps
-// artifact's construction and naming so the cells are shared.
-func withWindow(cfg machine.Config, win int) (machine.Config, error) {
-	if win <= 0 || cfg.NumSchedulers == 0 || win%cfg.NumSchedulers != 0 {
-		return machine.Config{}, badSpec("window %d is not divisible by %s's %d schedulers",
-			win, cfg.Name, cfg.NumSchedulers)
-	}
-	cfg.WindowSize = win
-	cfg.SchedulerSize = win / cfg.NumSchedulers
-	cfg.Name = fmt.Sprintf("%s-win%d", cfg.Name, win)
-	if err := cfg.Validate(); err != nil {
-		return machine.Config{}, badSpec("%v", err)
-	}
-	return cfg, nil
-}
-
-// parseNoBypass reads one removed-levels entry ("2", "1,2").
-func parseNoBypass(spec string) (bypass.Config, error) {
-	bp := bypass.Full()
-	for _, f := range strings.Split(spec, ",") {
-		lvl, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || lvl < 1 || lvl > bypass.NumLevels {
-			return bypass.Config{}, badSpec("bad bypass level %q", f)
-		}
-		bp = bp.Without(lvl)
-	}
-	return bp, nil
 }
 
 // workloads resolves the spec's workload axis.

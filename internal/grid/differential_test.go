@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/workload"
@@ -43,7 +42,7 @@ func serialOracle(t *testing.T, cells []CellRequest) map[string]string {
 	defer h.Close()
 	out := make(map[string]string, len(cells))
 	for i := range cells {
-		res, err := runLocal(context.Background(), h, &cells[i])
+		res, err := RunLocal(context.Background(), h, &cells[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +179,7 @@ func TestGridSampledByteIdentity(t *testing.T) {
 
 	h := experiments.NewHarness(1)
 	defer h.Close()
-	want, err := runLocal(context.Background(), h, &cell)
+	want, err := RunLocal(context.Background(), h, &cell, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +243,9 @@ func TestTeeRunnerObservesEachCellOnce(t *testing.T) {
 	defer h.Close()
 	var mu sync.Mutex
 	seen := make(map[string]int)
-	tee := &TeeRunner{R: h, OnCell: func(cfg machine.Config, wl string, res *core.Result) {
+	tee := &TeeRunner{R: h, OnCell: func(res *CellResult) {
 		mu.Lock()
-		seen[cfg.Name+"|"+wl]++
+		seen[res.Key]++
 		mu.Unlock()
 	}}
 	ctx := context.Background()

@@ -24,8 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -34,9 +32,10 @@ import (
 )
 
 // ErrBadCell marks a permanently invalid cell request: the worker (or local
-// validation) rejected its parameters, so retrying on another worker cannot
-// help. It maps to HTTP 400.
-var ErrBadCell = errors.New("grid: bad cell request")
+// validation, or the alias guard of experiments.CachedCell) rejected its
+// parameters, so retrying on another worker cannot help. It maps to HTTP
+// 400.
+var ErrBadCell = experiments.ErrBadCell
 
 // ErrNoWorkers reports that every worker was tried (or shed by its breaker)
 // and none could run the cell. It maps to HTTP 503: the grid is degraded,
@@ -53,21 +52,11 @@ type CellRequest struct {
 	Sampled  *experiments.SampleSpec `json:"sampled,omitempty"`
 }
 
-// Key is the cell's identity — "machine|workload|width|bypass|spec" — used
-// for rendezvous routing and for the shared result-cache tier. Workers key
-// their own per-process caches by the same machine/workload names, so a
-// cell is never recomputed anywhere in the grid once any tier has seen it.
-func (c *CellRequest) Key() string {
-	spec := "full"
-	if c.Sampled != nil {
-		spec = fmt.Sprintf("sampled/%d/%d/%d/%d",
-			c.Sampled.Samples, c.Sampled.Warmup, c.Sampled.Measure, c.Sampled.FFWarm)
-	}
-	return strings.Join([]string{
-		c.Config.Name, c.Workload, strconv.Itoa(c.Config.Width),
-		c.Config.IdealBypass.String(), spec,
-	}, "|")
-}
+// Key is the cell's identity, experiments.CellKey — used for rendezvous
+// routing, for the shared result-cache tier, and by every worker's harness
+// cache, so a cell is never recomputed anywhere in the grid once any tier
+// has seen it.
+func (c *CellRequest) Key() string { return experiments.CellKey(&c.Config, c.Workload, c.Sampled) }
 
 // Validate rejects malformed requests before any routing; errors wrap
 // ErrBadCell.
@@ -77,6 +66,11 @@ func (c *CellRequest) Validate() error {
 	}
 	if c.Config.Name == "" {
 		return fmt.Errorf("%w: config has no name", ErrBadCell)
+	}
+	if c.Config.ModelWrongPath {
+		// Cells run from the workload's trace without the program image, so
+		// wrong-path fetch cannot be modeled; /v1/sim?wrong-path=true can.
+		return fmt.Errorf("%w: wrong-path cells are not supported", ErrBadCell)
 	}
 	if _, ok := workload.ByName(c.Workload); !ok {
 		return fmt.Errorf("%w: unknown workload %q", ErrBadCell, c.Workload)
@@ -110,27 +104,31 @@ func (r *CellResult) IPC() float64 {
 	return 0
 }
 
-// runLocal computes the cell on a harness: the worker endpoint and the
-// Local transport share this path, so in-process and remote execution are
-// the same code.
-func runLocal(ctx context.Context, h *experiments.Harness, req *CellRequest) (*CellResult, error) {
-	w, ok := workload.ByName(req.Workload)
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown workload %q", ErrBadCell, req.Workload)
+// RunLocal computes one cell on a harness: the Local transport and the
+// worker's /v1/cell endpoint share this path, so in-process and remote
+// execution are the same code. A full cell runs through run (nil runs it
+// inline on the calling goroutine; a worker passes its pool); a sampled
+// cell fans its windows over the harness's own pool, so it runs outside
+// run.
+func RunLocal(ctx context.Context, h *experiments.Harness, req *CellRequest, run func(context.Context, func()) error) (*CellResult, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
 	}
+	w, _ := workload.ByName(req.Workload) // Validate checked existence
 	out := &CellResult{Key: req.Key()}
-	if req.Sampled != nil {
-		res, err := h.RunSampled(ctx, req.Config, w, *req.Sampled)
-		if err != nil {
-			return nil, err
+	var err error
+	switch {
+	case req.Sampled != nil:
+		out.Sampled, err = h.RunSampled(ctx, req.Config, w, *req.Sampled)
+	case run == nil:
+		out.Result, err = h.RunCell(ctx, req.Config, w)
+	default:
+		if perr := run(ctx, func() { out.Result, err = h.RunCell(ctx, req.Config, w) }); perr != nil {
+			err = perr
 		}
-		out.Sampled = res
-		return out, nil
 	}
-	res, err := h.RunCell(ctx, req.Config, w)
 	if err != nil {
 		return nil, err
 	}
-	out.Result = res
 	return out, nil
 }

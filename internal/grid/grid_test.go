@@ -94,11 +94,11 @@ func TestCellRequestRoundTrip(t *testing.T) {
 
 func parseMust(t *testing.T, spec string) bypass.Config {
 	t.Helper()
-	got, err := parseNoBypass(spec)
+	got, err := machine.IdealWithout(8, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	return got.IdealBypass
 }
 
 // TestCellResultRoundTrip proves a computed result is byte-stable over the

@@ -171,32 +171,26 @@ func (r *Router) Seed(res *CellResult) {
 	if res == nil || res.Key == "" {
 		return
 	}
-	r.cache.Do(context.Background(), res.Key, func() (any, int64, error) {
-		return res, 1, nil
-	})
+	experiments.SeedCell(r.cache, res.Key, res)
 }
 
 // Do computes one cell through the shared tier: a cache hit (or a join on a
 // concurrent miss) returns without touching any worker; a miss routes the
 // cell down its rendezvous preference list. Errors are never cached, so a
-// cell that failed during an outage recomputes cleanly later.
+// cell that failed during an outage recomputes cleanly later. A hit cached
+// for a different config under the same key is refused with ErrBadCell.
 func (r *Router) Do(ctx context.Context, req *CellRequest) (*CellResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	key := req.Key()
-	v, _, err := r.cache.Do(ctx, key, func() (any, int64, error) {
+	v, err := experiments.CachedCell(ctx, r.cache, req.Key(), &req.Config, func() (any, error) {
 		select {
 		case r.sem <- struct{}{}:
 			defer func() { <-r.sem }()
 		case <-ctx.Done():
-			return nil, 0, ctx.Err()
+			return nil, ctx.Err()
 		}
-		res, err := r.route(ctx, req)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, 1, nil
+		return r.route(ctx, req)
 	})
 	if err != nil {
 		return nil, err
@@ -390,39 +384,7 @@ func (r *Router) RunCell(ctx context.Context, cfg machine.Config, w *workload.Wo
 // product fans out concurrently; the router's in-flight semaphore is the
 // only bound the coordinator needs (workers bound their own CPU).
 func (r *Router) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
-	out := make(map[string]map[string]*core.Result, len(cfgs))
-	for _, c := range cfgs {
-		out[c.Name] = make(map[string]*core.Result, len(wls))
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for _, c := range cfgs {
-		for _, w := range wls {
-			c, w := c, w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res, err := r.RunCell(ctx, c, w)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				out[c.Name][w.Name] = res
-			}()
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return experiments.Matrix(ctx, cfgs, wls, experiments.Spawn, r.RunCell)
 }
 
 // WorkerSnapshot is one worker's health for /metrics.
@@ -471,12 +433,12 @@ func (r *Router) Stats() RouterStats {
 	}
 }
 
-// TeeRunner wraps a Runner and reports each distinct cell result once as it
-// lands — the /v1/batch streaming hook. OnCell may be called from many
-// goroutines; the tee serializes the calls.
+// TeeRunner wraps a Runner and reports each distinct cell result once, by
+// its cell key, as it lands — the /v1/batch streaming and journaling hook.
+// OnCell may be called from many goroutines; the tee serializes the calls.
 type TeeRunner struct {
 	R      experiments.Runner
-	OnCell func(cfg machine.Config, wl string, res *core.Result)
+	OnCell func(res *CellResult)
 
 	mu   sync.Mutex
 	seen map[string]bool
@@ -488,17 +450,18 @@ func (t *TeeRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload
 	if err != nil {
 		return nil, err
 	}
+	key := experiments.CellKey(&cfg, w.Name, nil)
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.seen == nil {
 		t.seen = make(map[string]bool)
 	}
-	key := cfg.Name + "|" + w.Name
-	first := !t.seen[key]
-	t.seen[key] = true
-	if first && t.OnCell != nil {
-		t.OnCell(cfg, w.Name, res)
+	if !t.seen[key] {
+		t.seen[key] = true
+		if t.OnCell != nil {
+			t.OnCell(&CellResult{Key: key, Result: res})
+		}
 	}
-	t.mu.Unlock()
 	return res, nil
 }
 
@@ -506,37 +469,5 @@ func (t *TeeRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload
 // RunCell so every cell is observed; concurrency is bounded by the
 // underlying runner (the router's semaphore or the harness's pool).
 func (t *TeeRunner) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
-	out := make(map[string]map[string]*core.Result, len(cfgs))
-	for _, c := range cfgs {
-		out[c.Name] = make(map[string]*core.Result, len(wls))
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for _, c := range cfgs {
-		for _, w := range wls {
-			c, w := c, w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res, err := t.RunCell(ctx, c, w)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				out[c.Name][w.Name] = res
-			}()
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return experiments.Matrix(ctx, cfgs, wls, experiments.Spawn, t.RunCell)
 }

@@ -49,10 +49,7 @@ func (l *Local) Name() string {
 // goroutine (the router's in-flight semaphore is the CPU bound); sampled
 // cells fan their sample windows out over the harness's own pool.
 func (l *Local) RunCell(ctx context.Context, req *CellRequest) (*CellResult, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return runLocal(ctx, l.Harness, req)
+	return RunLocal(ctx, l.Harness, req, nil)
 }
 
 // HTTP reaches a remote worker's /v1/cell endpoint.

@@ -7,6 +7,8 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/bypass"
 	"repro/internal/isa"
@@ -312,13 +314,56 @@ func NewIdealLimited(width int, bp bypass.Config) Config {
 	return c
 }
 
-// ByName builds one of the four paper machines by its lower-case name:
-// "baseline", "rb-limited", "rb-full", or "ideal". The width is validated
-// up front: the constructors divide by width/2 schedulers, so a width below
-// 2 would panic during construction rather than fail Config.Validate.
-func ByName(name string, width int) (Config, error) {
+// IdealWithout builds a Figure-14 variant from a removed-levels list: the
+// Ideal machine at width with the listed bypass levels ("2", "1,2")
+// removed. rbsim, /v1/sim and /v1/batch all spell the variant this way.
+func IdealWithout(width int, levels string) (Config, error) {
+	if err := checkWidth(width); err != nil {
+		return Config{}, err
+	}
+	bp := bypass.Full()
+	for _, f := range strings.Split(levels, ",") {
+		k, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || k < 1 || k > bypass.NumLevels {
+			return Config{}, fmt.Errorf("bad bypass level %q", f)
+		}
+		bp = bp.Without(k)
+	}
+	return NewIdealLimited(width, bp), nil
+}
+
+// WithWindow resizes a machine's reservation window (the window sweep's
+// variant), named "<name>-win<N>" so every sweep of that point shares its
+// cells.
+func WithWindow(c Config, window int) (Config, error) {
+	if window <= 0 || c.NumSchedulers == 0 || window%c.NumSchedulers != 0 {
+		return Config{}, fmt.Errorf("window %d is not divisible by %s's %d schedulers",
+			window, c.Name, c.NumSchedulers)
+	}
+	c.WindowSize = window
+	c.SchedulerSize = window / c.NumSchedulers
+	c.Name = fmt.Sprintf("%s-win%d", c.Name, window)
+	if err := c.Validate(); err != nil {
+		return Config{}, err
+	}
+	return c, nil
+}
+
+// checkWidth validates a width before construction: the constructors divide
+// by width/2 schedulers, so a width below 2 would panic during construction
+// rather than fail Config.Validate.
+func checkWidth(width int) error {
 	if width < 2 || width%2 != 0 || width > 64 {
-		return Config{}, fmt.Errorf("machine: invalid width %d (want an even width in [2, 64])", width)
+		return fmt.Errorf("machine: invalid width %d (want an even width in [2, 64])", width)
+	}
+	return nil
+}
+
+// ByName builds one of the four paper machines by its lower-case name:
+// "baseline", "rb-limited", "rb-full", or "ideal" (or "staggered").
+func ByName(name string, width int) (Config, error) {
+	if err := checkWidth(width); err != nil {
+		return Config{}, err
 	}
 	switch name {
 	case "baseline":

@@ -26,8 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/grid"
-	"repro/internal/machine"
-	"repro/internal/workload"
 )
 
 // maxCellBody bounds /v1/cell and /v1/batch request bodies.
@@ -38,7 +36,8 @@ const maxCellBody = 1 << 20
 //	POST /v1/cell        {"config": {...}, "workload": "mcf"}
 //
 // The coordinator is the only intended caller, but the endpoint is plain
-// JSON-over-HTTP: a full machine.Config in, a CellResult out. Full cells
+// JSON-over-HTTP: a full machine.Config in, a CellResult out, computed by
+// grid.RunLocal — the path the in-process Local transport takes. Full cells
 // run through the shared worker pool; sampled cells drive the harness's
 // sampler, which fans its windows over the same pool itself.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
@@ -52,35 +51,10 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad cell request: "+err.Error())
 		return
 	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	out, err := grid.RunLocal(r.Context(), s.harness, &req, s.runInPool)
+	if err != nil {
+		s.failRequest(w, r, err) // ErrBadCell -> 400
 		return
-	}
-	wl, _ := workload.ByName(req.Workload) // Validate checked existence
-	out := grid.CellResult{Key: req.Key()}
-	if req.Sampled != nil {
-		res, err := s.harness.RunSampled(r.Context(), req.Config, wl, *req.Sampled)
-		if err != nil {
-			s.failRequest(w, r, err)
-			return
-		}
-		out.Sampled = res
-	} else {
-		var (
-			res  *core.Result
-			rerr error
-		)
-		if err := s.runInPool(r.Context(), func() {
-			res, rerr = s.harness.RunCell(r.Context(), req.Config, wl)
-		}); err != nil {
-			s.failRequest(w, r, err)
-			return
-		}
-		if rerr != nil {
-			s.failRequest(w, r, rerr)
-			return
-		}
-		out.Result = res
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -270,7 +244,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // artifactParams validates an artifact name (404 on unknown) and its
-// width/suite parameters, mirroring /v1/experiment.
+// width/suite parameters for /v1/experiment and /v1/batch?artifact=.
 func (s *Server) artifactParams(w http.ResponseWriter, q map[string][]string, name string) (width int, suite string, ok bool) {
 	known := false
 	for _, n := range artifactNames {
@@ -339,28 +313,35 @@ func batchSpecFromQuery(q map[string][]string) (*grid.BatchSpec, error) {
 	if spec.Windows, err = intsParam(first(q, "windows")); err != nil {
 		return nil, fmt.Errorf("bad windows: %w", err)
 	}
-	if v := first(q, "samples"); v != "" {
-		samples, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, fmt.Errorf("bad samples: %w", err)
-		}
-		warmup, err := intParam(first(q, "warmup"), 2000)
-		if err != nil {
-			return nil, fmt.Errorf("bad warmup: %w", err)
-		}
-		measure, err := intParam(first(q, "measure"), 2000)
-		if err != nil {
-			return nil, fmt.Errorf("bad measure: %w", err)
-		}
-		ffWarm, err := intParam(first(q, "ff-warm"), 0)
-		if err != nil {
-			return nil, fmt.Errorf("bad ff-warm: %w", err)
-		}
-		spec.Sampled = &experiments.SampleSpec{
-			Samples: samples, Warmup: warmup, Measure: measure, FFWarm: int64(ffWarm),
+	if first(q, "samples") != "" {
+		if spec.Sampled, err = sampleSpecFromQuery(q); err != nil {
+			return nil, err
 		}
 	}
 	return spec, nil
+}
+
+// sampleSpecFromQuery reads the sampling knobs shared by /v1/sim and
+// /v1/batch: samples (required), warmup and measure (default 2000), ff-warm
+// (default 0). Validation is the caller's.
+func sampleSpecFromQuery(q map[string][]string) (*experiments.SampleSpec, error) {
+	samples, err := strconv.Atoi(first(q, "samples"))
+	if err != nil {
+		return nil, fmt.Errorf("bad samples: %w", err)
+	}
+	warmup, err := intParam(first(q, "warmup"), 2000)
+	if err != nil {
+		return nil, fmt.Errorf("bad warmup: %w", err)
+	}
+	measure, err := intParam(first(q, "measure"), 2000)
+	if err != nil {
+		return nil, fmt.Errorf("bad measure: %w", err)
+	}
+	ffWarm, err := intParam(first(q, "ff-warm"), 0)
+	if err != nil {
+		return nil, fmt.Errorf("bad ff-warm: %w", err)
+	}
+	return &experiments.SampleSpec{Samples: samples, Warmup: warmup, Measure: measure, FFWarm: int64(ffWarm)}, nil
 }
 
 // intsParam parses a comma-separated integer list ("" -> nil).
@@ -389,24 +370,19 @@ func intsParam(v string) ([]int, error) {
 func (s *Server) computeCellBatch(ctx context.Context, cells []grid.CellRequest, onCell func(i int, res *grid.CellResult), onErr func(i int, err error)) ([]BatchCellEvent, error) {
 	results := make([]*grid.CellResult, len(cells))
 	errs := make([]error, len(cells))
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := s.router.Do(ctx, &cells[i])
-			results[i], errs[i] = res, err
-			if err != nil {
-				if onErr != nil {
-					onErr(i, err)
-				}
-			} else if onCell != nil {
-				onCell(i, res)
+	// Every cell runs to completion (a partial batch reports what landed),
+	// so per-cell errors are kept here and the fan-out itself never fails.
+	experiments.FanOut(ctx, len(cells), experiments.Spawn, func(i int) error {
+		results[i], errs[i] = s.router.Do(ctx, &cells[i])
+		if errs[i] != nil {
+			if onErr != nil {
+				onErr(i, errs[i])
 			}
-		}()
-	}
-	wg.Wait()
+		} else if onCell != nil {
+			onCell(i, results[i])
+		}
+		return nil
+	})
 
 	done := make([]BatchCellEvent, 0, len(cells))
 	var firstErr error
@@ -529,12 +505,11 @@ func (s *Server) serveArtifactBatch(w http.ResponseWriter, r *http.Request, name
 	stopProgress := s.streamProgress(stream, start, func() (int, int) {
 		return int(landed.Load()), 0 // artifact cell totals are not known up front
 	})
-	tee := &grid.TeeRunner{R: s.router, OnCell: func(cfg machine.Config, wl string, res *core.Result) {
-		key := (&grid.CellRequest{Config: cfg, Workload: wl}).Key()
+	tee := &grid.TeeRunner{R: s.router, OnCell: func(res *grid.CellResult) {
 		landed.Add(1)
-		bj.observe(&grid.CellResult{Key: key, Result: res})
+		bj.observe(res)
 		if stream != nil {
-			stream.event("cell", BatchCellEvent{Key: key, IPC: res.IPC(), Result: res})
+			stream.event("cell", cellEvent(res))
 		}
 	}}
 	res, err := s.runArtifact(ctx, tee, name, width, suite)
@@ -542,11 +517,9 @@ func (s *Server) serveArtifactBatch(w http.ResponseWriter, r *http.Request, name
 	elapsed := time.Since(start).Milliseconds() //rblint:allow determinism
 	n := int(landed.Load())
 
-	var text bytes.Buffer
+	var text []byte
 	if err == nil {
-		if err = res.Render(&text); err == nil {
-			text.WriteByte('\n') // rbexp per-artifact println parity
-		}
+		text, err = renderText(res)
 	}
 	if err != nil {
 		bj.abort()
@@ -562,7 +535,7 @@ func (s *Server) serveArtifactBatch(w http.ResponseWriter, r *http.Request, name
 		s.failRequest(w, r, err)
 		return
 	}
-	bj.finish(text.Bytes())
+	bj.finish(text)
 	switch {
 	case stream != nil:
 		stream.event("result", res)
@@ -573,7 +546,7 @@ func (s *Server) serveArtifactBatch(w http.ResponseWriter, r *http.Request, name
 		stream.event("done", d)
 	case format == "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(text.Bytes())
+		w.Write(text)
 	default: // json
 		body, merr := json.MarshalIndent(res, "", "  ")
 		if merr != nil {

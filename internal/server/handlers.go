@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/bypass"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -79,6 +78,18 @@ func (s *Server) runArtifact(ctx context.Context, run experiments.Runner, name s
 	return nil, fmt.Errorf("unknown artifact %q (have %s)", name, strings.Join(artifactNames, ", "))
 }
 
+// renderText is the one text rendering of an artifact: its table plus the
+// blank line rbexp prints after each artifact, so every format=text body
+// and every journaled batch output diffs clean against rbexp.
+func renderText(res artifactResult) ([]byte, error) {
+	var b bytes.Buffer
+	if err := res.Render(&b); err != nil {
+		return nil, err
+	}
+	b.WriteByte('\n')
+	return b.Bytes(), nil
+}
+
 func renderedTable(title string, render func(io.Writer) error) (artifactResult, error) {
 	var b bytes.Buffer
 	if err := render(&b); err != nil {
@@ -131,41 +142,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want json or text)", format))
 		return
 	}
-	known := false
-	for _, n := range artifactNames {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown artifact %q (have %s)", name, strings.Join(artifactNames, ", ")))
+	width, suite, ok := s.artifactParams(w, q, name)
+	if !ok {
 		return
-	}
-	width, suite := 8, "SPECint2000"
-	if name == "ipc" {
-		var err error
-		if width, err = intParam(q.Get("width"), 8); err != nil {
-			writeError(w, http.StatusBadRequest, "bad width: "+err.Error())
-			return
-		}
-		switch width {
-		case 2, 4, 8, 16:
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unsupported width %d (want 2, 4, 8, or 16)", width))
-			return
-		}
-		if suite = q.Get("suite"); suite == "" {
-			suite = "SPECint2000"
-		}
-		switch suite {
-		case "SPECint95", "SPECint2000", "all":
-		default:
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("unknown suite %q (want SPECint95, SPECint2000, or all)", suite))
-			return
-		}
 	}
 	key := strings.Join([]string{"exp", name, strconv.Itoa(width), suite, format}, "|")
 	s.serveCached(w, r, key, func() (cachedResponse, error) {
@@ -174,14 +153,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			return cachedResponse{}, err
 		}
 		if format == "text" {
-			var b bytes.Buffer
-			if err := res.Render(&b); err != nil {
+			b, err := renderText(res)
+			if err != nil {
 				return cachedResponse{}, err
 			}
-			// Trailing blank line matches rbexp's per-artifact println, so
-			// `diff <(rbexp -exp fig9) <(curl .../fig9?format=text)` is empty.
-			b.WriteByte('\n')
-			return cachedResponse{body: b.Bytes(), contentType: "text/plain; charset=utf-8"}, nil
+			return cachedResponse{body: b, contentType: "text/plain; charset=utf-8"}, nil
 		}
 		b, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
@@ -233,16 +209,10 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	noLevels := q.Get("no-bypass-levels")
 	if noLevels != "" {
-		bp := bypass.Full()
-		for _, f := range strings.Split(noLevels, ",") {
-			lvl, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || lvl < 1 || lvl > bypass.NumLevels {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad bypass level %q", f))
-				return
-			}
-			bp = bp.Without(lvl)
+		if cfg, err = machine.IdealWithout(width, noLevels); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
 		}
-		cfg = machine.NewIdealLimited(width, bp)
 	}
 	datapathCheck, err := boolParam(q.Get("check"))
 	if err != nil {
@@ -276,28 +246,11 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 				"samples cannot be combined with check, wrong-path, or sched (sampled cells run the default event backend without datapath verification)")
 			return
 		}
-		samples, err := intParam(q.Get("samples"), 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad samples: "+err.Error())
-			return
+		spec, err := sampleSpecFromQuery(q)
+		if err == nil {
+			err = spec.Validate()
 		}
-		warmup, err := intParam(q.Get("warmup"), 2000)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad warmup: "+err.Error())
-			return
-		}
-		measure, err := intParam(q.Get("measure"), 2000)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad measure: "+err.Error())
-			return
-		}
-		ffWarm, err := intParam(q.Get("ff-warm"), 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad ff-warm: "+err.Error())
-			return
-		}
-		spec := experiments.SampleSpec{Samples: samples, Warmup: warmup, Measure: measure, FFWarm: int64(ffWarm)}
-		if err := spec.Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -307,10 +260,10 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusBadRequest, "bad ci-target: "+err.Error())
 				return
 			}
-			s.serveAdaptiveSim(w, r, cfg, wl, spec, target)
+			s.serveAdaptiveSim(w, r, cfg, wl, *spec, target)
 			return
 		}
-		s.serveSampledSim(w, r, cfg, wl, spec)
+		s.serveSampledSim(w, r, cfg, wl, *spec)
 		return
 	}
 

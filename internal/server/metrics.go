@@ -135,7 +135,7 @@ func (s *Server) snapshot() MetricsSnapshot {
 	out.Latency.P90Ms = 1e3 * m.latency.Quantile(0.90)
 	out.Latency.P99Ms = 1e3 * m.latency.Quantile(0.99)
 	out.Latency.MaxMs = 1e3 * m.latency.Max()
-	out.Breaker.State, out.Breaker.Trips, out.Breaker.Shed = s.brk.snapshot()
+	out.Breaker.State, out.Breaker.Trips, out.Breaker.Shed = s.brk.Snapshot()
 	out.Breaker.ChaosInjected = m.chaosInjected.Load()
 	out.Pool.Workers = s.pool.Workers()
 	out.Pool.Depth = s.pool.Depth()

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -74,6 +75,28 @@ func (s *Server) observed(h http.HandlerFunc) http.HandlerFunc {
 			s.met.observe(sw.status, time.Since(start).Seconds()) //rblint:allow determinism
 		}()
 		h(sw, r)
+	}
+}
+
+// breaking is the circuit-breaker middleware over grid.Breaker (the same
+// state machine the coordinator runs per worker): once the recent 5xx rate
+// — chaos-injected cancellations and pool-exhaustion timeouts included —
+// crosses the threshold, requests are shed with 503 + Retry-After until a
+// half-open probe succeeds. It sits outside the chaos and admission layers
+// so injected failures trip it exactly as real backend failures would, and
+// an open circuit sheds load before any work (or fault) happens.
+func (s *Server) breaking(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		allowed, probe := s.brk.Admit(time.Now()) //rblint:allow determinism
+		if !allowed {
+			retry := int(math.Ceil(s.brk.Cooldown().Seconds()))
+			w.Header().Set("Retry-After", strconv.Itoa(max(retry, 1)))
+			writeError(w, http.StatusServiceUnavailable, "circuit open; retry later")
+			return
+		}
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		h(sw, r)
+		s.brk.Record(sw.status >= 500, probe, time.Now()) //rblint:allow determinism
 	}
 }
 

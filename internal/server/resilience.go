@@ -12,7 +12,6 @@ package server
 // elapsed time), never simulated time, and carry determinism-lint allows.
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/json"
@@ -24,9 +23,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/machine"
 )
 
 // maxRegisterBody bounds /v1/register request bodies.
@@ -311,19 +308,13 @@ func (s *Server) completeBatch(ctx context.Context, meta *grid.JournalMeta, bj *
 		}
 		return renderCellBatchText(done), len(cells), nil
 	}
-	tee := &grid.TeeRunner{R: s.router, OnCell: func(cfg machine.Config, wl string, res *core.Result) {
-		key := (&grid.CellRequest{Config: cfg, Workload: wl}).Key()
-		bj.observe(&grid.CellResult{Key: key, Result: res})
-	}}
-	res, err := s.runArtifact(ctx, tee, meta.Artifact, meta.Width, meta.Suite)
+	res, err := s.runArtifact(ctx, &grid.TeeRunner{R: s.router, OnCell: bj.observe}, meta.Artifact, meta.Width, meta.Suite)
 	if err != nil {
 		return nil, 0, err
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
+	if out, err = renderText(res); err != nil {
 		return nil, 0, err
 	}
-	buf.WriteByte('\n') // rbexp per-artifact println parity
 	replayed, appended := bj.counts()
-	return buf.Bytes(), replayed + appended, nil
+	return out, replayed + appended, nil
 }

@@ -12,6 +12,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/grid"
 )
 
 // TestBadParamsNever500 sweeps malformed inputs across /v1/sim, /v1/check,
@@ -120,54 +122,55 @@ func TestBadParamsNever500(t *testing.T) {
 // it with a cleared window.
 func TestBreakerStateMachine(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	b := newBreaker(8, 0.5, 4, time.Minute)
+	b := grid.NewBreaker(8, 0.5, 4, time.Minute)
+	record := func(status int, probe bool, now time.Time) { b.Record(status >= 500, probe, now) }
 
 	// Three failures out of four samples: 0.75 >= 0.5 at min samples, trip.
 	for i, status := range []int{200, 500, 503, 504} {
-		if ok, probe := b.admit(t0); !ok || probe {
+		if ok, probe := b.Admit(t0); !ok || probe {
 			t.Fatalf("admit %d while closed = (%v, %v), want (true, false)", i, ok, probe)
 		}
-		b.record(status, false, t0)
+		record(status, false, t0)
 	}
-	if state, trips, _ := b.snapshot(); state != "open" || trips != 1 {
+	if state, trips, _ := b.Snapshot(); state != "open" || trips != 1 {
 		t.Fatalf("after failures: state=%s trips=%d, want open/1", state, trips)
 	}
 
 	// Open: everything shed until the cooldown elapses.
-	if ok, _ := b.admit(t0.Add(30 * time.Second)); ok {
+	if ok, _ := b.Admit(t0.Add(30 * time.Second)); ok {
 		t.Fatal("open breaker admitted a request inside the cooldown")
 	}
-	if _, _, shed := b.snapshot(); shed != 1 {
+	if _, _, shed := b.Snapshot(); shed != 1 {
 		t.Fatalf("shed = %d, want 1", shed)
 	}
 
 	// Cooldown over: exactly one probe is admitted, its rival is shed.
-	ok, probe := b.admit(t0.Add(2 * time.Minute))
+	ok, probe := b.Admit(t0.Add(2 * time.Minute))
 	if !ok || !probe {
 		t.Fatalf("post-cooldown admit = (%v, %v), want probe", ok, probe)
 	}
-	if ok, _ := b.admit(t0.Add(2 * time.Minute)); ok {
+	if ok, _ := b.Admit(t0.Add(2 * time.Minute)); ok {
 		t.Fatal("second request admitted while a probe is in flight")
 	}
 
 	// Probe fails: re-open, another cooldown.
-	b.record(500, true, t0.Add(2*time.Minute))
-	if state, trips, _ := b.snapshot(); state != "open" || trips != 2 {
+	record(500, true, t0.Add(2*time.Minute))
+	if state, trips, _ := b.Snapshot(); state != "open" || trips != 2 {
 		t.Fatalf("after failed probe: state=%s trips=%d, want open/2", state, trips)
 	}
 
 	// Next probe succeeds: closed, window cleared (a single new failure
 	// must not instantly re-trip).
-	ok, probe = b.admit(t0.Add(4 * time.Minute))
+	ok, probe = b.Admit(t0.Add(4 * time.Minute))
 	if !ok || !probe {
 		t.Fatalf("second post-cooldown admit = (%v, %v), want probe", ok, probe)
 	}
-	b.record(200, true, t0.Add(4*time.Minute))
-	if state, _, _ := b.snapshot(); state != "closed" {
+	record(200, true, t0.Add(4*time.Minute))
+	if state, _, _ := b.Snapshot(); state != "closed" {
 		t.Fatalf("after clean probe: state=%s, want closed", state)
 	}
-	b.record(500, false, t0.Add(4*time.Minute))
-	if state, _, _ := b.snapshot(); state != "closed" {
+	record(500, false, t0.Add(4*time.Minute))
+	if state, _, _ := b.Snapshot(); state != "closed" {
 		t.Fatal("one failure after recovery re-tripped a cleared window")
 	}
 }
@@ -209,7 +212,7 @@ func TestBreakerTripsOnChaosCancellation(t *testing.T) {
 			t.Fatalf("request %d = %d, want 503", i, rec.Code)
 		}
 	}
-	state, trips, shed := s.brk.snapshot()
+	state, trips, shed := s.brk.Snapshot()
 	if state != "open" || trips != 1 {
 		t.Fatalf("breaker state=%s trips=%d, want open/1", state, trips)
 	}
@@ -241,7 +244,7 @@ func TestChaosLatencyAndExhaustionRecover(t *testing.T) {
 			t.Fatalf("request %d under chaos = %d, want 200", i, rec.Code)
 		}
 	}
-	if state, trips, _ := s.brk.snapshot(); state != "closed" || trips != 0 {
+	if state, trips, _ := s.brk.Snapshot(); state != "closed" || trips != 0 {
 		t.Fatalf("breaker state=%s trips=%d after successful chaos, want closed/0", state, trips)
 	}
 	if got := s.met.chaosInjected.Load(); got != 3+2 {

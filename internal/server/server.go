@@ -9,14 +9,27 @@
 //	             /healthz, /metrics, /debug/pprof
 //	caching      a sharded cost-bounded LRU over rendered responses
 //	             (internal/rcache) in front of the experiment harness's
-//	             sharded cell cache; both dedup concurrent misses
+//	             sharded cell cache; both dedup concurrent misses. The
+//	             response cache stays because a warm fig9 text hit is
+//	             about 10 µs p50 against about 0.5 ms to render it from
+//	             warm cells
+//	cells        one cell key (experiments.CellKey) for the harness, the
+//	             grid router and its shared tier, batch tees and
+//	             journals; every cell cache keeps the full machine.Config
+//	             beside its value and refuses a second config under one
+//	             name with 400 (the alias guard); one fan-out loop
+//	             (experiments.FanOut), one cell compute for /v1/cell and
+//	             the in-process grid (grid.RunLocal), and one artifact
+//	             text render (renderText) for every text response and
+//	             journal output
 //	execution    one bounded worker pool (internal/pool, GOMAXPROCS-sized)
 //	             that every simulation cell funnels through, shared with
 //	             the experiments harness so HTTP traffic and rbexp-style
 //	             matrix fan-out obey a single CPU bound
 //	robustness   admission control (429 + Retry-After once MaxInflight
-//	             requests are active), a circuit breaker shedding load with
-//	             503 once the recent 5xx rate crosses a threshold,
+//	             requests are active), a circuit breaker (grid.Breaker)
+//	             shedding load with 503 once the recent 5xx rate crosses a
+//	             threshold,
 //	             per-request deadlines, panic recovery into logged 500s,
 //	             deterministic chaos injection for rbfault campaigns, and
 //	             graceful drain in cmd/rbserve
@@ -140,7 +153,7 @@ type Server struct {
 	resp     *rcache.Cache
 	met      *metrics
 	sem      chan struct{} // admission-control slots for /v1 routes
-	brk      *breaker
+	brk      *grid.Breaker
 	router   *grid.Router       // cell routing + shared result tier
 	runner   experiments.Runner // harness locally, router in coordinator mode
 	chaosSeq atomic.Int64       // chaotic-request ordinal
@@ -196,7 +209,7 @@ func New(cfg Config) *Server {
 		resp: rcache.New(16, cfg.CacheBytes),
 		met:  newMetrics(),
 		sem:  make(chan struct{}, cfg.MaxInflight),
-		brk:  newBreaker(cfg.BreakerWindow, cfg.BreakerThreshold, cfg.BreakerMinSamples, cfg.BreakerCooldown),
+		brk:  grid.NewBreaker(cfg.BreakerWindow, cfg.BreakerThreshold, cfg.BreakerMinSamples, cfg.BreakerCooldown),
 		logf: cfg.Logf,
 	}
 	if s.logf == nil {

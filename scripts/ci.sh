@@ -21,6 +21,14 @@ go build ./...
 # Race instrumentation slows the experiment-matrix tests well past the
 # default 10m package timeout; they pass with room to spare given 40m.
 go test -race -timeout 40m ./...
+# The same suite on a single CPU, so a bug that shows at only one CPU count
+# (a pool of one hides a worker that never comes back) cannot pass unseen
+# next to the default-nproc run above. -count=1: the test cache does not
+# key on GOMAXPROCS, so a cached default-CPU pass would otherwise stand in.
+GOMAXPROCS=1 go test -count=1 ./...
+# Pool-exhaustion chaos must release every wedged worker: the regression
+# test pins a pool of three and fails within seconds instead of hanging.
+go test -run '^TestExhaustPoolReleasesEveryWorker$' -timeout 2m ./internal/server/
 # -quick includes the backends layer: the event-driven scheduler must be
 # bit-identical to the poll oracle on every checked (machine, workload) cell.
 go run ./cmd/rbcheck -quick
