@@ -356,7 +356,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg := machine.NewRBFull(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(cfg, w.Name, tr); err != nil {
+		if _, err := core.Run(cfg, w.Name, tr, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -447,7 +447,7 @@ func BenchmarkAblationWrongPath(b *testing.B) {
 			cfg.ModelWrongPath = wp
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				r, err := core.RunWithProgram(cfg, w.Name, prog, tr)
+				r, err := core.Run(cfg, w.Name, tr, core.Options{Program: prog})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -525,7 +525,7 @@ func BenchmarkSampledSimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	full, err := core.Run(cfg, w.Name, tr)
+	full, err := core.Run(cfg, w.Name, tr, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -154,7 +154,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rbexp: %v\n", err)
 		os.Exit(2)
 	}
-	core.SetDefaultBackend(backend)
 	stopProf, err := prof.Start(*cpuProfile, *memProfile, *traceFile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbexp: %v\n", err)
@@ -167,6 +166,7 @@ func main() {
 		os.Exit(2)
 	}
 	harness := experiments.NewHarness(*parallel)
+	harness.Backend = backend
 	defer harness.Close()
 	ctx := context.Background()
 

@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("%-12s %8s %10s %12s\n", "machine", "IPC", "cycles", "mispredict")
 	var base, rbf float64
 	for _, cfg := range machine.All(*width) {
-		r, err := core.Run(cfg, w.Name, trace)
+		r, err := core.Run(cfg, w.Name, trace, core.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rbgen: %v\n", err)
 			os.Exit(1)

@@ -58,7 +58,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 		os.Exit(2)
 	}
-	core.SetDefaultBackend(backend)
 	stopProf, err := prof.Start(*cpuProfile, *memProfile, *traceFile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
@@ -107,7 +106,7 @@ func main() {
 				wlFlagSet = true
 			}
 		})
-		if err := doLoadCkpt(cfg, *loadCkpt, *wlName, wlFlagSet); err != nil {
+		if err := doLoadCkpt(cfg, backend, *loadCkpt, *wlName, wlFlagSet); err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 			os.Exit(1)
 		}
@@ -162,8 +161,8 @@ func main() {
 		if n > len(trace) {
 			n = len(trace)
 		}
-		_, stages, err := core.RunWithStages(cfg, w.Name, trace)
-		if err != nil {
+		stages := make([]core.StageRecord, len(trace))
+		if _, err := core.Run(cfg, w.Name, trace, core.Options{Backend: backend, Stages: stages}); err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 			os.Exit(1)
 		}
@@ -173,7 +172,7 @@ func main() {
 		}
 		return
 	}
-	r, err := core.RunWithProgram(cfg, w.Name, prog, trace)
+	r, err := core.Run(cfg, w.Name, trace, core.Options{Backend: backend, Program: prog})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 		os.Exit(1)
@@ -265,7 +264,7 @@ func doSaveCkpt(cfg machine.Config, w *workload.Workload, path string, n int64) 
 // doLoadCkpt resumes a checkpoint, replays the remainder of the workload
 // through the detailed simulator with the checkpointed warm state, and prints
 // the measured statistics.
-func doLoadCkpt(cfg machine.Config, path, wlName string, wlFlagSet bool) error {
+func doLoadCkpt(cfg machine.Config, backend core.Backend, path, wlName string, wlFlagSet bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -305,17 +304,17 @@ func doLoadCkpt(cfg machine.Config, path, wlName string, wlFlagSet bool) error {
 	if len(trace) == 0 {
 		return fmt.Errorf("checkpoint is at instruction %d, past the end of the program", st.Seq())
 	}
-	r, err := core.RunWindow(cfg, w.Name, trace, core.WindowOptions{Hier: &st.Hier, Pred: st.Pred})
+	r, err := core.Run(cfg, w.Name, trace, core.Options{Backend: backend, Hier: &st.Hier, Pred: st.Pred})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("workload:      %s (resumed at instruction %d)\n", w.Name, st.Seq())
 	fmt.Printf("machine:       %s\n", cfg.Name)
-	fmt.Printf("instructions:  %d\n", r.Result.Instructions)
-	fmt.Printf("cycles:        %d\n", r.Result.Cycles)
-	fmt.Printf("IPC:           %.4f\n", r.Result.IPC())
-	fmt.Printf("branches:      %d (%.2f%% mispredicted)\n", r.Result.Branches, 100*r.Result.MispredictRate())
-	fmt.Printf("L1D:           %.2f%% miss (%d accesses)\n", 100*r.Result.L1D.MissRate(), r.Result.L1D.Accesses())
+	fmt.Printf("instructions:  %d\n", r.Instructions)
+	fmt.Printf("cycles:        %d\n", r.Cycles)
+	fmt.Printf("IPC:           %.4f\n", r.IPC())
+	fmt.Printf("branches:      %d (%.2f%% mispredicted)\n", r.Branches, 100*r.MispredictRate())
+	fmt.Printf("L1D:           %.2f%% miss (%d accesses)\n", 100*r.L1D.MissRate(), r.L1D.Accesses())
 	return nil
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/machine"
 )
 
@@ -37,7 +38,11 @@ func run(cfg machine.Config, src string) *core.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := core.RunProgram(cfg, "chain", prog, 10_000_000)
+	trace, err := emu.Trace(prog, 10_000_000)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := core.Run(cfg, "chain", trace, core.Options{Program: prog})
 	if err != nil {
 		log.Fatal(err)
 	}

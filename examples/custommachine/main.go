@@ -24,7 +24,7 @@ func main() {
 	}
 
 	run := func(cfg machine.Config) *core.Result {
-		r, err := core.Run(cfg, w.Name, trace)
+		r, err := core.Run(cfg, w.Name, trace, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

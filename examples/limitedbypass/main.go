@@ -16,6 +16,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bypass"
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -67,9 +68,13 @@ loop:   sll  r1, #2, r2          ; SLL
 	if err != nil {
 		log.Fatal(err)
 	}
+	fig4, err := emu.Trace(prog, 1_000_000)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nFigure-4 style dependency kernel (cycles per iteration):")
 	for _, c := range []machine.Config{machine.NewRBFull(8), machine.NewRBLimited(8), machine.NewBaseline(8), machine.NewIdeal(8)} {
-		r, err := core.RunProgram(c, "fig4", prog, 1_000_000)
+		r, err := core.Run(c, "fig4", fig4, core.Options{Program: prog})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,7 +94,7 @@ loop:   sll  r1, #2, r2          ; SLL
 		bypass.Full().Without(3), bypass.Full().Without(1, 2), bypass.Full().Without(2, 3),
 	} {
 		c := machine.NewIdealLimited(8, bp)
-		r, err := core.Run(c, w.Name, trace)
+		r, err := core.Run(c, w.Name, trace, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -52,8 +52,8 @@ func main() {
 	}
 
 	for _, cfg := range []machine.Config{machine.NewRBFull(4), machine.NewRBLimited(4)} {
-		_, stages, err := core.RunWithStages(cfg, "fig4", trace)
-		if err != nil {
+		stages := make([]core.StageRecord, len(trace))
+		if _, err := core.Run(cfg, "fig4", trace, core.Options{Stages: stages}); err != nil {
 			log.Fatal(err)
 		}
 		which := "Figure 5 (full bypass network)"

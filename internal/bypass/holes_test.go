@@ -115,8 +115,8 @@ loop:
 	}
 	for _, tc := range holeConfigs {
 		cfg := machine.NewIdealLimited(4, tc.cfg)
-		_, stages, err := core.RunWithStages(cfg, "hole-chain", trace)
-		if err != nil {
+		stages := make([]core.StageRecord, len(trace))
+		if _, err := core.Run(cfg, "hole-chain", trace, core.Options{Stages: stages}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		s := bypass.FromConfig(tc.cfg, bypass.RFOffset)

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"reflect"
 
+	"repro/internal/branch"
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/workload"
 )
 
@@ -15,8 +18,8 @@ import (
 // poll-based oracle; this layer proves it by requiring bit-identical
 // core.Result values — cycles, occupancy, every bypass-case counter, cache
 // statistics, the lot — for every (machine × workload) cell of the
-// experiment matrix, plus per-instruction stage timelines and a wrong-path
-// (squash-under-issue) cell.
+// experiment matrix, plus per-instruction stage timelines, a wrong-path
+// (squash-under-issue) cell, and a checkpoint-warmed sampling window.
 
 // backendWorkloads selects the matrix rows per tier.
 func backendWorkloads(opts Options) []*workload.Workload {
@@ -54,6 +57,7 @@ func Backends(opts Options) []Report {
 	out = append(out, run("backends", "poll-vs-event/wrong-path", func() (int64, string, error) {
 		return backendWrongPath(opts)
 	}))
+	out = append(out, run("backends", "poll-vs-event/window", backendWindow))
 	return out
 }
 
@@ -66,11 +70,11 @@ func backendMatrixCell(w *workload.Workload, width int) (int64, string, error) {
 	}
 	var trials int64
 	for _, cfg := range machine.All(width) {
-		rEvent, err := core.RunBackend(cfg, w.Name, trace, core.BackendEvent)
+		rEvent, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendEvent})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s event: %w", cfg.Name, err)
 		}
-		rPoll, err := core.RunBackend(cfg, w.Name, trace, core.BackendPoll)
+		rPoll, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendPoll})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s poll: %w", cfg.Name, err)
 		}
@@ -96,11 +100,12 @@ func backendStages(opts Options) (int64, string, error) {
 		return 0, "", err
 	}
 	cfg := machine.NewRBLimited(8) // holes + clustering: the hardest schedule
-	rEvent, stEvent, err := core.RunWithStagesBackend(cfg, w.Name, trace, core.BackendEvent)
+	stEvent, stPoll := make([]core.StageRecord, len(trace)), make([]core.StageRecord, len(trace))
+	rEvent, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendEvent, Stages: stEvent})
 	if err != nil {
 		return 0, "", fmt.Errorf("event: %w", err)
 	}
-	rPoll, stPoll, err := core.RunWithStagesBackend(cfg, w.Name, trace, core.BackendPoll)
+	rPoll, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendPoll, Stages: stPoll})
 	if err != nil {
 		return 0, "", fmt.Errorf("poll: %w", err)
 	}
@@ -137,11 +142,11 @@ func backendWrongPath(opts Options) (int64, string, error) {
 	for _, cfg := range []machine.Config{machine.NewRBFull(8), machine.NewBaseline(4)} {
 		cfg.ModelWrongPath = true
 		cfg.Name += "-wp"
-		rEvent, err := core.RunProgramBackend(cfg, w.Name, prog, trace, core.BackendEvent)
+		rEvent, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendEvent, Program: prog})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s event: %w", cfg.Name, err)
 		}
-		rPoll, err := core.RunProgramBackend(cfg, w.Name, prog, trace, core.BackendPoll)
+		rPoll, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendPoll, Program: prog})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s poll: %w", cfg.Name, err)
 		}
@@ -154,6 +159,67 @@ func backendWrongPath(opts Options) (int64, string, error) {
 		trials++
 	}
 	return trials, "wrong-path squash cells bit-identical", nil
+}
+
+// backendWindow covers the sampler's detailed phase: one RB-limited-8
+// window resumed from checkpoint-warmed cache and predictor state (functional
+// warming over the trace prefix), split into warm-up, measurement and
+// cooldown. The split itself — WarmupCycles and MeasuredCycles — must match
+// along with the whole-window Result.
+func backendWindow() (int64, string, error) {
+	w, ok := workload.ByName("compress")
+	if !ok {
+		return 0, "", fmt.Errorf("workload compress missing")
+	}
+	trace, err := w.Trace()
+	if err != nil {
+		return 0, "", err
+	}
+	const warmup, measure, cooldown = 2000, 2000, 500
+	start := len(trace) / 3
+	if start+warmup+measure+cooldown > len(trace) {
+		return 0, "", fmt.Errorf("%s: %d instructions is too short for a window", w.Name, len(trace))
+	}
+	cfg := machine.NewRBLimited(8)
+	hier, err := mem.NewHierarchy(cfg.Mem)
+	if err != nil {
+		return 0, "", err
+	}
+	pred := branch.New()
+	warmer := ckpt.NewWarmer(hier, pred)
+	for i := range trace[:start] {
+		warmer.Observe(&trace[i])
+	}
+	hs := hier.State()
+	window := trace[start : start+warmup+measure+cooldown]
+	var split [2]*core.WindowResult
+	for i, b := range []core.Backend{core.BackendEvent, core.BackendPoll} {
+		s, err := core.New(cfg, w.Name, window, core.Options{
+			Backend: b, Warmup: warmup, Measure: measure, Hier: &hs, Pred: pred.State(),
+		})
+		if err != nil {
+			return 0, "", err
+		}
+		if _, err := s.Simulate(); err != nil {
+			return 0, "", fmt.Errorf("%s: %w", b, err)
+		}
+		split[i] = s.Window()
+	}
+	ev, po := split[0], split[1]
+	if err := diffResults(cfg.Name, ev.Result, po.Result); err != nil {
+		return 0, "", err
+	}
+	evSplit, poSplit := *ev, *po
+	evSplit.Result, poSplit.Result = nil, nil
+	if evSplit != poSplit {
+		return 0, "", fmt.Errorf("%s: window split diverges: event %+v, poll %+v", cfg.Name, evSplit, poSplit)
+	}
+	if ev.WarmupCycles <= 0 || ev.MeasuredCycles <= 0 || ev.WarmupCycles+ev.MeasuredCycles >= ev.Result.Cycles {
+		return 0, "", fmt.Errorf("%s: degenerate split: warm-up %d, measured %d of %d cycles",
+			cfg.Name, ev.WarmupCycles, ev.MeasuredCycles, ev.Result.Cycles)
+	}
+	return int64(len(window)), fmt.Sprintf("warmed window split identical (%d warm-up + %d measured cycles)",
+		ev.WarmupCycles, ev.MeasuredCycles), nil
 }
 
 // diffResults requires two results to be bit-identical, naming the first

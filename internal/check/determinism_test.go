@@ -25,11 +25,11 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range machine.All(8) {
-		a, err := core.Run(cfg, w.Name, trace)
+		a, err := core.Run(cfg, w.Name, trace, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := core.Run(cfg, w.Name, trace)
+		b, err := core.Run(cfg, w.Name, trace, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,7 +136,12 @@ func FuzzLockstep(f *testing.F) {
 			t.Skip() // e.g. arithmetic the emulator rejects; not a lockstep question
 		}
 		for _, cfg := range []machine.Config{machine.NewBaseline(4), machine.NewRBFull(4)} {
-			if _, err := core.RunLockstep(cfg, "fuzz", prog, trace); err != nil {
+			s, err := core.New(cfg, "fuzz", trace, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.EnableOracle(prog)
+			if _, err := s.Simulate(); err != nil {
 				t.Fatalf("%s: %v", cfg.Name, err)
 			}
 		}

@@ -63,7 +63,7 @@ func machineInvariants(w *workload.Workload, width int) (int64, string, error) {
 	results := make(map[string]*core.Result, len(configs))
 	for _, cfg := range configs {
 		cfg.DatapathCheck = true
-		r, err := core.Run(cfg, w.Name, trace)
+		r, err := core.Run(cfg, w.Name, trace, core.Options{})
 		if err != nil {
 			return 0, "", fmt.Errorf("%s: %w", cfg.Kind, err)
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // The oracle layer: lockstep replay of committed instructions through the
-// functional reference (core.RunLockstep), plus a fault-injection self-test
-// that proves the oracle actually detects a corrupted datapath.
+// functional reference (core.Simulator.EnableOracle), plus a fault-injection
+// self-test that proves the oracle actually detects a corrupted datapath.
 
 // oracleWorkloads are the benchmarks the lockstep checks replay: a mix of
 // arithmetic-heavy, pointer-chasing, and branchy kernels in the quick tier,
@@ -54,7 +54,12 @@ func Oracle(opts Options) []Report {
 					if err != nil {
 						return 0, "", err
 					}
-					r, err := core.RunLockstep(cfg, w.Name, prog, trace)
+					s, err := core.New(cfg, w.Name, trace, core.Options{})
+					if err != nil {
+						return 0, "", err
+					}
+					s.EnableOracle(prog)
+					r, err := s.Simulate()
 					if err != nil {
 						return 0, "", err
 					}
@@ -102,7 +107,7 @@ func faultInjectionCheck() (int64, string, error) {
 // runWithFault runs one lockstep simulation with an injected single-digit
 // fault and returns the divergence the oracle must produce.
 func runWithFault(cfg machine.Config, prog *isa.Program, trace traceT, seq int64, digit int) (*core.DivergenceError, error) {
-	s, err := core.New(cfg, "fault-injection", trace)
+	s, err := core.New(cfg, "fault-injection", trace, core.Options{})
 	if err != nil {
 		return nil, err
 	}

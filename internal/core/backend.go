@@ -407,7 +407,7 @@ func (s *Simulator) retire(cycle int64) {
 		s.retirePtr++
 		s.inFlight--
 		if s.retirePtr == s.warmBoundary && s.warmBoundary > 0 {
-			s.warmEndCycle = cycle // warm-up window fully retired (RunWindow)
+			s.warmEndCycle = cycle // warm-up window fully retired (Options.Warmup)
 		}
 		if s.retirePtr == s.measureBoundary && s.measureBoundary > 0 {
 			s.measureEndCycle = cycle // measurement window fully retired

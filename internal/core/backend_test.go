@@ -72,11 +72,12 @@ func TestBackendsBitIdentical(t *testing.T) {
 	cfgs = append(cfgs, steer)
 
 	for _, cfg := range cfgs {
-		rEvent, stEvent, err := RunWithStagesBackend(cfg, "eq", trace, BackendEvent)
+		stEvent, stPoll := make([]StageRecord, len(trace)), make([]StageRecord, len(trace))
+		rEvent, err := Run(cfg, "eq", trace, Options{Stages: stEvent})
 		if err != nil {
 			t.Fatalf("%s event: %v", cfg.Name, err)
 		}
-		rPoll, stPoll, err := RunWithStagesBackend(cfg, "eq", trace, BackendPoll)
+		rPoll, err := Run(cfg, "eq", trace, Options{Backend: BackendPoll, Stages: stPoll})
 		if err != nil {
 			t.Fatalf("%s poll: %v", cfg.Name, err)
 		}
@@ -103,11 +104,11 @@ func TestBackendsBitIdenticalWrongPath(t *testing.T) {
 		cfg := machine.NewRBFull(w)
 		cfg.ModelWrongPath = true
 		cfg.Name += "-wp"
-		rEvent, err := RunProgramBackend(cfg, "eq", p, trace, BackendEvent)
+		rEvent, err := Run(cfg, "eq", trace, Options{Program: p})
 		if err != nil {
 			t.Fatalf("%s event: %v", cfg.Name, err)
 		}
-		rPoll, err := RunProgramBackend(cfg, "eq", p, trace, BackendPoll)
+		rPoll, err := Run(cfg, "eq", trace, Options{Backend: BackendPoll, Program: p})
 		if err != nil {
 			t.Fatalf("%s poll: %v", cfg.Name, err)
 		}
@@ -157,7 +158,7 @@ func TestSteadyStateIssueLoopZeroAllocs(t *testing.T) {
 	cfg := machine.NewRBFull(8)
 	run := func(trace []emu.TraceEntry) func() {
 		return func() {
-			if _, err := RunBackend(cfg, "alloc", trace, BackendEvent); err != nil {
+			if _, err := Run(cfg, "alloc", trace, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -179,7 +180,7 @@ func TestSteadyStateIssueLoopZeroAllocs(t *testing.T) {
 // per-cycle cost the event backend eliminates).
 func BenchmarkReadyPoll(b *testing.B) {
 	cfg := machine.NewRBLimited(8)
-	s, err := New(cfg, "bench", make([]emu.TraceEntry, 4))
+	s, err := New(cfg, "bench", make([]emu.TraceEntry, 4), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func BenchmarkReadyPoll(b *testing.B) {
 // replaces per-cycle polling in the event backend.
 func BenchmarkEarliestReady(b *testing.B) {
 	cfg := machine.NewRBLimited(8)
-	s, err := New(cfg, "bench", make([]emu.TraceEntry, 4))
+	s, err := New(cfg, "bench", make([]emu.TraceEntry, 4), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func benchmarkSimulate(b *testing.B, backend Backend) {
 	cfg := machine.NewRBFull(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunBackend(cfg, "bench", trace, backend); err != nil {
+		if _, err := Run(cfg, "bench", trace, Options{Backend: backend}); err != nil {
 			b.Fatal(err)
 		}
 	}

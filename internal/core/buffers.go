@@ -73,15 +73,5 @@ func (b *Buffers) predictor() *branch.Predictor {
 
 // Run is core.Run drawing all per-run allocations from b.
 func (b *Buffers) Run(cfg machine.Config, workload string, trace []emu.TraceEntry) (*Result, error) {
-	return b.RunBackend(cfg, workload, trace, defaultBackend)
-}
-
-// RunBackend is Run with an explicit scheduler backend.
-func (b *Buffers) RunBackend(cfg machine.Config, workload string, trace []emu.TraceEntry, be Backend) (*Result, error) {
-	s, err := newSim(cfg, workload, trace, b)
-	if err != nil {
-		return nil, err
-	}
-	s.SetBackend(be)
-	return s.Simulate()
+	return Run(cfg, workload, trace, Options{Buffers: b})
 }

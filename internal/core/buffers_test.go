@@ -36,11 +36,11 @@ func TestBuffersReuseIdentical(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			for ti, trace := range traces {
 				for _, cfg := range []machine.Config{machine.NewBaseline(4), machine.NewRBFull(8)} {
-					want, err := RunBackend(cfg, "w", trace, b)
+					want, err := Run(cfg, "w", trace, Options{Backend: b})
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := buf.RunBackend(cfg, "w", trace, b)
+					got, err := Run(cfg, "w", trace, Options{Backend: b, Buffers: buf})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -54,6 +54,19 @@ func TestBuffersReuseIdentical(t *testing.T) {
 	}
 }
 
+// runWindow simulates trace under opt and reads its warm-up/measurement
+// split.
+func runWindow(cfg machine.Config, trace []emu.TraceEntry, opt Options) (*WindowResult, error) {
+	s, err := New(cfg, "w", trace, opt)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.Simulate(); err != nil {
+		return nil, err
+	}
+	return s.Window(), nil
+}
+
 // TestRunWindowSplit checks the warm-up/measurement accounting: the split
 // sums to the full run, a zero warm-up reproduces Run exactly, and warming
 // state in makes the boundary well defined.
@@ -65,11 +78,11 @@ func TestRunWindowSplit(t *testing.T) {
 	}
 	cfg := machine.NewBaseline(4)
 
-	full, err := Run(cfg, "w", trace)
+	full, err := Run(cfg, "w", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := RunWindow(cfg, "w", trace, WindowOptions{})
+	zero, err := runWindow(cfg, trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +92,7 @@ func TestRunWindowSplit(t *testing.T) {
 	}
 
 	warm := len(trace) / 3
-	wr, err := RunWindow(cfg, "w", trace, WindowOptions{Warmup: warm})
+	wr, err := runWindow(cfg, trace, Options{Warmup: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +110,38 @@ func TestRunWindowSplit(t *testing.T) {
 		t.Fatalf("measured IPC %f", ipc)
 	}
 
-	if _, err := RunWindow(cfg, "w", trace, WindowOptions{Warmup: len(trace) + 1}); err == nil {
+	if _, err := runWindow(cfg, trace, Options{Warmup: len(trace) + 1}); err == nil {
 		t.Fatal("warmup beyond window accepted")
+	}
+}
+
+// TestWindowHonorsBackend pins that a windowed run takes its scheduler
+// backend from Options like any other run: the poll backend posts no
+// calendar wakeups, the event backend does, and both report the same split.
+func TestWindowHonorsBackend(t *testing.T) {
+	p := loopProgram(t, "li r1, 0", 200, repeatBody("addq r1, #1, r1", 3))
+	trace, err := emu.Trace(p, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.NewRBLimited(8)
+	opt := Options{Warmup: len(trace) / 4, Measure: len(trace) / 2}
+	var splits [2]*WindowResult
+	for i, b := range []Backend{BackendEvent, BackendPoll} {
+		opt.Backend = b
+		s, err := New(cfg, "w", trace, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Simulate(); err != nil {
+			t.Fatal(err)
+		}
+		if posted := s.PostCount(); (b == BackendPoll) != (posted == 0) {
+			t.Errorf("%s window posted %d calendar wakeups", b, posted)
+		}
+		splits[i] = s.Window()
+	}
+	if !reflect.DeepEqual(splits[0], splits[1]) {
+		t.Errorf("window split diverges across backends:\nevent %+v\npoll  %+v", splits[0], splits[1])
 	}
 }

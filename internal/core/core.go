@@ -9,10 +9,22 @@
 // hierarchy with SAM-indexed data cache, and a hybrid branch predictor whose
 // mispredictions flush and refill the front end.
 //
+// There is one way in: New(cfg, workload, trace, Options) builds a
+// simulator and Simulate runs it; Run is the two in one, and Buffers.Run is
+// Run on a reused buffer set. Options carries everything a run can vary —
+// the scheduler backend, the program image, a stage timeline to fill, the
+// warm-up/measurement split with checkpoint-warmed cache and predictor
+// state, and the buffers. Callers that arm the lockstep oracle or a fault
+// plan do so on the simulator New returns, before Simulate; a windowed run's
+// split is read afterwards with Simulator.Window.
+//
 // Substitution note (see DESIGN.md §3): simulation is driven by the
-// committed trace; wrong-path instructions do not contend for resources, but
-// every misprediction still costs the full front-end refill from the
-// resolving branch.
+// committed trace. By default wrong-path instructions do not contend for
+// resources, but every misprediction still costs the full front-end refill
+// from the resolving branch. With machine.Config.ModelWrongPath set and the
+// program image given in Options.Program, fetch follows the predicted wrong
+// path, whose instructions do consume fetch, window, select and cache
+// resources until the branch resolves.
 //
 // Two scheduler backends implement the wakeup/select logic (DESIGN.md
 // "Simulator performance"): the default event-driven backend posts wakeup
@@ -68,26 +80,6 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendPoll, nil
 	}
 	return 0, fmt.Errorf("core: unknown scheduler backend %q (want event or poll)", s)
-}
-
-// defaultBackend is the backend used by Run/RunWithProgram and friends.
-//
-// Concurrency: this is the package's only mutable global. Simulations
-// themselves are safe to run concurrently — each Run call builds its own
-// simulator state and touches nothing shared — but SetDefaultBackend is an
-// unsynchronized write, so it must be called once at startup (the CLIs set
-// it from flags before any simulation starts) and never while simulations
-// are in flight. Concurrent callers that need differing backends pass one
-// explicitly to RunBackend instead; rbserve does exactly that.
-var defaultBackend = BackendEvent
-
-// SetDefaultBackend changes the backend used by the package-level Run
-// helpers (the cmd/rbsim and cmd/rbexp -sched flags). It returns the
-// previous default. Call it during startup only; see defaultBackend.
-func SetDefaultBackend(b Backend) Backend {
-	old := defaultBackend
-	defaultBackend = b
-	return old
 }
 
 // prodRecord describes when and how one instruction's result becomes
@@ -230,19 +222,19 @@ type Simulator struct {
 
 	res *Result
 
-	// Lockstep oracle state (EnableOracle / RunLockstep): a functional
-	// reference emulator stepped once per committed instruction, the
-	// committed architectural register view it is compared against, and the
-	// first divergence found. faultSeq/faultDigit arm a single injected
-	// write-back fault (InjectFault) the oracle must catch; faultSeq -1 = none.
+	// Lockstep oracle state (EnableOracle): a functional reference emulator
+	// stepped once per committed instruction, the committed architectural
+	// register view it is compared against, and the first divergence found.
+	// faultSeq/faultDigit arm a single injected write-back fault
+	// (InjectFault) the oracle must catch; faultSeq -1 = none.
 	oracle     *emu.Emulator
 	oracleRegs [isa.NumRegs]uint64
 	oracleErr  error
 	faultSeq   int64
 	faultDigit int
 
-	// stages captures per-instruction pipeline timing when enabled via
-	// RunWithStages (used by the pipeline-diagram renderer).
+	// stages captures per-instruction pipeline timing when the caller
+	// supplies Options.Stages (used by the pipeline-diagram renderer).
 	stages []StageRecord
 
 	// Fault-injection state (ArmFaults) and the no-progress window before
@@ -255,102 +247,17 @@ type Simulator struct {
 	dpRB      [isa.NumRegs]rbVal
 	dpEnabled bool
 
-	// buf, when non-nil, supplied the per-run slices above and receives any
-	// regrown backing arrays when the run finishes (see Buffers).
+	// buf supplied the per-run slices above and receives any regrown
+	// backing arrays when the run finishes (see Buffers).
 	buf *Buffers
 
-	// Warm-up/measurement split (RunWindow): retiring instruction index
-	// warmBoundary records its cycle in warmEndCycle, and likewise
-	// measureBoundary in measureEndCycle. 0 = no split.
+	// Warm-up/measurement split (Options.Warmup/Measure): retiring
+	// instruction index warmBoundary records its cycle in warmEndCycle, and
+	// likewise measureBoundary in measureEndCycle. 0 = no split.
 	warmBoundary    int32
 	warmEndCycle    int64
 	measureBoundary int32
 	measureEndCycle int64
-}
-
-// New builds a simulator for a configuration and trace.
-func New(cfg machine.Config, workload string, trace []emu.TraceEntry) (*Simulator, error) {
-	return newSim(cfg, workload, trace, nil)
-}
-
-// newSim builds a simulator, drawing per-run allocations from buf when it is
-// non-nil.
-func newSim(cfg machine.Config, workload string, trace []emu.TraceEntry, buf *Buffers) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Simulator{
-		cfg:             cfg,
-		backend:         defaultBackend,
-		trace:           trace,
-		scheds:          make([]schedList, cfg.NumSchedulers),
-		freeHead:        nilID,
-		fetchQCap:       int(cfg.FrontLatency+2) * cfg.FrontWidth,
-		fetchBlockedIdx: -1,
-		lastFetchLine:   -1,
-		wpPC:            -1,
-		faultSeq:        -1,
-		watchdogWindow:  defaultWatchdogWindow,
-		res:             &Result{Machine: cfg.Name, Workload: workload},
-		dpEnabled:       cfg.DatapathCheck,
-		buf:             buf,
-	}
-	n := len(trace)
-	slabCap := cfg.WindowSize + 2*cfg.FrontWidth
-	if buf == nil {
-		s.hier = mem.MustHierarchy(cfg.Mem)
-		s.pred = branch.New()
-		s.prod = make([]prodRecord, n)
-		s.done = make([]int64, n)
-		s.dispCluster = make([]int8, n)
-		s.fetchQ = make([]fetchEntry, s.fetchQCap)
-		// Slab-allocate the window once; squashed wrong-path entries can
-		// briefly outlive their window slot while awaiting their calendar
-		// pop, hence the slack (the slab still grows on demand if it ever
-		// runs dry).
-		s.pool = make([]uop, 0, slabCap)
-	} else {
-		s.hier = buf.hierarchy(cfg.Mem)
-		s.pred = buf.predictor()
-		buf.prod = grown(buf.prod, n)
-		clear(buf.prod) // stale schedules/flags from the previous run
-		buf.done = grown(buf.done, n)
-		buf.dispCluster = grown(buf.dispCluster, n)
-		buf.fetchQ = grown(buf.fetchQ, s.fetchQCap)
-		if cap(buf.pool) < slabCap {
-			buf.pool = make([]uop, 0, slabCap)
-		}
-		s.prod, s.done, s.dispCluster = buf.prod, buf.done, buf.dispCluster
-		s.fetchQ = buf.fetchQ
-		s.pool = buf.pool[:0]
-	}
-	for i := range s.scheds {
-		s.scheds[i] = schedList{head: nilID, tail: nilID, rdyHead: nilID, rdyTail: nilID}
-	}
-	for i := range s.prod {
-		s.prod[i].t = -1
-		s.done[i] = -1
-		s.dispCluster[i] = -1
-	}
-	return s, nil
-}
-
-// SetBackend selects the scheduler backend. Must be called before Simulate.
-func (s *Simulator) SetBackend(b Backend) { s.backend = b }
-
-// Run simulates the trace to completion and returns the results.
-func Run(cfg machine.Config, workload string, trace []emu.TraceEntry) (*Result, error) {
-	return RunBackend(cfg, workload, trace, defaultBackend)
-}
-
-// RunBackend is Run with an explicit scheduler backend.
-func RunBackend(cfg machine.Config, workload string, trace []emu.TraceEntry, b Backend) (*Result, error) {
-	s, err := New(cfg, workload, trace)
-	if err != nil {
-		return nil, err
-	}
-	s.SetBackend(b)
-	return s.Simulate()
 }
 
 // StageRecord is one instruction's pipeline timing: the cycle it was
@@ -360,64 +267,133 @@ type StageRecord struct {
 	Fetch, Dispatch, Issue, Done, Retire int64
 }
 
-// RunWithStages simulates like Run and also returns per-instruction stage
-// timing, for pipeline-diagram rendering (paper Figures 5 and 7).
-func RunWithStages(cfg machine.Config, workload string, trace []emu.TraceEntry) (*Result, []StageRecord, error) {
-	return RunWithStagesBackend(cfg, workload, trace, defaultBackend)
+// Options configures one simulation. The zero value runs the event-driven
+// backend over the trace alone, cold, on fresh buffers.
+type Options struct {
+	// Backend selects the scheduler backend (zero value: BackendEvent).
+	Backend Backend
+	// Program is the static image the trace was captured from. Wrong-path
+	// fetch (machine.Config.ModelWrongPath) needs it; without it a
+	// misprediction stalls fetch until the branch resolves.
+	Program *isa.Program
+	// Stages, when non-nil, must hold one record per trace entry; the run
+	// fills in each instruction's pipeline timing (unreached stages stay
+	// -1), for pipeline-diagram rendering (paper Figures 5 and 7).
+	Stages []StageRecord
+	// Warmup is how many leading trace entries are detailed warm-up: they
+	// execute in full detail but their cycles are reported separately (see
+	// Simulator.Window) so the measurement excludes cold-start transients.
+	// Must be in [0, len(trace)].
+	Warmup int
+	// Measure bounds the measurement window: trace entries beyond
+	// Warmup+Measure are cooldown — simulated in full detail so the
+	// measurement boundary retires under steady fetch pressure, but excluded
+	// from the measured cycles (otherwise every window would charge a full
+	// pipeline drain to its tail, inflating CPI relative to a long run that
+	// drains once). 0 measures to the end of the trace, drain included.
+	Measure int
+	// Hier, when non-nil, pre-warms the cache hierarchy from checkpointed
+	// state (geometries must match the config's; mismatches leave it cold).
+	Hier *mem.HierState
+	// Pred, when non-nil, pre-warms the branch predictor.
+	Pred *branch.PredictorState
+	// Buffers supplies the per-run allocations; nil takes a fresh set.
+	Buffers *Buffers
 }
 
-// RunWithStagesBackend is RunWithStages with an explicit scheduler backend
-// (the backends differential gate compares the full stage timelines).
-func RunWithStagesBackend(cfg machine.Config, workload string, trace []emu.TraceEntry, b Backend) (*Result, []StageRecord, error) {
-	s, err := New(cfg, workload, trace)
-	if err != nil {
-		return nil, nil, err
+// New builds a simulator for a configuration and trace. It is the only
+// constructor: Run, Buffers.Run and every caller that arms the oracle or a
+// fault plan before Simulate go through it.
+func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Options) (*Simulator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	s.SetBackend(b)
-	s.stages = make([]StageRecord, len(trace))
+	n := len(trace)
+	if opt.Warmup < 0 || opt.Warmup > n {
+		return nil, fmt.Errorf("core: warmup %d outside window of %d instructions", opt.Warmup, n)
+	}
+	if opt.Measure < 0 || (opt.Measure > 0 && opt.Warmup+opt.Measure > n) {
+		return nil, fmt.Errorf("core: measurement %d+%d outside window of %d instructions", opt.Warmup, opt.Measure, n)
+	}
+	if opt.Stages != nil && len(opt.Stages) != n {
+		return nil, fmt.Errorf("core: %d stage records for %d instructions", len(opt.Stages), n)
+	}
+	buf := opt.Buffers
+	if buf == nil {
+		buf = NewBuffers()
+	}
+	s := &Simulator{
+		cfg:             cfg,
+		backend:         opt.Backend,
+		trace:           trace,
+		scheds:          make([]schedList, cfg.NumSchedulers),
+		freeHead:        nilID,
+		fetchQCap:       int(cfg.FrontLatency+2) * cfg.FrontWidth,
+		fetchBlockedIdx: -1,
+		lastFetchLine:   -1,
+		prog:            opt.Program,
+		wpPC:            -1,
+		faultSeq:        -1,
+		stages:          opt.Stages,
+		watchdogWindow:  defaultWatchdogWindow,
+		res:             &Result{Machine: cfg.Name, Workload: workload},
+		dpEnabled:       cfg.DatapathCheck,
+		buf:             buf,
+		warmBoundary:    int32(opt.Warmup),
+	}
+	if opt.Measure > 0 && opt.Warmup+opt.Measure < n {
+		s.measureBoundary = int32(opt.Warmup + opt.Measure)
+	}
+	s.hier = buf.hierarchy(cfg.Mem)
+	s.pred = buf.predictor()
+	if opt.Hier != nil {
+		s.hier.SetState(*opt.Hier)
+	}
+	if opt.Pred != nil {
+		s.pred.SetState(opt.Pred)
+	}
+	buf.prod = grown(buf.prod, n)
+	clear(buf.prod) // stale schedules/flags from the previous run
+	buf.done = grown(buf.done, n)
+	buf.dispCluster = grown(buf.dispCluster, n)
+	buf.fetchQ = grown(buf.fetchQ, s.fetchQCap)
+	// Slab-allocate the window once; squashed wrong-path entries can
+	// briefly outlive their window slot while awaiting their calendar pop,
+	// hence the slack (the slab still grows on demand if it ever runs dry).
+	if slabCap := cfg.WindowSize + 2*cfg.FrontWidth; cap(buf.pool) < slabCap {
+		buf.pool = make([]uop, 0, slabCap)
+	}
+	s.prod, s.done, s.dispCluster = buf.prod, buf.done, buf.dispCluster
+	s.fetchQ = buf.fetchQ
+	s.pool = buf.pool[:0]
+	for i := range s.scheds {
+		s.scheds[i] = schedList{head: nilID, tail: nilID, rdyHead: nilID, rdyTail: nilID}
+	}
+	for i := range s.prod {
+		s.prod[i].t = -1
+		s.done[i] = -1
+		s.dispCluster[i] = -1
+	}
 	for i := range s.stages {
 		s.stages[i] = StageRecord{Fetch: -1, Dispatch: -1, Issue: -1, Done: -1, Retire: -1}
 	}
-	r, err := s.Simulate()
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, s.stages, nil
-}
-
-// RunProgram traces a program on the functional emulator (bounded by
-// maxInsts) and simulates it. Because the static program image is available,
-// wrong-path modeling (machine.Config.ModelWrongPath) is active if enabled.
-func RunProgram(cfg machine.Config, workload string, prog *isa.Program, maxInsts int64) (*Result, error) {
-	trace, err := emu.Trace(prog, maxInsts)
-	if err != nil {
-		return nil, err
-	}
-	return RunWithProgram(cfg, workload, prog, trace)
-}
-
-// RunWithProgram simulates a pre-computed trace with the static program
-// image available for wrong-path fetching.
-func RunWithProgram(cfg machine.Config, workload string, prog *isa.Program, trace []emu.TraceEntry) (*Result, error) {
-	return RunProgramBackend(cfg, workload, prog, trace, defaultBackend)
-}
-
-// RunProgramBackend is RunWithProgram with an explicit scheduler backend.
-func RunProgramBackend(cfg machine.Config, workload string, prog *isa.Program, trace []emu.TraceEntry, b Backend) (*Result, error) {
-	s, err := New(cfg, workload, trace)
-	if err != nil {
-		return nil, err
-	}
-	s.SetBackend(b)
-	s.prog = prog
-	if cfg.ModelWrongPath {
+	if s.prog != nil && cfg.ModelWrongPath {
 		s.shadowMem = emu.NewMemory()
-		for addr, bytes := range prog.Data {
+		for addr, bytes := range s.prog.Data {
 			for i, b := range bytes {
 				s.shadowMem.StoreByte(addr+uint64(i), b)
 			}
 		}
 		s.wpOverlay = make(map[uint64]byte)
+	}
+	return s, nil
+}
+
+// Run builds a simulator with New and simulates the trace to completion.
+func Run(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Options) (*Result, error) {
+	s, err := New(cfg, workload, trace, opt)
+	if err != nil {
+		return nil, err
 	}
 	return s.Simulate()
 }
@@ -573,14 +549,12 @@ func (s *Simulator) Simulate() (*Result, error) {
 	srcIdx, srcTC, nsrc, memDep := s.buildDependences()
 	if s.backend == BackendEvent {
 		s.cal = sched.NewCalendar(calendarHorizon)
-		if s.buf != nil {
-			s.calBuf = s.buf.calBuf[:0]
-			s.buf.waiterHead = grown(s.buf.waiterHead, len(s.trace))
-			s.waiterHead = s.buf.waiterHead
-		} else {
-			s.calBuf = make([]int32, 0, s.cfg.FrontWidth*4)
-			s.waiterHead = make([]int32, len(s.trace))
+		if cap(s.buf.calBuf) == 0 {
+			s.buf.calBuf = make([]int32, 0, s.cfg.FrontWidth*4)
 		}
+		s.calBuf = s.buf.calBuf[:0]
+		s.buf.waiterHead = grown(s.buf.waiterHead, len(s.trace))
+		s.waiterHead = s.buf.waiterHead
 		for i := range s.waiterHead {
 			s.waiterHead[i] = nilID
 		}
@@ -641,11 +615,9 @@ func (s *Simulator) Simulate() (*Result, error) {
 	for _, te := range s.trace {
 		s.res.Table1Counts[isa.ClassOf(te.Inst.Op).Row]++
 	}
-	if s.buf != nil {
-		// Hand regrown backing arrays back for the next run.
-		s.buf.pool = s.pool
-		s.buf.calBuf = s.calBuf
-	}
+	// Hand regrown backing arrays back for the next run.
+	s.buf.pool = s.pool
+	s.buf.calBuf = s.calBuf
 	return s.res, nil
 }
 
@@ -717,29 +689,19 @@ func (s *Simulator) nextActiveCycle(cycle int64) int64 {
 // would discover the same orderings in its load/store queue).
 func (s *Simulator) buildDependences() (srcIdx [][3]int32, srcTC [][3]bool, nsrc []int8, memDep []int32) {
 	n := len(s.trace)
-	var lastStore map[uint64]int32
-	if s.buf != nil {
-		// Every element read is written first (nsrc/memDep are fully
-		// assigned; srcIdx/srcTC are read only below nsrc), so reuse without
-		// clearing.
-		s.buf.srcIdx = grown(s.buf.srcIdx, n)
-		s.buf.srcTC = grown(s.buf.srcTC, n)
-		s.buf.nsrc = grown(s.buf.nsrc, n)
-		s.buf.memDep = grown(s.buf.memDep, n)
-		srcIdx, srcTC, nsrc, memDep = s.buf.srcIdx, s.buf.srcTC, s.buf.nsrc, s.buf.memDep
-		if s.buf.lastStore == nil {
-			s.buf.lastStore = make(map[uint64]int32)
-		} else {
-			clear(s.buf.lastStore)
-		}
-		lastStore = s.buf.lastStore
+	// Every element read is written first (nsrc/memDep are fully assigned;
+	// srcIdx/srcTC are read only below nsrc), so reuse without clearing.
+	s.buf.srcIdx = grown(s.buf.srcIdx, n)
+	s.buf.srcTC = grown(s.buf.srcTC, n)
+	s.buf.nsrc = grown(s.buf.nsrc, n)
+	s.buf.memDep = grown(s.buf.memDep, n)
+	srcIdx, srcTC, nsrc, memDep = s.buf.srcIdx, s.buf.srcTC, s.buf.nsrc, s.buf.memDep
+	if s.buf.lastStore == nil {
+		s.buf.lastStore = make(map[uint64]int32)
 	} else {
-		srcIdx = make([][3]int32, n)
-		srcTC = make([][3]bool, n)
-		nsrc = make([]int8, n)
-		memDep = make([]int32, n)
-		lastStore = make(map[uint64]int32)
+		clear(s.buf.lastStore)
 	}
+	lastStore := s.buf.lastStore
 	var lastWriter [isa.NumRegs]int32
 	for i := range lastWriter {
 		lastWriter[i] = -1

@@ -43,9 +43,19 @@ func repeatBody(line string, n int) string {
 	return b.String()
 }
 
+// runProgram traces p (bounded by maxInsts) and simulates it with the
+// program image available, so wrong-path fetch is modeled when enabled.
+func runProgram(cfg machine.Config, workload string, p *isa.Program, maxInsts int64) (*Result, error) {
+	trace, err := emu.Trace(p, maxInsts)
+	if err != nil {
+		return nil, err
+	}
+	return Run(cfg, workload, trace, Options{Program: p})
+}
+
 func mustRun(t *testing.T, cfg machine.Config, p *isa.Program) *Result {
 	t.Helper()
-	r, err := RunProgram(cfg, "test", p, 5_000_000)
+	r, err := runProgram(cfg, "test", p, 5_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +63,7 @@ func mustRun(t *testing.T, cfg machine.Config, p *isa.Program) *Result {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	r, err := Run(machine.NewIdeal(8), "empty", nil)
+	r, err := Run(machine.NewIdeal(8), "empty", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,11 +417,11 @@ func TestTraceDrivenDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(machine.NewRBLimited(8), "det", trace)
+	a, err := Run(machine.NewRBLimited(8), "det", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(machine.NewRBLimited(8), "det", trace)
+	b, err := Run(machine.NewRBLimited(8), "det", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +436,7 @@ func TestRetireOrderAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(machine.NewBaseline(4), "retire", trace)
+	r, err := Run(machine.NewBaseline(4), "retire", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +613,8 @@ func TestStoreToLoadForwardingLatency(t *testing.T) {
 func TestStageCaptureInPackage(t *testing.T) {
 	p := loopProgram(t, "li r1, 1", 50, "        addq r1, r1, r1\n")
 	trace := mustTrace(t, p)
-	r, stages, err := RunWithStages(machine.NewIdeal(4), "stages", trace)
+	stages := make([]StageRecord, len(trace))
+	r, err := Run(machine.NewIdeal(4), "stages", trace, Options{Stages: stages})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestFaultDigitFlipAlwaysDetectedByResidue(t *testing.T) {
 			faults = append(faults, Fault{Kind: FaultDigitFlip, Seq: te.Seq, Digit: int(te.Seq) % 64})
 		}
 	}
-	s, err := New(machine.NewRBFull(4), "faults", trace)
+	s, err := New(machine.NewRBFull(4), "faults", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFaultStaleBypassDetected(t *testing.T) {
 			faults = append(faults, Fault{Kind: FaultStaleBypass, Seq: te.Seq})
 		}
 	}
-	s, err := New(machine.NewRBFull(4), "faults", trace)
+	s, err := New(machine.NewRBFull(4), "faults", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +128,16 @@ func TestLostWakeupWatchdogRecovery(t *testing.T) {
 	}
 	cfg := machine.NewRBFull(4)
 
-	oracle, err := RunBackend(cfg, "faults", trace, BackendPoll)
+	oracle, err := Run(cfg, "faults", trace, Options{Backend: BackendPoll})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const window = 2000
-	s, err := New(cfg, "faults", trace)
+	s, err := New(cfg, "faults", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetBackend(BackendEvent)
 	out := s.ArmFaults(FaultPlan{
 		Faults:         []Fault{{Kind: FaultDropWakeup, PostIndex: 50}},
 		WatchdogWindow: window,
@@ -182,15 +181,14 @@ func TestFaultFreeRunHasNoWatchdogActivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := machine.NewRBFull(4)
-	clean, err := RunBackend(cfg, "faults", trace, BackendEvent)
+	clean, err := Run(cfg, "faults", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(cfg, "faults", trace)
+	s, err := New(cfg, "faults", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetBackend(BackendEvent)
 	s.ArmFaults(FaultPlan{})
 	armed, err := s.Simulate()
 	if err != nil {

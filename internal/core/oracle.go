@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/isa"
-	"repro/internal/machine"
 	"repro/internal/rb"
 )
 
@@ -68,19 +67,6 @@ func (s *Simulator) InjectFault(seq int64, digit int) {
 // collapses to 0 and a zero digit becomes +1, changing the value by ±2^digit.
 func flipRBDigit(v uint64, digit int) uint64 {
 	return flipRBDigitVec(v, digit).Uint()
-}
-
-// RunLockstep simulates a trace with the lockstep oracle enabled. prog must
-// be the program trace was captured from. The first architectural divergence
-// between the committed stream and the functional reference returns a
-// *DivergenceError.
-func RunLockstep(cfg machine.Config, workload string, prog *isa.Program, trace []emu.TraceEntry) (*Result, error) {
-	s, err := New(cfg, workload, trace)
-	if err != nil {
-		return nil, err
-	}
-	s.EnableOracle(prog)
-	return s.Simulate()
 }
 
 // oracleStep replays the instruction about to commit on the reference

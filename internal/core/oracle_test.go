@@ -32,7 +32,12 @@ func TestLockstepCleanRun(t *testing.T) {
 		machine.NewBaseline(8), machine.NewRBLimited(8),
 		machine.NewRBFull(8), machine.NewIdeal(4),
 	} {
-		r, err := RunLockstep(cfg, "oracle-clean", p, trace)
+		s, err := New(cfg, "oracle-clean", trace, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.EnableOracle(p)
+		r, err := s.Simulate()
 		if err != nil {
 			t.Fatalf("%s: lockstep run diverged: %v", cfg.Name, err)
 		}
@@ -61,7 +66,7 @@ func TestLockstepCatchesInjectedFault(t *testing.T) {
 	}
 	for _, cfg := range []machine.Config{machine.NewRBFull(8), machine.NewBaseline(8)} {
 		for _, digit := range []int{0, 17, 63} {
-			s, err := New(cfg, "oracle-fault", trace)
+			s, err := New(cfg, "oracle-fault", trace, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +100,7 @@ func TestLockstepCatchesInjectedFault(t *testing.T) {
 func TestPipelineDumpContents(t *testing.T) {
 	p := oracleProgram(t, 50)
 	trace := mustTrace(t, p)
-	s, err := New(machine.NewRBFull(8), "oracle-dump", trace)
+	s, err := New(machine.NewRBFull(8), "oracle-dump", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +142,7 @@ func TestFlipRBDigitChangesValueByPowerOfTwo(t *testing.T) {
 
 func TestInjectFaultRejectsBadDigit(t *testing.T) {
 	trace := mustTrace(t, oracleProgram(t, 2))
-	s, err := New(machine.NewRBFull(8), "oracle-panic", trace)
+	s, err := New(machine.NewRBFull(8), "oracle-panic", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

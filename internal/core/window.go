@@ -1,40 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/branch"
-	"repro/internal/emu"
-	"repro/internal/machine"
-	"repro/internal/mem"
-)
-
-// WindowOptions configures a warm-up/measurement split simulation
-// (the detailed phase of one SMARTS sample cell).
-type WindowOptions struct {
-	// Backend selects the scheduler backend (zero value = event-driven,
-	// the default).
-	Backend Backend
-	// Warmup is how many leading trace entries are detailed warm-up: they
-	// execute in full detail but their cycles are reported separately so the
-	// measurement excludes cold-start transients. Must be in [0, len(trace)].
-	Warmup int
-	// Measure bounds the measurement window: trace entries beyond
-	// Warmup+Measure are cooldown — simulated in full detail so the
-	// measurement boundary retires under steady fetch pressure, but excluded
-	// from the measured cycles (otherwise every window would charge a full
-	// pipeline drain to its tail, inflating CPI relative to a long run that
-	// drains once). 0 measures to the end of the trace, drain included.
-	Measure int
-	// Hier, when non-nil, pre-warms the cache hierarchy from checkpointed
-	// state (geometries must match the config's; mismatches leave it cold).
-	Hier *mem.HierState
-	// Pred, when non-nil, pre-warms the branch predictor.
-	Pred *branch.PredictorState
-	// Buffers, when non-nil, supplies reusable per-run allocations.
-	Buffers *Buffers
-}
-
 // WindowResult is a windowed run: the full-window Result plus the warm-up /
 // measurement split.
 type WindowResult struct {
@@ -56,48 +21,19 @@ func (w *WindowResult) MeasuredIPC() float64 {
 	return float64(w.MeasuredInstructions) / float64(w.MeasuredCycles)
 }
 
-// RunWindow runs the detailed simulator over a trace segment with
-// checkpoint-warmed microarchitectural state, splitting the reported timing
-// at the warm-up boundary: the cycle at which the last warm-up instruction
-// retires ends the warm-up and starts the measurement. Wrong-path fetch is
-// not modeled in windows (no static program image is threaded through).
-func RunWindow(cfg machine.Config, workload string, trace []emu.TraceEntry, opt WindowOptions) (*WindowResult, error) {
-	if opt.Warmup < 0 || opt.Warmup > len(trace) {
-		return nil, fmt.Errorf("core: warmup %d outside window of %d instructions", opt.Warmup, len(trace))
-	}
-	if opt.Measure < 0 || (opt.Measure > 0 && opt.Warmup+opt.Measure > len(trace)) {
-		return nil, fmt.Errorf("core: measurement %d+%d outside window of %d instructions", opt.Warmup, opt.Measure, len(trace))
-	}
-	s, err := newSim(cfg, workload, trace, opt.Buffers)
-	if err != nil {
-		return nil, err
-	}
-	s.SetBackend(opt.Backend)
-	if opt.Hier != nil {
-		s.hier.SetState(*opt.Hier)
-	}
-	if opt.Pred != nil {
-		s.pred.SetState(opt.Pred)
-	}
-	s.warmBoundary = int32(opt.Warmup)
-	measured := len(trace) - opt.Warmup
-	if opt.Measure > 0 && opt.Warmup+opt.Measure < len(trace) {
-		measured = opt.Measure
-		s.measureBoundary = int32(opt.Warmup + opt.Measure)
-	}
-	res, err := s.Simulate()
-	if err != nil {
-		return nil, err
-	}
-	endCycle := res.Cycles
+// Window reads the warm-up/measurement split (Options.Warmup and Measure)
+// of a finished run: the cycle at which the last warm-up instruction retires
+// ends the warm-up and starts the measurement. Call it after Simulate.
+func (s *Simulator) Window() *WindowResult {
+	measured, end := int64(len(s.trace))-int64(s.warmBoundary), s.res.Cycles
 	if s.measureBoundary > 0 {
-		endCycle = s.measureEndCycle
+		measured, end = int64(s.measureBoundary-s.warmBoundary), s.measureEndCycle
 	}
 	return &WindowResult{
-		Result:               res,
-		WarmupInstructions:   int64(opt.Warmup),
+		Result:               s.res,
+		WarmupInstructions:   int64(s.warmBoundary),
 		WarmupCycles:         s.warmEndCycle,
-		MeasuredInstructions: int64(measured),
-		MeasuredCycles:       endCycle - s.warmEndCycle,
-	}, nil
+		MeasuredInstructions: measured,
+		MeasuredCycles:       end - s.warmEndCycle,
+	}
 }

@@ -45,11 +45,11 @@ func TestWrongPathIdenticalWhenNoMispredicts(t *testing.T) {
 	wp := machine.NewIdeal(8)
 	wp.ModelWrongPath = true
 	wp.Name += "-wp"
-	rBase, err := RunProgram(base, "b", p, 1_000_000)
+	rBase, err := runProgram(base, "b", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rWP, err := RunProgram(wp, "w", p, 1_000_000)
+	rWP, err := runProgram(wp, "w", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestWrongPathConsumesResources(t *testing.T) {
 	wp := machine.NewRBFull(8)
 	wp.ModelWrongPath = true
 	wp.Name += "-wp"
-	rBase, err := RunProgram(base, "b", p, 1_000_000)
+	rBase, err := runProgram(base, "b", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rWP, err := RunProgram(wp, "w", p, 1_000_000)
+	rWP, err := runProgram(wp, "w", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestWrongPathWithoutProgramFallsBackToStall(t *testing.T) {
 	trace := mustTrace(t, p)
 	cfg := machine.NewIdeal(8)
 	cfg.ModelWrongPath = true
-	r, err := Run(cfg, "traceonly", trace)
+	r, err := Run(cfg, "traceonly", trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestWrongPathDeterminism(t *testing.T) {
 	p := unpredictableProgram(t)
 	cfg := machine.NewRBLimited(8)
 	cfg.ModelWrongPath = true
-	a, err := RunProgram(cfg, "a", p, 1_000_000)
+	a, err := runProgram(cfg, "a", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunProgram(cfg, "b", p, 1_000_000)
+	b, err := runProgram(cfg, "b", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ skip:   subq r1, #1, r1
 	}
 	cfg := machine.NewRBFull(8)
 	cfg.ModelWrongPath = true
-	r, err := RunProgram(cfg, "pollute", p, 1_000_000)
+	r, err := runProgram(cfg, "pollute", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +184,11 @@ func TestWrongPathShadowStateMatchesEmulator(t *testing.T) {
 	p := unpredictableProgram(t)
 	cfg := machine.NewIdeal(8)
 	cfg.ModelWrongPath = true
-	a, err := RunProgram(cfg, "shadow", p, 1_000_000)
+	a, err := runProgram(cfg, "shadow", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunProgram(cfg, "shadow", p, 1_000_000)
+	b, err := runProgram(cfg, "shadow", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ next:   subq r1, #1, r1
 	}
 	cfg := machine.NewIdeal(8)
 	cfg.ModelWrongPath = true
-	r, err := RunProgram(cfg, "wpcalls", p, 1_000_000)
+	r, err := runProgram(cfg, "wpcalls", p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,10 @@ type Runner interface {
 // simulation; with no pool, cells run inline in submission order — the
 // serial determinism oracle the -parallel flag exposes.
 type Harness struct {
+	// Backend is the scheduler backend of every cell and sampled window
+	// (zero value: event). Set it before the first run.
+	Backend core.Backend
+
 	pool  *pool.Pool    // nil: run cells inline, serially
 	cache *rcache.Cache // cell results, unit cost
 	runs  atomic.Int64  // simulations actually executed (cache fills)
@@ -133,7 +137,7 @@ func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.W
 		}
 		buf := h.getBuf()
 		defer h.putBuf(buf)
-		r, err := buf.Run(cfg, w.Name, trace)
+		r, err := core.Run(cfg, w.Name, trace, core.Options{Backend: h.Backend, Buffers: buf})
 		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
 		}

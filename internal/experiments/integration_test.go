@@ -29,7 +29,7 @@ func TestDatapathVerificationFullMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := core.Run(cfg, w.Name, trace)
+				r, err := core.Run(cfg, w.Name, trace, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

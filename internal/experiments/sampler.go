@@ -301,16 +301,21 @@ func (h *Harness) runSampleCell(ctx context.Context, cfg machine.Config, w *work
 		ps := pred.State()
 		buf := h.getBuf()
 		defer h.putBuf(buf)
-		wr, err := core.RunWindow(cfg, w.Name, trace, core.WindowOptions{
+		s, err := core.New(cfg, w.Name, trace, core.Options{
+			Backend: h.Backend,
 			Warmup:  warm,
 			Measure: measure,
 			Hier:    &hs,
 			Pred:    ps,
 			Buffers: buf,
 		})
+		if err == nil {
+			_, err = s.Simulate()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("cell %d of %s on %s: %w", i, w.Name, cfg.Name, err)
 		}
+		wr := s.Window()
 		if wr.MeasuredInstructions == 0 {
 			return nil, fmt.Errorf("cell %d of %s on %s: empty measurement window", i, w.Name, cfg.Name)
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
@@ -106,6 +107,27 @@ func TestSampledDeterminism(t *testing.T) {
 	a, b := render(), render()
 	if a != b {
 		t.Fatalf("sampled output not deterministic:\n%s\n%s", a, b)
+	}
+}
+
+// TestSampledBackendsIdentical: a harness running the poll backend takes it
+// into every sampled window, and the estimate is byte-identical to the
+// event harness's.
+func TestSampledBackendsIdentical(t *testing.T) {
+	w, _ := workload.ByName("gcc00")
+	cfg := machine.NewRBLimited(8)
+	render := func(b core.Backend) string {
+		h := NewHarness(2)
+		h.Backend = b
+		defer h.Close()
+		r, err := h.RunSampled(context.Background(), cfg, w, testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s %+v", r, *r)
+	}
+	if ev, po := render(core.BackendEvent), render(core.BackendPoll); ev != po {
+		t.Fatalf("sampled estimate differs across backends:\nevent %s\npoll  %s", ev, po)
 	}
 }
 

@@ -89,7 +89,7 @@ func campaignTrace(opts Options) ([]emu.TraceEntry, error) {
 // runFaultSet arms the faults on a fresh simulator over trace and folds the
 // detections into rep.
 func runFaultSet(cfg machine.Config, trace []emu.TraceEntry, faults []core.Fault, rep *DatapathReport) error {
-	s, err := core.New(cfg, "fault-campaign", trace)
+	s, err := core.New(cfg, "fault-campaign", trace, core.Options{})
 	if err != nil {
 		return err
 	}

@@ -36,11 +36,10 @@ func runSched(opts Options, trace []emu.TraceEntry) (SchedReport, error) {
 	cfg := machine.NewRBFull(4)
 
 	// Dry run: count the wakeup posts a healthy run makes.
-	dry, err := core.New(cfg, "fault-campaign", trace)
+	dry, err := core.New(cfg, "fault-campaign", trace, core.Options{Backend: core.BackendEvent})
 	if err != nil {
 		return rep, err
 	}
-	dry.SetBackend(core.BackendEvent)
 	if _, err := dry.Simulate(); err != nil {
 		return rep, fmt.Errorf("fault: sched dry run: %w", err)
 	}
@@ -61,11 +60,10 @@ func runSched(opts Options, trace []emu.TraceEntry) (SchedReport, error) {
 		ordinal := int64(i)*stratum + rnd.Int63n(maxI64(stratum, 1))
 		rep.Drops++
 
-		s, err := core.New(cfg, "fault-campaign", trace)
+		s, err := core.New(cfg, "fault-campaign", trace, core.Options{Backend: core.BackendEvent})
 		if err != nil {
 			return rep, err
 		}
-		s.SetBackend(core.BackendEvent)
 		out := s.ArmFaults(core.FaultPlan{
 			Faults:         []core.Fault{{Kind: core.FaultDropWakeup, PostIndex: ordinal}},
 			WatchdogWindow: schedWatchdogWindow,

@@ -111,7 +111,7 @@ type Config struct {
 	// default in every preset.
 	MemoryDependence bool
 	// ModelWrongPath, when the static program image is supplied
-	// (core.RunProgram / core.RunWithProgram), keeps fetching down the
+	// (core.Options.Program), keeps fetching down the
 	// predicted wrong path after a misprediction instead of stalling:
 	// wrong-path instructions pollute the instruction cache and consume
 	// fetch, window, and select resources until the branch resolves.

@@ -2,7 +2,7 @@
 // the paper's Figures 5 and 7: one row per instruction, one column per
 // cycle, with RF (register read), EX (execute), CV (format conversion), and
 // WB (write-back) stage labels. It consumes the stage timing captured by
-// core.RunWithStages and the machine's latency table, making the paper's
+// core.Options.Stages and the machine's latency table, making the paper's
 // illustrative diagrams reproducible artifacts of the simulator itself.
 package pipeview
 

@@ -33,8 +33,8 @@ func stagesFor(t *testing.T, cfg machine.Config) ([]emu.TraceEntry, []core.Stage
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stages, err := core.RunWithStages(cfg, "fig4", trace)
-	if err != nil {
+	stages := make([]core.StageRecord, len(trace))
+	if _, err := core.Run(cfg, "fig4", trace, core.Options{Stages: stages}); err != nil {
 		t.Fatal(err)
 	}
 	return trace, stages
@@ -170,8 +170,8 @@ func TestRenderShowsMemoryStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := machine.NewIdeal(4)
-	_, stages, err := core.RunWithStages(cfg, "mm", trace)
-	if err != nil {
+	stages := make([]core.StageRecord, len(trace))
+	if _, err := core.Run(cfg, "mm", trace, core.Options{Stages: stages}); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder

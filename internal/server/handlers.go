@@ -276,12 +276,17 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return cachedResponse{}, err
 		}
+		// The program image lets wrong-path=true fetch down the wrong path.
+		prog, err := wl.Program()
+		if err != nil {
+			return cachedResponse{}, err
+		}
 		var (
 			res  *core.Result
 			rerr error
 		)
 		if err := s.runInPool(r.Context(), func() {
-			res, rerr = core.RunBackend(cfg, wl.Name, trace, backend)
+			res, rerr = core.Run(cfg, wl.Name, trace, core.Options{Backend: backend, Program: prog})
 		}); err != nil {
 			return cachedResponse{}, err
 		}

@@ -7,12 +7,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // testServer builds one server per test binary: the harness cell cache makes
@@ -215,6 +219,42 @@ func TestSimEndpoint(t *testing.T) {
 	}
 	if res3.IPC > res4.IPC {
 		t.Fatalf("removing all bypass levels raised IPC: %v > %v", res3.IPC, res4.IPC)
+	}
+}
+
+// TestSimWrongPathModelsWrongPath: /v1/sim?wrong-path=true runs with the
+// workload's program image, so wrong-path fetch is modeled exactly as a
+// direct core.Run with the image models it (rbsim -wrong-path), instead of
+// silently degrading to the stall model of a trace-only run.
+func TestSimWrongPathModelsWrongPath(t *testing.T) {
+	rec, body := get(t, "/v1/sim?workload=gcc00&machine=rb-full&width=8&wrong-path=true")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sim status = %d: %s", rec.Code, body)
+	}
+	var res SimResponse
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatalf("sim JSON: %v", err)
+	}
+	if res.WrongPathIssued == 0 {
+		t.Fatal("wrong-path=true issued no wrong-path instructions")
+	}
+	wl, _ := workload.ByName("gcc00")
+	prog, err := wl.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := wl.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.NewRBFull(8)
+	cfg.ModelWrongPath = true
+	want, err := core.Run(cfg, wl.Name, trace, core.Options{Program: prog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Result, want) {
+		t.Fatalf("served result differs from core.Run with the program image:\n got %+v\nwant %+v", res.Result, want)
 	}
 }
 

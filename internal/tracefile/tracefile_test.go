@@ -51,11 +51,11 @@ func TestReplayedTraceSimulatesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := machine.NewRBFull(8)
-	a, err := core.Run(cfg, "orig", trace)
+	a, err := core.Run(cfg, "orig", trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Run(cfg, "replay", back)
+	b, err := core.Run(cfg, "replay", back, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func genRun(t *testing.T, p GenParams, cfg machine.Config) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.Run(cfg, w.Name, trace)
+	r, err := core.Run(cfg, w.Name, trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestGeneratedWorkloadsVerifyOnRBDatapath(t *testing.T) {
 	}
 	cfg := machine.NewRBFull(8)
 	cfg.DatapathCheck = true
-	r, err := core.Run(cfg, w.Name, trace)
+	r, err := core.Run(cfg, w.Name, trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,10 @@ go run ./cmd/rblint -json ./... >"$LINT_ART"
 sed -n 's/.*"analyzer": "\([a-z]*\)".*/\1/p' "$LINT_ART" | sort >"$LINT_ART.rules"
 diff scripts/rblint_rules.baseline "$LINT_ART.rules"
 go build ./...
+# The benchmark is its own module over the root (replace repro => ../), so
+# ./... never reaches it: build and test it here, offline, so a root API
+# change that breaks the benchmark's source fails CI.
+(cd perfbench && go vet . && go test .)
 # Race instrumentation slows the experiment-matrix tests well past the
 # default 10m package timeout; they pass with room to spare given 40m.
 go test -race -timeout 40m ./...
