@@ -24,7 +24,8 @@
 //
 // A coordinator routes each experiment cell across its -workers by
 // rendezvous hashing, retries per-worker with backoff (a worker's
-// Retry-After hint overrides the schedule), trips a per-worker circuit
+// Retry-After hint overrides the schedule, and a worker that sheds a cell
+// with 429 is waited for, not failed over), trips a per-worker circuit
 // breaker on repeated failures, and caches cell results in a shared tier so
 // re-running a sweep touches no worker at all. A worker is just a normal
 // single-process rbserve; its /v1/cell endpoint is what the coordinator

@@ -120,15 +120,18 @@ func Retryable(status int) bool {
 // body and status; err is non-nil only for transport failures (a non-2xx
 // final status is the caller's to interpret).
 func (c *RetryClient) Get(ctx context.Context, url string) ([]byte, int, error) {
-	return c.do(ctx, func() (*http.Request, error) {
+	body, status, _, err := c.do(ctx, func() (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	})
+	return body, status, err
 }
 
-// Post sends body to url with the given content type, retrying per the
+// post sends body to url with the given content type, retrying per the
 // client's policy (cell requests are idempotent: cells are deterministic
-// and cached, so a duplicate delivery recomputes nothing).
-func (c *RetryClient) Post(ctx context.Context, url, contentType string, body []byte) ([]byte, int, error) {
+// and cached, so a duplicate delivery recomputes nothing). It also returns
+// the final response's Retry-After hint, which the HTTP transport waits out
+// when a worker sheds the cell.
+func (c *RetryClient) post(ctx context.Context, url, contentType string, body []byte) ([]byte, int, time.Duration, error) {
 	return c.do(ctx, func() (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
@@ -139,32 +142,33 @@ func (c *RetryClient) Post(ctx context.Context, url, contentType string, body []
 	})
 }
 
-func (c *RetryClient) do(ctx context.Context, build func() (*http.Request, error)) ([]byte, int, error) {
+func (c *RetryClient) do(ctx context.Context, build func() (*http.Request, error)) ([]byte, int, time.Duration, error) {
 	retries := c.retries()
-	var (
-		lastErr error
-		body    []byte
-		status  int
-	)
 	for attempt := 0; ; attempt++ {
 		req, err := build()
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		var retryAfter time.Duration
-		body, status, retryAfter, lastErr = c.once(req)
-		retryable := lastErr != nil || Retryable(status)
+		body, status, retryAfter, err := c.once(req)
+		retryable := err != nil || Retryable(status)
 		if !retryable || attempt >= retries {
-			return body, status, lastErr
+			return body, status, retryAfter, err
 		}
-		wait := RetryDelay(attempt, c.base(), retryAfter)
-		t := time.NewTimer(wait) //rblint:allow determinism
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, 0, ctx.Err()
+		if err := sleep(ctx, RetryDelay(attempt, c.base(), retryAfter)); err != nil {
+			return nil, 0, 0, err
 		}
+	}
+}
+
+// sleep waits d, or returns ctx's error if it ends first.
+func sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d) //rblint:allow determinism
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -191,5 +192,45 @@ func TestRetryClientContextCancel(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second { //rblint:allow determinism
 		t.Fatalf("cancel took %v, backoff did not honor ctx", elapsed)
+	}
+}
+
+// TestHTTPShedIsBackpressure: a worker that sheds a cell with 429 more
+// times than the client's retries allow is at capacity, not failing. The
+// transport keeps waiting and re-asking the same worker, so the cell
+// succeeds once the worker admits it, and the worker's breaker records no
+// failure.
+func TestHTTPShedIsBackpressure(t *testing.T) {
+	const sheds = 5
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) <= sheds {
+			http.Error(w, "shed", http.StatusTooManyRequests)
+			return
+		}
+		var req CellRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		json.NewEncoder(w).Encode(&CellResult{Key: req.Key()})
+	}))
+	defer srv.Close()
+	worker := &HTTP{Base: srv.URL, Client: &RetryClient{Retries: 1, Base: time.Millisecond}}
+	r := newTestRouter(t, worker)
+	cell := testCell("compress")
+	res, err := r.Do(context.Background(), cell)
+	if err != nil {
+		t.Fatalf("shed cell failed: %v", err)
+	}
+	if res.Key != cell.Key() {
+		t.Fatalf("key = %q, want %q", res.Key, cell.Key())
+	}
+	if n := hits.Load(); n != sheds+1 {
+		t.Fatalf("worker saw %d requests, want %d", n, sheds+1)
+	}
+	snaps, _ := r.Snapshot()
+	if len(snaps) != 1 || snaps[0].Failed != 0 || snaps[0].Breaker != "closed" || snaps[0].Routed != 1 {
+		t.Fatalf("shedding worker charged as failing: %+v", snaps)
 	}
 }

@@ -42,7 +42,7 @@ func serialOracle(t *testing.T, cells []CellRequest) map[string]string {
 	defer h.Close()
 	out := make(map[string]string, len(cells))
 	for i := range cells {
-		res, err := RunLocal(context.Background(), h, &cells[i], nil)
+		res, err := RunLocal(context.Background(), h, &cells[i], inline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,6 +60,22 @@ func canonJSON(t *testing.T, res *CellResult) string {
 	return string(b)
 }
 
+// inline runs a full cell on the calling goroutine.
+func inline(_ context.Context, f func()) error { f(); return nil }
+
+// harnessWorker is an in-process worker: RunLocal on its own harness, the
+// computation behind a worker's /v1/cell endpoint, minus HTTP.
+type harnessWorker struct {
+	name string
+	h    *experiments.Harness
+}
+
+func (w *harnessWorker) Name() string { return w.name }
+
+func (w *harnessWorker) RunCell(ctx context.Context, req *CellRequest) (*CellResult, error) {
+	return RunLocal(ctx, w.h, req, inline)
+}
+
 // localWorkers builds n independent fake workers, each with its own harness
 // (its own caches and pool — exactly a worker process's state, minus HTTP).
 func localWorkers(t *testing.T, n int) []Transport {
@@ -68,7 +84,7 @@ func localWorkers(t *testing.T, n int) []Transport {
 	for i := 0; i < n; i++ {
 		h := experiments.NewHarness(2)
 		t.Cleanup(h.Close)
-		workers[i] = &Local{Harness: h, Label: fmt.Sprintf("w%d", i)}
+		workers[i] = &harnessWorker{name: fmt.Sprintf("w%d", i), h: h}
 	}
 	return workers
 }
@@ -119,8 +135,8 @@ func TestGridByteIdentity(t *testing.T) {
 	}
 }
 
-// dyingTransport forwards to a Local worker until kill() — after which every
-// call fails, simulating a worker process dying mid-sweep.
+// dyingTransport forwards to an in-process worker until kill() — after
+// which every call fails, simulating a worker process dying mid-sweep.
 type dyingTransport struct {
 	inner  Transport
 	dead   atomic.Bool
@@ -179,7 +195,7 @@ func TestGridSampledByteIdentity(t *testing.T) {
 
 	h := experiments.NewHarness(1)
 	defer h.Close()
-	want, err := RunLocal(context.Background(), h, &cell, nil)
+	want, err := RunLocal(context.Background(), h, &cell, inline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,12 +104,11 @@ func (r *CellResult) IPC() float64 {
 	return 0
 }
 
-// RunLocal computes one cell on a harness: the Local transport and the
-// worker's /v1/cell endpoint share this path, so in-process and remote
-// execution are the same code. A full cell runs through run (nil runs it
-// inline on the calling goroutine; a worker passes its pool); a sampled
-// cell fans its windows over the harness's own pool, so it runs outside
-// run.
+// RunLocal computes one cell on a harness: a worker's /v1/cell endpoint
+// and a single-process server's /v1/batch share this path, so a cell is
+// computed by the same code wherever it runs. A full cell runs through run
+// (the server passes its pool); a sampled cell fans its windows over the
+// harness's own pool, so it runs outside run.
 func RunLocal(ctx context.Context, h *experiments.Harness, req *CellRequest, run func(context.Context, func()) error) (*CellResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -117,15 +116,10 @@ func RunLocal(ctx context.Context, h *experiments.Harness, req *CellRequest, run
 	w, _ := workload.ByName(req.Workload) // Validate checked existence
 	out := &CellResult{Key: req.Key()}
 	var err error
-	switch {
-	case req.Sampled != nil:
+	if req.Sampled != nil {
 		out.Sampled, err = h.RunSampled(ctx, req.Config, w, *req.Sampled)
-	case run == nil:
-		out.Result, err = h.RunCell(ctx, req.Config, w)
-	default:
-		if perr := run(ctx, func() { out.Result, err = h.RunCell(ctx, req.Config, w) }); perr != nil {
-			err = perr
-		}
+	} else if perr := run(ctx, func() { out.Result, err = h.RunCell(ctx, req.Config, w) }); perr != nil {
+		err = perr
 	}
 	if err != nil {
 		return nil, err

@@ -156,7 +156,7 @@ func TestAliasNeverAnswered(t *testing.T) {
 	stock, small := aliasOf()
 	h := experiments.NewHarness(2)
 	defer h.Close()
-	router := newTestRouter(t, &Local{Harness: h})
+	router := newTestRouter(t, &harnessWorker{name: "local", h: h})
 	first, err := router.Do(ctx, &CellRequest{Config: small, Workload: "compress"})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestAliasNeverAnswered(t *testing.T) {
 	}
 	// A second router misses its own tier and reaches the harness, whose
 	// cell cache holds the alias.
-	if _, err := newTestRouter(t, &Local{Harness: h}).Do(ctx, &CellRequest{Config: stock, Workload: "compress"}); !errors.Is(err, ErrBadCell) {
+	if _, err := newTestRouter(t, &harnessWorker{name: "local", h: h}).Do(ctx, &CellRequest{Config: stock, Workload: "compress"}); !errors.Is(err, ErrBadCell) {
 		t.Fatalf("harness tier: stock after alias err = %v, want ErrBadCell", err)
 	}
 	// The alias result is the 32-entry machine's own.
@@ -181,10 +181,10 @@ func TestAliasNeverAnswered(t *testing.T) {
 
 	// Sampled: the window cache is keyed by the same name.
 	spec := &experiments.SampleSpec{Samples: 2, Warmup: 200, Measure: 200}
-	if _, err := RunLocal(ctx, h, &CellRequest{Config: small, Workload: "compress", Sampled: spec}, nil); err != nil {
+	if _, err := RunLocal(ctx, h, &CellRequest{Config: small, Workload: "compress", Sampled: spec}, inline); err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunLocal(ctx, h, &CellRequest{Config: stock, Workload: "compress", Sampled: spec}, nil)
+	_, err = RunLocal(ctx, h, &CellRequest{Config: stock, Workload: "compress", Sampled: spec}, inline)
 	if !errors.Is(err, ErrBadCell) {
 		t.Fatalf("sampled: stock after alias err = %v, want ErrBadCell", err)
 	}

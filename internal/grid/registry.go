@@ -7,8 +7,8 @@ package grid
 // admits it into rendezvous routing. Health is a three-state machine per
 // worker:
 //
-//	alive ──(no beat for SuspectAfter)──▶ suspect
-//	suspect ──(no beat for DeadAfter)──▶ dead
+//	alive ──(no beat for 3 intervals)──▶ suspect
+//	suspect ──(no beat for 10 intervals)──▶ dead
 //	suspect/dead ──(heartbeat)──▶ alive        (a dead rejoin resets its breaker)
 //
 // Dead workers are removed from the live set, so rendezvous routing
@@ -51,11 +51,12 @@ func (h Health) String() string {
 	}
 }
 
-// Registry defaults.
+// Registry timing: the default beat period, and the silences (in beat
+// periods) after which a worker turns suspect and then dead.
 const (
 	DefaultHeartbeatInterval = 2 * time.Second
-	defaultSuspectIntervals  = 3  // × HeartbeatInterval → suspect
-	defaultDeadIntervals     = 10 // × HeartbeatInterval → dead
+	suspectIntervals         = 3
+	deadIntervals            = 10
 )
 
 // worker is one routing target: its transport, breaker, traffic counters,
@@ -65,7 +66,7 @@ const (
 type worker struct {
 	name      string
 	transport Transport
-	seed      bool // from the static -workers list (or the Local transport)
+	seed      bool // from the static -workers list
 
 	brk      *Breaker
 	inflight atomic.Int64 // cells currently on this worker
@@ -87,8 +88,6 @@ type registry struct {
 	mu sync.Mutex
 
 	interval     time.Duration
-	suspectAfter time.Duration
-	deadAfter    time.Duration
 	newTransport func(base string) Transport
 	newBreaker   func() *Breaker
 
@@ -101,19 +100,9 @@ type registry struct {
 	deaths   int64 // suspect → dead transitions
 }
 
-func newRegistry(interval, suspectAfter, deadAfter time.Duration,
-	newTransport func(base string) Transport, newBreaker func() *Breaker) *registry {
+func newRegistry(interval time.Duration, newTransport func(base string) Transport, newBreaker func() *Breaker) *registry {
 	if interval <= 0 {
 		interval = DefaultHeartbeatInterval
-	}
-	if suspectAfter <= 0 {
-		suspectAfter = defaultSuspectIntervals * interval
-	}
-	if deadAfter <= suspectAfter {
-		deadAfter = defaultDeadIntervals * interval
-		if deadAfter <= suspectAfter {
-			deadAfter = 2 * suspectAfter
-		}
 	}
 	if newTransport == nil {
 		newTransport = func(base string) Transport {
@@ -122,8 +111,6 @@ func newRegistry(interval, suspectAfter, deadAfter time.Duration,
 	}
 	return &registry{
 		interval:     interval,
-		suspectAfter: suspectAfter,
-		deadAfter:    deadAfter,
 		newTransport: newTransport,
 		newBreaker:   newBreaker,
 		members:      make(map[string]*worker),
@@ -180,6 +167,7 @@ func (g *registry) heartbeat(name string, now time.Time) (joined bool, err error
 func (g *registry) sweep(now time.Time) (changed int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	suspectAfter, deadAfter := suspectIntervals*g.interval, deadIntervals*g.interval
 	for _, name := range g.order {
 		w := g.members[name]
 		if !w.hasBeat {
@@ -187,15 +175,15 @@ func (g *registry) sweep(now time.Time) (changed int) {
 		}
 		age := now.Sub(w.lastBeat)
 		switch {
-		case w.health == HealthAlive && age >= g.suspectAfter:
+		case w.health == HealthAlive && age >= suspectAfter:
 			w.health = HealthSuspect
 			g.suspects++
 			changed++
-			if age >= g.deadAfter {
+			if age >= deadAfter {
 				w.health = HealthDead
 				g.deaths++
 			}
-		case w.health == HealthSuspect && age >= g.deadAfter:
+		case w.health == HealthSuspect && age >= deadAfter:
 			w.health = HealthDead
 			g.deaths++
 			changed++

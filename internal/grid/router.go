@@ -41,22 +41,15 @@ type Options struct {
 	// (minimum 8). This is the coordinator's only execution bound: workers
 	// bound their own CPU with their pools and admission control.
 	MaxInflight int
-	// CacheCells bounds the shared result tier (unit cost per cell);
-	// 0 means 65536 cells.
-	CacheCells int64
 
 	// NewTransport builds the transport for a worker that joins via
 	// /v1/register (its registered base URL is the argument). nil means a
 	// default retrying HTTP transport; tests inject fakes here.
 	NewTransport func(base string) Transport
-	// HeartbeatInterval is the beat period workers are told to use; health
-	// timeouts default to multiples of it. 0 means DefaultHeartbeatInterval.
+	// HeartbeatInterval is the beat period workers are told to use; a
+	// worker silent for 3 intervals is suspect and for 10 is dead. 0 means
+	// DefaultHeartbeatInterval.
 	HeartbeatInterval time.Duration
-	// SuspectAfter and DeadAfter are the silence thresholds for the
-	// alive → suspect → dead transitions; 0 means 3× and 10× the heartbeat
-	// interval respectively.
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
 
 	// HedgeMinDelay floors the hedge trigger delay (the p99 estimate of a
 	// freshly started grid is noise); 0 means 25ms, negative disables
@@ -77,6 +70,9 @@ type Options struct {
 	BreakerMinSamples int
 	BreakerCooldown   time.Duration
 }
+
+// sharedCacheCells bounds the shared result tier (unit cost per cell).
+const sharedCacheCells = 1 << 16
 
 // Router routes cells across the live worker set. Create with NewRouter.
 type Router struct {
@@ -104,9 +100,6 @@ func NewRouter(opts Options) (*Router, error) {
 			opts.MaxInflight = 8
 		}
 	}
-	if opts.CacheCells <= 0 {
-		opts.CacheCells = 1 << 16
-	}
 	if opts.BreakerWindow <= 0 {
 		opts.BreakerWindow = 32
 	}
@@ -133,9 +126,8 @@ func NewRouter(opts Options) (*Router, error) {
 			opts.BreakerMinSamples, opts.BreakerCooldown)
 	}
 	r := &Router{
-		reg: newRegistry(opts.HeartbeatInterval, opts.SuspectAfter, opts.DeadAfter,
-			opts.NewTransport, newBreaker),
-		cache:         rcache.New(16, opts.CacheCells),
+		reg:           newRegistry(opts.HeartbeatInterval, opts.NewTransport, newBreaker),
+		cache:         rcache.New(16, sharedCacheCells),
 		sem:           make(chan struct{}, opts.MaxInflight),
 		lat:           stats.NewDefaultLatencySketch(),
 		hedgeMinDelay: opts.HedgeMinDelay,
@@ -417,12 +409,6 @@ func (r *Router) Snapshot() ([]WorkerSnapshot, rcache.Stats) {
 	return out, r.cache.Stats()
 }
 
-// CellLatency returns the q-quantile of successful cell latencies in
-// seconds, plus the sample count (the batch progress ETA input).
-func (r *Router) CellLatency(q float64) (float64, uint64) {
-	return r.lat.Quantile(q), r.lat.Count()
-}
-
 // Stats returns the registry and hedge counters.
 func (r *Router) Stats() RouterStats {
 	_, reg := r.reg.snapshot(time.Now()) //rblint:allow determinism
@@ -467,7 +453,8 @@ func (t *TeeRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload
 
 // RunMatrix implements experiments.Runner by fanning the product through
 // RunCell so every cell is observed; concurrency is bounded by the
-// underlying runner (the router's semaphore or the harness's pool).
+// underlying runner's RunCell (the router's semaphore, or a pool that
+// RunCell submits to — a bare Harness.RunCell runs unbounded).
 func (t *TeeRunner) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
 	return experiments.Matrix(ctx, cfgs, wls, experiments.Spawn, t.RunCell)
 }

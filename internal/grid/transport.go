@@ -1,20 +1,15 @@
 package grid
 
-// Transports: how the router reaches a worker. The Local transport wraps an
-// in-process harness (the single-process server, and the goroutine-backed
-// fake workers of the differential tests); the HTTP transport POSTs the
-// cell to a remote worker's /v1/cell endpoint through the RetryClient.
-// Because cells are deterministic and keyed, the two are interchangeable —
-// the differential tests run the same sweep through both and assert
-// byte-identical results.
+// Transports: how the router reaches a worker. The HTTP transport POSTs the
+// cell to a remote worker's /v1/cell endpoint through the RetryClient; the
+// worker computes it with RunLocal. Tests substitute goroutine-backed fakes.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-
-	"repro/internal/experiments"
+	"time"
 )
 
 // Transport runs one cell on one worker.
@@ -28,30 +23,6 @@ type Transport interface {
 	Name() string
 }
 
-// Local computes cells in-process on a harness. It is the degenerate
-// one-worker grid (a coordinator with no -workers) and the fake worker of
-// the in-process differential tests.
-type Local struct {
-	Harness *experiments.Harness
-	// Label names the worker; "" means "local".
-	Label string
-}
-
-// Name implements Transport.
-func (l *Local) Name() string {
-	if l.Label == "" {
-		return "local"
-	}
-	return l.Label
-}
-
-// RunCell implements Transport. Full cells run inline on the calling
-// goroutine (the router's in-flight semaphore is the CPU bound); sampled
-// cells fan their sample windows out over the harness's own pool.
-func (l *Local) RunCell(ctx context.Context, req *CellRequest) (*CellResult, error) {
-	return RunLocal(ctx, l.Harness, req, nil)
-}
-
 // HTTP reaches a remote worker's /v1/cell endpoint.
 type HTTP struct {
 	// Base is the worker's base URL, e.g. "http://127.0.0.1:8081".
@@ -63,10 +34,13 @@ type HTTP struct {
 // Name implements Transport: the base URL identifies the worker.
 func (t *HTTP) Name() string { return t.Base }
 
-// RunCell implements Transport. A 4xx from the worker (other than the
-// retryable 429, which the client already retried) is the request's fault
-// and wraps ErrBadCell; transport errors and exhausted 5xx/429 retries are
-// the worker's and trigger failover in the router.
+// RunCell implements Transport. A 429 is the worker's admission control
+// shedding load: the worker is at capacity, not failing, so RunCell waits
+// out its Retry-After hint and asks the same worker again until ctx ends,
+// and backpressure never reaches the router's breaker or failover. Any
+// other 4xx is the request's fault and wraps ErrBadCell; transport errors
+// and exhausted 5xx retries are the worker's and trigger failover in the
+// router.
 func (t *HTTP) RunCell(ctx context.Context, req *CellRequest) (*CellResult, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -76,11 +50,24 @@ func (t *HTTP) RunCell(ctx context.Context, req *CellRequest) (*CellResult, erro
 	if cl == nil {
 		cl = &RetryClient{}
 	}
-	resp, status, err := cl.Post(ctx, t.Base+"/v1/cell", "application/json", body)
+	var (
+		resp   []byte
+		status int
+	)
+	for {
+		var hint time.Duration
+		resp, status, hint, err = cl.post(ctx, t.Base+"/v1/cell", "application/json", body)
+		if err != nil || status != http.StatusTooManyRequests {
+			break
+		}
+		if err = sleep(ctx, RetryDelay(0, cl.base(), hint)); err != nil {
+			break
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: %w", t.Base, err)
 	}
-	if status >= 400 && status < 500 && status != http.StatusTooManyRequests {
+	if status >= 400 && status < 500 {
 		return nil, fmt.Errorf("%w: worker %s: %v", ErrBadCell, t.Base, &StatusError{Status: status, Body: resp})
 	}
 	if status < 200 || status >= 300 {

@@ -2,9 +2,10 @@ package server
 
 // Grid endpoints (DESIGN.md §16). /v1/cell is the worker side: one cell
 // request in, one cell result out — the unit the coordinator distributes.
-// /v1/batch is the coordinator side: a sweep spec (explicit axes or a named
-// artifact) fans out across the router and the per-cell results stream back
-// as they land (SSE or NDJSON), or aggregate into one response (json/text).
+// /v1/batch is the sweep endpoint: a sweep spec (explicit axes or a named
+// artifact) fans out across the router in coordinator mode, or over this
+// server's own pool otherwise, and the per-cell results stream back as they
+// land (SSE or NDJSON), or aggregate into one response (json/text).
 // Both endpoints sit behind the same observed/breaking/chaotic/limited
 // middleware chain as every other /v1 route.
 
@@ -37,9 +38,9 @@ const maxCellBody = 1 << 20
 //
 // The coordinator is the only intended caller, but the endpoint is plain
 // JSON-over-HTTP: a full machine.Config in, a CellResult out, computed by
-// grid.RunLocal — the path the in-process Local transport takes. Full cells
-// run through the shared worker pool; sampled cells drive the harness's
-// sampler, which fans its windows over the same pool itself.
+// grid.RunLocal — the path a non-coordinator's /v1/batch takes too. Full
+// cells run through the shared worker pool; sampled cells drive the
+// harness's sampler, which fans its windows over the same pool itself.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCellBody))
 	if err != nil {
@@ -93,9 +94,9 @@ type BatchDone struct {
 }
 
 // BatchProgress is the periodic progress record of a streamed batch: cells
-// landed so far, and an ETA of remaining × p50 cell latency from the
-// router's latency sketch (omitted until the sketch has samples, and for
-// artifact batches whose cell total is not known up front).
+// landed so far, and an ETA that assumes the remaining cells land at the
+// rate the done ones did, elapsed × remaining / done (omitted until a cell
+// lands, and for artifact batches whose cell total is not known up front).
 type BatchProgress struct {
 	Done      int   `json:"done"`
 	Total     int   `json:"total,omitempty"`
@@ -131,8 +132,8 @@ func (s *Server) streamProgress(stream *batchStream, start time.Time, counts fun
 					Total:     total,
 					ElapsedMs: time.Since(start).Milliseconds(), //rblint:allow determinism
 				}
-				if p50, samples := s.router.CellLatency(0.50); samples > 0 && total > n {
-					ev.EtaMs = int64(float64(total-n) * p50 * 1e3)
+				if n > 0 && total > n {
+					ev.EtaMs = ev.ElapsedMs * int64(total-n) / int64(n)
 				}
 				stream.event("progress", ev)
 			}
@@ -180,7 +181,8 @@ func (b *batchStream) event(name string, v any) {
 	}
 }
 
-// handleBatch fans a sweep out across the grid:
+// handleBatch fans a sweep out across the grid (a coordinator's workers, or
+// this server's own pool):
 //
 //	GET  /v1/batch?machines=baseline,rb-full&widths=4,8&suite=SPECint95&format=sse
 //	GET  /v1/batch?artifact=fig9&format=text       # byte-identical to rbexp
@@ -361,10 +363,10 @@ func intsParam(v string) ([]int, error) {
 	return out, nil
 }
 
-// computeCellBatch routes every cell concurrently (the router's in-flight
-// semaphore is the bound), invoking onCell/onErr as each lands (either may
-// be nil; both may be called from many goroutines). It returns the
-// successful cells sorted by key plus the first error. The /v1/batch
+// computeCellBatch runs every cell concurrently (the router's in-flight
+// semaphore or the pool is the bound), invoking onCell/onErr as each lands
+// (either may be nil; both may be called from many goroutines). It returns
+// the successful cells sorted by key plus the first error. The /v1/batch
 // handler and the journal-resume path share this exact code, which is what
 // makes a resumed batch's output byte-identical to an uninterrupted one.
 func (s *Server) computeCellBatch(ctx context.Context, cells []grid.CellRequest, onCell func(i int, res *grid.CellResult), onErr func(i int, err error)) ([]BatchCellEvent, error) {
@@ -373,7 +375,7 @@ func (s *Server) computeCellBatch(ctx context.Context, cells []grid.CellRequest,
 	// Every cell runs to completion (a partial batch reports what landed),
 	// so per-cell errors are kept here and the fan-out itself never fails.
 	experiments.FanOut(ctx, len(cells), experiments.Spawn, func(i int) error {
-		results[i], errs[i] = s.router.Do(ctx, &cells[i])
+		results[i], errs[i] = s.runCell(ctx, &cells[i])
 		if errs[i] != nil {
 			if onErr != nil {
 				onErr(i, errs[i])
@@ -484,12 +486,13 @@ func (s *Server) serveCellBatch(w http.ResponseWriter, r *http.Request, spec *gr
 }
 
 // serveArtifactBatch runs one named paper artifact through the grid. The
-// figure code is untouched: a TeeRunner around the router reports each
-// distinct cell as it lands (streamed to the client, journaled when batches
-// are durable), and the aggregate artifact renders exactly as
-// /v1/experiment (format=text stays byte-identical to rbexp). The journal's
-// completed output is always the text rendering — the artifact the resume
-// path and the ci.sh chaos leg diff against serial rbexp.
+// figure code is untouched: a TeeRunner around the runner /v1/experiment
+// uses reports each distinct cell as it lands (streamed to the client,
+// journaled when batches are durable), and the aggregate artifact renders
+// exactly as /v1/experiment (format=text stays byte-identical to rbexp).
+// The journal's completed output is always the text rendering — the
+// artifact the resume path and the ci.sh chaos leg diff against serial
+// rbexp.
 func (s *Server) serveArtifactBatch(w http.ResponseWriter, r *http.Request, name string, width int, suite string, format string) {
 	ctx := r.Context()
 	start := time.Now() //rblint:allow determinism
@@ -505,7 +508,7 @@ func (s *Server) serveArtifactBatch(w http.ResponseWriter, r *http.Request, name
 	stopProgress := s.streamProgress(stream, start, func() (int, int) {
 		return int(landed.Load()), 0 // artifact cell totals are not known up front
 	})
-	tee := &grid.TeeRunner{R: s.router, OnCell: func(res *grid.CellResult) {
+	tee := &grid.TeeRunner{R: s.runner(), OnCell: func(res *grid.CellResult) {
 		landed.Add(1)
 		bj.observe(res)
 		if stream != nil {

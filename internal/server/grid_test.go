@@ -191,8 +191,52 @@ func TestLocalModeMetricsGrid(t *testing.T) {
 	if snap.Grid.Mode != "local" {
 		t.Fatalf("grid mode = %q, want local", snap.Grid.Mode)
 	}
-	if len(snap.Grid.Workers) != 1 || snap.Grid.Workers[0].Name != "local" {
-		t.Fatalf("local grid workers = %+v, want one \"local\"", snap.Grid.Workers)
+	if len(snap.Grid.Workers) != 0 {
+		t.Fatalf("local grid workers = %+v, want none", snap.Grid.Workers)
+	}
+}
+
+// TestLocalBatchOneTier: a single-process server computes batch cells on
+// its own harness and pool. Every cell is one pool submission and one
+// cell-cache entry, and no second (router) tier holds a copy — for an axes
+// sweep and for an artifact batch alike.
+func TestLocalBatchOneTier(t *testing.T) {
+	s := New(Config{Parallel: 1, Logf: func(string, ...any) {}})
+	t.Cleanup(s.Close)
+	serve := func(path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", path, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	before := metricsOf(t, s)
+	serve("/v1/batch?machines=baseline&widths=4&workloads=compress,gzip,mcf,parser")
+	after := metricsOf(t, s)
+	if n := after.Pool.Submitted - before.Pool.Submitted; n != 4 {
+		t.Fatalf("4-cell batch made %d pool submissions, want 4", n)
+	}
+	if after.CellCache.Entries != 4 || after.Grid.SharedCache.Entries != 0 {
+		t.Fatalf("after a 4-cell batch: cell_cache %d entries, grid.shared_cache %d, want 4 and 0",
+			after.CellCache.Entries, after.Grid.SharedCache.Entries)
+	}
+
+	before = after
+	batch := serve("/v1/batch?artifact=fig9&format=text")
+	after = metricsOf(t, s)
+	cells := int64(after.CellCache.Entries - before.CellCache.Entries)
+	if cells == 0 || after.Pool.Submitted-before.Pool.Submitted != cells ||
+		after.CellCache.Misses-before.CellCache.Misses != cells {
+		t.Fatalf("fig9 batch: %d new cells, %d pool submissions, %d cell misses; want one each per cell",
+			cells, after.Pool.Submitted-before.Pool.Submitted, after.CellCache.Misses-before.CellCache.Misses)
+	}
+	if after.Grid.SharedCache.Entries != 0 {
+		t.Fatalf("fig9 batch filled a second tier: grid.shared_cache %d entries", after.Grid.SharedCache.Entries)
+	}
+	if exp := serve("/v1/experiment/fig9?format=text"); !bytes.Equal(batch, exp) {
+		t.Fatalf("fig9 batch text differs from /v1/experiment:\n%s\n---\n%s", batch, exp)
 	}
 }
 

@@ -42,10 +42,10 @@ var artifactNames = []string{
 	"ipc", "sweeps", "summary", "table1", "table2", "table3",
 }
 
-// runArtifact executes one named experiment through run: the shared
-// harness, the grid router in coordinator mode, or a TeeRunner wrapping
-// either when /v1/batch streams cells (the figures are Runner-generic, so
-// distribution never touches them).
+// runArtifact executes one named experiment through run: the server's
+// runner (the router in coordinator mode), or a TeeRunner wrapping it when
+// /v1/batch streams cells (the figures are Runner-generic, so distribution
+// never touches them).
 func (s *Server) runArtifact(ctx context.Context, run experiments.Runner, name string, width int, suite string) (artifactResult, error) {
 	switch name {
 	case "fig1":
@@ -148,7 +148,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	key := strings.Join([]string{"exp", name, strconv.Itoa(width), suite, format}, "|")
 	s.serveCached(w, r, key, func() (cachedResponse, error) {
-		res, err := s.runArtifact(r.Context(), s.runner, name, width, suite)
+		res, err := s.runArtifact(r.Context(), s.runner(), name, width, suite)
 		if err != nil {
 			return cachedResponse{}, err
 		}

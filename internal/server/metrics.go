@@ -95,10 +95,11 @@ type MetricsSnapshot struct {
 	CellCache     rcache.Stats `json:"cell_cache"`
 	ResponseCache rcache.Stats `json:"response_cache"`
 
-	// Grid reports the cell router: per-worker circuit state, health, and
-	// traffic counters, registry churn, hedging, plus the coordinator's
-	// shared result tier. In a single-process server the one "local" worker
-	// appears here too, so the section's shape is mode-independent.
+	// Grid reports the coordinator's cell router: per-worker circuit state,
+	// health, and traffic counters, registry churn, hedging, plus its shared
+	// result tier. A single-process or worker server has no router: its mode
+	// is "local", its worker list empty and its counters zero, and
+	// CellCache is its one cell tier.
 	Grid struct {
 		Mode        string                `json:"mode"` // local or coordinator
 		Workers     []grid.WorkerSnapshot `json:"workers"`
@@ -144,14 +145,15 @@ func (s *Server) snapshot() MetricsSnapshot {
 	out.CellCache = s.harness.CacheStats()
 	out.ResponseCache = s.resp.Stats()
 	out.Grid.Mode = "local"
-	if s.coordinator() {
+	out.Grid.Workers = []grid.WorkerSnapshot{}
+	if s.router != nil {
 		out.Grid.Mode = "coordinator"
+		out.Grid.Workers, out.Grid.SharedCache = s.router.Snapshot()
+		rs := s.router.Stats()
+		out.Grid.Registry = rs.Registry
+		out.Grid.Hedges = rs.Hedges
+		out.Grid.HedgeWins = rs.HedgeWins
 	}
-	out.Grid.Workers, out.Grid.SharedCache = s.router.Snapshot()
-	rs := s.router.Stats()
-	out.Grid.Registry = rs.Registry
-	out.Grid.Hedges = rs.Hedges
-	out.Grid.HedgeWins = rs.HedgeWins
 	out.Journal.Journaled = s.journaled.Load()
 	out.Journal.Resumed = s.resumed.Load()
 	return out

@@ -37,7 +37,7 @@ const maxRegisterBody = 4 << 10
 // it); a known URL refreshes its liveness; a dead worker's beat revives it
 // with a fresh breaker. The response tells the worker how often to beat.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if !s.coordinator() {
+	if s.router == nil {
 		writeError(w, http.StatusBadRequest, "not a coordinator: registration disabled")
 		return
 	}
@@ -308,7 +308,7 @@ func (s *Server) completeBatch(ctx context.Context, meta *grid.JournalMeta, bj *
 		}
 		return renderCellBatchText(done), len(cells), nil
 	}
-	res, err := s.runArtifact(ctx, &grid.TeeRunner{R: s.router, OnCell: bj.observe}, meta.Artifact, meta.Width, meta.Suite)
+	res, err := s.runArtifact(ctx, &grid.TeeRunner{R: s.runner(), OnCell: bj.observe}, meta.Artifact, meta.Width, meta.Suite)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -4,9 +4,11 @@ package server
 // batches, crash-resume with zero re-dispatch, and batch progress records.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -293,6 +295,73 @@ func TestBatchProgressEvents(t *testing.T) {
 	}
 	if doneEvents != 1 {
 		t.Fatalf("done events = %d, want 1", doneEvents)
+	}
+}
+
+// TestBatchProgressETA: once some but not all cells have landed, progress
+// records carry an ETA. The second cell is gated inside the fake worker
+// until the test has read such a record.
+func TestBatchProgressETA(t *testing.T) {
+	gate := make(chan struct{})
+	fw := &fakeWorker{name: "eta"}
+	fw.fn = func(ctx context.Context, req *grid.CellRequest) (*grid.CellResult, error) {
+		if req.Workload != "compress" {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return &grid.CellResult{Key: req.Key(), Result: canned(t)}, nil
+	}
+	s := New(Config{
+		Workers:          []string{"fake://eta"},
+		NewTransport:     func(base string) grid.Transport { return fw },
+		ProgressInterval: 5 * time.Millisecond,
+		Logf:             func(string, ...any) {},
+	})
+	t.Cleanup(s.Close)
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	resp, err := http.Get(hs.URL + "/v1/batch?machines=baseline&widths=4&workloads=compress,mcf&format=ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sawETA := false
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev struct {
+			Event string          `json:"event"`
+			Data  json.RawMessage `json:"data"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad ndjson line %q: %v", sc.Text(), err)
+		}
+		if ev.Event == "done" {
+			break
+		}
+		if ev.Event != "progress" || sawETA {
+			continue
+		}
+		var p BatchProgress
+		if err := json.Unmarshal(ev.Data, &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Done > 0 && p.Done < p.Total {
+			if p.EtaMs <= 0 {
+				t.Fatalf("progress %+v: no ETA with %d of %d cells done", p, p.Done, p.Total)
+			}
+			sawETA = true
+			close(gate)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !sawETA {
+		t.Fatal("no progress record with 0 < done < total")
 	}
 }
 

@@ -8,24 +8,27 @@
 //	handlers     /v1/experiment/{...}, /v1/sim, /v1/check, /v1/workloads,
 //	             /healthz, /metrics, /debug/pprof
 //	caching      a sharded cost-bounded LRU over rendered responses
-//	             (internal/rcache) in front of the experiment harness's
-//	             sharded cell cache; both dedup concurrent misses. The
+//	             (internal/rcache) in front of one cell tier: the
+//	             experiment harness's sharded cell cache in a
+//	             single-process or worker server, the grid router's shared
+//	             tier in a coordinator; both dedup concurrent misses. The
 //	             response cache stays because a warm fig9 text hit is
 //	             about 10 µs p50 against about 0.5 ms to render it from
 //	             warm cells
 //	cells        one cell key (experiments.CellKey) for the harness, the
-//	             grid router and its shared tier, batch tees and
-//	             journals; every cell cache keeps the full machine.Config
-//	             beside its value and refuses a second config under one
-//	             name with 400 (the alias guard); one fan-out loop
-//	             (experiments.FanOut), one cell compute for /v1/cell and
-//	             the in-process grid (grid.RunLocal), and one artifact
-//	             text render (renderText) for every text response and
-//	             journal output
+//	             coordinator's router, batch tees and journals; every cell
+//	             cache keeps the full machine.Config beside its value and
+//	             refuses a second config under one name with 400 (the
+//	             alias guard); one fan-out loop (experiments.FanOut), one
+//	             cell compute (grid.RunLocal) for /v1/cell and a
+//	             non-coordinator's /v1/batch, and one artifact text render
+//	             (renderText) for every text response and journal output
 //	execution    one bounded worker pool (internal/pool, GOMAXPROCS-sized)
-//	             that every simulation cell funnels through, shared with
-//	             the experiments harness so HTTP traffic and rbexp-style
-//	             matrix fan-out obey a single CPU bound
+//	             that every simulation cell of a single-process or worker
+//	             server funnels through — experiments, batches, /v1/cell
+//	             and /v1/sim — shared with the experiments harness so HTTP
+//	             traffic and rbexp-style matrix fan-out obey a single CPU
+//	             bound; a coordinator routes its cells to workers instead
 //	robustness   admission control (429 + Retry-After once MaxInflight
 //	             requests are active), a circuit breaker (grid.Breaker)
 //	             shedding load with 503 once the recent 5xx rate crosses a
@@ -42,6 +45,7 @@
 package server
 
 import (
+	"context"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -50,10 +54,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/grid"
+	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/rcache"
+	"repro/internal/workload"
 )
 
 // Config sizes the service.
@@ -108,36 +115,15 @@ type Config struct {
 	// GridMaxInflight caps concurrently routed cells in coordinator mode;
 	// 0 takes the router's default (4 per worker).
 	GridMaxInflight int
-	// GridCacheCells bounds the coordinator's shared result tier; 0 means
-	// the router's default (64k cells).
-	GridCacheCells int64
-	// WorkerRetries and WorkerRetryBase shape the coordinator's per-request
-	// retry policy against workers (defaults: 2 extra attempts, 50ms base;
-	// a worker Retry-After hint overrides the backoff schedule).
-	WorkerRetries   int
-	WorkerRetryBase time.Duration
-
 	// HeartbeatInterval is the worker beat period the registry expects;
-	// 0 means grid.DefaultHeartbeatInterval (2s). SuspectAfter and DeadAfter
-	// are the silence thresholds for the alive → suspect → dead transitions;
-	// 0 means 3× and 10× the interval.
+	// 0 means grid.DefaultHeartbeatInterval (2s).
 	HeartbeatInterval time.Duration
-	SuspectAfter      time.Duration
-	DeadAfter         time.Duration
 
-	// HedgeMinDelay floors the straggler-hedge trigger delay (0 means 25ms,
-	// negative disables hedging); HedgeMinObservations gates hedging until
-	// the cell-latency sketch has that many samples (0 means 16, negative
-	// ungates); HedgeInflightCap skips hedge candidates already running
-	// that many cells (0 means 4).
-	HedgeMinDelay        time.Duration
-	HedgeMinObservations int
-	HedgeInflightCap     int64
-
-	// JournalDir enables durable batches: every /v1/batch appends its spec
-	// and completed cells to an append-only journal there, and incomplete
-	// journals are resumed by ResumeJournals after a restart (DESIGN.md
-	// §17). Empty disables journaling.
+	// JournalDir enables durable batches in coordinator mode: every
+	// /v1/batch appends its spec and completed cells to an append-only
+	// journal there, and incomplete journals are resumed by ResumeJournals
+	// after a restart (DESIGN.md §17). Empty disables journaling; other
+	// modes ignore it.
 	JournalDir string
 	// ProgressInterval is the cadence of `progress` records on streamed
 	// (SSE/NDJSON) batches; 0 means 1s, negative disables them.
@@ -154,9 +140,8 @@ type Server struct {
 	met      *metrics
 	sem      chan struct{} // admission-control slots for /v1 routes
 	brk      *grid.Breaker
-	router   *grid.Router       // cell routing + shared result tier
-	runner   experiments.Runner // harness locally, router in coordinator mode
-	chaosSeq atomic.Int64       // chaotic-request ordinal
+	router   *grid.Router // coordinator mode only: cell routing + shared result tier
+	chaosSeq atomic.Int64 // chaotic-request ordinal
 	mux      *http.ServeMux
 	logf     func(format string, args ...any)
 
@@ -166,12 +151,6 @@ type Server struct {
 
 	journaled atomic.Int64 // batches journaled since start
 	resumed   atomic.Int64 // journals resumed at startup
-}
-
-// coordinator reports whether this server routes cells to remote workers
-// (a seed list, or registration-only coordinator mode).
-func (s *Server) coordinator() bool {
-	return s.cfg.Coordinator || len(s.cfg.Workers) > 0
 }
 
 // New builds a server from cfg (zero value = sensible defaults).
@@ -216,16 +195,21 @@ func New(cfg Config) *Server {
 		s.logf = log.Printf
 	}
 	s.harness = experiments.NewHarnessWith(s.pool, nil)
-	s.buildRouter()
-	s.mux = http.NewServeMux()
-	s.routes()
 	s.closed = make(chan struct{})
 	s.sweepDone = make(chan struct{})
-	if s.coordinator() {
+	// A seed list, or registration-only coordinator mode, routes cells to
+	// remote workers.
+	if cfg.Coordinator || len(cfg.Workers) > 0 {
+		s.router = newRouter(cfg)
 		go s.sweepLoop()
 	} else {
+		// Resume seeds journaled cells into the router's shared tier, so
+		// only a coordinator journals.
+		s.cfg.JournalDir = ""
 		close(s.sweepDone)
 	}
+	s.mux = http.NewServeMux()
+	s.routes()
 	return s
 }
 
@@ -249,64 +233,86 @@ func (s *Server) sweepLoop() {
 	}
 }
 
-// buildRouter wires the grid router. With no configured workers the router
-// has a single Local transport over the shared harness (so /v1/batch works
-// identically in a single process); in coordinator mode the router fans out
-// over HTTP (or injected fake) transports — the -workers list seeds the
-// registry, and workers joining via /v1/register get transports from the
-// same factory — and the experiment endpoints run distributed too.
-func (s *Server) buildRouter() {
-	cfg := s.cfg
-	opts := grid.Options{
-		MaxInflight:          cfg.GridMaxInflight,
-		CacheCells:           cfg.GridCacheCells,
-		BreakerWindow:        cfg.BreakerWindow,
-		BreakerThreshold:     cfg.BreakerThreshold,
-		BreakerMinSamples:    cfg.BreakerMinSamples,
-		BreakerCooldown:      cfg.BreakerCooldown,
-		HeartbeatInterval:    cfg.HeartbeatInterval,
-		SuspectAfter:         cfg.SuspectAfter,
-		DeadAfter:            cfg.DeadAfter,
-		HedgeMinDelay:        cfg.HedgeMinDelay,
-		HedgeMinObservations: cfg.HedgeMinObservations,
-		HedgeInflightCap:     cfg.HedgeInflightCap,
+// Coordinator-to-worker retry policy: extra attempts after a transport
+// error or 5xx, and the first backoff delay (a worker's Retry-After hint
+// overrides the schedule).
+const (
+	workerRetries   = 2
+	workerRetryBase = 50 * time.Millisecond
+)
+
+// newRouter wires a coordinator's grid router: it fans out over HTTP (or
+// injected fake) transports — the -workers list seeds the registry, and
+// workers joining via /v1/register get transports from the same factory.
+func newRouter(cfg Config) *grid.Router {
+	newT := cfg.NewTransport
+	if newT == nil {
+		newT = func(workerURL string) grid.Transport {
+			return &grid.HTTP{Base: workerURL, Client: &grid.RetryClient{
+				HTTP:    &http.Client{Timeout: cfg.RequestTimeout},
+				Retries: workerRetries,
+				Base:    workerRetryBase,
+			}}
+		}
 	}
-	if !s.coordinator() {
-		opts.Workers = []grid.Transport{&grid.Local{Harness: s.harness}}
-	} else {
-		newT := cfg.NewTransport
-		if newT == nil {
-			retries, base := cfg.WorkerRetries, cfg.WorkerRetryBase
-			if retries == 0 {
-				retries = 2
-			}
-			if base <= 0 {
-				base = 50 * time.Millisecond
-			}
-			newT = func(workerURL string) grid.Transport {
-				return &grid.HTTP{Base: workerURL, Client: &grid.RetryClient{
-					HTTP:    &http.Client{Timeout: cfg.RequestTimeout},
-					Retries: retries,
-					Base:    base,
-				}}
-			}
-		}
-		opts.NewTransport = newT
-		for _, w := range cfg.Workers {
-			opts.Workers = append(opts.Workers, newT(w))
-		}
+	opts := grid.Options{
+		MaxInflight:       cfg.GridMaxInflight,
+		NewTransport:      newT,
+		HeartbeatInterval: cfg.HeartbeatInterval,
+		BreakerWindow:     cfg.BreakerWindow,
+		BreakerThreshold:  cfg.BreakerThreshold,
+		BreakerMinSamples: cfg.BreakerMinSamples,
+		BreakerCooldown:   cfg.BreakerCooldown,
+	}
+	for _, w := range cfg.Workers {
+		opts.Workers = append(opts.Workers, newT(w))
 	}
 	router, err := grid.NewRouter(opts)
 	if err != nil {
 		// Only reachable via duplicate worker names; fail fast at startup.
 		panic(err)
 	}
-	s.router = router
-	if !s.coordinator() {
-		s.runner = s.harness
-	} else {
-		s.runner = router
+	return router
+}
+
+// runner is the Runner every artifact runs on: the router in coordinator
+// mode, otherwise the harness with every cell on the pool.
+func (s *Server) runner() experiments.Runner {
+	if s.router != nil {
+		return s.router
 	}
+	return poolRunner{s}
+}
+
+// runCell computes one cell: routed in coordinator mode, otherwise on this
+// server's harness and pool, the computation /v1/cell runs for a
+// coordinator.
+func (s *Server) runCell(ctx context.Context, req *grid.CellRequest) (*grid.CellResult, error) {
+	if s.router != nil {
+		return s.router.Do(ctx, req)
+	}
+	return grid.RunLocal(ctx, s.harness, req, s.runInPool)
+}
+
+// poolRunner is a non-coordinator server's Runner. RunMatrix is the
+// harness's, which already submits each cell to the pool; RunCell submits
+// its one cell too, so a TeeRunner over it, whose fan-out calls RunCell
+// on fresh goroutines, stays inside the pool's CPU bound.
+type poolRunner struct{ s *Server }
+
+func (p poolRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload.Workload) (*core.Result, error) {
+	var (
+		res *core.Result
+		err error
+	)
+	if perr := p.s.runInPool(ctx, func() { res, err = p.s.harness.RunCell(ctx, cfg, w) }); perr != nil {
+		return nil, perr
+	}
+	return res, err
+}
+
+func (p poolRunner) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
+	return p.s.harness.RunMatrix(ctx, cfgs, wls)
 }
 
 // Handler is the fully wired route tree.

@@ -77,6 +77,10 @@ ADDR="$(head -n1 "$BIN/addr")"
 "$BIN/rbserve" -get "http://$ADDR/v1/experiment/fig9?format=text" >"$BIN/fig9.srv"
 "$BIN/rbexp" -exp fig9 >"$BIN/fig9.cli"
 diff "$BIN/fig9.srv" "$BIN/fig9.cli"
+# A single-process batch computes its cells on the server's own harness and
+# pool (no router tier); its artifact text must match rbexp too.
+"$BIN/rbserve" -get "http://$ADDR/v1/batch?artifact=fig9&format=text" >"$BIN/fig9.batch"
+diff "$BIN/fig9.batch" "$BIN/fig9.cli"
 kill "$SRV_PID"
 wait "$SRV_PID" || true
 SRV_PID=''
