@@ -38,10 +38,15 @@ import (
 // no memoization, so the reported time is the true regeneration cost, and
 // reports the figure's headline number as a custom metric.
 
+// traceOf returns the workload's cached trace, building it and its shared
+// decode on first use (so callers warm both outside the timed region).
 func traceOf(b *testing.B, w *workload.Workload) []emu.TraceEntry {
 	b.Helper()
 	t, err := w.Trace()
 	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := w.Decoded(); err != nil {
 		b.Fatal(err)
 	}
 	return t
@@ -53,9 +58,15 @@ func traceOf(b *testing.B, w *workload.Workload) []emu.TraceEntry {
 // a warm harness actually pays, not 20 workloads' worth of fresh arrays.
 var benchBuffers = core.NewBuffers()
 
+// runCell simulates one cell as the experiment harness does: on reused
+// buffers and the workload's shared decode.
 func runCell(b *testing.B, cfg machine.Config, w *workload.Workload) *core.Result {
 	b.Helper()
-	r, err := benchBuffers.Run(cfg, w.Name, traceOf(b, w))
+	dec, err := w.Decoded()
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := core.Run(cfg, w.Name, traceOf(b, w), core.Options{Buffers: benchBuffers, Decoded: dec})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -349,19 +360,34 @@ func BenchmarkBranchPredictor(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput reports simulated instructions per second for
-// the full 8-wide RB machine.
+// the full 8-wide RB machine on two paths: per-run is an uncached one-off
+// run (fresh buffers, the trace decoded inside the run), shared-decode the
+// harness's path (reused buffers and the workload's shared decode).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	w, _ := workload.ByName("gcc00")
 	tr := traceOf(b, w)
 	cfg := machine.NewRBFull(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(cfg, w.Name, tr, core.Options{}); err != nil {
+	b.Run("per-run", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Run(cfg, w.Name, tr, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(tr)), "insts/op")
+	})
+	b.Run("shared-decode", func(b *testing.B) {
+		dec, err := w.Decoded()
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.SetBytes(0)
-	b.ReportMetric(float64(len(tr)), "insts/op")
+		buf := core.NewBuffers()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Run(cfg, w.Name, tr, core.Options{Buffers: buf, Decoded: dec}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(tr)), "insts/op")
+	})
 }
 
 func BenchmarkEmulator(b *testing.B) {

@@ -1,12 +1,14 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 
 	"repro/internal/branch"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/workload"
@@ -19,7 +21,9 @@ import (
 // core.Result values — cycles, occupancy, every bypass-case counter, cache
 // statistics, the lot — for every (machine × workload) cell of the
 // experiment matrix, plus per-instruction stage timelines, a wrong-path
-// (squash-under-issue) cell, and a checkpoint-warmed sampling window.
+// (squash-under-issue) cell, and a checkpoint-warmed sampling window. Each
+// matrix cell also gets a shared-decode leg: the harness's runs on the
+// workload's cached decode must equal runs that decode per run.
 
 // backendWorkloads selects the matrix rows per tier.
 func backendWorkloads(opts Options) []*workload.Workload {
@@ -48,6 +52,10 @@ func Backends(opts Options) []Report {
 			out = append(out, run("backends", fmt.Sprintf("poll-vs-event/%s/width-%d", w.Name, width),
 				func() (int64, string, error) {
 					return backendMatrixCell(w, width)
+				}))
+			out = append(out, run("backends", fmt.Sprintf("shared-vs-per-run-decode/%s/width-%d", w.Name, width),
+				func() (int64, string, error) {
+					return backendSharedDecode(w, width)
 				}))
 		}
 	}
@@ -78,12 +86,42 @@ func backendMatrixCell(w *workload.Workload, width int) (int64, string, error) {
 		if err != nil {
 			return trials, "", fmt.Errorf("%s poll: %w", cfg.Name, err)
 		}
-		if err := diffResults(cfg.Name, rEvent, rPoll); err != nil {
+		if err := diffResults(cfg.Name, "event", "poll", rEvent, rPoll); err != nil {
 			return trials, "", err
 		}
 		trials++
 	}
 	return trials, fmt.Sprintf("%d machines bit-identical over %d instructions", trials, len(trace)), nil
+}
+
+// backendSharedDecode runs every machine model of one matrix cell through
+// the experiment harness — which simulates on the workload's shared,
+// cached decode (workload.Decoded) — and again on a run that decodes the
+// trace itself, and requires bit-identical results: a drift between the
+// two decode paths fails here, not only in the core unit tests.
+func backendSharedDecode(w *workload.Workload, width int) (int64, string, error) {
+	trace, err := w.Trace()
+	if err != nil {
+		return 0, "", err
+	}
+	h := experiments.NewHarness(1)
+	defer h.Close()
+	var trials int64
+	for _, cfg := range machine.All(width) {
+		shared, err := h.RunCell(context.Background(), cfg, w)
+		if err != nil {
+			return trials, "", fmt.Errorf("%s harness: %w", cfg.Name, err)
+		}
+		perRun, err := core.Run(cfg, w.Name, trace, core.Options{})
+		if err != nil {
+			return trials, "", fmt.Errorf("%s per-run: %w", cfg.Name, err)
+		}
+		if err := diffResults(cfg.Name, "shared decode", "per-run decode", shared, perRun); err != nil {
+			return trials, "", err
+		}
+		trials++
+	}
+	return trials, fmt.Sprintf("%d machines bit-identical on the shared decode over %d instructions", trials, len(trace)), nil
 }
 
 // backendStages compares the full per-instruction pipeline timelines (fetch,
@@ -109,7 +147,7 @@ func backendStages(opts Options) (int64, string, error) {
 	if err != nil {
 		return 0, "", fmt.Errorf("poll: %w", err)
 	}
-	if err := diffResults(cfg.Name, rEvent, rPoll); err != nil {
+	if err := diffResults(cfg.Name, "event", "poll", rEvent, rPoll); err != nil {
 		return 0, "", err
 	}
 	for i := range stEvent {
@@ -150,7 +188,7 @@ func backendWrongPath(opts Options) (int64, string, error) {
 		if err != nil {
 			return trials, "", fmt.Errorf("%s poll: %w", cfg.Name, err)
 		}
-		if err := diffResults(cfg.Name, rEvent, rPoll); err != nil {
+		if err := diffResults(cfg.Name, "event", "poll", rEvent, rPoll); err != nil {
 			return trials, "", err
 		}
 		if rEvent.WrongPathIssued == 0 {
@@ -206,7 +244,7 @@ func backendWindow() (int64, string, error) {
 		split[i] = s.Window()
 	}
 	ev, po := split[0], split[1]
-	if err := diffResults(cfg.Name, ev.Result, po.Result); err != nil {
+	if err := diffResults(cfg.Name, "event", "poll", ev.Result, po.Result); err != nil {
 		return 0, "", err
 	}
 	evSplit, poSplit := *ev, *po
@@ -222,18 +260,18 @@ func backendWindow() (int64, string, error) {
 		ev.WarmupCycles, ev.MeasuredCycles), nil
 }
 
-// diffResults requires two results to be bit-identical, naming the first
-// diverging field for diagnosis.
-func diffResults(name string, a, b *core.Result) error {
+// diffResults requires two results — from the paths labelled la and lb —
+// to be bit-identical, naming the first diverging field for diagnosis.
+func diffResults(name, la, lb string, a, b *core.Result) error {
 	if reflect.DeepEqual(a, b) {
 		return nil
 	}
 	va, vb := reflect.ValueOf(*a), reflect.ValueOf(*b)
 	for i := 0; i < va.NumField(); i++ {
 		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
-			return fmt.Errorf("%s: backends diverge at %s: event %v, poll %v",
-				name, va.Type().Field(i).Name, va.Field(i).Interface(), vb.Field(i).Interface())
+			return fmt.Errorf("%s: %s and %s diverge at %s: %v vs %v",
+				name, la, lb, va.Type().Field(i).Name, va.Field(i).Interface(), vb.Field(i).Interface())
 		}
 	}
-	return fmt.Errorf("%s: backends diverge", name)
+	return fmt.Errorf("%s: %s and %s diverge", name, la, lb)
 }

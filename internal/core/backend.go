@@ -24,17 +24,18 @@ func (s *Simulator) ready(u *uop, cycle int64) bool {
 	if cycle < u.minExe {
 		return false
 	}
-	if u.memDep >= 0 {
+	if m := u.dep[depMem]; m >= 0 {
 		// A load (or store) to a quadword written by an older in-flight
 		// store waits for that store to execute; the store queue then
 		// forwards (or orders) the data with no extra delay.
-		d := s.done[u.memDep]
+		d := s.done[m]
 		if d < 0 || cycle <= d {
 			return false
 		}
 	}
-	for i := int8(0); i < u.nsrc; i++ {
-		p := &s.prod[u.src[i]]
+	for i, n := int8(0), u.op.nsrc(); i < n; i++ {
+		src := u.dep[i]
+		p := &s.prod[srcIndex(src)]
 		if p.t < 0 {
 			return false
 		}
@@ -42,15 +43,18 @@ func (s *Simulator) ready(u *uop, cycle int64) bool {
 		if p.cluster != u.cluster {
 			off -= s.cfg.InterClusterDelay
 		}
-		sched := &p.rbSched
-		if u.srcTC[i] {
-			sched = &p.tcSched
-		}
-		if !sched.AvailableAt(off) {
+		if !s.availability(p, src).AvailableAt(off) {
 			return false
 		}
 	}
 	return true
+}
+
+// availability is the schedule on which the consumer of producer slot src
+// can obtain p's result: the 2's-complement one when the slot's TC bit is
+// set.
+func (s *Simulator) availability(p *prodRecord, src int32) *bypass.Schedule {
+	return &s.resultSched[p.sched][src&1]
 }
 
 // earliestReadyFrom returns the first cycle >= from at which every issue
@@ -63,8 +67,8 @@ func (s *Simulator) earliestReadyFrom(u *uop, from int64) int64 {
 	if c < u.minExe {
 		c = u.minExe
 	}
-	if u.memDep >= 0 {
-		d := s.done[u.memDep]
+	if m := u.dep[depMem]; m >= 0 {
+		d := s.done[m]
 		if d < 0 {
 			return -1 // caller guarantees the store executed; defensive
 		}
@@ -74,8 +78,9 @@ func (s *Simulator) earliestReadyFrom(u *uop, from int64) int64 {
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := int8(0); i < u.nsrc; i++ {
-			p := &s.prod[u.src[i]]
+		for i, n := int8(0), u.op.nsrc(); i < n; i++ {
+			src := u.dep[i]
+			p := &s.prod[srcIndex(src)]
 			if p.t < 0 {
 				return -1
 			}
@@ -83,11 +88,7 @@ func (s *Simulator) earliestReadyFrom(u *uop, from int64) int64 {
 			if p.cluster != u.cluster {
 				delay = s.cfg.InterClusterDelay
 			}
-			sched := &p.rbSched
-			if u.srcTC[i] {
-				sched = &p.tcSched
-			}
-			next := sched.NextAvailable(c - p.t - delay)
+			next := s.availability(p, src).NextAvailable(c - p.t - delay)
 			if next < 0 {
 				return -1
 			}
@@ -212,17 +213,17 @@ func (s *Simulator) grant(si int, id int32, cycle int64) {
 func (s *Simulator) eventArm(id int32, cycle int64) {
 	u := &s.pool[id]
 	u.pending = 0
-	for i := int8(0); i < u.nsrc; i++ {
-		pi := u.src[i]
+	for i, n := int8(0), u.op.nsrc(); i < n; i++ {
+		pi := srcIndex(u.dep[i])
 		if s.prod[pi].t < 0 {
 			u.waitNext[i] = s.waiterHead[pi]
 			s.waiterHead[pi] = id<<2 | int32(i)
 			u.pending++
 		}
 	}
-	if u.memDep >= 0 && s.done[u.memDep] < 0 {
-		u.waitNext[3] = s.waiterHead[u.memDep]
-		s.waiterHead[u.memDep] = id<<2 | 3
+	if m := u.dep[depMem]; m >= 0 && s.done[m] < 0 {
+		u.waitNext[depMem] = s.waiterHead[m]
+		s.waiterHead[m] = id<<2 | depMem
 		u.pending++
 	}
 	if u.pending == 0 {
@@ -269,16 +270,19 @@ func (s *Simulator) wakeDependents(pi int32, cycle int64) {
 
 // execute models the granted instruction's execution, records its result
 // availability, and accounts statistics.
+//
+//rblint:hotpath per-instruction execute; reads the decoded op word, copies no trace entry
 func (s *Simulator) execute(u *uop, cycle int64) {
-	te := &s.trace[u.idx]
 	s.accountBypass(u, cycle)
 
-	exeEnd := cycle + u.latency.Exec - 1
+	op := u.op
+	class := op.latency()
+	exeEnd := cycle + s.cfg.Latencies[class].Exec - 1
 	switch {
-	case u.isLoad:
-		exeEnd = s.hier.Load(te.EA, cycle+u.latency.Exec-1)
-	case u.isStore:
-		s.hier.Store(te.EA, cycle+u.latency.Exec-1)
+	case op.has(opLoad):
+		exeEnd = s.hier.Load(s.trace[u.idx].EA, exeEnd)
+	case op.has(opStore):
+		s.hier.Store(s.trace[u.idx].EA, exeEnd)
 	}
 	s.done[u.idx] = exeEnd
 	if s.stages != nil {
@@ -295,17 +299,17 @@ func (s *Simulator) execute(u *uop, cycle int64) {
 		s.lastFetchLine = -1
 	}
 
-	if _, hasDest := te.Inst.Dest(); hasDest {
+	if op.has(opDest) {
 		p := &s.prod[u.idx]
 		p.t = exeEnd
 		p.cluster = u.cluster
-		p.outRB = te.Inst.EffectiveClass().Out == isa.FormatRB
-		p.rbSched, p.tcSched = s.cfg.Schedules(u.class)
-		if u.isLoad {
+		if op.has(opLoad) {
 			// Load data is 2's complement from the cache: seamless for all.
-			full := bypass.FromConfig(bypass.Full(), bypass.RFOffset)
-			p.rbSched, p.tcSched = full, full
+			p.sched = loadDataSched
 			p.outRB = false
+		} else {
+			p.sched = uint8(class)
+			p.outRB = op.out() == isa.FormatRB
 		}
 	}
 	if s.backend == BackendEvent {
@@ -318,7 +322,8 @@ func (s *Simulator) execute(u *uop, cycle int64) {
 // accountBypass classifies the issued instruction's last-arriving source for
 // the Figure-13 distribution and the §5.2 source-locality breakdown.
 func (s *Simulator) accountBypass(u *uop, cycle int64) {
-	if u.nsrc == 0 {
+	n := u.op.nsrc()
+	if n == 0 {
 		s.res.SrcNoBypass++
 		return
 	}
@@ -329,16 +334,13 @@ func (s *Simulator) accountBypass(u *uop, cycle int64) {
 		lastBypass bool
 		anyBypass  bool
 	)
-	for i := int8(0); i < u.nsrc; i++ {
-		p := &s.prod[u.src[i]]
+	for i := int8(0); i < n; i++ {
+		p := &s.prod[srcIndex(u.dep[i])]
 		delay := int64(0)
 		if p.cluster != u.cluster {
 			delay = s.cfg.InterClusterDelay
 		}
-		sched := p.rbSched
-		if u.srcTC[i] {
-			sched = p.tcSched
-		}
+		sched := s.availability(p, u.dep[i])
 		first := p.t + delay + sched.NextAvailable(1)
 		off := cycle - p.t - delay
 		viaBypass := !(sched.RFFrom > 0 && off >= int64(sched.RFFrom))
@@ -356,15 +358,16 @@ func (s *Simulator) accountBypass(u *uop, cycle int64) {
 		s.res.BypassedInstructions++
 	}
 	if lastSrc >= 0 && lastBypass {
-		p := &s.prod[u.src[lastSrc]]
+		src := u.dep[lastSrc]
+		p := &s.prod[srcIndex(src)]
 		var c BypassCase
 		switch {
-		case p.outRB && u.srcTC[lastSrc]:
+		case p.outRB && srcTC(src):
 			c = RBtoTC
 			s.res.ConversionDelayed++
 		case p.outRB:
 			c = RBtoRB
-		case u.srcTC[lastSrc]:
+		case srcTC(src):
 			c = TCtoTC
 		default:
 			c = TCtoRB

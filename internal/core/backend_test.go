@@ -184,11 +184,10 @@ func BenchmarkReadyPoll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rb, tc := cfg.Schedules(0)
 	for i := range s.prod {
-		s.prod[i] = prodRecord{t: int64(i), rbSched: rb, tcSched: tc, cluster: int8(i % 2)}
+		s.prod[i] = prodRecord{t: int64(i), cluster: int8(i % 2)} // latency class 0
 	}
-	u := &uop{nsrc: 2, src: [3]int32{0, 2}, srcTC: [3]bool{false, true}, memDep: -1, minExe: 3}
+	u := &uop{op: 2 << opNsrcShift, dep: [4]int32{0 << 1, 2<<1 | 1, -1, -1}, minExe: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ready(u, int64(i%16))
@@ -203,11 +202,10 @@ func BenchmarkEarliestReady(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rb, tc := cfg.Schedules(0)
 	for i := range s.prod {
-		s.prod[i] = prodRecord{t: int64(i), rbSched: rb, tcSched: tc, cluster: int8(i % 2)}
+		s.prod[i] = prodRecord{t: int64(i), cluster: int8(i % 2)} // latency class 0
 	}
-	u := &uop{nsrc: 2, src: [3]int32{0, 2}, srcTC: [3]bool{false, true}, memDep: -1, minExe: 3}
+	u := &uop{op: 2 << opNsrcShift, dep: [4]int32{0 << 1, 2<<1 | 1, -1, -1}, minExe: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.earliestReadyFrom(u, int64(i%8))

@@ -8,10 +8,11 @@ import (
 )
 
 // Buffers holds every per-run allocation a Simulator needs — the per-trace
-// dependence and timing slices, the uop slab, the fetch ring, the cache
-// hierarchy, and the branch predictor — so sweep drivers that simulate many
-// cells back to back (figure benchmarks, the sampler's measurement windows)
-// reuse memory instead of reallocating ~100 bytes per trace entry per cell.
+// timing slices, the trace's decode when the run is given no shared one,
+// the uop slab, the fetch ring, the cache hierarchy, and the branch
+// predictor — so sweep drivers that simulate many cells back to back
+// (figure benchmarks, the sampler's measurement windows) reuse memory
+// instead of reallocating tens of bytes per trace entry per cell.
 //
 // A Buffers is owned by one run at a time: it is NOT safe for concurrent
 // use. Concurrent drivers keep one per worker (experiments.Harness does this
@@ -20,15 +21,14 @@ type Buffers struct {
 	prod        []prodRecord
 	done        []int64
 	dispCluster []int8
-	srcIdx      [][3]int32
-	srcTC       [][3]bool
-	nsrc        []int8
-	memDep      []int32
 	waiterHead  []int32
 	pool        []uop
 	fetchQ      []fetchEntry
 	calBuf      []int32
-	lastStore   map[uint64]int32
+
+	// dec and lastStore hold the decode of a run given no Options.Decoded.
+	dec       Decoded
+	lastStore map[uint64]int32
 
 	hier    *mem.Hierarchy
 	hierCfg mem.HierarchyConfig
@@ -46,6 +46,15 @@ func grown[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// decode decodes trace into the buffer's own Decoded.
+func (b *Buffers) decode(trace []emu.TraceEntry) *Decoded {
+	if b.lastStore == nil {
+		b.lastStore = make(map[uint64]int32)
+	}
+	b.dec.decodeInto(trace, b.lastStore)
+	return &b.dec
 }
 
 // hierarchy returns a reset hierarchy for cfg, reusing the cached one when

@@ -14,9 +14,11 @@
 // Run on a reused buffer set. Options carries everything a run can vary —
 // the scheduler backend, the program image, a stage timeline to fill, the
 // warm-up/measurement split with checkpoint-warmed cache and predictor
-// state, and the buffers. Callers that arm the lockstep oracle or a fault
-// plan do so on the simulator New returns, before Simulate; a windowed run's
-// split is read afterwards with Simulator.Window.
+// state, the buffers, and the trace's shared static decode (Decode), which
+// the experiment harness builds once per workload trace for every cell to
+// read. Callers that arm the lockstep oracle or a fault plan do so on the
+// simulator New returns, before Simulate; a windowed run's split is read
+// afterwards with Simulator.Window.
 //
 // Substitution note (see DESIGN.md §3): simulation is driven by the
 // committed trace. By default wrong-path instructions do not contend for
@@ -88,14 +90,19 @@ type prodRecord struct {
 	// t is the cycle the result exists (end of the final EXE stage);
 	// -1 until the producer issues.
 	t int64
-	// rbSched / tcSched are availability schedules (offsets from t) for
-	// RB-capable and TC-requiring consumers.
-	rbSched, tcSched bypass.Schedule
 	// cluster is the producing cluster.
 	cluster int8
 	// outRB marks a redundant binary result (Table 1 output format).
 	outRB bool
+	// sched is the row of Simulator.resultSched holding the result's
+	// availability schedules (offsets from t): its latency class, or
+	// loadDataSched for load data.
+	sched uint8
 }
+
+// loadDataSched is the resultSched row of load data, which arrives in 2's
+// complement from the cache and is seamless for every consumer.
+const loadDataSched = uint8(isa.NumLatencyClasses)
 
 // nilID terminates every intrusive uop list.
 const nilID = int32(-1)
@@ -113,31 +120,29 @@ const (
 // allocated once per run and are threaded through intrusive lists (per
 // scheduler residency, per-scheduler ready list, per-producer waiter
 // chains), so the steady-state issue loop allocates and copies nothing.
+// Its static facts are the entry's decoded op word and dependence record
+// (see Decoded), the memory dependence masked off when the machine does not
+// model it.
 type uop struct {
-	idx        int32 // trace index; -1 for wrong-path instructions
-	cluster    int8
-	mispredict bool
-	wp         bool // wrong-path instruction (squashed at branch resolution)
-	isLoad     bool
-	isStore    bool
-	latency    machine.LatencyEntry
-	class      isa.LatencyClass
-	minExe     int64 // earliest EXE-start cycle (dispatch + schedule + RF read)
-	nsrc       int8
-	src        [3]int32 // producer trace indices; -1 = ready at dispatch
-	srcTC      [3]bool  // operand requires the TC schedule
-	memDep     int32    // older memory instruction this one must follow; -1 = none
-	wpEA       uint64   // wrong-path effective address (loads only)
+	idx    int32    // trace index; -1 for wrong-path instructions
+	sched  int32    // owning scheduler
+	minExe int64    // earliest EXE-start cycle (dispatch + schedule + RF read)
+	seq    int64    // global dispatch order (age for oldest-first select)
+	wpEA   uint64   // wrong-path effective address (loads only)
+	dep    [4]int32 // producer slots, then the memory dependence (depMem)
 
 	// Intrusive bookkeeping.
-	seq        int64    // global dispatch order (age for oldest-first select)
-	sched      int32    // owning scheduler
-	state      uint8    // uopFree / uopWaiting / uopQueued / uopReady / uopDead
-	pending    int8     // event backend: unsatisfied wakeup sources
+	waitNext   [4]int32 // per-source waiter-chain links (slot 3 = memory dependence)
 	prev, next int32    // scheduler resident list (age order); next doubles as the free-list link
 	rdyPrev    int32    // scheduler ready list (age order)
 	rdyNext    int32    //
-	waitNext   [4]int32 // per-source waiter-chain links (slot 3 = memory dependence)
+
+	op         opWord
+	cluster    int8
+	mispredict bool
+	wp         bool  // wrong-path instruction (squashed at branch resolution)
+	state      uint8 // uopFree / uopWaiting / uopQueued / uopReady / uopDead
+	pending    int8  // event backend: unsatisfied wakeup sources
 }
 
 // schedList is one scheduler's intrusive state: the resident entries in age
@@ -156,7 +161,6 @@ type fetchEntry struct {
 	fetchCycle int64
 	mispredict bool
 	wpOp       isa.Op // opcode for wrong-path entries
-	wpIsLoad   bool
 	wpEA       uint64 // wrong-path effective address
 }
 
@@ -169,8 +173,14 @@ type Simulator struct {
 	cfg     machine.Config
 	backend Backend
 	trace   []emu.TraceEntry
+	dec     *Decoded
 	hier    *mem.Hierarchy
 	pred    *branch.Predictor
+
+	// resultSched holds, per latency class (and loadDataSched), the
+	// availability schedules a result offers RB-capable and TC-requiring
+	// consumers — indexed by a producer slot's TC bit.
+	resultSched [loadDataSched + 1][2]bypass.Schedule
 
 	prod        []prodRecord
 	done        []int64 // retire-eligibility cycle per trace index; -1 = not finished
@@ -299,6 +309,10 @@ type Options struct {
 	Pred *branch.PredictorState
 	// Buffers supplies the per-run allocations; nil takes a fresh set.
 	Buffers *Buffers
+	// Decoded, when non-nil, is the trace's shared static decode (Decode);
+	// it must have been built from this very trace. nil decodes into
+	// Buffers, at a cost per run the shared decode pays once per trace.
+	Decoded *Decoded
 }
 
 // New builds a simulator for a configuration and trace. It is the only
@@ -317,6 +331,11 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 	}
 	if opt.Stages != nil && len(opt.Stages) != n {
 		return nil, fmt.Errorf("core: %d stage records for %d instructions", len(opt.Stages), n)
+	}
+	if opt.Decoded != nil {
+		if err := opt.Decoded.check(trace); err != nil {
+			return nil, err
+		}
 	}
 	buf := opt.Buffers
 	if buf == nil {
@@ -344,6 +363,15 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 	if opt.Measure > 0 && opt.Warmup+opt.Measure < n {
 		s.measureBoundary = int32(opt.Warmup + opt.Measure)
 	}
+	s.dec = opt.Decoded
+	if s.dec == nil {
+		s.dec = buf.decode(trace)
+	}
+	for c := range s.resultSched[:loadDataSched] {
+		s.resultSched[c][0], s.resultSched[c][1] = cfg.Schedules(isa.LatencyClass(c))
+	}
+	full := bypass.FromConfig(bypass.Full(), bypass.RFOffset)
+	s.resultSched[loadDataSched] = [2]bypass.Schedule{full, full}
 	s.hier = buf.hierarchy(cfg.Mem)
 	s.pred = buf.predictor()
 	if opt.Hier != nil {
@@ -545,8 +573,6 @@ func (s *Simulator) Simulate() (*Result, error) {
 	if n == 0 {
 		return s.res, nil
 	}
-	// Precompute per-entry dependence and classification info.
-	srcIdx, srcTC, nsrc, memDep := s.buildDependences()
 	if s.backend == BackendEvent {
 		s.cal = sched.NewCalendar(calendarHorizon)
 		if cap(s.buf.calBuf) == 0 {
@@ -566,7 +592,7 @@ func (s *Simulator) Simulate() (*Result, error) {
 
 	for s.retirePtr < n {
 		s.fetch(cycle)
-		s.dispatch(cycle, srcIdx, srcTC, nsrc, memDep)
+		s.dispatch(cycle)
 		if s.backend == BackendEvent {
 			s.issueEvent(cycle)
 		} else {
@@ -612,9 +638,7 @@ func (s *Simulator) Simulate() (*Result, error) {
 	s.res.L1I = s.hier.L1I().Stats()
 	s.res.L1D = s.hier.L1D().Stats()
 	s.res.L2 = s.hier.L2().Stats()
-	for _, te := range s.trace {
-		s.res.Table1Counts[isa.ClassOf(te.Inst.Op).Row]++
-	}
+	s.res.Table1Counts = s.dec.table1
 	// Hand regrown backing arrays back for the next run.
 	s.buf.pool = s.pool
 	s.buf.calBuf = s.calBuf
@@ -679,70 +703,4 @@ func (s *Simulator) nextActiveCycle(cycle int64) int64 {
 		upd(cycle + 1)
 	}
 	return next
-}
-
-// buildDependences computes, for every trace entry, the trace indices of the
-// producers of its register sources, whether each operand requires the
-// 2's-complement schedule, and — when memory dependences are modeled — the
-// most recent older store a load or store must follow (computed from the
-// trace's exact effective addresses at quadword granularity; real hardware
-// would discover the same orderings in its load/store queue).
-func (s *Simulator) buildDependences() (srcIdx [][3]int32, srcTC [][3]bool, nsrc []int8, memDep []int32) {
-	n := len(s.trace)
-	// Every element read is written first (nsrc/memDep are fully assigned;
-	// srcIdx/srcTC are read only below nsrc), so reuse without clearing.
-	s.buf.srcIdx = grown(s.buf.srcIdx, n)
-	s.buf.srcTC = grown(s.buf.srcTC, n)
-	s.buf.nsrc = grown(s.buf.nsrc, n)
-	s.buf.memDep = grown(s.buf.memDep, n)
-	srcIdx, srcTC, nsrc, memDep = s.buf.srcIdx, s.buf.srcTC, s.buf.nsrc, s.buf.memDep
-	if s.buf.lastStore == nil {
-		s.buf.lastStore = make(map[uint64]int32)
-	} else {
-		clear(s.buf.lastStore)
-	}
-	lastStore := s.buf.lastStore
-	var lastWriter [isa.NumRegs]int32
-	for i := range lastWriter {
-		lastWriter[i] = -1
-	}
-	var regs [4]isa.Reg
-	for i, te := range s.trace {
-		cls := te.Inst.EffectiveClass()
-		srcs := te.Inst.Srcs(regs[:0])
-		k := 0
-		for si, r := range srcs {
-			p := lastWriter[r]
-			if p < 0 {
-				continue // initial register state: always ready
-			}
-			srcIdx[i][k] = p
-			// An operand needs the TC schedule when the consuming unit
-			// requires 2's complement (Table 1 In=TC) or it is store data
-			// (Table 3: "3 for stores").
-			needTC := cls.In == isa.FormatTC || (cls.IsStore && si == 0)
-			srcTC[i][k] = needTC
-			k++
-		}
-		nsrc[i] = int8(k)
-		memDep[i] = -1
-		if s.cfg.MemoryDependence && cls.IsMemory() {
-			q0 := te.EA >> 3
-			q1 := (te.EA + 7) >> 3
-			if p, ok := lastStore[q0]; ok {
-				memDep[i] = p
-			}
-			if p, ok := lastStore[q1]; ok && p > memDep[i] {
-				memDep[i] = p
-			}
-			if cls.IsStore {
-				lastStore[q0] = int32(i)
-				lastStore[q1] = int32(i)
-			}
-		}
-		if d, ok := te.Inst.Dest(); ok {
-			lastWriter[d] = int32(i)
-		}
-	}
-	return srcIdx, srcTC, nsrc, memDep
 }

@@ -40,7 +40,7 @@ func (s *Simulator) fetch(cycle int64) {
 				return
 			}
 		}
-		mispredict := s.predictBranch(te)
+		mispredict := s.predictBranch(te, s.dec.ops[s.nextFetch])
 		if s.stages != nil {
 			s.stages[s.nextFetch].Fetch = cycle
 		}
@@ -65,10 +65,9 @@ func (s *Simulator) fetch(cycle int64) {
 // predictBranch consults and trains the predictor for a branch at fetch
 // time, returning whether the front end will follow the wrong path (and so
 // must stall until the branch resolves).
-func (s *Simulator) predictBranch(te *emu.TraceEntry) bool {
-	cls := isa.ClassOf(te.Inst.Op)
+func (s *Simulator) predictBranch(te *emu.TraceEntry, op opWord) bool {
 	switch {
-	case cls.IsCondBranch:
+	case op.has(opCondBranch):
 		s.res.Branches++
 		pred := s.pred.PredictDirection(te.PC)
 		s.pred.UpdateDirection(te.PC, te.Taken)
@@ -112,7 +111,7 @@ func (s *Simulator) predictBranch(te *emu.TraceEntry) bool {
 			return true
 		}
 		return false
-	case cls.IsIndirect: // JMP/JSR via BTB
+	case op.has(opIndirect): // JMP/JSR via BTB
 		s.res.Branches++
 		if te.Inst.Op == isa.JSR {
 			s.pred.PushReturn(te.PC + 1)
@@ -134,7 +133,9 @@ func (s *Simulator) predictBranch(te *emu.TraceEntry) bool {
 }
 
 // dispatch moves instructions from the front-end queue into the schedulers.
-func (s *Simulator) dispatch(cycle int64, srcIdx [][3]int32, srcTC [][3]bool, nsrc []int8, memDep []int32) {
+//
+//rblint:hotpath per-instruction dispatch; the uop is filled in place in its slab slot
+func (s *Simulator) dispatch(cycle int64) {
 	dispatched := 0
 	for s.fqLen > 0 && dispatched < s.cfg.FrontWidth {
 		fe := s.fqFront()
@@ -152,37 +153,22 @@ func (s *Simulator) dispatch(cycle int64, srcIdx [][3]int32, srcTC [][3]bool, ns
 			dispatched++
 			continue
 		}
-		te := &s.trace[fe.idx]
-		cls := te.Inst.EffectiveClass()
-		sched := s.steerTarget(cls, srcIdx[fe.idx], nsrc[fe.idx])
+		op := s.dec.ops[fe.idx]
+		dep := &s.dec.deps[fe.idx]
+		sched := s.steerTarget(op.in(), dep[0], op.nsrc())
 		if s.scheds[sched].n >= s.cfg.SchedulerSize {
 			return // in-order dispatch stalls on a full scheduler
 		}
 		id := s.allocUop()
 		u := &s.pool[id]
-		*u = uop{
-			idx:        fe.idx,
-			cluster:    s.clusterOf(sched),
-			mispredict: fe.mispredict,
-			isLoad:     cls.IsLoad,
-			isStore:    cls.IsStore,
-			latency:    s.cfg.Latency(cls.Latency),
-			class:      cls.Latency,
-			minExe:     cycle + s.cfg.IssueToExecute,
-			nsrc:       nsrc[fe.idx],
-			src:        srcIdx[fe.idx],
-			srcTC:      srcTC[fe.idx],
-			memDep:     memDep[fe.idx],
-			seq:        s.seqCtr,
-			sched:      int32(sched),
-			state:      uopWaiting,
-			prev:       nilID,
-			next:       nilID,
-			rdyPrev:    nilID,
-			rdyNext:    nilID,
-			waitNext:   [4]int32{nilID, nilID, nilID, nilID},
+		s.initUop(u, sched, cycle)
+		u.idx = fe.idx
+		u.op = op
+		u.mispredict = fe.mispredict
+		u.dep = *dep
+		if !s.cfg.MemoryDependence {
+			u.dep[depMem] = -1
 		}
-		s.seqCtr++
 		if s.stages != nil {
 			s.stages[fe.idx].Dispatch = cycle
 		}
@@ -192,7 +178,7 @@ func (s *Simulator) dispatch(cycle int64, srcIdx [][3]int32, srcTC [][3]bool, ns
 		}
 		s.dispCluster[fe.idx] = u.cluster
 		s.fqPop()
-		if s.cfg.ClassSchedulers && cls.In == isa.FormatTC {
+		if s.cfg.ClassSchedulers && op.in() == isa.FormatTC {
 			s.steerCountTC++
 		} else {
 			s.steerCount++
@@ -200,6 +186,29 @@ func (s *Simulator) dispatch(cycle int64, srcIdx [][3]int32, srcTC [][3]bool, ns
 		s.inFlight++
 		dispatched++
 	}
+}
+
+// initUop resets a freshly allocated uop for dispatch into scheduler sched:
+// no trace index, sources or memory dependence yet, unlinked, waiting.
+// Fields are written one by one rather than from a composite literal, which
+// would build the whole uop in a temporary and copy it into the slab.
+func (s *Simulator) initUop(u *uop, sched int, cycle int64) {
+	u.idx = -1
+	u.sched = int32(sched)
+	u.minExe = cycle + s.cfg.IssueToExecute
+	u.seq = s.seqCtr
+	s.seqCtr++
+	u.wpEA = 0
+	u.dep = [4]int32{-1, -1, -1, -1}
+	u.waitNext = [4]int32{nilID, nilID, nilID, nilID}
+	u.prev, u.next = nilID, nilID
+	u.rdyPrev, u.rdyNext = nilID, nilID
+	u.op = 0
+	u.cluster = s.clusterOf(sched)
+	u.mispredict = false
+	u.wp = false
+	u.state = uopWaiting
+	u.pending = 0
 }
 
 // steerTarget picks the scheduler for the next dispatched instruction.
@@ -210,14 +219,17 @@ func (s *Simulator) dispatch(cycle int64, srcIdx [][3]int32, srcTC [][3]bool, ns
 // warranted since these two classes of instructions execute on different
 // functional units"; the 2-cycle latching of wakeup broadcasts between the
 // two groups is the tcIn availability schedule.
-func (s *Simulator) steerTarget(cls isa.Class, src [3]int32, nsrc int8) int {
+//
+// in is the instruction's effective input format and src0 its first
+// producer slot (read only when nsrc > 0).
+func (s *Simulator) steerTarget(in isa.Format, src0 int32, nsrc int8) int {
 	if s.cfg.DependenceSteering && s.cfg.Clusters > 1 && nsrc > 0 {
 		// Paper §4.2 closes by pointing at instruction steering as the way
 		// to tolerate further bypass restrictions; this implements the
 		// standard dependence-based policy: place an instruction in its
 		// first producer's cluster (falling back to round-robin), choosing
 		// the emptier scheduler within the cluster.
-		if c := s.dispCluster[src[0]]; c >= 0 {
+		if c := s.dispCluster[srcIndex(src0)]; c >= 0 {
 			perCluster := s.cfg.NumSchedulers / s.cfg.Clusters
 			best := int(c) * perCluster
 			for i := 1; i < perCluster; i++ {
@@ -231,7 +243,7 @@ func (s *Simulator) steerTarget(cls isa.Class, src [3]int32, nsrc int8) int {
 	}
 	if s.cfg.ClassSchedulers && s.cfg.NumSchedulers >= 2 {
 		half := s.cfg.NumSchedulers / 2
-		if cls.In == isa.FormatTC {
+		if in == isa.FormatTC {
 			return half + int(s.steerCountTC/2)%(s.cfg.NumSchedulers-half)
 		}
 		return int(s.steerCount/2) % half

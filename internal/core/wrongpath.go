@@ -166,7 +166,6 @@ func (s *Simulator) wpExecute(pc int, in isa.Instruction, fe *fetchEntry) {
 		write(in.Ra, s.wpRegs[in.Rb]+uint64(in.Imm)*65536)
 	case cls.IsLoad:
 		ea := s.wpRegs[in.Rb] + uint64(in.Imm)
-		fe.wpIsLoad = true
 		fe.wpEA = ea
 		var v uint64
 		switch in.Op {
@@ -219,31 +218,16 @@ func (s *Simulator) wrongPathNext(pc int, in isa.Instruction) (next int, taken b
 // dispatchWrongPath places one wrong-path fetch entry into a scheduler.
 func (s *Simulator) dispatchWrongPath(fe *fetchEntry, cycle int64) bool {
 	cls := isa.ClassOf(fe.wpOp)
-	sched := s.steerTarget(cls, [3]int32{}, 0)
+	sched := s.steerTarget(cls.In, 0, 0)
 	if s.scheds[sched].n >= s.cfg.SchedulerSize {
 		return false
 	}
 	id := s.allocUop()
 	u := &s.pool[id]
-	*u = uop{
-		idx:      -1,
-		cluster:  s.clusterOf(sched),
-		wp:       true,
-		isLoad:   fe.wpIsLoad,
-		wpEA:     fe.wpEA,
-		latency:  s.cfg.Latency(cls.Latency),
-		class:    cls.Latency,
-		minExe:   cycle + s.cfg.IssueToExecute,
-		seq:      s.seqCtr,
-		sched:    int32(sched),
-		state:    uopWaiting,
-		prev:     nilID,
-		next:     nilID,
-		rdyPrev:  nilID,
-		rdyNext:  nilID,
-		waitNext: [4]int32{nilID, nilID, nilID, nilID},
-	}
-	s.seqCtr++
+	s.initUop(u, sched, cycle)
+	u.wp = true
+	u.op = classOp(cls, 0)
+	u.wpEA = fe.wpEA
 	s.residentPush(sched, id)
 	if s.backend == BackendEvent {
 		// No sources and no memory ordering: issueable at minExe.
@@ -303,8 +287,8 @@ func (s *Simulator) squashWrongPath() {
 // against the window until the squash.
 func (s *Simulator) executeWrongPath(u *uop, cycle int64) {
 	s.res.WrongPathIssued++
-	if u.isLoad {
-		s.hier.Load(u.wpEA, cycle+u.latency.Exec-1)
+	if u.op.has(opLoad) {
+		s.hier.Load(u.wpEA, cycle+s.cfg.Latencies[u.op.latency()].Exec-1)
 		s.res.WrongPathLoads++
 	}
 }

@@ -14,6 +14,10 @@ import (
 )
 
 // TraceEntry records one committed instruction.
+//
+// The two flags sit at the end so the struct packs into 64 bytes: the
+// experiment matrix caches millions of entries, and TestLayoutBudget pins
+// the size so a new field re-budgets that cache on purpose.
 type TraceEntry struct {
 	// Seq is the dynamic instruction number, starting at 0.
 	Seq int64
@@ -24,16 +28,16 @@ type TraceEntry struct {
 	// Result is the value written to the destination register (valid when
 	// HasResult).
 	Result uint64
-	// HasResult reports whether a register was written.
-	HasResult bool
 	// EA is the effective address of a memory access (valid for loads and
 	// stores).
 	EA uint64
+	// NextPC is the instruction index executed next.
+	NextPC int
+	// HasResult reports whether a register was written.
+	HasResult bool
 	// Taken reports the outcome for branch instructions (always true for
 	// unconditional and indirect branches).
 	Taken bool
-	// NextPC is the instruction index executed next.
-	NextPC int
 }
 
 // Emulator holds architectural state.

@@ -124,7 +124,8 @@ func (h *Harness) CacheStats() rcache.Stats { return h.cache.Stats() }
 // RunCell simulates one (machine, workload) cell, memoized under its
 // CellKey: concurrent misses on the same cell block on the winner's
 // simulation instead of duplicating it, and a second config under a cached
-// cell's name is refused (ErrBadCell).
+// cell's name is refused (ErrBadCell). Every cell of a workload shares its
+// cached trace and static decode (workload.Decoded).
 func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.Workload) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -135,9 +136,13 @@ func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.W
 		if err != nil {
 			return nil, err
 		}
+		dec, err := w.Decoded()
+		if err != nil {
+			return nil, err
+		}
 		buf := h.getBuf()
 		defer h.putBuf(buf)
-		r, err := core.Run(cfg, w.Name, trace, core.Options{Backend: h.Backend, Buffers: buf})
+		r, err := core.Run(cfg, w.Name, trace, core.Options{Backend: h.Backend, Buffers: buf, Decoded: dec})
 		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
 		}

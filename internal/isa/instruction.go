@@ -23,11 +23,13 @@ type Instruction struct {
 	Ra Reg
 	Rb Reg
 	Rc Reg
+	// UseImm selects the literal instead of Rb for operate instructions.
+	// It sits beside the byte-sized fields so the struct packs into 16
+	// bytes (TestLayoutBudget pins the size).
+	UseImm bool
 	// Imm is the literal second operand (UseImm true), the memory/LDA
 	// displacement, or the branch displacement in instructions.
 	Imm int64
-	// UseImm selects the literal instead of Rb for operate instructions.
-	UseImm bool
 }
 
 // Class returns the paper classification of the instruction's opcode.

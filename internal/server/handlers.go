@@ -276,6 +276,10 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return cachedResponse{}, err
 		}
+		dec, err := wl.Decoded()
+		if err != nil {
+			return cachedResponse{}, err
+		}
 		// The program image lets wrong-path=true fetch down the wrong path.
 		prog, err := wl.Program()
 		if err != nil {
@@ -286,7 +290,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 			rerr error
 		)
 		if err := s.runInPool(r.Context(), func() {
-			res, rerr = core.Run(cfg, wl.Name, trace, core.Options{Backend: backend, Program: prog})
+			res, rerr = core.Run(cfg, wl.Name, trace, core.Options{Backend: backend, Program: prog, Decoded: dec})
 		}); err != nil {
 			return cachedResponse{}, err
 		}

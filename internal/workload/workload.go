@@ -17,8 +17,10 @@
 // concurrent first calls for one workload coalesce rather than duplicate
 // work), and every caller receives the same cached program and trace slice —
 // callers treat them as immutable, which the simulator does (it only reads
-// the trace). This is what lets the experiment harness and rbserve fan
-// (machine, workload) cells across a worker pool without copying traces.
+// the trace). Decoded builds each trace's static decode once, under a
+// per-workload Once rather than the cache mutex. This is what lets the
+// experiment harness and rbserve fan (machine, workload) cells across a
+// worker pool without copying traces.
 package workload
 
 import (
@@ -27,6 +29,7 @@ import (
 	"sync"
 
 	"repro/internal/asm"
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
 )
@@ -53,7 +56,25 @@ func (w *Workload) Program() (*isa.Program, error) {
 // Trace runs the workload to completion on the functional emulator and
 // returns the committed instruction stream (cached).
 func (w *Workload) Trace() ([]emu.TraceEntry, error) {
-	return traceCache.get(w)
+	e, err := traceCache.get(w)
+	if err != nil {
+		return nil, err
+	}
+	return e.trace, nil
+}
+
+// Decoded returns the static decode of the workload's trace (core.Decode),
+// built on first use and cached beside the trace: every simulation of the
+// workload shares it through core.Options.Decoded.
+func (w *Workload) Decoded() (*core.Decoded, error) {
+	e, err := traceCache.get(w)
+	if err != nil {
+		return nil, err
+	}
+	// Built outside the cache mutex, which every cell takes: concurrent
+	// first callers for this workload wait on its Once, no one else waits.
+	e.decOnce.Do(func() { e.dec = core.Decode(e.trace) })
+	return e.dec, nil
 }
 
 // InstCount is the workload's dynamic instruction count (cached). Unlike
@@ -112,16 +133,23 @@ func (c *progCache) get(w *Workload) (*isa.Program, error) {
 
 type trCache struct {
 	mu sync.Mutex
-	m  map[string][]emu.TraceEntry
+	m  map[string]*traceEntry
 }
 
-var traceCache = &trCache{m: map[string][]emu.TraceEntry{}}
+// traceEntry is one workload's cached trace and its lazily built decode.
+type traceEntry struct {
+	trace   []emu.TraceEntry
+	decOnce sync.Once
+	dec     *core.Decoded
+}
 
-func (c *trCache) get(w *Workload) ([]emu.TraceEntry, error) {
+var traceCache = &trCache{m: map[string]*traceEntry{}}
+
+func (c *trCache) get(w *Workload) (*traceEntry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t, ok := c.m[w.Name]; ok {
-		return t, nil
+	if e, ok := c.m[w.Name]; ok {
+		return e, nil
 	}
 	p, err := programCache.get(w)
 	if err != nil {
@@ -131,8 +159,9 @@ func (c *trCache) get(w *Workload) ([]emu.TraceEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
-	c.m[w.Name] = t
-	return t, nil
+	e := &traceEntry{trace: t}
+	c.m[w.Name] = e
+	return e, nil
 }
 
 // SPECint95 returns the eight SPECint95-flavored workloads.

@@ -52,10 +52,11 @@ go test -run '^$' -fuzz '^FuzzLockstep$' -fuzztime 5s ./internal/check/
 go test -run '^$' -fuzz '^FuzzCheckpointRoundtrip$' -fuzztime 5s ./internal/ckpt/
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/grid/
 # Focused race leg: the packages with real cross-goroutine traffic (worker
-# pool, response cache, HTTP service, fault campaigns) get a second -race
-# shake beyond the one-shot full run above, to catch schedule-dependent
-# races like Submit-vs-Close.
-go test -race -count=2 -timeout 20m ./internal/pool/ ./internal/rcache/ ./internal/server/ ./internal/fault/ ./internal/grid/
+# pool, response cache, HTTP service, fault campaigns, and the per-trace
+# decode every concurrent cell reads) get a second -race shake beyond the
+# one-shot full run above, to catch schedule-dependent races like
+# Submit-vs-Close.
+go test -race -count=2 -timeout 20m ./internal/pool/ ./internal/rcache/ ./internal/server/ ./internal/fault/ ./internal/grid/ ./internal/core/ ./internal/workload/
 
 # rbserve smoke test: boot the server on an ephemeral port, probe liveness
 # and metrics with its built-in client (no curl dependency), and require the
