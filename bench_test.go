@@ -38,18 +38,25 @@ import (
 // no memoization, so the reported time is the true regeneration cost, and
 // reports the figure's headline number as a custom metric.
 
-// traceOf returns the workload's cached trace, building it and its shared
-// decode on first use (so callers warm both outside the timed region).
+// traceOf returns a full trace of the workload.
 func traceOf(b *testing.B, w *workload.Workload) []emu.TraceEntry {
 	b.Helper()
 	t, err := w.Trace()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := w.Decoded(); err != nil {
+	return t
+}
+
+// decodedOf returns the workload's cached timing trace, building it on first
+// use (so callers warm it outside the timed region).
+func decodedOf(b *testing.B, w *workload.Workload) *core.Decoded {
+	b.Helper()
+	dec, err := w.Decoded()
+	if err != nil {
 		b.Fatal(err)
 	}
-	return t
+	return dec
 }
 
 // benchBuffers is shared by every cell the benchmarks run: the simulator's
@@ -59,14 +66,10 @@ func traceOf(b *testing.B, w *workload.Workload) []emu.TraceEntry {
 var benchBuffers = core.NewBuffers()
 
 // runCell simulates one cell as the experiment harness does: on reused
-// buffers and the workload's shared decode.
+// buffers and the workload's shared timing trace.
 func runCell(b *testing.B, cfg machine.Config, w *workload.Workload) *core.Result {
 	b.Helper()
-	dec, err := w.Decoded()
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := core.Run(cfg, w.Name, traceOf(b, w), core.Options{Buffers: benchBuffers, Decoded: dec})
+	r, err := core.Run(cfg, w.Name, nil, core.Options{Buffers: benchBuffers, Decoded: decodedOf(b, w)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func runCell(b *testing.B, cfg machine.Config, w *workload.Workload) *core.Resul
 // speedup over Baseline.
 func benchIPCFigure(b *testing.B, width int, wls []*workload.Workload) {
 	for _, w := range wls {
-		traceOf(b, w) // warm the trace cache outside the timed region
+		decodedOf(b, w) // warm the trace cache outside the timed region
 	}
 	b.ResetTimer()
 	var speedup float64
@@ -105,7 +108,7 @@ func BenchmarkFigure12(b *testing.B) { benchIPCFigure(b, 4, workload.SPECint95()
 func BenchmarkFigure13(b *testing.B) {
 	wls := workload.SPECint2000()
 	for _, w := range wls {
-		traceOf(b, w)
+		decodedOf(b, w)
 	}
 	cfg := machine.NewRBFull(8)
 	b.ResetTimer()
@@ -133,7 +136,7 @@ func BenchmarkFigure13(b *testing.B) {
 func BenchmarkFigure14(b *testing.B) {
 	wls := workload.All()
 	for _, w := range wls {
-		traceOf(b, w)
+		decodedOf(b, w)
 	}
 	b.ResetTimer()
 	var no2Loss float64
@@ -188,7 +191,7 @@ func BenchmarkTable1Classification(b *testing.B) {
 // BenchmarkAblationConversionLatency sweeps the RB->TC converter depth.
 func BenchmarkAblationConversionLatency(b *testing.B) {
 	w, _ := workload.ByName("vortex00")
-	traceOf(b, w)
+	decodedOf(b, w)
 	for _, conv := range []int64{1, 2, 3} {
 		b.Run(fmt.Sprintf("conv%d", conv), func(b *testing.B) {
 			cfg := machine.NewRBFull(8)
@@ -211,7 +214,7 @@ func BenchmarkAblationConversionLatency(b *testing.B) {
 // schedulers against one monolithic window with the same total capacity.
 func BenchmarkAblationSchedulers(b *testing.B) {
 	w, _ := workload.ByName("go")
-	traceOf(b, w)
+	decodedOf(b, w)
 	cases := []struct {
 		name           string
 		num, size, sel int
@@ -242,7 +245,7 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 // BenchmarkAblationCluster measures the 8-wide machine's clustering penalty.
 func BenchmarkAblationCluster(b *testing.B) {
 	w, _ := workload.ByName("ijpeg")
-	traceOf(b, w)
+	decodedOf(b, w)
 	for _, clustered := range []bool{true, false} {
 		name := "clustered"
 		if !clustered {
@@ -268,7 +271,7 @@ func BenchmarkAblationCluster(b *testing.B) {
 // generation) against a conventional decoder that needs the full add first.
 func BenchmarkAblationSAM(b *testing.B) {
 	w, _ := workload.ByName("mcf")
-	traceOf(b, w)
+	decodedOf(b, w)
 	for _, sam := range []bool{true, false} {
 		name := "sam"
 		if !sam {
@@ -361,8 +364,8 @@ func BenchmarkBranchPredictor(b *testing.B) {
 
 // BenchmarkSimulatorThroughput reports simulated instructions per second for
 // the full 8-wide RB machine on two paths: per-run is an uncached one-off
-// run (fresh buffers, the trace decoded inside the run), shared-decode the
-// harness's path (reused buffers and the workload's shared decode).
+// run (fresh buffers, the full trace decoded inside the run), shared-decode
+// the harness's path (reused buffers and the workload's shared timing trace).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	w, _ := workload.ByName("gcc00")
 	tr := traceOf(b, w)
@@ -382,7 +385,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		buf := core.NewBuffers()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(cfg, w.Name, tr, core.Options{Buffers: buf, Decoded: dec}); err != nil {
+			if _, err := core.Run(cfg, w.Name, nil, core.Options{Buffers: buf, Decoded: dec}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -409,7 +412,7 @@ func BenchmarkEmulator(b *testing.B) {
 // against the §4.3 class-partitioned schedulers on the RB machine.
 func BenchmarkAblationClassSchedulers(b *testing.B) {
 	w, _ := workload.ByName("crafty")
-	traceOf(b, w)
+	decodedOf(b, w)
 	for _, split := range []bool{false, true} {
 		name := "unified"
 		if split {
@@ -432,7 +435,7 @@ func BenchmarkAblationClassSchedulers(b *testing.B) {
 // policy against round-robin on the clustered 8-wide machine.
 func BenchmarkAblationDependenceSteering(b *testing.B) {
 	w, _ := workload.ByName("go")
-	traceOf(b, w)
+	decodedOf(b, w)
 	for _, dep := range []bool{false, true} {
 		name := "round-robin"
 		if dep {
@@ -512,7 +515,7 @@ func BenchmarkSweepChainLength(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			traceOf(b, w)
+			decodedOf(b, w)
 			var ratio float64
 			for i := 0; i < b.N; i++ {
 				base := runCell(b, machine.NewBaseline(4), w)

@@ -22,8 +22,8 @@ import (
 // statistics, the lot — for every (machine × workload) cell of the
 // experiment matrix, plus per-instruction stage timelines, a wrong-path
 // (squash-under-issue) cell, and a checkpoint-warmed sampling window. Each
-// matrix cell also gets a shared-decode leg: the harness's runs on the
-// workload's cached decode must equal runs that decode per run.
+// matrix cell also gets a timing-trace leg: the harness's runs on the
+// workload's cached timing trace alone must equal runs on the full trace.
 
 // backendWorkloads selects the matrix rows per tier.
 func backendWorkloads(opts Options) []*workload.Workload {
@@ -53,9 +53,9 @@ func Backends(opts Options) []Report {
 				func() (int64, string, error) {
 					return backendMatrixCell(w, width)
 				}))
-			out = append(out, run("backends", fmt.Sprintf("shared-vs-per-run-decode/%s/width-%d", w.Name, width),
+			out = append(out, run("backends", fmt.Sprintf("timing-vs-full-trace/%s/width-%d", w.Name, width),
 				func() (int64, string, error) {
-					return backendSharedDecode(w, width)
+					return backendTimingTrace(w, width)
 				}))
 		}
 	}
@@ -70,19 +70,20 @@ func Backends(opts Options) []Report {
 }
 
 // backendMatrixCell runs every machine model of one matrix cell under both
-// backends and requires bit-identical results.
+// backends, on the workload's timing trace as the harness does, and
+// requires bit-identical results.
 func backendMatrixCell(w *workload.Workload, width int) (int64, string, error) {
-	trace, err := w.Trace()
+	dec, err := w.Decoded()
 	if err != nil {
 		return 0, "", err
 	}
 	var trials int64
 	for _, cfg := range machine.All(width) {
-		rEvent, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendEvent})
+		rEvent, err := core.Run(cfg, w.Name, nil, core.Options{Backend: core.BackendEvent, Decoded: dec})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s event: %w", cfg.Name, err)
 		}
-		rPoll, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendPoll})
+		rPoll, err := core.Run(cfg, w.Name, nil, core.Options{Backend: core.BackendPoll, Decoded: dec})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s poll: %w", cfg.Name, err)
 		}
@@ -91,15 +92,15 @@ func backendMatrixCell(w *workload.Workload, width int) (int64, string, error) {
 		}
 		trials++
 	}
-	return trials, fmt.Sprintf("%d machines bit-identical over %d instructions", trials, len(trace)), nil
+	return trials, fmt.Sprintf("%d machines bit-identical over %d instructions", trials, dec.Len()), nil
 }
 
-// backendSharedDecode runs every machine model of one matrix cell through
-// the experiment harness — which simulates on the workload's shared,
-// cached decode (workload.Decoded) — and again on a run that decodes the
-// trace itself, and requires bit-identical results: a drift between the
-// two decode paths fails here, not only in the core unit tests.
-func backendSharedDecode(w *workload.Workload, width int) (int64, string, error) {
+// backendTimingTrace runs every machine model of one matrix cell through
+// the experiment harness — which simulates on the workload's shared, cached
+// timing trace alone (workload.Decoded) — and again on the full trace,
+// decoded inside the run, and requires bit-identical results: a drift
+// between the two inputs fails here, not only in the core unit tests.
+func backendTimingTrace(w *workload.Workload, width int) (int64, string, error) {
 	trace, err := w.Trace()
 	if err != nil {
 		return 0, "", err
@@ -108,20 +109,20 @@ func backendSharedDecode(w *workload.Workload, width int) (int64, string, error)
 	defer h.Close()
 	var trials int64
 	for _, cfg := range machine.All(width) {
-		shared, err := h.RunCell(context.Background(), cfg, w)
+		timing, err := h.RunCell(context.Background(), cfg, w)
 		if err != nil {
 			return trials, "", fmt.Errorf("%s harness: %w", cfg.Name, err)
 		}
-		perRun, err := core.Run(cfg, w.Name, trace, core.Options{})
+		full, err := core.Run(cfg, w.Name, trace, core.Options{})
 		if err != nil {
-			return trials, "", fmt.Errorf("%s per-run: %w", cfg.Name, err)
+			return trials, "", fmt.Errorf("%s full trace: %w", cfg.Name, err)
 		}
-		if err := diffResults(cfg.Name, "shared decode", "per-run decode", shared, perRun); err != nil {
+		if err := diffResults(cfg.Name, "timing trace", "full trace", timing, full); err != nil {
 			return trials, "", err
 		}
 		trials++
 	}
-	return trials, fmt.Sprintf("%d machines bit-identical on the shared decode over %d instructions", trials, len(trace)), nil
+	return trials, fmt.Sprintf("%d machines bit-identical on the timing trace over %d instructions", trials, len(trace)), nil
 }
 
 // backendStages compares the full per-instruction pipeline timelines (fetch,
@@ -133,17 +134,17 @@ func backendStages(opts Options) (int64, string, error) {
 	if !ok {
 		return 0, "", fmt.Errorf("workload compress missing")
 	}
-	trace, err := w.Trace()
+	dec, err := w.Decoded()
 	if err != nil {
 		return 0, "", err
 	}
 	cfg := machine.NewRBLimited(8) // holes + clustering: the hardest schedule
-	stEvent, stPoll := make([]core.StageRecord, len(trace)), make([]core.StageRecord, len(trace))
-	rEvent, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendEvent, Stages: stEvent})
+	stEvent, stPoll := make([]core.StageRecord, dec.Len()), make([]core.StageRecord, dec.Len())
+	rEvent, err := core.Run(cfg, w.Name, nil, core.Options{Backend: core.BackendEvent, Stages: stEvent, Decoded: dec})
 	if err != nil {
 		return 0, "", fmt.Errorf("event: %w", err)
 	}
-	rPoll, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendPoll, Stages: stPoll})
+	rPoll, err := core.Run(cfg, w.Name, nil, core.Options{Backend: core.BackendPoll, Stages: stPoll, Decoded: dec})
 	if err != nil {
 		return 0, "", fmt.Errorf("poll: %w", err)
 	}

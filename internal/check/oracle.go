@@ -11,7 +11,7 @@ import (
 )
 
 // The oracle layer: lockstep replay of committed instructions through the
-// functional reference (core.Simulator.EnableOracle), plus a fault-injection
+// functional reference (core.Options.Oracle), plus a fault-injection
 // self-test that proves the oracle actually detects a corrupted datapath.
 
 // oracleWorkloads are the benchmarks the lockstep checks replay: a mix of
@@ -54,12 +54,7 @@ func Oracle(opts Options) []Report {
 					if err != nil {
 						return 0, "", err
 					}
-					s, err := core.New(cfg, w.Name, trace, core.Options{})
-					if err != nil {
-						return 0, "", err
-					}
-					s.EnableOracle(prog)
-					r, err := s.Simulate()
+					r, err := core.Run(cfg, w.Name, trace, core.Options{Oracle: prog})
 					if err != nil {
 						return 0, "", err
 					}
@@ -107,11 +102,10 @@ func faultInjectionCheck() (int64, string, error) {
 // runWithFault runs one lockstep simulation with an injected single-digit
 // fault and returns the divergence the oracle must produce.
 func runWithFault(cfg machine.Config, prog *isa.Program, trace traceT, seq int64, digit int) (*core.DivergenceError, error) {
-	s, err := core.New(cfg, "fault-injection", trace, core.Options{})
+	s, err := core.New(cfg, "fault-injection", trace, core.Options{Oracle: prog})
 	if err != nil {
 		return nil, err
 	}
-	s.EnableOracle(prog)
 	s.InjectFault(seq, digit)
 	_, err = s.Simulate()
 	if err == nil {

@@ -271,7 +271,7 @@ func (s *Simulator) wakeDependents(pi int32, cycle int64) {
 // execute models the granted instruction's execution, records its result
 // availability, and accounts statistics.
 //
-//rblint:hotpath per-instruction execute; reads the decoded op word, copies no trace entry
+//rblint:hotpath per-instruction execute; reads the uop's op word and address, never the trace
 func (s *Simulator) execute(u *uop, cycle int64) {
 	s.accountBypass(u, cycle)
 
@@ -280,9 +280,9 @@ func (s *Simulator) execute(u *uop, cycle int64) {
 	exeEnd := cycle + s.cfg.Latencies[class].Exec - 1
 	switch {
 	case op.has(opLoad):
-		exeEnd = s.hier.Load(s.trace[u.idx].EA, exeEnd)
+		exeEnd = s.hier.Load(u.ea, exeEnd)
 	case op.has(opStore):
-		s.hier.Store(s.trace[u.idx].EA, exeEnd)
+		s.hier.Store(u.ea, exeEnd)
 	}
 	s.done[u.idx] = exeEnd
 	if s.stages != nil {
@@ -386,7 +386,7 @@ func (s *Simulator) accountBypass(u *uop, cycle int64) {
 // retire commits finished instructions in order, up to RetireWidth per
 // cycle, and runs the redundant binary datapath check as values commit.
 func (s *Simulator) retire(cycle int64) {
-	n := int32(len(s.trace))
+	n := s.n
 	for retired := 0; retired < s.cfg.RetireWidth && s.retirePtr < n; retired++ {
 		d := s.done[s.retirePtr]
 		if d < 0 || d >= cycle {

@@ -26,9 +26,8 @@ type Buffers struct {
 	fetchQ      []fetchEntry
 	calBuf      []int32
 
-	// dec and lastStore hold the decode of a run given no Options.Decoded.
-	dec       Decoded
-	lastStore map[uint64]int32
+	// dec decodes the full trace of a run given no Options.Decoded.
+	dec Decoder
 
 	hier    *mem.Hierarchy
 	hierCfg mem.HierarchyConfig
@@ -48,13 +47,13 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// decode decodes trace into the buffer's own Decoded.
-func (b *Buffers) decode(trace []emu.TraceEntry) *Decoded {
-	if b.lastStore == nil {
-		b.lastStore = make(map[uint64]int32)
+// decode decodes a full trace into the buffer's own Decoder.
+func (b *Buffers) decode(trace []emu.TraceEntry) (*Decoded, error) {
+	b.dec.reset(len(trace))
+	for i := range trace {
+		b.dec.Add(&trace[i])
 	}
-	b.dec.decodeInto(trace, b.lastStore)
-	return &b.dec
+	return b.dec.decoded()
 }
 
 // hierarchy returns a reset hierarchy for cfg, reusing the cached one when

@@ -11,14 +11,17 @@
 //
 // There is one way in: New(cfg, workload, trace, Options) builds a
 // simulator and Simulate runs it; Run is the two in one, and Buffers.Run is
-// Run on a reused buffer set. Options carries everything a run can vary —
-// the scheduler backend, the program image, a stage timeline to fill, the
-// warm-up/measurement split with checkpoint-warmed cache and predictor
-// state, the buffers, and the trace's shared static decode (Decode), which
-// the experiment harness builds once per workload trace for every cell to
-// read. Callers that arm the lockstep oracle or a fault plan do so on the
-// simulator New returns, before Simulate; a windowed run's split is read
-// afterwards with Simulator.Window.
+// Run on a reused buffer set. A run reads one input: either a full trace,
+// which it decodes into its buffers, or a shared timing trace
+// (Options.Decoded, see Decoder), which the experiment harness builds once
+// per workload for every cell to read. Options carries everything else a
+// run can vary — the scheduler backend, the program image, the lockstep
+// oracle and a fault plan, a stage timeline to fill, the warm-up/measurement
+// split with checkpoint-warmed cache and predictor state, and the buffers.
+// The checking modes (the datapath check, the oracle, fault plans and
+// wrong-path fetch) read result values only the full trace holds, so New
+// refuses them on a timing trace. A windowed run's split is read afterwards
+// with Simulator.Window.
 //
 // Substitution note (see DESIGN.md §3): simulation is driven by the
 // committed trace. By default wrong-path instructions do not contend for
@@ -128,7 +131,7 @@ type uop struct {
 	sched  int32    // owning scheduler
 	minExe int64    // earliest EXE-start cycle (dispatch + schedule + RF read)
 	seq    int64    // global dispatch order (age for oldest-first select)
-	wpEA   uint64   // wrong-path effective address (loads only)
+	ea     uint64   // effective address (loads and stores)
 	dep    [4]int32 // producer slots, then the memory dependence (depMem)
 
 	// Intrusive bookkeeping.
@@ -172,7 +175,8 @@ const calendarHorizon = 512
 type Simulator struct {
 	cfg     machine.Config
 	backend Backend
-	trace   []emu.TraceEntry
+	n       int32            // trace entries
+	trace   []emu.TraceEntry // the full trace; nil on a timing trace
 	dec     *Decoded
 	hier    *mem.Hierarchy
 	pred    *branch.Predictor
@@ -208,6 +212,7 @@ type Simulator struct {
 	fetchQCap int
 
 	nextFetch        int32
+	nextMem          int32 // memory-op ordinal of the next load or store to dispatch
 	fetchBlockedIdx  int32 // trace index of unresolved mispredicted branch; -1 = none
 	fetchBlockedTill int64
 	lastFetchLine    int64
@@ -232,7 +237,7 @@ type Simulator struct {
 
 	res *Result
 
-	// Lockstep oracle state (EnableOracle): a functional reference emulator
+	// Lockstep oracle state (Options.Oracle): a functional reference emulator
 	// stepped once per committed instruction, the committed architectural
 	// register view it is compared against, and the first divergence found.
 	// faultSeq/faultDigit arm a single injected write-back fault
@@ -247,7 +252,7 @@ type Simulator struct {
 	// supplies Options.Stages (used by the pipeline-diagram renderer).
 	stages []StageRecord
 
-	// Fault-injection state (ArmFaults) and the no-progress window before
+	// Fault-injection state (Options.Faults) and the no-progress window before
 	// the lost-wakeup watchdog fires.
 	faultState
 	watchdogWindow int64
@@ -278,14 +283,22 @@ type StageRecord struct {
 }
 
 // Options configures one simulation. The zero value runs the event-driven
-// backend over the trace alone, cold, on fresh buffers.
+// backend over the full trace alone, cold, on fresh buffers.
 type Options struct {
 	// Backend selects the scheduler backend (zero value: BackendEvent).
 	Backend Backend
 	// Program is the static image the trace was captured from. Wrong-path
-	// fetch (machine.Config.ModelWrongPath) needs it; without it a
-	// misprediction stalls fetch until the branch resolves.
+	// fetch (machine.Config.ModelWrongPath) needs it, and the full trace;
+	// without it a misprediction stalls fetch until the branch resolves.
 	Program *isa.Program
+	// Oracle, when non-nil, arms the lockstep oracle: it must be the
+	// program the trace was produced from. Every retired instruction is
+	// then replayed on a reference emulator and cross-checked before it
+	// commits. Needs the full trace.
+	Oracle *isa.Program
+	// Faults, when non-nil, arms a fault plan; Simulator.Faults returns its
+	// outcome, complete when Simulate returns. Needs the full trace.
+	Faults *FaultPlan
 	// Stages, when non-nil, must hold one record per trace entry; the run
 	// fills in each instruction's pipeline timing (unreached stages stay
 	// -1), for pipeline-diagram rendering (paper Figures 5 and 7).
@@ -309,20 +322,45 @@ type Options struct {
 	Pred *branch.PredictorState
 	// Buffers supplies the per-run allocations; nil takes a fresh set.
 	Buffers *Buffers
-	// Decoded, when non-nil, is the trace's shared static decode (Decode);
-	// it must have been built from this very trace. nil decodes into
+	// Decoded, when non-nil, is the run's input: a shared timing trace
+	// (Decoder, workload.Decoded), and New must then be given no full trace.
+	// A decode holds, per entry, a 16-byte dependence record, a 32-bit op
+	// word (formats, latency class, flags, branch kind and outcome) and a
+	// 32-bit PC, and 8 bytes of effective address per load or store: about
+	// 25 bytes against emu.TraceEntry's 64. nil decodes the full trace into
 	// Buffers, at a cost per run the shared decode pays once per trace.
 	Decoded *Decoded
 }
 
-// New builds a simulator for a configuration and trace. It is the only
-// constructor: Run, Buffers.Run and every caller that arms the oracle or a
-// fault plan before Simulate go through it.
+// New builds a simulator for a configuration and its input: a full trace,
+// or nil and a timing trace in opt.Decoded. It is the only constructor: Run
+// and Buffers.Run go through it.
 func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Options) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(trace)
+	buf := opt.Buffers
+	if buf == nil {
+		buf = NewBuffers()
+	}
+	dec := opt.Decoded
+	if dec != nil {
+		if trace != nil {
+			return nil, fmt.Errorf("core: a run reads a full trace or a timing trace, not both")
+		}
+		if dec.err != nil {
+			return nil, dec.err
+		}
+		if mode := fullTraceMode(cfg, opt); mode != "" {
+			return nil, fmt.Errorf("core: %s needs the full trace; a timing trace has no result values", mode)
+		}
+	} else {
+		var err error
+		if dec, err = buf.decode(trace); err != nil {
+			return nil, err
+		}
+	}
+	n := dec.Len()
 	if opt.Warmup < 0 || opt.Warmup > n {
 		return nil, fmt.Errorf("core: warmup %d outside window of %d instructions", opt.Warmup, n)
 	}
@@ -332,19 +370,12 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 	if opt.Stages != nil && len(opt.Stages) != n {
 		return nil, fmt.Errorf("core: %d stage records for %d instructions", len(opt.Stages), n)
 	}
-	if opt.Decoded != nil {
-		if err := opt.Decoded.check(trace); err != nil {
-			return nil, err
-		}
-	}
-	buf := opt.Buffers
-	if buf == nil {
-		buf = NewBuffers()
-	}
 	s := &Simulator{
 		cfg:             cfg,
 		backend:         opt.Backend,
+		n:               int32(n),
 		trace:           trace,
+		dec:             dec,
 		scheds:          make([]schedList, cfg.NumSchedulers),
 		freeHead:        nilID,
 		fetchQCap:       int(cfg.FrontLatency+2) * cfg.FrontWidth,
@@ -362,10 +393,6 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 	}
 	if opt.Measure > 0 && opt.Warmup+opt.Measure < n {
 		s.measureBoundary = int32(opt.Warmup + opt.Measure)
-	}
-	s.dec = opt.Decoded
-	if s.dec == nil {
-		s.dec = buf.decode(trace)
 	}
 	for c := range s.resultSched[:loadDataSched] {
 		s.resultSched[c][0], s.resultSched[c][1] = cfg.Schedules(isa.LatencyClass(c))
@@ -414,7 +441,35 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 		}
 		s.wpOverlay = make(map[uint64]byte)
 	}
+	if opt.Oracle != nil {
+		s.oracle = emu.New(opt.Oracle)
+	}
+	if opt.Faults != nil {
+		s.armFaults(*opt.Faults)
+	}
 	return s, nil
+}
+
+// NeedsTrace reports whether a run of cfg under opt arms a mode that reads
+// the full trace — the datapath check, the lockstep oracle, a fault plan,
+// or wrong-path fetch with a program image. Any other run can take a shared
+// timing trace (Options.Decoded).
+func NeedsTrace(cfg machine.Config, opt Options) bool { return fullTraceMode(cfg, opt) != "" }
+
+// fullTraceMode names the first mode cfg and opt arm that reads the full
+// trace, or "" if a timing trace suffices.
+func fullTraceMode(cfg machine.Config, opt Options) string {
+	switch {
+	case cfg.DatapathCheck:
+		return "the datapath check"
+	case opt.Oracle != nil:
+		return "the lockstep oracle"
+	case opt.Faults != nil:
+		return "a fault plan"
+	case cfg.ModelWrongPath && opt.Program != nil:
+		return "wrong-path fetch"
+	}
+	return ""
 }
 
 // Run builds a simulator with New and simulates the trace to completion.
@@ -569,7 +624,7 @@ func (s *Simulator) fqFilterWP() {
 // due, the front end is stalled or drained, and no retirement is pending,
 // the loop jumps straight to the next cycle at which any stage can act.
 func (s *Simulator) Simulate() (*Result, error) {
-	n := int32(len(s.trace))
+	n := s.n
 	if n == 0 {
 		return s.res, nil
 	}
@@ -579,7 +634,7 @@ func (s *Simulator) Simulate() (*Result, error) {
 			s.buf.calBuf = make([]int32, 0, s.cfg.FrontWidth*4)
 		}
 		s.calBuf = s.buf.calBuf[:0]
-		s.buf.waiterHead = grown(s.buf.waiterHead, len(s.trace))
+		s.buf.waiterHead = grown(s.buf.waiterHead, int(n))
 		s.waiterHead = s.buf.waiterHead
 		for i := range s.waiterHead {
 			s.waiterHead[i] = nilID
@@ -675,7 +730,7 @@ func (s *Simulator) nextActiveCycle(cycle int64) int64 {
 	}
 	// In-order retirement: the head instruction retires the cycle after its
 	// final EXE stage (if not yet executed, its grant is a calendar event).
-	if s.retirePtr < int32(len(s.trace)) {
+	if s.retirePtr < s.n {
 		if d := s.done[s.retirePtr]; d >= 0 {
 			upd(d + 1)
 		}
@@ -699,7 +754,7 @@ func (s *Simulator) nextActiveCycle(cycle int64) int64 {
 		if s.cfg.ModelWrongPath && s.prog != nil && s.wpPC >= 0 && s.fqLen < s.fetchQCap {
 			upd(cycle + 1)
 		}
-	case s.nextFetch < int32(len(s.trace)) && s.fqLen < s.fetchQCap:
+	case s.nextFetch < s.n && s.fqLen < s.fetchQCap:
 		upd(cycle + 1)
 	}
 	return next

@@ -2,29 +2,41 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"repro/internal/emu"
 	"repro/internal/isa"
 )
 
-// The static decode: everything the pipeline model needs to know about a
-// trace entry that does not depend on the machine — its register producers
-// and which of them must arrive in 2's complement (Table 1 In=TC, or store
-// data), the older store it must follow, its effective Table 1 formats with
-// the §3.6 MOV exception applied, its latency class, and its structural
-// flags. The experiment matrix simulates every machine over the same
-// traces, so the harness decodes each trace once (workload.Decoded) and
-// every cell reads the shared, immutable result; a run given no decode
-// (sampled windows, one-off runs) decodes into its Buffers instead. Both go
-// through decodeInto, so there is one decode.
+// The decode is the timing trace: everything the pipeline model reads about
+// a committed instruction, as columns. Per entry it holds the register
+// producers and which of them must arrive in 2's complement (Table 1 In=TC,
+// or store data), the older store it must follow, the effective Table 1
+// formats with the §3.6 MOV exception applied, the latency class, the
+// structural and branch-kind flags and the branch outcome (one op word), and
+// the PC; a load or store also has its effective address, in a side array
+// indexed by memory-op ordinal. The next PC is the next entry's PC, so only
+// the last entry's is kept. A timing run reads nothing else: the result
+// values, the full instruction and the sequence number stay in
+// emu.TraceEntry, which only the checking modes read.
+//
+// The experiment matrix simulates every machine over the same traces, so the
+// harness builds each workload's decode once, streaming it from the
+// emulator without materializing the full trace (workload.Decoded), and
+// every cell reads the shared, immutable result. A run given a full trace
+// instead (the checking modes, sampled windows, one-off runs) decodes it
+// into its Buffers. Both go through Decoder.Add, so there is one decode.
 
-// opWord packs an entry's per-instruction facts into 16 bits:
+// opWord packs an entry's per-instruction facts into 32 bits:
 //
 //	[1:0] effective In format   [3:2] effective Out format
 //	[7:4] latency class         [9:8] register source count
 //	[10] load  [11] store  [12] writes a register
-//	[13] conditional branch     [14] indirect branch
-type opWord uint16
+//	[13] conditional branch     [14] indirect branch (JMP/JSR/RET)
+//	[15] direct branch (BR/BSR) [16] call: pushes a return address (BSR/JSR)
+//	[17] return (RET)           [18] taken: the trace's branch outcome
+type opWord uint32
 
 const (
 	opOutShift  = 2
@@ -36,6 +48,10 @@ const (
 	opDest       opWord = 1 << 12
 	opCondBranch opWord = 1 << 13
 	opIndirect   opWord = 1 << 14
+	opDirect     opWord = 1 << 15
+	opCall       opWord = 1 << 16
+	opReturn     opWord = 1 << 17
+	opTaken      opWord = 1 << 18
 )
 
 // The latency class must fit its four bits.
@@ -59,6 +75,22 @@ func classOp(c isa.Class, nsrc int) opWord {
 	return w
 }
 
+// branchOp is the branch kind of an opcode, as the front end's return stack
+// and direct-target decode tell them apart.
+func branchOp(op isa.Op) opWord {
+	switch op {
+	case isa.BR:
+		return opDirect
+	case isa.BSR:
+		return opDirect | opCall
+	case isa.JSR:
+		return opCall
+	case isa.RET:
+		return opReturn
+	}
+	return 0
+}
+
 func (w opWord) in() isa.Format            { return isa.Format(w & 3) }
 func (w opWord) out() isa.Format           { return isa.Format(w >> opOutShift & 3) }
 func (w opWord) latency() isa.LatencyClass { return isa.LatencyClass(w >> opLatShift & 15) }
@@ -76,94 +108,171 @@ const depMem = 3
 func srcIndex(p int32) int32 { return p >> 1 }
 func srcTC(p int32) bool     { return p&1 != 0 }
 
-// Decoded is the static decode of one trace (see Decode). It is immutable
-// once built and safe for any number of concurrent runs to share.
+// Decoded is the timing trace of one committed instruction stream (see
+// Decoder). It is immutable once built and safe for any number of
+// concurrent runs to share.
 type Decoded struct {
-	first *emu.TraceEntry // the decoded trace's first entry; nil when empty
-	deps  [][4]int32
-	ops   []opWord
+	deps [][4]int32
+	ops  []opWord
+	pc   []int32
+	ea   []uint64 // one per load or store, in trace order
+	// lastNextPC is the last entry's next PC; every other entry's is the
+	// PC of the entry after it.
+	lastNextPC int32
 	// table1 is the trace's dynamic Table 1 mix (by opcode class, as the
 	// paper tabulates it — the MOV exception is a scheduling refinement).
 	table1 [isa.NumTable1Rows]int64
+	// err is the first reason the stream is not a committed instruction
+	// stream the columns can represent; New refuses such a decode.
+	err error
 }
 
-// Decode builds the static decode of a trace, for Options.Decoded. Memory
-// dependences are always decoded; a run whose machine does not model them
-// ignores them.
-func Decode(trace []emu.TraceEntry) *Decoded {
-	d := &Decoded{}
-	d.decodeInto(trace, make(map[uint64]int32))
-	return d
+// Len is the number of trace entries decoded.
+func (d *Decoded) Len() int { return len(d.ops) }
+
+// Table1 is the trace's dynamic Table 1 mix: entry counts by Table 1 row.
+func (d *Decoded) Table1() [isa.NumTable1Rows]int64 { return d.table1 }
+
+// Bytes is the memory the decode holds, for cost-bounded caches.
+func (d *Decoded) Bytes() int64 {
+	return int64(unsafe.Sizeof(*d)) +
+		int64(cap(d.deps))*int64(unsafe.Sizeof([4]int32{})) +
+		int64(cap(d.ops))*int64(unsafe.Sizeof(opWord(0))) +
+		int64(cap(d.pc))*int64(unsafe.Sizeof(int32(0))) +
+		int64(cap(d.ea))*int64(unsafe.Sizeof(uint64(0)))
 }
 
-// check reports whether d was decoded from trace: the same backing array
-// and length.
-func (d *Decoded) check(trace []emu.TraceEntry) error {
-	if len(d.ops) != len(trace) || (len(trace) > 0 && d.first != &trace[0]) {
-		return fmt.Errorf("core: decode of a different trace (%d entries) given for a trace of %d entries", len(d.ops), len(trace))
+// nextPC is entry i's next PC.
+func (d *Decoded) nextPC(i int32) int {
+	if int(i)+1 < len(d.pc) {
+		return int(d.pc[i+1])
 	}
-	return nil
+	return int(d.lastNextPC)
 }
 
-// decodeInto decodes trace into d, reusing d's arrays when they are large
-// enough. lastStore is scratch: the most recent store to each quadword
-// (computed from the trace's exact effective addresses; real hardware would
-// discover the same orderings in its load/store queue).
-func (d *Decoded) decodeInto(trace []emu.TraceEntry, lastStore map[uint64]int32) {
-	n := len(trace)
-	d.first = nil
-	if n > 0 {
-		d.first = &trace[0]
-	}
-	d.deps = grown(d.deps, n)
-	d.ops = grown(d.ops, n)
+// Decoder builds a Decoded, for Options.Decoded, one committed entry at a
+// time in trace order — from emu.Emulator.Run's per-entry callback, so that
+// building a timing trace never holds the full one. Memory dependences are
+// always decoded; a run whose machine does not model them ignores them.
+// The zero value is ready to use.
+type Decoder struct {
+	d Decoded
+	// lastWriter is the most recent producer of each register; lastStore
+	// the most recent store to each quadword (computed from the trace's
+	// exact effective addresses; real hardware would discover the same
+	// orderings in its load/store queue). -1 or absent: none.
+	lastWriter [isa.NumRegs]int32
+	lastStore  map[uint64]int32
+	started    bool
+}
+
+// reset empties b for a stream of about n entries, reusing its arrays.
+func (b *Decoder) reset(n int) {
+	d := &b.d
+	d.deps = grown(d.deps, n)[:0]
+	d.ops = grown(d.ops, n)[:0]
+	d.pc = grown(d.pc, n)[:0]
+	d.ea = d.ea[:0]
+	d.lastNextPC = 0
 	d.table1 = [isa.NumTable1Rows]int64{}
-	clear(lastStore)
-	var lastWriter [isa.NumRegs]int32
-	for i := range lastWriter {
-		lastWriter[i] = -1
+	d.err = nil
+	for i := range b.lastWriter {
+		b.lastWriter[i] = -1
 	}
+	if b.lastStore == nil {
+		b.lastStore = make(map[uint64]int32)
+	}
+	clear(b.lastStore)
+	b.started = true
+}
+
+// Add decodes the next committed entry.
+func (b *Decoder) Add(te *emu.TraceEntry) {
+	if !b.started {
+		b.reset(0)
+	}
+	d := &b.d
+	i := int32(len(d.ops))
+	if d.err == nil {
+		switch {
+		case i > 0 && te.PC != int(d.lastNextPC):
+			d.err = fmt.Errorf("core: trace entry %d is at pc %d, but entry %d's next pc is %d: not a committed instruction stream",
+				i, te.PC, i-1, d.lastNextPC)
+		case te.PC < 0 || te.PC > math.MaxInt32 || te.NextPC < 0 || te.NextPC > math.MaxInt32:
+			d.err = fmt.Errorf("core: trace entry %d: pc %d or next pc %d out of range", i, te.PC, te.NextPC)
+		}
+	}
+	in := &te.Inst
+	d.table1[isa.ClassOf(in.Op).Row]++
+	cls := in.EffectiveClass()
+	dep := [4]int32{-1, -1, -1, -1}
+	k := 0
 	var regs [4]isa.Reg
-	for i := range trace {
-		in := &trace[i].Inst
-		d.table1[isa.ClassOf(in.Op).Row]++
-		cls := in.EffectiveClass()
-		dep := [4]int32{-1, -1, -1, -1}
-		k := 0
-		for si, r := range in.Srcs(regs[:0]) {
-			p := lastWriter[r]
-			if p < 0 {
-				continue // initial register state: always ready
-			}
-			// An operand needs the TC schedule when the consuming unit
-			// requires 2's complement (Table 1 In=TC) or it is store data
-			// (Table 3: "3 for stores").
-			dep[k] = p << 1
-			if cls.In == isa.FormatTC || (cls.IsStore && si == 0) {
-				dep[k] |= 1
-			}
-			k++
+	for si, r := range in.Srcs(regs[:0]) {
+		p := b.lastWriter[r]
+		if p < 0 {
+			continue // initial register state: always ready
 		}
-		op := classOp(cls, k)
-		if cls.IsMemory() {
-			ea := trace[i].EA
-			q0, q1 := ea>>3, (ea+7)>>3
-			if p, ok := lastStore[q0]; ok {
-				dep[depMem] = p
-			}
-			if p, ok := lastStore[q1]; ok && p > dep[depMem] {
-				dep[depMem] = p
-			}
-			if cls.IsStore {
-				lastStore[q0] = int32(i)
-				lastStore[q1] = int32(i)
-			}
+		// An operand needs the TC schedule when the consuming unit requires
+		// 2's complement (Table 1 In=TC) or it is store data (Table 3: "3
+		// for stores").
+		dep[k] = p << 1
+		if cls.In == isa.FormatTC || (cls.IsStore && si == 0) {
+			dep[k] |= 1
 		}
-		if r, ok := in.Dest(); ok {
-			lastWriter[r] = int32(i)
-			op |= opDest
-		}
-		d.deps[i] = dep
-		d.ops[i] = op
+		k++
 	}
+	op := classOp(cls, k) | branchOp(in.Op)
+	if te.Taken {
+		op |= opTaken
+	}
+	if cls.IsMemory() {
+		ea := te.EA
+		q0, q1 := ea>>3, (ea+7)>>3
+		if p, ok := b.lastStore[q0]; ok {
+			dep[depMem] = p
+		}
+		if p, ok := b.lastStore[q1]; ok && p > dep[depMem] {
+			dep[depMem] = p
+		}
+		if cls.IsStore {
+			b.lastStore[q0] = i
+			b.lastStore[q1] = i
+		}
+		d.ea = append(d.ea, ea)
+	}
+	if r, ok := in.Dest(); ok {
+		b.lastWriter[r] = i
+		op |= opDest
+	}
+	d.deps = append(d.deps, dep)
+	d.ops = append(d.ops, op)
+	d.pc = append(d.pc, int32(te.PC))
+	d.lastNextPC = int32(te.NextPC)
+}
+
+// Decoded finishes the stream and returns its decode, sized exactly. The
+// error reports a stream that is not a committed instruction stream (an
+// entry's next PC is not the following entry's PC). b must not be used
+// afterwards.
+func (b *Decoder) Decoded() (*Decoded, error) {
+	d := b.d
+	d.deps, d.ops, d.pc, d.ea = fit(d.deps), fit(d.ops), fit(d.pc), fit(d.ea)
+	b.d = Decoded{}
+	return &d, d.err
+}
+
+// decoded returns b's decode in place, arrays unclipped, for a run that
+// decodes into its Buffers.
+func (b *Decoder) decoded() (*Decoded, error) {
+	return &b.d, b.d.err
+}
+
+// fit returns s with its capacity trimmed to its length, copying only when
+// there is spare capacity.
+func fit[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }

@@ -24,11 +24,25 @@ func figureMachines() []machine.Config {
 	return cfgs
 }
 
-// runStaged simulates trace under opt, capturing the stage timeline, and
-// returns the result, the timeline and the warm-up/measurement split.
+// decode builds the timing trace of a full trace.
+func decode(trace []emu.TraceEntry) (*core.Decoded, error) {
+	var b core.Decoder
+	for i := range trace {
+		b.Add(&trace[i])
+	}
+	return b.Decoded()
+}
+
+// runStaged simulates trace (or, when it is nil, opt.Decoded) under opt,
+// capturing the stage timeline, and returns the result, the timeline and
+// the warm-up/measurement split.
 func runStaged(t *testing.T, cfg machine.Config, trace []emu.TraceEntry, opt core.Options) (*core.Result, []core.StageRecord, *core.WindowResult) {
 	t.Helper()
-	opt.Stages = make([]core.StageRecord, len(trace))
+	n := len(trace)
+	if trace == nil {
+		n = opt.Decoded.Len()
+	}
+	opt.Stages = make([]core.StageRecord, n)
 	s, err := core.New(cfg, "w", trace, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.Name, err)
@@ -40,32 +54,32 @@ func runStaged(t *testing.T, cfg machine.Config, trace []emu.TraceEntry, opt cor
 	return r, opt.Stages, s.Window()
 }
 
-// requireSameRun runs cfg over trace twice — decoding per run, and on the
-// shared decode with reused buffers as the harness does — and requires
-// bit-identical results, stage timelines and window splits.
+// requireSameRun runs cfg twice — on the full trace, decoded per run, and on
+// the timing trace alone with reused buffers, as the harness does — and
+// requires bit-identical results, stage timelines and window splits.
 func requireSameRun(t *testing.T, cfg machine.Config, trace []emu.TraceEntry, dec *core.Decoded, buf *core.Buffers, opt core.Options) {
 	t.Helper()
 	want, wantSt, wantWin := runStaged(t, cfg, trace, opt)
 	opt.Decoded, opt.Buffers = dec, buf
-	got, gotSt, gotWin := runStaged(t, cfg, trace, opt)
+	got, gotSt, gotWin := runStaged(t, cfg, nil, opt)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s/%s: shared decode diverges:\n got %+v\nwant %+v", cfg.Name, opt.Backend, got, want)
+		t.Fatalf("%s/%s: timing-only run diverges:\n got %+v\nwant %+v", cfg.Name, opt.Backend, got, want)
 	}
 	for i := range wantSt {
 		if gotSt[i] != wantSt[i] {
-			t.Fatalf("%s/%s: stage timeline diverges at instruction %d: shared %+v, per-run %+v",
+			t.Fatalf("%s/%s: stage timeline diverges at instruction %d: timing-only %+v, full trace %+v",
 				cfg.Name, opt.Backend, i, gotSt[i], wantSt[i])
 		}
 	}
 	gotWin.Result, wantWin.Result = nil, nil
 	if *gotWin != *wantWin {
-		t.Fatalf("%s/%s: window split diverges: shared %+v, per-run %+v", cfg.Name, opt.Backend, gotWin, wantWin)
+		t.Fatalf("%s/%s: window split diverges: timing-only %+v, full trace %+v", cfg.Name, opt.Backend, gotWin, wantWin)
 	}
 }
 
-// TestSharedDecodeMatchesPerRun is the differential gate for the shared
-// decode: a run on a workload's cached Decoded must equal a run that decodes
-// its own trace, for both backends and every figure machine, with memory
+// TestSharedDecodeMatchesPerRun is the differential gate for the timing
+// trace: a run on a workload's cached Decoded alone must equal a run on its
+// full trace, for both backends and every figure machine, with memory
 // dependences off, and over a warm-up/measurement window. A -race build
 // still runs every machine, each on one of the three workloads.
 func TestSharedDecodeMatchesPerRun(t *testing.T) {
@@ -83,6 +97,9 @@ func TestSharedDecodeMatchesPerRun(t *testing.T) {
 		dec, err := w.Decoded()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if dec.Len() != len(trace) {
+			t.Fatalf("%s: timing trace has %d entries, full trace %d", name, dec.Len(), len(trace))
 		}
 		for ci, cfg := range figureMachines() {
 			if raceBuild && ci%3 != wi {
@@ -110,57 +127,130 @@ func TestSharedDecodeMatchesPerRun(t *testing.T) {
 		requireSameRun(t, noMem, trace, dec, buf, core.Options{Backend: b})
 	}
 
-	// A sampled window decodes on its own slice; a shared decode of that
-	// slice must agree with the per-run one, split included.
+	// A sampled window decodes on its own slice; its timing trace must
+	// agree with the full-trace run, split included.
 	start := len(trace) / 3
 	window := trace[start : start+6000]
-	winDec := core.Decode(window)
+	winDec, err := decode(window)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range backends {
 		requireSameRun(t, machine.NewRBLimited(8), window, winDec, buf,
 			core.Options{Backend: b, Warmup: 2000, Measure: 3000})
 	}
 }
 
-// TestNewRejectsForeignDecode: a decode is bound to the trace it was built
-// from — a different trace, or a trace of the same length at another
-// address, is refused.
-func TestNewRejectsForeignDecode(t *testing.T) {
-	a, _ := workload.ByName("gcc")
-	b, _ := workload.ByName("eon")
-	ta, err := a.Trace()
+// TestNewRejectsBothInputs: a run reads a full trace or a timing trace,
+// never both — there would be two sources of truth for one run.
+func TestNewRejectsBothInputs(t *testing.T) {
+	w, _ := workload.ByName("gcc")
+	trace, err := w.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := b.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := a.Decoded()
+	dec, err := w.Decoded()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := machine.NewRBFull(8)
-	if _, err := core.New(cfg, "w", ta, core.Options{Decoded: dec}); err != nil {
-		t.Fatalf("own decode refused: %v", err)
+	if _, err := core.New(cfg, "w", nil, core.Options{Decoded: dec}); err != nil {
+		t.Fatalf("timing trace alone refused: %v", err)
 	}
-	copied := append([]emu.TraceEntry(nil), ta...)
-	for name, trace := range map[string][]emu.TraceEntry{
-		"other trace":                tb,
-		"same length, other address": copied,
-		"prefix":                     ta[:len(ta)-1],
-		"empty":                      nil,
+	if _, err := core.New(cfg, "w", trace, core.Options{}); err != nil {
+		t.Fatalf("full trace alone refused: %v", err)
+	}
+	for name, tr := range map[string][]emu.TraceEntry{
+		"its own trace":  trace,
+		"an empty trace": {},
+		"a trace prefix": trace[:10],
 	} {
-		if _, err := core.New(cfg, "w", trace, core.Options{Decoded: dec}); err == nil {
-			t.Errorf("%s: New accepted a decode of another trace", name)
+		if _, err := core.New(cfg, "w", tr, core.Options{Decoded: dec}); err == nil {
+			t.Errorf("%s: New accepted a full trace beside a timing trace", name)
 		}
 	}
-	// Same backing array and length, shifted by one entry.
-	head := core.Decode(ta[:len(ta)-1])
-	if _, err := core.New(cfg, "w", ta[1:], core.Options{Decoded: head}); err == nil {
-		t.Error("shifted window: New accepted a decode of another trace")
+	empty, err := decode(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	empty := core.Decode(nil)
-	if _, err := core.New(cfg, "w", nil, core.Options{Decoded: empty}); err != nil {
-		t.Errorf("empty decode of an empty trace refused: %v", err)
+	if r, err := core.Run(cfg, "w", nil, core.Options{Decoded: empty}); err != nil || r.Instructions != 0 {
+		t.Errorf("empty timing trace: %+v, %v", r, err)
+	}
+}
+
+// TestNewRefusesCheckingModesWithoutTrace: the datapath check, the lockstep
+// oracle, a fault plan and wrong-path fetch read result values that only
+// the full trace holds, so New refuses each on a timing trace — and accepts
+// each on the full trace.
+func TestNewRefusesCheckingModesWithoutTrace(t *testing.T) {
+	w, _ := workload.ByName("compress")
+	trace, err := w.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := w.Decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := machine.NewRBFull(8)
+	checked.DatapathCheck = true
+	wrongPath := machine.NewRBFull(8)
+	wrongPath.ModelWrongPath = true
+	plain := machine.NewRBFull(8)
+	for _, m := range []struct {
+		name string
+		cfg  machine.Config
+		opt  core.Options
+	}{
+		{"datapath check", checked, core.Options{}},
+		{"lockstep oracle", plain, core.Options{Oracle: prog}},
+		{"fault plan", plain, core.Options{Faults: &core.FaultPlan{}}},
+		{"wrong-path fetch", wrongPath, core.Options{Program: prog}},
+	} {
+		if !core.NeedsTrace(m.cfg, m.opt) {
+			t.Errorf("%s: NeedsTrace is false", m.name)
+		}
+		if _, err := core.New(m.cfg, "w", trace, m.opt); err != nil {
+			t.Errorf("%s: refused on the full trace: %v", m.name, err)
+		}
+		m.opt.Decoded = dec
+		if _, err := core.New(m.cfg, "w", nil, m.opt); err == nil {
+			t.Errorf("%s: New accepted a timing trace", m.name)
+		}
+	}
+	// Wrong-path modeling without a program image stalls at a misprediction
+	// and never reads the trace's values: a timing trace suffices.
+	if _, err := core.New(wrongPath, "w", nil, core.Options{Decoded: dec}); err != nil {
+		t.Errorf("wrong-path model without a program: %v", err)
+	}
+	if core.NeedsTrace(wrongPath, core.Options{}) || core.NeedsTrace(plain, core.Options{Program: prog}) {
+		t.Error("NeedsTrace is true for a run that reads no result values")
+	}
+}
+
+// TestDecodeRejectsBrokenStream: the timing trace keeps only the last
+// entry's next PC, so a trace whose next PCs do not chain is not a committed
+// stream it can represent; Decode reports it and New refuses the trace.
+func TestDecodeRejectsBrokenStream(t *testing.T) {
+	w, _ := workload.ByName("li")
+	trace, err := w.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := append([]emu.TraceEntry(nil), trace[:100]...)
+	broken[40].NextPC++
+	if _, err := decode(broken); err == nil {
+		t.Error("Decode accepted a trace whose next PCs do not chain")
+	}
+	if _, err := core.Run(machine.NewRBFull(8), "w", broken, core.Options{}); err == nil {
+		t.Error("Run accepted a trace whose next PCs do not chain")
+	}
+	// A window's last next PC points outside it, which is fine.
+	if _, err := decode(trace[10:20]); err != nil {
+		t.Errorf("window refused: %v", err)
 	}
 }

@@ -130,10 +130,13 @@ type FaultOutcome struct {
 	Detections []FaultDetection
 }
 
-// ArmFaults installs a fault plan on the simulator. Must be called before
-// Simulate; the returned outcome is populated as the run progresses and is
-// complete when Simulate returns.
-func (s *Simulator) ArmFaults(plan FaultPlan) *FaultOutcome {
+// Faults is the outcome of the fault plan the run was given
+// (Options.Faults), or nil without one. It is populated as the run
+// progresses and is complete when Simulate returns.
+func (s *Simulator) Faults() *FaultOutcome { return s.faultOut }
+
+// armFaults installs a fault plan on the simulator (New, Options.Faults).
+func (s *Simulator) armFaults(plan FaultPlan) {
 	out := &FaultOutcome{Detections: make([]FaultDetection, len(plan.Faults))}
 	s.faultOut = out
 	s.faultSeqIdx = make(map[int64][]int, len(plan.Faults))
@@ -150,7 +153,6 @@ func (s *Simulator) ArmFaults(plan FaultPlan) *FaultOutcome {
 	if plan.WatchdogWindow > 0 {
 		s.watchdogWindow = plan.WatchdogWindow
 	}
-	return out
 }
 
 // flipRBDigitVec flips one digit of v's redundant binary form and returns

@@ -42,11 +42,11 @@ func TestFaultDigitFlipAlwaysDetectedByResidue(t *testing.T) {
 			faults = append(faults, Fault{Kind: FaultDigitFlip, Seq: te.Seq, Digit: int(te.Seq) % 64})
 		}
 	}
-	s, err := New(machine.NewRBFull(4), "faults", trace, Options{})
+	s, err := New(machine.NewRBFull(4), "faults", trace, Options{Faults: &FaultPlan{Faults: faults}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := s.ArmFaults(FaultPlan{Faults: faults})
+	out := s.Faults()
 	if _, err := s.Simulate(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestFaultStaleBypassDetected(t *testing.T) {
 			faults = append(faults, Fault{Kind: FaultStaleBypass, Seq: te.Seq})
 		}
 	}
-	s, err := New(machine.NewRBFull(4), "faults", trace, Options{})
+	s, err := New(machine.NewRBFull(4), "faults", trace, Options{Faults: &FaultPlan{Faults: faults}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := s.ArmFaults(FaultPlan{Faults: faults})
+	out := s.Faults()
 	if _, err := s.Simulate(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func TestLostWakeupWatchdogRecovery(t *testing.T) {
 	}
 
 	const window = 2000
-	s, err := New(cfg, "faults", trace, Options{})
+	s, err := New(cfg, "faults", trace, Options{Faults: &FaultPlan{
+		Faults:         []Fault{{Kind: FaultDropWakeup, PostIndex: 50}},
+		WatchdogWindow: window,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := s.ArmFaults(FaultPlan{
-		Faults:         []Fault{{Kind: FaultDropWakeup, PostIndex: 50}},
-		WatchdogWindow: window,
-	})
+	out := s.Faults()
 	r, err := s.Simulate()
 	if err != nil {
 		t.Fatalf("run with dropped wakeup did not recover: %v", err)
@@ -185,11 +185,10 @@ func TestFaultFreeRunHasNoWatchdogActivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(cfg, "faults", trace, Options{})
+	s, err := New(cfg, "faults", trace, Options{Faults: &FaultPlan{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ArmFaults(FaultPlan{})
 	armed, err := s.Simulate()
 	if err != nil {
 		t.Fatal(err)

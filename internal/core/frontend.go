@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/emu"
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // The front end: instruction fetch with branch prediction and I-cache
 // timing, and in-order dispatch into the partitioned schedulers (the 6
@@ -24,15 +21,15 @@ func (s *Simulator) fetch(cycle int64) {
 		}
 		return
 	}
-	n := int32(len(s.trace))
 	fetched := 0
 	blocks := 1
-	for fetched < s.cfg.FrontWidth && s.nextFetch < n && s.fqLen < s.fetchQCap {
-		te := &s.trace[s.nextFetch]
+	for fetched < s.cfg.FrontWidth && s.nextFetch < s.n && s.fqLen < s.fetchQCap {
+		pc := s.dec.pc[s.nextFetch]
+		op := s.dec.ops[s.nextFetch]
 		// Instruction cache: one access per line (8-byte instructions).
-		line := int64(te.PC) * 8 >> 6
+		line := int64(pc) * 8 >> 6
 		if line != s.lastFetchLine {
-			doneAt := s.hier.Fetch(uint64(te.PC)*8, cycle)
+			doneAt := s.hier.Fetch(uint64(pc)*8, cycle)
 			s.lastFetchLine = line
 			if doneAt > cycle+s.cfg.Mem.L1ILatency {
 				// Miss: fetch resumes when the line arrives.
@@ -40,19 +37,21 @@ func (s *Simulator) fetch(cycle int64) {
 				return
 			}
 		}
-		mispredict := s.predictBranch(te, s.dec.ops[s.nextFetch])
+		mispredict := s.predictBranch(s.nextFetch, int(pc), op)
 		if s.stages != nil {
 			s.stages[s.nextFetch].Fetch = cycle
 		}
 		s.fqPush(fetchEntry{idx: s.nextFetch, fetchCycle: cycle, mispredict: mispredict})
-		s.updateShadow(te)
+		if s.shadowMem != nil {
+			s.updateShadow(s.nextFetch)
+		}
 		s.nextFetch++
 		fetched++
 		if mispredict {
 			s.fetchBlockedIdx = s.nextFetch - 1
 			return
 		}
-		if te.Taken {
+		if op.has(opTaken) {
 			s.lastFetchLine = -1 // next instruction is on a new fetch path
 			blocks++
 			if blocks > s.cfg.MaxFetchBlocks {
@@ -62,26 +61,27 @@ func (s *Simulator) fetch(cycle int64) {
 	}
 }
 
-// predictBranch consults and trains the predictor for a branch at fetch
-// time, returning whether the front end will follow the wrong path (and so
-// must stall until the branch resolves).
-func (s *Simulator) predictBranch(te *emu.TraceEntry, op opWord) bool {
+// predictBranch consults and trains the predictor for trace entry idx, at
+// pc with op word op, at fetch time, returning whether the front end will
+// follow the wrong path (and so must stall until the branch resolves).
+func (s *Simulator) predictBranch(idx int32, pc int, op opWord) bool {
+	taken := op.has(opTaken)
 	switch {
 	case op.has(opCondBranch):
 		s.res.Branches++
-		pred := s.pred.PredictDirection(te.PC)
-		s.pred.UpdateDirection(te.PC, te.Taken)
-		tgt, hit := s.pred.PredictTarget(te.PC)
-		if te.Taken {
-			s.pred.UpdateTarget(te.PC, te.NextPC)
+		pred := s.pred.PredictDirection(pc)
+		s.pred.UpdateDirection(pc, taken)
+		tgt, hit := s.pred.PredictTarget(pc)
+		if taken {
+			s.pred.UpdateTarget(pc, s.dec.nextPC(idx))
 		}
-		if pred != te.Taken {
+		if pred != taken {
 			s.res.BranchMispredicts++
-			s.startWrongPath(s.predictedWrongTarget(te.PC, te.Taken, pred, tgt, hit))
+			s.startWrongPath(s.predictedWrongTarget(pc, taken, pred, tgt, hit))
 			return true
 		}
-		if te.Taken {
-			if !hit || tgt != te.NextPC {
+		if taken {
+			if !hit || tgt != s.dec.nextPC(idx) {
 				s.res.BranchMispredicts++
 				if hit {
 					s.startWrongPath(tgt) // fetched the stale target
@@ -92,16 +92,16 @@ func (s *Simulator) predictBranch(te *emu.TraceEntry, op opWord) bool {
 			}
 		}
 		return false
-	case te.Inst.Op == isa.BR || te.Inst.Op == isa.BSR:
+	case op.has(opDirect): // BR/BSR
 		// Direct targets resolve in decode; treated as correctly fetched.
-		if te.Inst.Op == isa.BSR {
-			s.pred.PushReturn(te.PC + 1)
+		if op.has(opCall) {
+			s.pred.PushReturn(pc + 1)
 		}
 		return false
-	case te.Inst.Op == isa.RET:
+	case op.has(opReturn):
 		s.res.Branches++
 		tgt, ok := s.pred.PopReturn()
-		if !ok || tgt != te.NextPC {
+		if !ok || tgt != s.dec.nextPC(idx) {
 			s.res.BranchMispredicts++
 			if ok {
 				s.startWrongPath(tgt)
@@ -113,12 +113,13 @@ func (s *Simulator) predictBranch(te *emu.TraceEntry, op opWord) bool {
 		return false
 	case op.has(opIndirect): // JMP/JSR via BTB
 		s.res.Branches++
-		if te.Inst.Op == isa.JSR {
-			s.pred.PushReturn(te.PC + 1)
+		if op.has(opCall) {
+			s.pred.PushReturn(pc + 1)
 		}
-		tgt, hit := s.pred.PredictTarget(te.PC)
-		s.pred.UpdateTarget(te.PC, te.NextPC)
-		if !hit || tgt != te.NextPC {
+		next := s.dec.nextPC(idx)
+		tgt, hit := s.pred.PredictTarget(pc)
+		s.pred.UpdateTarget(pc, next)
+		if !hit || tgt != next {
 			s.res.BranchMispredicts++
 			if hit {
 				s.startWrongPath(tgt)
@@ -169,6 +170,10 @@ func (s *Simulator) dispatch(cycle int64) {
 		if !s.cfg.MemoryDependence {
 			u.dep[depMem] = -1
 		}
+		if op.has(opLoad | opStore) {
+			u.ea = s.dec.ea[s.nextMem]
+			s.nextMem++
+		}
 		if s.stages != nil {
 			s.stages[fe.idx].Dispatch = cycle
 		}
@@ -198,7 +203,7 @@ func (s *Simulator) initUop(u *uop, sched int, cycle int64) {
 	u.minExe = cycle + s.cfg.IssueToExecute
 	u.seq = s.seqCtr
 	s.seqCtr++
-	u.wpEA = 0
+	u.ea = 0
 	u.dep = [4]int32{-1, -1, -1, -1}
 	u.waitNext = [4]int32{nilID, nilID, nilID, nilID}
 	u.prev, u.next = nilID, nilID

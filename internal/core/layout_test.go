@@ -15,9 +15,10 @@ import (
 )
 
 // TestLayoutBudget pins the memory layout the experiment matrix budgets
-// for: the trace cache holds ~2.5M entries, and each carries a shared
-// decode. A field added to any of these re-budgets that cache and must
-// update this test on purpose.
+// for: the workload cache holds the timing traces of ~2.5M entries, 24 bytes
+// each plus 8 per load or store (21% of entries), and the checking modes
+// build full traces of 64-byte entries on demand. A field added to any of
+// these re-budgets that cache and must update this test on purpose.
 func TestLayoutBudget(t *testing.T) {
 	if got := unsafe.Sizeof(emu.TraceEntry{}); got != 64 {
 		t.Errorf("emu.TraceEntry is %d bytes, budget 64", got)
@@ -26,9 +27,12 @@ func TestLayoutBudget(t *testing.T) {
 		t.Errorf("isa.Instruction is %d bytes, budget 16", got)
 	}
 	var d Decoded
-	perEntry := unsafe.Sizeof(d.deps[0]) + unsafe.Sizeof(d.ops[0]) // Sizeof never evaluates the index
-	if perEntry > 20 {
-		t.Errorf("decode spends %d bytes per entry, budget 20", perEntry)
+	perEntry := unsafe.Sizeof(d.deps[0]) + unsafe.Sizeof(d.ops[0]) + unsafe.Sizeof(d.pc[0]) // Sizeof never evaluates the index
+	if perEntry > 24 {
+		t.Errorf("timing trace spends %d bytes per entry, budget 24", perEntry)
+	}
+	if perMem := unsafe.Sizeof(d.ea[0]); perMem > 8 {
+		t.Errorf("timing trace spends %d bytes per memory op, budget 8", perMem)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/rb"
 )
@@ -43,18 +42,12 @@ func (e *DivergenceError) Error() string {
 		e.Seq, e.PC, e.Inst, e.Field, e.Got, e.Want, e.Dump)
 }
 
-// EnableOracle arms the lockstep oracle: prog must be the program the
-// simulated trace was produced from. Every retired instruction is then
-// replayed on a reference emulator and cross-checked before it commits.
-func (s *Simulator) EnableOracle(prog *isa.Program) {
-	s.oracle = emu.New(prog)
-}
-
 // InjectFault arms a single transient fault for oracle testing: the result
 // of dynamic instruction seq has one digit of its redundant binary form
 // flipped as it is written back, modeling a corrupted bypass or datapath
 // bit. The shared trace is never mutated; the corruption applies only to
-// this run's committed view, where the oracle must detect it.
+// this run's committed view, where the oracle (Options.Oracle) must
+// detect it.
 func (s *Simulator) InjectFault(seq int64, digit int) {
 	if digit < 0 || digit >= rb.Width {
 		panic(fmt.Sprintf("core: fault digit %d out of range", digit))
@@ -150,7 +143,7 @@ func b2u(b bool) uint64 {
 func (s *Simulator) pipelineDump(cycle int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  cycle %d: retired %d/%d, %d in flight, fetch queue %d/%d",
-		cycle, s.retirePtr, len(s.trace), s.inFlight, s.fqLen, s.fetchQCap)
+		cycle, s.retirePtr, s.n, s.inFlight, s.fqLen, s.fetchQCap)
 	if s.fetchBlockedIdx >= 0 {
 		fmt.Fprintf(&b, ", fetch blocked on branch %d", s.fetchBlockedIdx)
 	}

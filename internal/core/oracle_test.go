@@ -32,11 +32,10 @@ func TestLockstepCleanRun(t *testing.T) {
 		machine.NewBaseline(8), machine.NewRBLimited(8),
 		machine.NewRBFull(8), machine.NewIdeal(4),
 	} {
-		s, err := New(cfg, "oracle-clean", trace, Options{})
+		s, err := New(cfg, "oracle-clean", trace, Options{Oracle: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.EnableOracle(p)
 		r, err := s.Simulate()
 		if err != nil {
 			t.Fatalf("%s: lockstep run diverged: %v", cfg.Name, err)
@@ -66,11 +65,10 @@ func TestLockstepCatchesInjectedFault(t *testing.T) {
 	}
 	for _, cfg := range []machine.Config{machine.NewRBFull(8), machine.NewBaseline(8)} {
 		for _, digit := range []int{0, 17, 63} {
-			s, err := New(cfg, "oracle-fault", trace, Options{})
+			s, err := New(cfg, "oracle-fault", trace, Options{Oracle: p})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.EnableOracle(p)
 			s.InjectFault(faultSeq, digit)
 			_, err = s.Simulate()
 			if err == nil {
@@ -100,11 +98,10 @@ func TestLockstepCatchesInjectedFault(t *testing.T) {
 func TestPipelineDumpContents(t *testing.T) {
 	p := oracleProgram(t, 50)
 	trace := mustTrace(t, p)
-	s, err := New(machine.NewRBFull(8), "oracle-dump", trace, Options{})
+	s, err := New(machine.NewRBFull(8), "oracle-dump", trace, Options{Oracle: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableOracle(p)
 	faultSeq := trace[len(trace)/2].Seq
 	for !trace[faultSeq].HasResult {
 		faultSeq++

@@ -25,7 +25,7 @@ func (w *WindowResult) MeasuredIPC() float64 {
 // of a finished run: the cycle at which the last warm-up instruction retires
 // ends the warm-up and starts the measurement. Call it after Simulate.
 func (s *Simulator) Window() *WindowResult {
-	measured, end := int64(len(s.trace))-int64(s.warmBoundary), s.res.Cycles
+	measured, end := int64(s.n)-int64(s.warmBoundary), s.res.Cycles
 	if s.measureBoundary > 0 {
 		measured, end = int64(s.measureBoundary-s.warmBoundary), s.measureEndCycle
 	}

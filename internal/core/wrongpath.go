@@ -34,12 +34,12 @@ func (s *Simulator) startWrongPath(predictedNext int) {
 	}
 }
 
-// updateShadow applies a fetched committed instruction to the fetch-order
-// architectural state used to seed wrong paths.
-func (s *Simulator) updateShadow(te *emu.TraceEntry) {
-	if !s.cfg.ModelWrongPath || s.prog == nil {
-		return
-	}
+// updateShadow applies fetched committed instruction idx to the
+// fetch-order architectural state used to seed wrong paths. It reads the
+// full trace's result values, which is why wrong-path fetch needs the full
+// trace; fetch calls it only when the shadow state exists.
+func (s *Simulator) updateShadow(idx int32) {
+	te := &s.trace[idx]
 	cls := isa.ClassOf(te.Inst.Op)
 	if cls.IsStore {
 		size := storeSize(te.Inst.Op)
@@ -227,7 +227,7 @@ func (s *Simulator) dispatchWrongPath(fe *fetchEntry, cycle int64) bool {
 	s.initUop(u, sched, cycle)
 	u.wp = true
 	u.op = classOp(cls, 0)
-	u.wpEA = fe.wpEA
+	u.ea = fe.wpEA
 	s.residentPush(sched, id)
 	if s.backend == BackendEvent {
 		// No sources and no memory ordering: issueable at minExe.
@@ -288,7 +288,7 @@ func (s *Simulator) squashWrongPath() {
 func (s *Simulator) executeWrongPath(u *uop, cycle int64) {
 	s.res.WrongPathIssued++
 	if u.op.has(opLoad) {
-		s.hier.Load(u.wpEA, cycle+s.cfg.Latencies[u.op.latency()].Exec-1)
+		s.hier.Load(u.ea, cycle+s.cfg.Latencies[u.op.latency()].Exec-1)
 		s.res.WrongPathLoads++
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/rcache"
@@ -125,24 +126,32 @@ func (h *Harness) CacheStats() rcache.Stats { return h.cache.Stats() }
 // CellKey: concurrent misses on the same cell block on the winner's
 // simulation instead of duplicating it, and a second config under a cached
 // cell's name is refused (ErrBadCell). Every cell of a workload shares its
-// cached trace and static decode (workload.Decoded).
+// cached timing trace (workload.Decoded); a cell that checks the datapath
+// reads values only the full trace holds (core.NeedsTrace), and builds it
+// for its own run.
 func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.Workload) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	v, err := CachedCell(ctx, h.cache, CellKey(&cfg, w.Name, nil), &cfg, func() (any, error) {
 		h.runs.Add(1)
-		trace, err := w.Trace()
-		if err != nil {
-			return nil, err
+		var (
+			trace []emu.TraceEntry
+			opt   = core.Options{Backend: h.Backend}
+			err   error
+		)
+		if core.NeedsTrace(cfg, opt) {
+			trace, err = w.Trace()
+		} else {
+			opt.Decoded, err = w.Decoded()
 		}
-		dec, err := w.Decoded()
 		if err != nil {
 			return nil, err
 		}
 		buf := h.getBuf()
 		defer h.putBuf(buf)
-		r, err := core.Run(cfg, w.Name, trace, core.Options{Backend: h.Backend, Buffers: buf, Decoded: dec})
+		opt.Buffers = buf
+		r, err := core.Run(cfg, w.Name, trace, opt)
 		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
 		}
@@ -159,11 +168,11 @@ func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.W
 // indexed by config name then workload name.
 func (h *Harness) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
 	if h.pool != nil {
-		// Pre-trace workloads serially: traces are cached and shared between
-		// cells, and doing it here avoids duplicate work behind the cache
-		// mutex.
+		// Build the workloads' timing traces serially: they are cached and
+		// shared between cells, and building them here keeps the pool's
+		// workers from waiting on one another's builds.
 		for _, w := range wls {
-			if _, err := w.Trace(); err != nil {
+			if _, err := w.Decoded(); err != nil {
 				return nil, err
 			}
 		}

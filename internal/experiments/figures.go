@@ -295,20 +295,21 @@ var PaperTable1Fractions = [isa.NumTable1Rows]float64{
 	isa.Row8Other:      0.257,
 }
 
-// Table1 measures the dynamic mix.
+// Table1 measures the dynamic mix, from each workload's cached timing
+// trace.
 func Table1() (*Table1Data, error) {
 	d := &Table1Data{PaperFrac: PaperTable1Fractions}
 	var counts [isa.NumTable1Rows]int64
 	var total int64
 	for _, w := range workload.All() {
-		trace, err := w.Trace()
+		dec, err := w.Decoded()
 		if err != nil {
 			return nil, err
 		}
-		for _, te := range trace {
-			counts[isa.ClassOf(te.Inst.Op).Row]++
+		for r, c := range dec.Table1() {
+			counts[r] += c
 		}
-		total += int64(len(trace))
+		total += int64(dec.Len())
 	}
 	for r, c := range counts {
 		d.RowFrac[r] = float64(c) / float64(total)

@@ -89,11 +89,11 @@ func campaignTrace(opts Options) ([]emu.TraceEntry, error) {
 // runFaultSet arms the faults on a fresh simulator over trace and folds the
 // detections into rep.
 func runFaultSet(cfg machine.Config, trace []emu.TraceEntry, faults []core.Fault, rep *DatapathReport) error {
-	s, err := core.New(cfg, "fault-campaign", trace, core.Options{})
+	s, err := core.New(cfg, "fault-campaign", trace, core.Options{Faults: &core.FaultPlan{Faults: faults}})
 	if err != nil {
 		return err
 	}
-	out := s.ArmFaults(core.FaultPlan{Faults: faults})
+	out := s.Faults()
 	if _, err := s.Simulate(); err != nil {
 		return fmt.Errorf("fault: datapath campaign run: %w", err)
 	}

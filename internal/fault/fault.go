@@ -13,7 +13,7 @@
 //
 //   - scheduler level: dropped calendar wakeup events in the event-driven
 //     backend, detected by the no-progress watchdog and recovered by
-//     re-posting the abandoned entries (core.Simulator.ArmFaults).
+//     re-posting the abandoned entries (core.Options.Faults).
 //
 // Every campaign is a pure function of (Options.Seed, Options.Full): fault
 // sites, test vectors, injected programs, and sampled drop ordinals all

@@ -60,14 +60,17 @@ func runSched(opts Options, trace []emu.TraceEntry) (SchedReport, error) {
 		ordinal := int64(i)*stratum + rnd.Int63n(maxI64(stratum, 1))
 		rep.Drops++
 
-		s, err := core.New(cfg, "fault-campaign", trace, core.Options{Backend: core.BackendEvent})
+		s, err := core.New(cfg, "fault-campaign", trace, core.Options{
+			Backend: core.BackendEvent,
+			Faults: &core.FaultPlan{
+				Faults:         []core.Fault{{Kind: core.FaultDropWakeup, PostIndex: ordinal}},
+				WatchdogWindow: schedWatchdogWindow,
+			},
+		})
 		if err != nil {
 			return rep, err
 		}
-		out := s.ArmFaults(core.FaultPlan{
-			Faults:         []core.Fault{{Kind: core.FaultDropWakeup, PostIndex: ordinal}},
-			WatchdogWindow: schedWatchdogWindow,
-		})
+		out := s.Faults()
 		r, err := s.Simulate()
 		if err != nil {
 			return rep, fmt.Errorf("fault: dropped wakeup %d not recovered: %w", ordinal, err)

@@ -19,10 +19,6 @@ import (
 // submitting, drain) from a context cancellation with errors.Is.
 var ErrPoolClosed = errors.New("pool: closed")
 
-// ErrClosed is the original name of ErrPoolClosed, kept so existing
-// errors.Is checks and comparisons continue to work.
-var ErrClosed = ErrPoolClosed
-
 // Pool is a fixed-size worker pool over a bounded FIFO queue. Tasks must not
 // submit to the pool they run on (all workers could then be blocked waiting
 // on queue space held up by their own descendants); the experiment harness
@@ -133,13 +129,19 @@ func (p *Pool) TrySubmit(fn func()) bool {
 // Workers is the worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Depth is the number of tasks queued or executing.
+// Depth is the number of tasks queued or executing. Like Completed, it
+// counts a task out only after its function returns, so it is exact once
+// Close returns.
 func (p *Pool) Depth() int64 { return p.depth.Load() }
 
 // Submitted is the number of tasks ever accepted.
 func (p *Pool) Submitted() int64 { return p.submitted.Load() }
 
-// Completed is the number of tasks that have finished.
+// Completed is the number of tasks that have finished. A task counts only
+// after its function returns, so a caller that a task itself signals (a
+// WaitGroup done inside it) may read Completed before that task is counted.
+// Once Close returns, every accepted task has run and been counted, and
+// Completed equals Submitted.
 func (p *Pool) Completed() int64 { return p.completed.Load() }
 
 // Close stops accepting tasks, drains the queue, and waits for the workers

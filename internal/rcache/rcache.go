@@ -124,10 +124,15 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, int64, 
 	sh.mu.Unlock()
 
 	c.misses.Add(1)
-	e.val, e.cost, e.err = compute()
-	close(e.ready)
+	val, cost, err := compute()
 
 	sh.mu.Lock()
+	// The entry turns ready under the lock, together with its cost being
+	// charged below: a ready entry that was not yet charged could be chosen
+	// as another fill's eviction victim, and its cost subtracted from the
+	// shard without ever having been added.
+	e.val, e.cost, e.err = val, cost, err
+	close(e.ready)
 	if e.err != nil {
 		// Do not cache failures; the entry may already have been evicted
 		// under cost pressure, so only unlink our own.

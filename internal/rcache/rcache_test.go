@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestHitAfterMiss(t *testing.T) {
@@ -182,5 +184,48 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		if n := calls[k].Load(); n != 1 {
 			t.Fatalf("key %d computed %d times, want 1", k, n)
 		}
+	}
+}
+
+// TestReadyOnlyOnceCharged pins the ordering that keeps the cost accounting
+// exact: while another caller holds the shard lock, a finished computation
+// must not look ready yet (a ready entry is an eviction candidate, and
+// evicting one whose cost was never charged drove the shard's cost below
+// the sum of its entries, so the cache later held more than its budget).
+func TestReadyOnlyOnceCharged(t *testing.T) {
+	c := New(1, 100)
+	sh := c.shards[0]
+	started, locked, returned, done := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do(context.Background(), "a", func() (any, int64, error) {
+			defer close(returned)
+			close(started)
+			<-locked
+			return "a", 60, nil
+		})
+	}()
+	<-started
+	sh.mu.Lock()
+	close(locked)
+	<-returned
+	// The filler is now past compute and needs the lock we hold. Give it
+	// every chance to run ahead; it must not mark the entry ready.
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	time.Sleep(10 * time.Millisecond)
+	e := sh.entries["a"]
+	if e == nil || isReady(e) {
+		t.Fatal("entry turned ready before its cost was charged")
+	}
+	sh.mu.Unlock()
+	<-done
+	// A second fill evicts the first; the shard's cost must equal what it
+	// holds.
+	c.Do(context.Background(), "b", func() (any, int64, error) { return "b", 70, nil })
+	st := c.Stats()
+	if st.Entries != 1 || st.Cost != 70 || st.Evictions != 1 {
+		t.Fatalf("after evicting a for b: %+v, want 1 entry of cost 70 and 1 eviction", st)
 	}
 }

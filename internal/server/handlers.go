@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/workload"
@@ -272,16 +273,18 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		strconv.FormatBool(datapathCheck), strconv.FormatBool(wrongPath), backend.String(),
 	}, "|")
 	s.serveCached(w, r, key, func() (cachedResponse, error) {
-		trace, err := wl.Trace()
-		if err != nil {
-			return cachedResponse{}, err
-		}
-		dec, err := wl.Decoded()
-		if err != nil {
-			return cachedResponse{}, err
-		}
 		// The program image lets wrong-path=true fetch down the wrong path.
 		prog, err := wl.Program()
+		if err != nil {
+			return cachedResponse{}, err
+		}
+		opt := core.Options{Backend: backend, Program: prog}
+		var trace []emu.TraceEntry
+		if core.NeedsTrace(cfg, opt) {
+			trace, err = wl.Trace()
+		} else {
+			opt.Decoded, err = wl.Decoded()
+		}
 		if err != nil {
 			return cachedResponse{}, err
 		}
@@ -290,7 +293,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 			rerr error
 		)
 		if err := s.runInPool(r.Context(), func() {
-			res, rerr = core.Run(cfg, wl.Name, trace, core.Options{Backend: backend, Program: prog, Decoded: dec})
+			res, rerr = core.Run(cfg, wl.Name, trace, opt)
 		}); err != nil {
 			return cachedResponse{}, err
 		}

@@ -12,18 +12,22 @@
 // makes are driven by dependence-chain latency and bypass-hole structure,
 // which these kernels exercise the same way (DESIGN.md §3).
 //
-// Concurrency: the package is safe for concurrent use. Program and Trace
-// memoize under a mutex (held across the assemble/emulate fill, so
-// concurrent first calls for one workload coalesce rather than duplicate
-// work), and every caller receives the same cached program and trace slice —
-// callers treat them as immutable, which the simulator does (it only reads
-// the trace). Decoded builds each trace's static decode once, under a
-// per-workload Once rather than the cache mutex. This is what lets the
-// experiment harness and rbserve fan (machine, workload) cells across a
-// worker pool without copying traces.
+// Concurrency: the package is safe for concurrent use. Program memoizes the
+// assembled image under a mutex, and every caller shares it. Decoded serves
+// each workload's timing trace (core.Decoded, about 25 bytes per committed
+// instruction), which it streams from one emulator pass without holding the
+// full trace, from a cost-bounded cache: concurrent first callers for one
+// workload coalesce onto one build, every caller shares the immutable
+// result, and a decode evicted under the byte budget is rebuilt on its next
+// use. This is what lets the experiment harness and rbserve fan (machine,
+// workload) cells across a worker pool without copying traces. Trace
+// returns a fresh full trace (64 bytes per entry) that the caller owns; no
+// one else holds it, and nothing caches it. Only the checking modes and
+// tools that inspect values need it.
 package workload
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -32,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/rcache"
 )
 
 // Workload is one synthetic benchmark.
@@ -54,27 +59,91 @@ func (w *Workload) Program() (*isa.Program, error) {
 }
 
 // Trace runs the workload to completion on the functional emulator and
-// returns the committed instruction stream (cached).
+// returns the committed instruction stream, a fresh copy the caller owns.
+// When the workload's timing trace is not cached, the same emulator pass
+// builds it and leaves it in the cache for Decoded.
 func (w *Workload) Trace() ([]emu.TraceEntry, error) {
-	e, err := traceCache.get(w)
-	if err != nil {
-		return nil, err
+	var trace []emu.TraceEntry
+	if _, ok := traceCache.Get(w.Name); !ok {
+		if _, _, err := traceCache.Do(context.Background(), w.Name, func() (any, int64, error) {
+			var dec *core.Decoded
+			var err error
+			trace, dec, err = w.emulate(true)
+			if err != nil {
+				return nil, 0, err
+			}
+			return dec, dec.Bytes(), nil
+		}); err != nil {
+			return nil, err
+		}
 	}
-	return e.trace, nil
+	if trace == nil {
+		// The decode was cached, or another caller built it: trace alone.
+		p, err := programCache.get(w)
+		if err != nil {
+			return nil, err
+		}
+		if trace, err = emu.Trace(p, w.MaxInsts); err != nil {
+			return nil, fmt.Errorf("workload %s: %w", w.Name, err)
+		}
+	}
+	return trace, nil
 }
 
-// Decoded returns the static decode of the workload's trace (core.Decode),
-// built on first use and cached beside the trace: every simulation of the
-// workload shares it through core.Options.Decoded.
+// Decoded returns the workload's timing trace (core.Decoded), streamed from
+// the emulator on first use and cached: every simulation of the workload
+// shares it through core.Options.Decoded.
 func (w *Workload) Decoded() (*core.Decoded, error) {
-	e, err := traceCache.get(w)
+	v, _, err := traceCache.Do(context.Background(), w.Name, func() (any, int64, error) {
+		_, dec, err := w.emulate(false)
+		if err != nil {
+			return nil, 0, err
+		}
+		return dec, dec.Bytes(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Built outside the cache mutex, which every cell takes: concurrent
-	// first callers for this workload wait on its Once, no one else waits.
-	e.decOnce.Do(func() { e.dec = core.Decode(e.trace) })
-	return e.dec, nil
+	return v.(*core.Decoded), nil
+}
+
+// traceCacheBudget bounds the timing traces the process keeps, in bytes.
+// The twenty workloads' traces take about 65 MB together.
+const traceCacheBudget = 128 << 20
+
+// traceCache holds each workload's timing trace under its name. A single
+// shard: the budget covers all of them, and a miss is a whole emulator run.
+var traceCache = rcache.New(1, traceCacheBudget)
+
+// emulate runs the workload on the functional emulator and streams the
+// committed entries into its timing trace; with full it also collects the
+// full trace (nil otherwise) from the same pass.
+func (w *Workload) emulate(full bool) ([]emu.TraceEntry, *core.Decoded, error) {
+	p, err := programCache.get(w)
+	if err != nil {
+		return nil, nil, err
+	}
+	var (
+		trace []emu.TraceEntry
+		dec   core.Decoder
+	)
+	if full {
+		trace = make([]emu.TraceEntry, 0, 4096)
+	}
+	_, err = emu.New(p).Run(w.MaxInsts, func(t emu.TraceEntry) {
+		dec.Add(&t)
+		if full {
+			trace = append(trace, t)
+		}
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("workload %s: %w", w.Name, err)
+	}
+	d, err := dec.Decoded()
+	if err != nil {
+		return nil, nil, fmt.Errorf("workload %s: %w", w.Name, err)
+	}
+	return trace, d, nil
 }
 
 // InstCount is the workload's dynamic instruction count (cached). Unlike
@@ -129,39 +198,6 @@ func (c *progCache) get(w *Workload) (*isa.Program, error) {
 	}
 	c.m[w.Name] = p
 	return p, nil
-}
-
-type trCache struct {
-	mu sync.Mutex
-	m  map[string]*traceEntry
-}
-
-// traceEntry is one workload's cached trace and its lazily built decode.
-type traceEntry struct {
-	trace   []emu.TraceEntry
-	decOnce sync.Once
-	dec     *core.Decoded
-}
-
-var traceCache = &trCache{m: map[string]*traceEntry{}}
-
-func (c *trCache) get(w *Workload) (*traceEntry, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[w.Name]; ok {
-		return e, nil
-	}
-	p, err := programCache.get(w)
-	if err != nil {
-		return nil, err
-	}
-	t, err := emu.Trace(p, w.MaxInsts)
-	if err != nil {
-		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
-	}
-	e := &traceEntry{trace: t}
-	c.m[w.Name] = e
-	return e, nil
 }
 
 // SPECint95 returns the eight SPECint95-flavored workloads.

@@ -157,6 +157,8 @@ func TestWorkloadsAreDistinct(t *testing.T) {
 	}
 }
 
+// TestTracesAreCachedAndDeterministic: the timing trace is cached and
+// shared, while every full trace is a fresh, identical copy its caller owns.
 func TestTracesAreCachedAndDeterministic(t *testing.T) {
 	w, _ := ByName("compress")
 	t1, err := w.Trace()
@@ -174,5 +176,19 @@ func TestTracesAreCachedAndDeterministic(t *testing.T) {
 		if t1[i] != t2[i] {
 			t.Fatalf("trace entry %d differs", i)
 		}
+	}
+	if &t1[0] == &t2[0] {
+		t.Error("two Trace calls share one slice; each caller must own its copy")
+	}
+	d1, err := w.Decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := w.Decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1 != d2 || d1.Len() != len(t1) {
+		t.Errorf("timing trace not cached, or of %d entries for a %d-entry trace", d1.Len(), len(t1))
 	}
 }

@@ -34,7 +34,9 @@ GOMAXPROCS=1 go test -count=1 ./...
 # test pins a pool of three and fails within seconds instead of hanging.
 go test -run '^TestExhaustPoolReleasesEveryWorker$' -timeout 2m ./internal/server/
 # -quick includes the backends layer: the event-driven scheduler must be
-# bit-identical to the poll oracle on every checked (machine, workload) cell.
+# bit-identical to the poll oracle on every checked (machine, workload) cell,
+# and its timing-vs-full-trace legs require a run on a workload's cached
+# timing trace alone to equal a run on its full trace.
 go run ./cmd/rbcheck -quick
 # Fault-injection gate: detection floors (gate coverage, 100% residue on
 # single digit flips, full watchdog recovery) plus the deterministic
@@ -53,7 +55,8 @@ go test -run '^$' -fuzz '^FuzzCheckpointRoundtrip$' -fuzztime 5s ./internal/ckpt
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/grid/
 # Focused race leg: the packages with real cross-goroutine traffic (worker
 # pool, response cache, HTTP service, fault campaigns, and the per-trace
-# decode every concurrent cell reads) get a second -race shake beyond the
+# decode every concurrent cell reads, served from the byte-bounded trace
+# cache even when it can hold no trace) get a second -race shake beyond the
 # one-shot full run above, to catch schedule-dependent races like
 # Submit-vs-Close.
 go test -race -count=2 -timeout 20m ./internal/pool/ ./internal/rcache/ ./internal/server/ ./internal/fault/ ./internal/grid/ ./internal/core/ ./internal/workload/
