@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -230,21 +231,20 @@ func doSaveCkpt(cfg machine.Config, w *workload.Workload, path string, n int64) 
 	if err != nil {
 		return err
 	}
-	pred := branch.New()
-	warmer := ckpt.NewWarmer(hier, pred)
-	e := emu.New(prog)
-	var te emu.TraceEntry
-	for e.InstCount() < n {
-		if err := e.StepInto(&te); err != nil {
-			if e.Halted() {
-				return fmt.Errorf("workload %s halts after %d instructions, before -ckpt-at %d",
-					w.Name, e.InstCount(), n)
-			}
-			return err
-		}
-		warmer.Observe(&te)
+	var st *ckpt.State
+	plan := ckpt.Plan{Workload: w.Name, Max: w.MaxInsts, Stop: n}
+	at, err := ckpt.FastForward(prog, ckpt.NewWarmer(hier, branch.New()), plan, func(s *ckpt.State) error {
+		st = s
+		return nil
+	})
+	switch {
+	case errors.Is(err, ckpt.ErrHalted):
+		return fmt.Errorf("workload %s halts after %d instructions, before -ckpt-at %d", w.Name, at, n)
+	case errors.Is(err, ckpt.ErrNoHalt):
+		return fmt.Errorf("workload %s exceeded %d instructions without halting, before -ckpt-at %d", w.Name, at, n)
+	case err != nil:
+		return err
 	}
-	st := ckpt.Capture(w.Name, e, hier, pred)
 	f, err := os.Create(path)
 	if err != nil {
 		return err

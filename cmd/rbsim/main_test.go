@@ -1,0 +1,89 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/branch"
+	"repro/internal/ckpt"
+	"repro/internal/emu"
+	"repro/internal/machine"
+	"repro/internal/mem"
+	"repro/internal/workload"
+)
+
+// serialCkpt is the reference for -save-ckpt: step to n on one goroutine,
+// warming every instruction, then capture.
+func serialCkpt(t *testing.T, cfg machine.Config, w *workload.Workload, n int64) *ckpt.State {
+	t.Helper()
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier := mem.MustHierarchy(cfg.Mem)
+	pred := branch.New()
+	warmer := ckpt.NewWarmer(hier, pred)
+	e := emu.New(prog)
+	var te emu.TraceEntry
+	for e.InstCount() < n {
+		if err := e.StepInto(&te); err != nil {
+			t.Fatal(err)
+		}
+		warmer.Observe(&te)
+	}
+	return ckpt.Capture(w.Name, e, hier, pred)
+}
+
+// TestSaveCkptMatchesSerial: the file -save-ckpt writes holds the serial
+// capture's exact bytes at the first instruction, on a multiple of the
+// fast-forward's commit batch and off one; a -ckpt-at past the program's
+// end keeps its error.
+func TestSaveCkptMatchesSerial(t *testing.T) {
+	cfg := machine.NewRBFull(8)
+	w, ok := workload.ByName("gcc00")
+	if !ok {
+		t.Fatal("workload gcc00 missing")
+	}
+	path := filepath.Join(t.TempDir(), "gcc00.ckpt")
+	for _, n := range []int64{1, 16384, 10000} {
+		if err := doSaveCkpt(cfg, w, path, n); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		ref := serialCkpt(t, cfg, w, n)
+		if err := ref.Write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("-ckpt-at %d: file differs from the serial capture (%d vs %d bytes)", n, len(got), want.Len())
+		}
+		st, err := ckpt.Read(bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Hash() != ref.Hash() || st.Seq() != n {
+			t.Fatalf("-ckpt-at %d: read back %s at %d, want %s at %d", n, st.Hash(), st.Seq(), ref.Hash(), n)
+		}
+	}
+
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	length, err := emu.New(prog).Run(w.MaxInsts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = doSaveCkpt(cfg, w, path, length+1)
+	want := fmt.Sprintf("workload gcc00 halts after %d instructions, before -ckpt-at %d", length, length+1)
+	if err == nil || err.Error() != want {
+		t.Fatalf("-ckpt-at past the end: got %v, want %q", err, want)
+	}
+}

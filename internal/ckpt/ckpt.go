@@ -37,7 +37,13 @@ type State struct {
 // predictor all keep running afterwards; hier or pred may be nil, in which
 // case the checkpoint records cold (empty) warm state.
 func Capture(workload string, e *emu.Emulator, h *mem.Hierarchy, p *branch.Predictor) *State {
-	st := &State{Workload: workload, Arch: e.State()}
+	return join(workload, e.State(), h, p)
+}
+
+// join pairs an architectural state with the current warm state of h and p
+// (cold where nil).
+func join(workload string, arch *emu.State, h *mem.Hierarchy, p *branch.Predictor) *State {
+	st := &State{Workload: workload, Arch: arch}
 	if h != nil {
 		st.Hier = h.State()
 	}

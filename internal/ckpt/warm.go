@@ -7,6 +7,26 @@ import (
 	"repro/internal/mem"
 )
 
+// Commit is one committed instruction as functional warming reads it: the
+// fetch PC, the executed next PC, the effective address of a load or store,
+// the opcode, and the branch outcome. It is the warmer's declared input, and
+// it packs into 24 bytes against a trace entry's 64, which is what a
+// fast-forward pass sends from its emulator stage to its warm stage.
+type Commit struct {
+	EA     uint64
+	NextPC int
+	// PC is an instruction index; the emulator only executes in-range PCs,
+	// so it fits 32 bits for any program that assembles.
+	PC    int32
+	Op    isa.Op
+	Taken bool
+}
+
+// commitOf extracts the fields warming reads from a trace entry.
+func commitOf(te *emu.TraceEntry) Commit {
+	return Commit{EA: te.EA, NextPC: te.NextPC, PC: int32(te.PC), Op: te.Inst.Op, Taken: te.Taken}
+}
+
 // Warmer evolves microarchitectural warm state (cache tags, predictor
 // tables) from a committed instruction stream without charging any timing.
 // It mirrors the stateful touch sequence of the detailed front end
@@ -27,57 +47,61 @@ func NewWarmer(h *mem.Hierarchy, p *branch.Predictor) *Warmer {
 	return &Warmer{Hier: h, Pred: p, lastFetchLine: -1}
 }
 
-// Observe feeds one committed instruction through the warm-state models.
+// Observe feeds one committed trace entry through the warm-state models.
+func (w *Warmer) Observe(te *emu.TraceEntry) { w.Warm(commitOf(te)) }
+
+// Warm feeds one committed instruction through the warm-state models.
 //
 //rblint:hotpath functional warming runs once per fast-forwarded instruction
-func (w *Warmer) Observe(te *emu.TraceEntry) {
+func (w *Warmer) Warm(c Commit) {
+	pc := int(c.PC)
 	if w.Hier != nil {
 		// One I-cache touch per 64-byte line, as the detailed fetch does.
-		line := int64(te.PC) * 8 >> 6
+		line := int64(pc) * 8 >> 6
 		if line != w.lastFetchLine {
-			w.Hier.WarmFetch(uint64(te.PC) * 8)
+			w.Hier.WarmFetch(uint64(pc) * 8)
 			w.lastFetchLine = line
 		}
 	}
-	cls := isa.ClassOf(te.Inst.Op)
+	cls := isa.ClassOf(c.Op)
 	switch {
 	case cls.IsLoad:
 		if w.Hier != nil {
-			w.Hier.WarmLoad(te.EA)
+			w.Hier.WarmLoad(c.EA)
 		}
 	case cls.IsStore:
 		if w.Hier != nil {
-			w.Hier.WarmStore(te.EA)
+			w.Hier.WarmStore(c.EA)
 		}
 	case cls.IsCondBranch:
 		if w.Pred != nil {
 			// Same stateful order as the detailed front end: train the
 			// direction predictor, look up the BTB (its LRU state moves on
 			// lookups), then install the target of a taken branch.
-			w.Pred.UpdateDirection(te.PC, te.Taken)
-			w.Pred.PredictTarget(te.PC)
-			if te.Taken {
-				w.Pred.UpdateTarget(te.PC, te.NextPC)
+			w.Pred.UpdateDirection(pc, c.Taken)
+			w.Pred.PredictTarget(pc)
+			if c.Taken {
+				w.Pred.UpdateTarget(pc, c.NextPC)
 			}
 		}
-	case te.Inst.Op == isa.BSR:
+	case c.Op == isa.BSR:
 		if w.Pred != nil {
-			w.Pred.PushReturn(te.PC + 1)
+			w.Pred.PushReturn(pc + 1)
 		}
-	case te.Inst.Op == isa.RET:
+	case c.Op == isa.RET:
 		if w.Pred != nil {
 			w.Pred.PopReturn()
 		}
 	case cls.IsIndirect:
 		if w.Pred != nil {
-			if te.Inst.Op == isa.JSR {
-				w.Pred.PushReturn(te.PC + 1)
+			if c.Op == isa.JSR {
+				w.Pred.PushReturn(pc + 1)
 			}
-			w.Pred.PredictTarget(te.PC)
-			w.Pred.UpdateTarget(te.PC, te.NextPC)
+			w.Pred.PredictTarget(pc)
+			w.Pred.UpdateTarget(pc, c.NextPC)
 		}
 	}
-	if te.Taken {
+	if c.Taken {
 		w.lastFetchLine = -1 // next instruction starts a new fetch path
 	}
 }

@@ -341,28 +341,18 @@ func buildLibrary(cfg machine.Config, w *workload.Workload, ffWarm int64) (*ckpt
 	if err != nil {
 		return nil, err
 	}
-	pred := branch.New()
-	warmer := ckpt.NewWarmer(hier, pred)
-	e := emu.New(prog)
 	lib := &ckptLibrary{stride: libStride(w.MaxInsts)}
-	var te emu.TraceEntry
-	for !e.Halted() {
-		i := e.InstCount()
-		if i > w.MaxInsts {
-			return nil, fmt.Errorf("fast-forward of %s exceeded %d instructions without halting", w.Name, w.MaxInsts)
-		}
-		if i%lib.stride == 0 {
-			st := ckpt.Capture(w.Name, e, hier, pred)
-			lib.states = append(lib.states, st)
-			lib.prints = append(lib.prints, st.Fingerprint())
-		}
-		if err := e.StepInto(&te); err != nil {
-			return nil, fmt.Errorf("fast-forward of %s at inst %d: %w", w.Name, i, err)
-		}
-		if ffWarm == 0 || i%lib.stride >= lib.stride-ffWarm {
-			warmer.Observe(&te)
-		}
+	plan := ckpt.Plan{Workload: w.Name, Max: w.MaxInsts, Every: lib.stride, FFWarm: ffWarm}
+	lib.total, err = ckpt.FastForward(prog, ckpt.NewWarmer(hier, branch.New()), plan, func(st *ckpt.State) error {
+		lib.states = append(lib.states, st)
+		lib.prints = append(lib.prints, st.Fingerprint())
+		return nil
+	})
+	switch {
+	case errors.Is(err, ckpt.ErrNoHalt):
+		return nil, fmt.Errorf("fast-forward of %s exceeded %d instructions without halting", w.Name, w.MaxInsts)
+	case err != nil:
+		return nil, fmt.Errorf("fast-forward of %s at inst %d: %w", w.Name, lib.total, err)
 	}
-	lib.total = e.InstCount()
 	return lib, nil
 }

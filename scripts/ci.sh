@@ -60,6 +60,11 @@ go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/grid/
 # one-shot full run above, to catch schedule-dependent races like
 # Submit-vs-Close.
 go test -race -count=2 -timeout 20m ./internal/pool/ ./internal/rcache/ ./internal/server/ ./internal/fault/ ./internal/grid/ ./internal/core/ ./internal/workload/
+# The checkpoint-library pass runs the emulator and the warmer on two
+# goroutines (ckpt.FastForward): repeat its identity, failure-path and
+# goroutine-lifetime tests under race. The full experiments suite is too
+# slow under race to repeat, so only these tests run here (~2 min).
+go test -race -count=10 -timeout 20m -run '^(TestFastForward|TestLibrary)' ./internal/ckpt/ ./internal/experiments/
 
 # rbserve smoke test: boot the server on an ephemeral port, probe liveness
 # and metrics with its built-in client (no curl dependency), and require the
