@@ -86,9 +86,9 @@ func (p *Predictor) gshareIndex(pc int) int {
 
 func (p *Predictor) localIndex(pc int) int { return pc & (localTableSize - 1) }
 
-// PredictDirection predicts a conditional branch at pc. It does not update
-// any state; call UpdateDirection with the outcome afterwards.
-func (p *Predictor) PredictDirection(pc int) bool {
+// predictDirection predicts a conditional branch at pc. It does not update
+// any state; call updateDirection with the outcome afterwards.
+func (p *Predictor) predictDirection(pc int) bool {
 	g := p.gshare[p.gshareIndex(pc)] >= counterTakenMin
 	hist := p.localH[p.localIndex(pc)] & (patternSize - 1)
 	l := p.pattern[hist] >= counterTakenMin
@@ -98,20 +98,25 @@ func (p *Predictor) PredictDirection(pc int) bool {
 	return l
 }
 
-// UpdateDirection trains the predictor with the resolved outcome of a
-// conditional branch at pc.
-func (p *Predictor) UpdateDirection(pc int, taken bool) {
+// updateDirection trains the predictor with the resolved outcome of a
+// conditional branch at pc, and returns the direction predictDirection
+// would have given before the update.
+func (p *Predictor) updateDirection(pc int, taken bool) (pred bool) {
 	gi := p.gshareIndex(pc)
 	li := p.localIndex(pc)
 	hist := p.localH[li] & (patternSize - 1)
 
 	gPred := p.gshare[gi] >= counterTakenMin
 	lPred := p.pattern[hist] >= counterTakenMin
+	pred = gPred
 
 	// Chooser trains toward whichever component was right, only when they
-	// disagree (McFarling's rule).
+	// disagree (McFarling's rule); only then does its choice matter.
 	if gPred != lPred {
 		ci := int(uint64(pc)) & (chooserSize - 1)
+		if p.chooser[ci] < counterTakenMin {
+			pred = lPred
+		}
 		if gPred == taken {
 			p.chooser[ci] = satInc(p.chooser[ci])
 		} else {
@@ -127,6 +132,7 @@ func (p *Predictor) UpdateDirection(pc int, taken bool) {
 	}
 	p.localH[li] = p.localH[li]<<1 | b2u16(taken)
 	p.history = p.history<<1 | b2u64(taken)
+	return pred
 }
 
 func satInc(c uint8) uint8 {
@@ -157,8 +163,8 @@ func b2u64(b bool) uint64 {
 	return 0
 }
 
-// PredictTarget looks up the BTB for the target of a taken branch at pc.
-func (p *Predictor) PredictTarget(pc int) (target int, hit bool) {
+// predictTarget looks up the BTB for the target of a taken branch at pc.
+func (p *Predictor) predictTarget(pc int) (target int, hit bool) {
 	set := pc & (btbSets - 1)
 	tag := uint32(pc / btbSets)
 	for w := 0; w < btbWays; w++ {
@@ -175,8 +181,8 @@ func (p *Predictor) PredictTarget(pc int) (target int, hit bool) {
 	return 0, false
 }
 
-// UpdateTarget installs or refreshes the target of a taken branch.
-func (p *Predictor) UpdateTarget(pc, target int) {
+// updateTarget installs or refreshes the target of a taken branch.
+func (p *Predictor) updateTarget(pc, target int) {
 	set := pc & (btbSets - 1)
 	tag := uint32(pc / btbSets)
 	victim := 0
@@ -204,9 +210,9 @@ func (p *Predictor) UpdateTarget(pc, target int) {
 	}
 }
 
-// PushReturn records a return address on the return address stack (on
+// pushReturn records a return address on the return address stack (on
 // BSR/JSR).
-func (p *Predictor) PushReturn(addr int) {
+func (p *Predictor) pushReturn(addr int) {
 	p.rasTop = (p.rasTop + 1) % rasDepth
 	p.ras[p.rasTop] = addr
 	if p.rasLen < rasDepth {
@@ -214,9 +220,9 @@ func (p *Predictor) PushReturn(addr int) {
 	}
 }
 
-// PopReturn predicts the target of a RET. It reports a miss when the stack
+// popReturn predicts the target of a RET. It reports a miss when the stack
 // is empty.
-func (p *Predictor) PopReturn() (addr int, ok bool) {
+func (p *Predictor) popReturn() (addr int, ok bool) {
 	if p.rasLen == 0 {
 		return 0, false
 	}

@@ -3,6 +3,8 @@ package branch
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 func TestLearnsAlwaysTaken(t *testing.T) {
@@ -11,9 +13,9 @@ func TestLearnsAlwaysTaken(t *testing.T) {
 	// The global history register changes the gshare index every update, so
 	// train long enough for the history context to saturate and repeat.
 	for i := 0; i < 40; i++ {
-		p.UpdateDirection(pc, true)
+		p.updateDirection(pc, true)
 	}
-	if !p.PredictDirection(pc) {
+	if !p.predictDirection(pc) {
 		t.Error("did not learn always-taken branch")
 	}
 }
@@ -22,9 +24,9 @@ func TestLearnsAlwaysNotTaken(t *testing.T) {
 	p := New()
 	pc := 200
 	for i := 0; i < 40; i++ {
-		p.UpdateDirection(pc, false)
+		p.updateDirection(pc, false)
 	}
-	if p.PredictDirection(pc) {
+	if p.predictDirection(pc) {
 		t.Error("did not learn never-taken branch")
 	}
 }
@@ -39,14 +41,14 @@ func TestLearnsAlternatingPatternViaLocalHistory(t *testing.T) {
 	correct := 0
 	total := 0
 	for i := 0; i < 1000; i++ {
-		pred := p.PredictDirection(pc)
+		pred := p.predictDirection(pc)
 		if i >= warmup {
 			total++
 			if pred == taken {
 				correct++
 			}
 		}
-		p.UpdateDirection(pc, taken)
+		p.updateDirection(pc, taken)
 		taken = !taken
 	}
 	if rate := float64(correct) / float64(total); rate < 0.95 {
@@ -63,14 +65,14 @@ func TestLearnsLoopPattern(t *testing.T) {
 	for iter := 0; iter < 400; iter++ {
 		for i := 0; i < 8; i++ {
 			taken := i < 7
-			pred := p.PredictDirection(pc)
+			pred := p.predictDirection(pc)
 			if iter >= 50 {
 				total++
 				if pred == taken {
 					correct++
 				}
 			}
-			p.UpdateDirection(pc, taken)
+			p.updateDirection(pc, taken)
 		}
 	}
 	if rate := float64(correct) / float64(total); rate < 0.95 {
@@ -86,15 +88,15 @@ func TestGlobalCorrelation(t *testing.T) {
 	correct, total := 0, 0
 	for i := 0; i < 4000; i++ {
 		a := r.Intn(2) == 0
-		p.UpdateDirection(500, a)
-		pred := p.PredictDirection(504)
+		p.updateDirection(500, a)
+		pred := p.predictDirection(504)
 		if i >= 1000 {
 			total++
 			if pred == a {
 				correct++
 			}
 		}
-		p.UpdateDirection(504, a)
+		p.updateDirection(504, a)
 	}
 	if rate := float64(correct) / float64(total); rate < 0.90 {
 		t.Errorf("correlated branch accuracy %.2f, want >= 0.90", rate)
@@ -103,16 +105,16 @@ func TestGlobalCorrelation(t *testing.T) {
 
 func TestBTB(t *testing.T) {
 	p := New()
-	if _, hit := p.PredictTarget(123); hit {
+	if _, hit := p.predictTarget(123); hit {
 		t.Error("cold BTB hit")
 	}
-	p.UpdateTarget(123, 456)
-	if tgt, hit := p.PredictTarget(123); !hit || tgt != 456 {
+	p.updateTarget(123, 456)
+	if tgt, hit := p.predictTarget(123); !hit || tgt != 456 {
 		t.Errorf("BTB lookup = %d, %v", tgt, hit)
 	}
 	// Retrain with a new target.
-	p.UpdateTarget(123, 789)
-	if tgt, _ := p.PredictTarget(123); tgt != 789 {
+	p.updateTarget(123, 789)
+	if tgt, _ := p.predictTarget(123); tgt != 789 {
 		t.Errorf("BTB retrain = %d", tgt)
 	}
 }
@@ -123,37 +125,37 @@ func TestBTBConflictEviction(t *testing.T) {
 	// evicted, the newest retained.
 	base := 77
 	for i := 0; i <= btbWays; i++ {
-		p.UpdateTarget(base+i*btbSets, 1000+i)
+		p.updateTarget(base+i*btbSets, 1000+i)
 	}
-	if _, hit := p.PredictTarget(base); hit {
+	if _, hit := p.predictTarget(base); hit {
 		t.Error("LRU victim not evicted")
 	}
-	if tgt, hit := p.PredictTarget(base + btbWays*btbSets); !hit || tgt != 1000+btbWays {
+	if tgt, hit := p.predictTarget(base + btbWays*btbSets); !hit || tgt != 1000+btbWays {
 		t.Errorf("newest entry lost: %d, %v", tgt, hit)
 	}
 }
 
 func TestReturnAddressStack(t *testing.T) {
 	p := New()
-	if _, ok := p.PopReturn(); ok {
+	if _, ok := p.popReturn(); ok {
 		t.Error("empty RAS popped")
 	}
-	p.PushReturn(10)
-	p.PushReturn(20)
-	if a, ok := p.PopReturn(); !ok || a != 20 {
+	p.pushReturn(10)
+	p.pushReturn(20)
+	if a, ok := p.popReturn(); !ok || a != 20 {
 		t.Errorf("pop = %d, %v", a, ok)
 	}
-	if a, ok := p.PopReturn(); !ok || a != 10 {
+	if a, ok := p.popReturn(); !ok || a != 10 {
 		t.Errorf("pop = %d, %v", a, ok)
 	}
-	if _, ok := p.PopReturn(); ok {
+	if _, ok := p.popReturn(); ok {
 		t.Error("RAS underflow not detected")
 	}
 	// Overflow wraps, keeping the most recent rasDepth entries.
 	for i := 0; i < rasDepth+4; i++ {
-		p.PushReturn(i)
+		p.pushReturn(i)
 	}
-	if a, _ := p.PopReturn(); a != rasDepth+3 {
+	if a, _ := p.popReturn(); a != rasDepth+3 {
 		t.Errorf("after overflow, top = %d", a)
 	}
 }
@@ -163,11 +165,66 @@ func TestRandomBranchesNeverPanic(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for i := 0; i < 100000; i++ {
 		pc := r.Intn(1 << 20)
-		p.PredictDirection(pc)
-		p.UpdateDirection(pc, r.Intn(2) == 0)
+		p.predictDirection(pc)
+		p.updateDirection(pc, r.Intn(2) == 0)
 		if r.Intn(4) == 0 {
-			p.UpdateTarget(pc, r.Intn(1<<20))
-			p.PredictTarget(pc)
+			p.updateTarget(pc, r.Intn(1<<20))
+			p.predictTarget(pc)
+		}
+	}
+}
+
+// TestKindOfMatchesClass ties the front-end kinds to the ISA classification:
+// exactly the branches have a kind, and exactly the conditional and
+// indirect ones are predicted.
+func TestKindOfMatchesClass(t *testing.T) {
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		k, c := KindOf(op), isa.ClassOf(op)
+		if (k != NotBranch) != c.IsBranch() || k.Predicted() != (c.IsCondBranch || c.IsIndirect) || int(k) >= NumKinds {
+			t.Errorf("%v: kind %d for class %+v", op, k, c)
+		}
+	}
+}
+
+// TestFetchRedirects checks where a mispredicting front end goes: the
+// fall-through of a wrongly not-taken branch, the stale target of a
+// wrong-target one, and nowhere (-1) with no target to follow.
+func TestFetchRedirects(t *testing.T) {
+	p := New()
+	if m, r := p.Fetch(Cond, 100, true, 140); !m || r != 101 {
+		t.Errorf("cold taken branch: mispredict %v, redirect %d; want true, 101", m, r)
+	}
+	if m, r := p.Fetch(Indirect, 200, true, 300); !m || r != -1 {
+		t.Errorf("BTB miss: mispredict %v, redirect %d; want true, -1", m, r)
+	}
+	if m, _ := p.Fetch(Indirect, 200, true, 300); m {
+		t.Error("indirect jump to its BTB target mispredicted")
+	}
+	if m, r := p.Fetch(Indirect, 200, true, 400); !m || r != 300 {
+		t.Errorf("stale BTB target: mispredict %v, redirect %d; want true, 300", m, r)
+	}
+	if m, r := p.Fetch(Return, 500, true, 11); !m || r != -1 {
+		t.Errorf("empty RAS: mispredict %v, redirect %d; want true, -1", m, r)
+	}
+	p.Fetch(Call, 10, true, 600)
+	if m, _ := p.Fetch(Return, 610, true, 11); m {
+		t.Error("return to the pushed address mispredicted")
+	}
+	if m, _ := p.Fetch(NotBranch, 700, false, 701); m {
+		t.Error("a non-branch mispredicted")
+	}
+}
+
+// TestUpdateReturnsPrediction checks that training reports the direction
+// predictDirection gave just before it, which is what Fetch relies on.
+func TestUpdateReturnsPrediction(t *testing.T) {
+	p := New()
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 100000; i++ {
+		pc := r.Intn(1 << 12)
+		want := p.predictDirection(pc)
+		if got := p.updateDirection(pc, r.Intn(3) != 0); got != want {
+			t.Fatalf("step %d: update reported %v, predictDirection %v", i, got, want)
 		}
 	}
 }

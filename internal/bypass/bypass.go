@@ -192,22 +192,3 @@ func (s Schedule) Holes() []int64 {
 	}
 	return holes
 }
-
-// Delay returns a schedule shifted later by d cycles — the availability seen
-// across a cluster boundary with a d-cycle forwarding delay (§5.1: 1 cycle
-// between the two clusters of the 8-wide machine).
-func (s Schedule) Delay(d int64) DelayedSchedule {
-	return DelayedSchedule{S: s, D: d}
-}
-
-// DelayedSchedule is a Schedule viewed through an inter-cluster forwarding
-// delay: available at offset o iff the base schedule is available at o-D.
-type DelayedSchedule struct {
-	S Schedule
-	D int64
-}
-
-// AvailableAt reports availability at the delayed offset.
-func (d DelayedSchedule) AvailableAt(offset int64) bool {
-	return d.S.AvailableAt(offset - d.D)
-}

@@ -171,21 +171,3 @@ func TestNextAvailableConsistentWithAvailableAt(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestDelayedSchedule(t *testing.T) {
-	s := FromConfig(Full(), RFOffset)
-	d := s.Delay(1) // cross-cluster view
-	if d.AvailableAt(1) {
-		t.Error("cross-cluster value available with no delay")
-	}
-	if !d.AvailableAt(2) {
-		t.Error("cross-cluster value unavailable at offset 2")
-	}
-	holey := Schedule{LevelMask: 1 << 1, RFFrom: 4}.Delay(1)
-	wantAvail := map[int64]bool{1: false, 2: true, 3: false, 4: false, 5: true}
-	for o, want := range wantAvail {
-		if got := holey.AvailableAt(o); got != want {
-			t.Errorf("delayed holey: available(%d) = %v, want %v", o, got, want)
-		}
-	}
-}

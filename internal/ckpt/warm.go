@@ -29,12 +29,17 @@ func commitOf(te *emu.TraceEntry) Commit {
 
 // Warmer evolves microarchitectural warm state (cache tags, predictor
 // tables) from a committed instruction stream without charging any timing.
-// It mirrors the stateful touch sequence of the detailed front end
-// (core.predictBranch and the per-line I-fetch of core.fetch) so a
-// checkpointed warm state looks like the one a detailed run would have
-// reached — approximately: the detailed core also touches state on
-// wrong-path fetches, which a functional stream cannot see. Warm-up windows
-// absorb that residual error.
+// It trains the predictor through the detailed front end's own fetch-time
+// routine (branch.Predictor.Fetch) and touches the I-cache once per fetch
+// line, starting a new line after a taken branch or a misprediction as the
+// detailed fetch does. So at the same fetch point its predictor and L1I
+// state equal those of a detailed run with wrong-path modeling off, exactly
+// (TestWarmerMatchesDetailedFrontEnd in internal/core). L1D and L2 differ
+// by execute order: the warmer touches data in program order, the detailed
+// core when each load or store executes, and the L2 serves both sides'
+// misses. With machine.Config.ModelWrongPath on, the wrong-path fetches and
+// loads a committed stream cannot see are the remaining gap. Warm-up
+// windows absorb both.
 type Warmer struct {
 	Hier *mem.Hierarchy
 	Pred *branch.Predictor
@@ -62,46 +67,20 @@ func (w *Warmer) Warm(c Commit) {
 			w.Hier.WarmFetch(uint64(pc) * 8)
 			w.lastFetchLine = line
 		}
-	}
-	cls := isa.ClassOf(c.Op)
-	switch {
-	case cls.IsLoad:
-		if w.Hier != nil {
+		if cls := isa.ClassOf(c.Op); cls.IsLoad {
 			w.Hier.WarmLoad(c.EA)
-		}
-	case cls.IsStore:
-		if w.Hier != nil {
+		} else if cls.IsStore {
 			w.Hier.WarmStore(c.EA)
 		}
-	case cls.IsCondBranch:
-		if w.Pred != nil {
-			// Same stateful order as the detailed front end: train the
-			// direction predictor, look up the BTB (its LRU state moves on
-			// lookups), then install the target of a taken branch.
-			w.Pred.UpdateDirection(pc, c.Taken)
-			w.Pred.PredictTarget(pc)
-			if c.Taken {
-				w.Pred.UpdateTarget(pc, c.NextPC)
-			}
-		}
-	case c.Op == isa.BSR:
-		if w.Pred != nil {
-			w.Pred.PushReturn(pc + 1)
-		}
-	case c.Op == isa.RET:
-		if w.Pred != nil {
-			w.Pred.PopReturn()
-		}
-	case cls.IsIndirect:
-		if w.Pred != nil {
-			if c.Op == isa.JSR {
-				w.Pred.PushReturn(pc + 1)
-			}
-			w.Pred.PredictTarget(pc)
-			w.Pred.UpdateTarget(pc, c.NextPC)
-		}
 	}
-	if c.Taken {
-		w.lastFetchLine = -1 // next instruction starts a new fetch path
+	newPath := c.Taken
+	if k := branch.KindOf(c.Op); k != branch.NotBranch && w.Pred != nil {
+		// The detailed fetch also restarts its line when a misprediction
+		// resolves.
+		mispredict, _ := w.Pred.Fetch(k, pc, c.Taken, c.NextPC)
+		newPath = newPath || mispredict
+	}
+	if newPath {
+		w.lastFetchLine = -1 // the next instruction starts a new fetch line
 	}
 }

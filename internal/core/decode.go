@@ -5,6 +5,7 @@ import (
 	"math"
 	"unsafe"
 
+	"repro/internal/branch"
 	"repro/internal/emu"
 	"repro/internal/isa"
 )
@@ -33,29 +34,27 @@ import (
 //	[1:0] effective In format   [3:2] effective Out format
 //	[7:4] latency class         [9:8] register source count
 //	[10] load  [11] store  [12] writes a register
-//	[13] conditional branch     [14] indirect branch (JMP/JSR/RET)
-//	[15] direct branch (BR/BSR) [16] call: pushes a return address (BSR/JSR)
-//	[17] return (RET)           [18] taken: the trace's branch outcome
+//	[15:13] front-end branch kind (branch.KindOf)
+//	[16] taken: the trace's branch outcome
 type opWord uint32
 
 const (
 	opOutShift  = 2
 	opLatShift  = 4
 	opNsrcShift = 8
+	opKindShift = 13
 
-	opLoad       opWord = 1 << 10
-	opStore      opWord = 1 << 11
-	opDest       opWord = 1 << 12
-	opCondBranch opWord = 1 << 13
-	opIndirect   opWord = 1 << 14
-	opDirect     opWord = 1 << 15
-	opCall       opWord = 1 << 16
-	opReturn     opWord = 1 << 17
-	opTaken      opWord = 1 << 18
+	opLoad  opWord = 1 << 10
+	opStore opWord = 1 << 11
+	opDest  opWord = 1 << 12
+	opTaken opWord = 1 << 16
 )
 
-// The latency class must fit its four bits.
-var _ [16 - int(isa.NumLatencyClasses)]struct{}
+// The latency class must fit its four bits, and the branch kind its three.
+var (
+	_ [16 - int(isa.NumLatencyClasses)]struct{}
+	_ [8 - branch.NumKinds]struct{}
+)
 
 // classOp packs a classification (and a source count) into an op word.
 func classOp(c isa.Class, nsrc int) opWord {
@@ -66,35 +65,14 @@ func classOp(c isa.Class, nsrc int) opWord {
 	if c.IsStore {
 		w |= opStore
 	}
-	if c.IsCondBranch {
-		w |= opCondBranch
-	}
-	if c.IsIndirect {
-		w |= opIndirect
-	}
 	return w
-}
-
-// branchOp is the branch kind of an opcode, as the front end's return stack
-// and direct-target decode tell them apart.
-func branchOp(op isa.Op) opWord {
-	switch op {
-	case isa.BR:
-		return opDirect
-	case isa.BSR:
-		return opDirect | opCall
-	case isa.JSR:
-		return opCall
-	case isa.RET:
-		return opReturn
-	}
-	return 0
 }
 
 func (w opWord) in() isa.Format            { return isa.Format(w & 3) }
 func (w opWord) out() isa.Format           { return isa.Format(w >> opOutShift & 3) }
 func (w opWord) latency() isa.LatencyClass { return isa.LatencyClass(w >> opLatShift & 15) }
 func (w opWord) nsrc() int8                { return int8(w >> opNsrcShift & 3) }
+func (w opWord) kind() branch.Kind         { return branch.Kind(w >> opKindShift & 7) }
 func (w opWord) has(flag opWord) bool      { return w&flag != 0 }
 
 // depMem is the slot of an entry's dependence record that holds its memory
@@ -222,7 +200,7 @@ func (b *Decoder) Add(te *emu.TraceEntry) {
 		}
 		k++
 	}
-	op := classOp(cls, k) | branchOp(in.Op)
+	op := classOp(cls, k) | opWord(branch.KindOf(in.Op))<<opKindShift
 	if te.Taken {
 		op |= opTaken
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/isa"
+import (
+	"repro/internal/branch"
+	"repro/internal/isa"
+)
 
 // The front end: instruction fetch with branch prediction and I-cache
 // timing, and in-order dispatch into the partitioned schedulers (the 6
@@ -26,16 +29,8 @@ func (s *Simulator) fetch(cycle int64) {
 	for fetched < s.cfg.FrontWidth && s.nextFetch < s.n && s.fqLen < s.fetchQCap {
 		pc := s.dec.pc[s.nextFetch]
 		op := s.dec.ops[s.nextFetch]
-		// Instruction cache: one access per line (8-byte instructions).
-		line := int64(pc) * 8 >> 6
-		if line != s.lastFetchLine {
-			doneAt := s.hier.Fetch(uint64(pc)*8, cycle)
-			s.lastFetchLine = line
-			if doneAt > cycle+s.cfg.Mem.L1ILatency {
-				// Miss: fetch resumes when the line arrives.
-				s.fetchBlockedTill = doneAt
-				return
-			}
+		if !s.fetchLine(int(pc), cycle) {
+			return
 		}
 		mispredict := s.predictBranch(s.nextFetch, int(pc), op)
 		if s.stages != nil {
@@ -61,76 +56,41 @@ func (s *Simulator) fetch(cycle int64) {
 	}
 }
 
-// predictBranch consults and trains the predictor for trace entry idx, at
-// pc with op word op, at fetch time, returning whether the front end will
-// follow the wrong path (and so must stall until the branch resolves).
-func (s *Simulator) predictBranch(idx int32, pc int, op opWord) bool {
-	taken := op.has(opTaken)
-	switch {
-	case op.has(opCondBranch):
-		s.res.Branches++
-		pred := s.pred.PredictDirection(pc)
-		s.pred.UpdateDirection(pc, taken)
-		tgt, hit := s.pred.PredictTarget(pc)
-		if taken {
-			s.pred.UpdateTarget(pc, s.dec.nextPC(idx))
-		}
-		if pred != taken {
-			s.res.BranchMispredicts++
-			s.startWrongPath(s.predictedWrongTarget(pc, taken, pred, tgt, hit))
-			return true
-		}
-		if taken {
-			if !hit || tgt != s.dec.nextPC(idx) {
-				s.res.BranchMispredicts++
-				if hit {
-					s.startWrongPath(tgt) // fetched the stale target
-				} else {
-					s.startWrongPath(-1)
-				}
-				return true
-			}
-		}
-		return false
-	case op.has(opDirect): // BR/BSR
-		// Direct targets resolve in decode; treated as correctly fetched.
-		if op.has(opCall) {
-			s.pred.PushReturn(pc + 1)
-		}
-		return false
-	case op.has(opReturn):
-		s.res.Branches++
-		tgt, ok := s.pred.PopReturn()
-		if !ok || tgt != s.dec.nextPC(idx) {
-			s.res.BranchMispredicts++
-			if ok {
-				s.startWrongPath(tgt)
-			} else {
-				s.startWrongPath(-1)
-			}
-			return true
-		}
-		return false
-	case op.has(opIndirect): // JMP/JSR via BTB
-		s.res.Branches++
-		if op.has(opCall) {
-			s.pred.PushReturn(pc + 1)
-		}
-		next := s.dec.nextPC(idx)
-		tgt, hit := s.pred.PredictTarget(pc)
-		s.pred.UpdateTarget(pc, next)
-		if !hit || tgt != next {
-			s.res.BranchMispredicts++
-			if hit {
-				s.startWrongPath(tgt)
-			} else {
-				s.startWrongPath(-1)
-			}
-			return true
-		}
+// fetchLine is the instruction cache access for fetching pc: one access per
+// 64-byte line (8-byte instructions). It reports false on a miss, which
+// blocks fetch until the line arrives.
+func (s *Simulator) fetchLine(pc int, cycle int64) bool {
+	line := int64(pc) * 8 >> 6
+	if line == s.lastFetchLine {
+		return true
+	}
+	doneAt := s.hier.Fetch(uint64(pc)*8, cycle)
+	s.lastFetchLine = line
+	if doneAt > cycle+s.cfg.Mem.L1ILatency {
+		s.fetchBlockedTill = doneAt
 		return false
 	}
-	return false
+	return true
+}
+
+// predictBranch consults and trains the predictor for trace entry idx, at
+// pc with op word op, at fetch time (branch.Predictor.Fetch, the touch
+// sequence functional warming shares), returning whether the front end will
+// follow the wrong path (and so must stall until the branch resolves).
+func (s *Simulator) predictBranch(idx int32, pc int, op opWord) bool {
+	k := op.kind()
+	if k == branch.NotBranch {
+		return false
+	}
+	mispredict, redirect := s.pred.Fetch(k, pc, op.has(opTaken), s.dec.nextPC(idx))
+	if k.Predicted() {
+		s.res.Branches++
+	}
+	if mispredict {
+		s.res.BranchMispredicts++
+		s.startWrongPath(redirect)
+	}
+	return mispredict
 }
 
 // dispatch moves instructions from the front-end queue into the schedulers.

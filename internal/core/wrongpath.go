@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/branch"
 	"repro/internal/emu"
 	"repro/internal/isa"
 )
@@ -85,20 +86,6 @@ func (s *Simulator) wpWrite(addr uint64, size int, v uint64) {
 	}
 }
 
-// predictedWrongTarget computes where fetch would go after mispredicting the
-// branch at te: the fall-through for a wrongly-not-taken prediction, the
-// BTB/RAS target for a wrongly-taken or wrong-target prediction, or -1 when
-// no target was available.
-func (s *Simulator) predictedWrongTarget(pc int, wasTaken bool, predTaken bool, predTarget int, haveTarget bool) int {
-	if !predTaken {
-		return pc + 1
-	}
-	if haveTarget {
-		return predTarget
-	}
-	return -1
-}
-
 // fetchWrongPath fetches up to the front width of wrong-path instructions
 // for this cycle, following predicted directions through further branches.
 func (s *Simulator) fetchWrongPath(cycle int64) {
@@ -113,14 +100,8 @@ func (s *Simulator) fetchWrongPath(cycle int64) {
 			return
 		}
 		in := s.prog.Insts[s.wpPC]
-		line := int64(s.wpPC) * 8 >> 6
-		if line != s.lastFetchLine {
-			doneAt := s.hier.Fetch(uint64(s.wpPC)*8, cycle)
-			s.lastFetchLine = line
-			if doneAt > cycle+s.cfg.Mem.L1ILatency {
-				s.fetchBlockedTill = doneAt // wrong-path fetch also waits on misses
-				return
-			}
+		if !s.fetchLine(s.wpPC, cycle) {
+			return // wrong-path fetch also waits on misses
 		}
 		fe := fetchEntry{idx: -1, fetchCycle: cycle, wpOp: in.Op}
 		s.wpExecute(s.wpPC, in, &fe)
@@ -194,25 +175,10 @@ func (s *Simulator) wpExecute(pc int, in isa.Instruction, fe *fetchEntry) {
 // wrongPathNext follows the predictor (without training it) through a
 // wrong-path instruction.
 func (s *Simulator) wrongPathNext(pc int, in isa.Instruction) (next int, taken bool, ok bool) {
-	cls := isa.ClassOf(in.Op)
-	switch {
-	case in.Op == isa.HALT:
+	if in.Op == isa.HALT {
 		return 0, false, false
-	case cls.IsCondBranch:
-		if s.pred.PredictDirection(pc) {
-			return pc + 1 + int(in.Imm), true, true
-		}
-		return pc + 1, false, true
-	case in.Op == isa.BR || in.Op == isa.BSR:
-		return pc + 1 + int(in.Imm), true, true
-	case cls.IsIndirect:
-		if tgt, hit := s.pred.PredictTarget(pc); hit {
-			return tgt, true, true
-		}
-		return 0, false, false
-	default:
-		return pc + 1, false, true
 	}
+	return s.pred.Follow(branch.KindOf(in.Op), pc, pc+1+int(in.Imm))
 }
 
 // dispatchWrongPath places one wrong-path fetch entry into a scheduler.

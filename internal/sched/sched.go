@@ -1,6 +1,6 @@
 // Package sched implements the wakeup-array scheduling logic of paper §4.3
 // (Figure 8): per-resource RESOURCE AVAILABLE lines driven by countdown
-// shift registers seeded at select time, and oldest-first select-N logic.
+// shift registers seeded at select time.
 //
 // The key mechanism is the shift register of Figure 8(b): when an
 // instruction is granted execution, a register seeded with the availability
@@ -13,11 +13,7 @@
 // verified equivalent by the package tests.
 package sched
 
-import (
-	"sort"
-
-	"repro/internal/bypass"
-)
+import "repro/internal/bypass"
 
 // shiftWindow is how many cycles of explicit pattern a ShiftTimer holds
 // before the register-file tail takes over.
@@ -74,56 +70,3 @@ func (t *ShiftTimer) Tick() {
 		t.tailIn--
 	}
 }
-
-// Request is one scheduler entry asking for execution this cycle.
-type Request struct {
-	// ID identifies the entry to the caller.
-	ID int
-	// Age orders requests; smaller is older (program order).
-	Age int64
-}
-
-// SelectOldest grants up to n requests, oldest first — the select-2 policy
-// of the paper's schedulers (§5.1: "select-2 schedulers, i.e. schedulers
-// that pick 2 instructions per cycle for execution on 2 functional units").
-// The returned IDs are in grant order. The input slice is not modified.
-func SelectOldest(reqs []Request, n int) []int {
-	if n <= 0 || len(reqs) == 0 {
-		return nil
-	}
-	sorted := make([]Request, len(reqs))
-	copy(sorted, reqs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Age < sorted[j].Age })
-	if n > len(sorted) {
-		n = len(sorted)
-	}
-	ids := make([]int, n)
-	for i := 0; i < n; i++ {
-		ids[i] = sorted[i].ID
-	}
-	return ids
-}
-
-// Steerer assigns consecutive instruction groups to schedulers round-robin
-// (§5.1: "groups of two consecutive instructions were steered to each
-// scheduler in a round robin manner").
-type Steerer struct {
-	numSchedulers int
-	groupSize     int
-	count         int64
-}
-
-// NewSteerer builds a steerer over the given scheduler count and group size.
-func NewSteerer(numSchedulers, groupSize int) *Steerer {
-	return &Steerer{numSchedulers: numSchedulers, groupSize: groupSize}
-}
-
-// Next returns the scheduler for the next instruction in dispatch order.
-func (s *Steerer) Next() int {
-	idx := int(s.count/int64(s.groupSize)) % s.numSchedulers
-	s.count++
-	return idx
-}
-
-// Reset restarts the round-robin sequence.
-func (s *Steerer) Reset() { s.count = 0 }

@@ -67,47 +67,3 @@ func TestShiftTimerTwoCycleProducer(t *testing.T) {
 		}
 	}
 }
-
-func TestSelectOldest(t *testing.T) {
-	reqs := []Request{{ID: 5, Age: 50}, {ID: 1, Age: 10}, {ID: 3, Age: 30}, {ID: 2, Age: 20}}
-	got := SelectOldest(reqs, 2)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("SelectOldest = %v, want [1 2]", got)
-	}
-	if got := SelectOldest(reqs, 10); len(got) != 4 {
-		t.Errorf("over-grant length %d", len(got))
-	}
-	if got := SelectOldest(nil, 2); got != nil {
-		t.Errorf("empty select = %v", got)
-	}
-	if got := SelectOldest(reqs, 0); got != nil {
-		t.Errorf("zero-width select = %v", got)
-	}
-}
-
-func TestSelectOldestDoesNotMutateInput(t *testing.T) {
-	reqs := []Request{{ID: 2, Age: 20}, {ID: 1, Age: 10}}
-	SelectOldest(reqs, 1)
-	if reqs[0].ID != 2 {
-		t.Error("input slice reordered")
-	}
-}
-
-func TestSteererRoundRobinPairs(t *testing.T) {
-	// 8-wide machine: 4 schedulers, groups of 2 (§5.1).
-	s := NewSteerer(4, 2)
-	var got []int
-	for i := 0; i < 10; i++ {
-		got = append(got, s.Next())
-	}
-	want := []int{0, 0, 1, 1, 2, 2, 3, 3, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("steering %v, want %v", got, want)
-		}
-	}
-	s.Reset()
-	if s.Next() != 0 {
-		t.Error("reset did not restart steering")
-	}
-}
