@@ -467,18 +467,17 @@ func BenchmarkAblationWrongPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := traceOf(b, w)
-	for _, wp := range []bool{false, true} {
+	for _, wp := range []*isa.Program{nil, prog} {
 		name := "stall"
-		if wp {
+		if wp != nil {
 			name = "wrong-path"
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := machine.NewRBFull(8)
 			cfg.Name = "RB-full-8-" + name
-			cfg.ModelWrongPath = wp
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				r, err := core.Run(cfg, w.Name, tr, core.Options{Program: prog})
+				r, err := core.Run(cfg, w.Name, tr, core.Options{WrongPath: wp})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,9 +9,10 @@
 //	rbsim -workload gzip -machine ideal -no-bypass-levels 1,2
 //
 // Machines: baseline, rb-limited, rb-full, ideal (paper §5.1). The -check
-// flag carries redundant binary values through the datapath and verifies
-// them against the functional golden model. -no-bypass-levels removes bypass
-// levels from the Baseline/Ideal machines (paper §4.2 / Figure 14).
+// flag arms the commit-time check: every retired result is recomputed
+// through the redundant binary datapath and replayed in lockstep on the
+// functional reference. -no-bypass-levels removes bypass levels from the
+// Baseline/Ideal machines (paper §4.2 / Figure 14).
 package main
 
 import (
@@ -38,7 +39,7 @@ func main() {
 	wlName := flag.String("workload", "compress", "workload name (see -list)")
 	machName := flag.String("machine", "ideal", "machine model: baseline, rb-limited, rb-full, ideal, staggered")
 	width := flag.Int("width", 8, "execution width: 4 or 8")
-	check := flag.Bool("check", false, "cross-check the redundant binary datapath against the golden model")
+	check := flag.Bool("check", false, "check every retired result through the redundant binary datapath and against a lockstep reference emulator")
 	wrongPath := flag.Bool("wrong-path", false, "fetch and squash the predicted wrong path after mispredictions")
 	pipeline := flag.Int("pipeline", 0, "print a cycle-by-cycle pipeline diagram of the first N instructions")
 	saveTrace := flag.String("save-trace", "", "write the workload's committed trace to this file and exit")
@@ -90,9 +91,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	cfg.DatapathCheck = *check
-	cfg.ModelWrongPath = *wrongPath
-
 	if *saveCkpt != "" {
 		if err := doSaveCkpt(cfg, w, *saveCkpt, *ckptAt); err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
@@ -107,8 +105,11 @@ func main() {
 				wlFlagSet = true
 			}
 		})
-		if err := doLoadCkpt(cfg, backend, *loadCkpt, *wlName, wlFlagSet); err != nil {
+		if _, err := doLoadCkpt(cfg, backend, *check, *wrongPath, *loadCkpt, *wlName, wlFlagSet); err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
+			if errors.Is(err, errCkptWrongPath) {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
 		return
@@ -157,23 +158,31 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 		os.Exit(1)
 	}
+	// One run's options, for the main run and -pipeline alike.
+	opt := core.Options{Backend: backend}
+	if *check {
+		opt.Oracle = emu.New(prog)
+	}
+	if *wrongPath {
+		opt.WrongPath = prog
+	}
 	if *pipeline > 0 {
 		n := *pipeline
 		if n > len(trace) {
 			n = len(trace)
 		}
-		stages := make([]core.StageRecord, len(trace))
-		if _, err := core.Run(cfg, w.Name, trace, core.Options{Backend: backend, Stages: stages}); err != nil {
+		opt.Stages = make([]core.StageRecord, len(trace))
+		if _, err := core.Run(cfg, w.Name, trace, opt); err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 			os.Exit(1)
 		}
-		if err := pipeview.Render(os.Stdout, cfg, trace, stages, 0, n); err != nil {
+		if err := pipeview.Render(os.Stdout, cfg, trace, opt.Stages, 0, n); err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	r, err := core.Run(cfg, w.Name, trace, core.Options{Backend: backend, Program: prog})
+	r, err := core.Run(cfg, w.Name, trace, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 		os.Exit(1)
@@ -261,34 +270,41 @@ func doSaveCkpt(cfg machine.Config, w *workload.Workload, path string, n int64) 
 	return nil
 }
 
+// errCkptWrongPath refuses -wrong-path on a resumed checkpoint (exit 2).
+var errCkptWrongPath = errors.New("-wrong-path cannot be combined with -load-ckpt: wrong-path state starts from the program image, not the checkpoint")
+
 // doLoadCkpt resumes a checkpoint, replays the remainder of the workload
 // through the detailed simulator with the checkpointed warm state, and prints
-// the measured statistics.
-func doLoadCkpt(cfg machine.Config, backend core.Backend, path, wlName string, wlFlagSet bool) error {
+// the measured statistics. With check set, the commit-time check replays the
+// remainder on a second emulator resumed from the same checkpoint.
+func doLoadCkpt(cfg machine.Config, backend core.Backend, check, wrongPath bool, path, wlName string, wlFlagSet bool) (*core.Result, error) {
+	if wrongPath {
+		return nil, errCkptWrongPath
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	st, err := ckpt.Read(f)
 	f.Close()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if wlFlagSet && wlName != st.Workload {
-		return fmt.Errorf("checkpoint %s was captured from workload %q, not %q", path, st.Workload, wlName)
+		return nil, fmt.Errorf("checkpoint %s was captured from workload %q, not %q", path, st.Workload, wlName)
 	}
 	w, ok := workload.ByName(st.Workload)
 	if !ok {
-		return fmt.Errorf("checkpoint %s references unknown workload %q", path, st.Workload)
+		return nil, fmt.Errorf("checkpoint %s references unknown workload %q", path, st.Workload)
 	}
 	prog, err := w.Program()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	e := emu.Resume(prog, st.Arch)
 	remaining := w.MaxInsts - st.Seq()
 	if remaining <= 0 {
-		return fmt.Errorf("checkpoint is at instruction %d, at or past the workload bound %d", st.Seq(), w.MaxInsts)
+		return nil, fmt.Errorf("checkpoint is at instruction %d, at or past the workload bound %d", st.Seq(), w.MaxInsts)
 	}
 	trace := make([]emu.TraceEntry, 0, remaining)
 	var te emu.TraceEntry
@@ -297,16 +313,20 @@ func doLoadCkpt(cfg machine.Config, backend core.Backend, path, wlName string, w
 			if e.Halted() {
 				break
 			}
-			return err
+			return nil, err
 		}
 		trace = append(trace, te)
 	}
 	if len(trace) == 0 {
-		return fmt.Errorf("checkpoint is at instruction %d, past the end of the program", st.Seq())
+		return nil, fmt.Errorf("checkpoint is at instruction %d, past the end of the program", st.Seq())
 	}
-	r, err := core.Run(cfg, w.Name, trace, core.Options{Backend: backend, Hier: &st.Hier, Pred: st.Pred})
+	opt := core.Options{Backend: backend, Hier: &st.Hier, Pred: st.Pred}
+	if check {
+		opt.Oracle = emu.Resume(prog, st.Arch)
+	}
+	r, err := core.Run(cfg, w.Name, trace, opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("workload:      %s (resumed at instruction %d)\n", w.Name, st.Seq())
 	fmt.Printf("machine:       %s\n", cfg.Name)
@@ -315,7 +335,10 @@ func doLoadCkpt(cfg machine.Config, backend core.Backend, path, wlName string, w
 	fmt.Printf("IPC:           %.4f\n", r.IPC())
 	fmt.Printf("branches:      %d (%.2f%% mispredicted)\n", r.Branches, 100*r.MispredictRate())
 	fmt.Printf("L1D:           %.2f%% miss (%d accesses)\n", 100*r.L1D.MissRate(), r.L1D.Accesses())
-	return nil
+	if check {
+		fmt.Printf("datapath:      %d results verified through the redundant binary datapath\n", r.DatapathChecked)
+	}
+	return r, nil
 }
 
 func pct(a, b int64) float64 {

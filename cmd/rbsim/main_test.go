@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -85,5 +87,31 @@ func TestSaveCkptMatchesSerial(t *testing.T) {
 	want := fmt.Sprintf("workload gcc00 halts after %d instructions, before -ckpt-at %d", length, length+1)
 	if err == nil || err.Error() != want {
 		t.Fatalf("-ckpt-at past the end: got %v, want %q", err, want)
+	}
+}
+
+// TestLoadCkptCheckAndWrongPath: a resumed checkpoint runs the commit-time
+// check against a reference resumed from the same checkpoint, so the check
+// passes and the datapath verifies results; -wrong-path, whose state starts
+// from the program image, is refused.
+func TestLoadCkptCheckAndWrongPath(t *testing.T) {
+	cfg := machine.NewRBFull(8)
+	w, ok := workload.ByName("compress")
+	if !ok {
+		t.Fatal("workload compress missing")
+	}
+	path := filepath.Join(t.TempDir(), "compress.ckpt")
+	if err := doSaveCkpt(cfg, w, path, 5000); err != nil {
+		t.Fatal(err)
+	}
+	r, err := doLoadCkpt(cfg, core.BackendEvent, true, false, path, "", false)
+	if err != nil {
+		t.Fatalf("-load-ckpt -check: %v", err)
+	}
+	if r.DatapathChecked == 0 {
+		t.Error("-load-ckpt -check verified no results through the RB datapath")
+	}
+	if _, err := doLoadCkpt(cfg, core.BackendEvent, false, true, path, "", false); !errors.Is(err, errCkptWrongPath) {
+		t.Errorf("-load-ckpt -wrong-path: got %v, want %v", err, errCkptWrongPath)
 	}
 }

@@ -42,7 +42,7 @@ func run(cfg machine.Config, src string) *core.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := core.Run(cfg, "chain", trace, core.Options{Program: prog})
+	r, err := core.Run(cfg, "chain", trace, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

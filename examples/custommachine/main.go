@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/workload"
@@ -70,11 +71,17 @@ func main() {
 	flat.InterClusterDelay = 0
 	fmt.Printf("single cluster%11s IPC %.3f\n", "", run(flat).IPC())
 
-	// Full verification run: carry redundant binary values through the
-	// datapath and check every retired result against the golden model.
-	checked := machine.NewRBFull(8)
-	checked.DatapathCheck = true
-	r := run(checked)
+	// Full verification run: the commit-time check carries redundant binary
+	// values through the datapath and replays every retired result on the
+	// golden model in lockstep.
+	prog, err := w.Program()
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := core.Run(base, w.Name, trace, core.Options{Oracle: emu.New(prog)})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ndatapath verification: %d RB results checked against the golden model\n",
 		r.DatapathChecked)
 }

@@ -74,7 +74,7 @@ loop:   sll  r1, #2, r2          ; SLL
 	}
 	fmt.Println("\nFigure-4 style dependency kernel (cycles per iteration):")
 	for _, c := range []machine.Config{machine.NewRBFull(8), machine.NewRBLimited(8), machine.NewBaseline(8), machine.NewIdeal(8)} {
-		r, err := core.Run(c, "fig4", fig4, core.Options{Program: prog})
+		r, err := core.Run(c, "fig4", fig4, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

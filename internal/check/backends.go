@@ -25,20 +25,6 @@ import (
 // matrix cell also gets a timing-trace leg: the harness's runs on the
 // workload's cached timing trace alone must equal runs on the full trace.
 
-// backendWorkloads selects the matrix rows per tier.
-func backendWorkloads(opts Options) []*workload.Workload {
-	if opts.Full {
-		return workload.All()
-	}
-	var out []*workload.Workload
-	for _, name := range []string{"compress", "li", "mcf"} {
-		if w, ok := workload.ByName(name); ok {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // Backends runs the poll-vs-event equivalence layer.
 func Backends(opts Options) []Report {
 	var out []Report
@@ -46,7 +32,7 @@ func Backends(opts Options) []Report {
 	if opts.Full {
 		widths = []int{8, 4}
 	}
-	for _, w := range backendWorkloads(opts) {
+	for _, w := range tierWorkloads(opts, "compress", "li", "mcf") {
 		for _, width := range widths {
 			w, width := w, width
 			out = append(out, run("backends", fmt.Sprintf("poll-vs-event/%s/width-%d", w.Name, width),
@@ -179,13 +165,12 @@ func backendWrongPath(opts Options) (int64, string, error) {
 	}
 	var trials int64
 	for _, cfg := range []machine.Config{machine.NewRBFull(8), machine.NewBaseline(4)} {
-		cfg.ModelWrongPath = true
 		cfg.Name += "-wp"
-		rEvent, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendEvent, Program: prog})
+		rEvent, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendEvent, WrongPath: prog})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s event: %w", cfg.Name, err)
 		}
-		rPoll, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendPoll, Program: prog})
+		rPoll, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendPoll, WrongPath: prog})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s poll: %w", cfg.Name, err)
 		}

@@ -136,7 +136,7 @@ func FuzzLockstep(f *testing.F) {
 			t.Skip() // e.g. arithmetic the emulator rejects; not a lockstep question
 		}
 		for _, cfg := range []machine.Config{machine.NewBaseline(4), machine.NewRBFull(4)} {
-			if _, err := core.Run(cfg, "fuzz", trace, core.Options{Oracle: prog}); err != nil {
+			if _, err := core.Run(cfg, "fuzz", trace, core.Options{Oracle: emu.New(prog)}); err != nil {
 				t.Fatalf("%s: %v", cfg.Name, err)
 			}
 		}

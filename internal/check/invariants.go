@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
@@ -13,20 +14,6 @@ import (
 // stream and obey the IPC partial order the paper's argument predicts —
 // removing latency (Ideal) or redundant-format delay (RB-full over
 // RB-limited) can only help.
-
-// invariantWorkloads selects the workloads the invariant checks cover.
-func invariantWorkloads(opts Options) []*workload.Workload {
-	if opts.Full {
-		return workload.All()
-	}
-	var out []*workload.Workload
-	for _, name := range []string{"compress", "li", "gzip"} {
-		if w, ok := workload.ByName(name); ok {
-			out = append(out, w)
-		}
-	}
-	return out
-}
 
 // invariantWidths selects the execution widths checked per tier.
 func invariantWidths(opts Options) []int {
@@ -39,7 +26,7 @@ func invariantWidths(opts Options) []int {
 // Invariants runs the machine-invariant layer.
 func Invariants(opts Options) []Report {
 	var out []Report
-	for _, w := range invariantWorkloads(opts) {
+	for _, w := range tierWorkloads(opts, "compress", "li", "gzip") {
 		for _, width := range invariantWidths(opts) {
 			w, width := w, width
 			out = append(out, run("invariants", fmt.Sprintf("machines/%s/width-%d", w.Name, width),
@@ -52,9 +39,12 @@ func Invariants(opts Options) []Report {
 }
 
 // machineInvariants runs every machine model on one workload trace with the
-// retire-time datapath check enabled and asserts the cross-machine
-// invariants.
+// commit-time check armed and asserts the cross-machine invariants.
 func machineInvariants(w *workload.Workload, width int) (int64, string, error) {
+	prog, err := w.Program()
+	if err != nil {
+		return 0, "", err
+	}
 	trace, err := w.Trace()
 	if err != nil {
 		return 0, "", err
@@ -62,8 +52,7 @@ func machineInvariants(w *workload.Workload, width int) (int64, string, error) {
 	configs := machine.All(width)
 	results := make(map[string]*core.Result, len(configs))
 	for _, cfg := range configs {
-		cfg.DatapathCheck = true
-		r, err := core.Run(cfg, w.Name, trace, core.Options{})
+		r, err := core.Run(cfg, w.Name, trace, core.Options{Oracle: emu.New(prog)})
 		if err != nil {
 			return 0, "", fmt.Errorf("%s: %w", cfg.Kind, err)
 		}

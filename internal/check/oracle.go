@@ -3,26 +3,28 @@ package check
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
-// The oracle layer: lockstep replay of committed instructions through the
-// functional reference (core.Options.Oracle), plus a fault-injection
-// self-test that proves the oracle actually detects a corrupted datapath.
+// The oracle layer: the commit-time check (core.Options.Oracle) — lockstep
+// replay of committed instructions through the functional reference and
+// the redundant binary datapath recomputation — plus a fault-injection
+// self-test that proves the check actually detects a corrupted datapath.
 
-// oracleWorkloads are the benchmarks the lockstep checks replay: a mix of
-// arithmetic-heavy, pointer-chasing, and branchy kernels in the quick tier,
-// every workload in the full tier.
-func oracleWorkloads(opts Options) []*workload.Workload {
+// tierWorkloads is every workload in the full tier and the named ones in
+// the quick tier.
+func tierWorkloads(opts Options, quick ...string) []*workload.Workload {
 	if opts.Full {
 		return workload.All()
 	}
 	var out []*workload.Workload
-	for _, name := range []string{"compress", "li", "mcf"} {
+	for _, name := range quick {
 		if w, ok := workload.ByName(name); ok {
 			out = append(out, w)
 		}
@@ -38,10 +40,13 @@ func oracleMachines(opts Options) []machine.Config {
 	return []machine.Config{machine.NewBaseline(8), machine.NewRBFull(8)}
 }
 
-// Oracle runs the lockstep layer.
+// Oracle runs the lockstep layer over a mix of arithmetic-heavy,
+// pointer-chasing and branchy kernels (every workload in the full tier).
+// Each workload's full trace is built once and replayed on every machine.
 func Oracle(opts Options) []Report {
 	var out []Report
-	for _, w := range oracleWorkloads(opts) {
+	for _, w := range tierWorkloads(opts, "compress", "li", "mcf") {
+		fullTrace := sync.OnceValues(w.Trace)
 		for _, cfg := range oracleMachines(opts) {
 			cfg, w := cfg, w
 			out = append(out, run("oracle", fmt.Sprintf("lockstep/%s/%s", cfg.Name, w.Name),
@@ -50,11 +55,11 @@ func Oracle(opts Options) []Report {
 					if err != nil {
 						return 0, "", err
 					}
-					trace, err := w.Trace()
+					trace, err := fullTrace()
 					if err != nil {
 						return 0, "", err
 					}
-					r, err := core.Run(cfg, w.Name, trace, core.Options{Oracle: prog})
+					r, err := core.Run(cfg, w.Name, trace, core.Options{Oracle: emu.New(prog)})
 					if err != nil {
 						return 0, "", err
 					}
@@ -102,7 +107,7 @@ func faultInjectionCheck() (int64, string, error) {
 // runWithFault runs one lockstep simulation with an injected single-digit
 // fault and returns the divergence the oracle must produce.
 func runWithFault(cfg machine.Config, prog *isa.Program, trace traceT, seq int64, digit int) (*core.DivergenceError, error) {
-	s, err := core.New(cfg, "fault-injection", trace, core.Options{Oracle: prog})
+	s, err := core.New(cfg, "fault-injection", trace, core.Options{Oracle: emu.New(prog)})
 	if err != nil {
 		return nil, err
 	}

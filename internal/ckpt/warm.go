@@ -37,9 +37,9 @@ func commitOf(te *emu.TraceEntry) Commit {
 // (TestWarmerMatchesDetailedFrontEnd in internal/core). L1D and L2 differ
 // by execute order: the warmer touches data in program order, the detailed
 // core when each load or store executes, and the L2 serves both sides'
-// misses. With machine.Config.ModelWrongPath on, the wrong-path fetches and
-// loads a committed stream cannot see are the remaining gap. Warm-up
-// windows absorb both.
+// misses. In a run with wrong-path fetch (core.Options.WrongPath), the
+// wrong-path fetches and loads a committed stream cannot see are the
+// remaining gap. Warm-up windows absorb both.
 type Warmer struct {
 	Hier *mem.Hierarchy
 	Pred *branch.Predictor

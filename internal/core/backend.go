@@ -384,7 +384,7 @@ func (s *Simulator) accountBypass(u *uop, cycle int64) {
 }
 
 // retire commits finished instructions in order, up to RetireWidth per
-// cycle, and runs the redundant binary datapath check as values commit.
+// cycle, and runs the commit-time check as values commit.
 func (s *Simulator) retire(cycle int64) {
 	n := s.n
 	for retired := 0; retired < s.cfg.RetireWidth && s.retirePtr < n; retired++ {
@@ -392,15 +392,9 @@ func (s *Simulator) retire(cycle int64) {
 		if d < 0 || d >= cycle {
 			return
 		}
-		if s.faultOut != nil {
-			s.faultStep(int(s.retirePtr), cycle)
-		}
-		if s.dpEnabled {
-			s.datapathCheck(int(s.retirePtr))
-		}
-		if s.oracle != nil {
-			if err := s.oracleStep(int(s.retirePtr), cycle); err != nil {
-				s.oracleErr = err
+		if s.oracle != nil || s.faultOut != nil {
+			if err := s.commitCheck(int(s.retirePtr), cycle); err != nil {
+				s.checkErr = err
 				return
 			}
 		}

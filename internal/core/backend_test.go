@@ -102,13 +102,12 @@ func TestBackendsBitIdenticalWrongPath(t *testing.T) {
 	trace := mustTrace(t, p)
 	for _, w := range []int{4, 8} {
 		cfg := machine.NewRBFull(w)
-		cfg.ModelWrongPath = true
 		cfg.Name += "-wp"
-		rEvent, err := Run(cfg, "eq", trace, Options{Program: p})
+		rEvent, err := Run(cfg, "eq", trace, Options{WrongPath: p})
 		if err != nil {
 			t.Fatalf("%s event: %v", cfg.Name, err)
 		}
-		rPoll, err := Run(cfg, "eq", trace, Options{Backend: BackendPoll, Program: p})
+		rPoll, err := Run(cfg, "eq", trace, Options{Backend: BackendPoll, WrongPath: p})
 		if err != nil {
 			t.Fatalf("%s poll: %v", cfg.Name, err)
 		}

@@ -15,21 +15,20 @@
 // which it decodes into its buffers, or a shared timing trace
 // (Options.Decoded, see Decoder), which the experiment harness builds once
 // per workload for every cell to read. Options carries everything else a
-// run can vary — the scheduler backend, the program image, the lockstep
-// oracle and a fault plan, a stage timeline to fill, the warm-up/measurement
-// split with checkpoint-warmed cache and predictor state, and the buffers.
-// The checking modes (the datapath check, the oracle, fault plans and
-// wrong-path fetch) read result values only the full trace holds, so New
-// refuses them on a timing trace. A windowed run's split is read afterwards
-// with Simulator.Window.
+// run can vary — the scheduler backend, its three run modes (wrong-path
+// fetch, the commit-time check and a fault plan), a stage timeline to fill,
+// the warm-up/measurement split with checkpoint-warmed cache and predictor
+// state, and the buffers. The run modes read result values only the full
+// trace holds, so New refuses them on a timing trace. A windowed run's split
+// is read afterwards with Simulator.Window.
 //
 // Substitution note (see DESIGN.md §3): simulation is driven by the
 // committed trace. By default wrong-path instructions do not contend for
 // resources, but every misprediction still costs the full front-end refill
-// from the resolving branch. With machine.Config.ModelWrongPath set and the
-// program image given in Options.Program, fetch follows the predicted wrong
-// path, whose instructions do consume fetch, window, select and cache
-// resources until the branch resolves.
+// from the resolving branch. With the program image given in
+// Options.WrongPath, fetch follows the predicted wrong path, whose
+// instructions do consume fetch, window, select and cache resources until
+// the branch resolves.
 //
 // Two scheduler backends implement the wakeup/select logic (DESIGN.md
 // "Simulator performance"): the default event-driven backend posts wakeup
@@ -222,11 +221,11 @@ type Simulator struct {
 	retirePtr int32
 	inFlight  int
 
-	// Wrong-path state (machine.Config.ModelWrongPath). shadowRegs and
-	// shadowMem track architectural state in fetch order so the wrong path
-	// executes with real values; wpRegs/wpOverlay hold the speculative state
-	// while a wrong path is active.
-	prog        *isa.Program
+	// Wrong-path state (Options.WrongPath). shadowRegs and shadowMem track
+	// architectural state in fetch order so the wrong path executes with
+	// real values; wpRegs/wpOverlay hold the speculative state while a wrong
+	// path is active.
+	wpProg      *isa.Program
 	wpPC        int
 	wpInFlight  int
 	fetchQHasWP bool
@@ -237,16 +236,20 @@ type Simulator struct {
 
 	res *Result
 
-	// Lockstep oracle state (Options.Oracle): a functional reference emulator
-	// stepped once per committed instruction, the committed architectural
-	// register view it is compared against, and the first divergence found.
-	// faultSeq/faultDigit arm a single injected write-back fault
-	// (InjectFault) the oracle must catch; faultSeq -1 = none.
+	// Commit-time check state (Options.Oracle): the reference emulator, the
+	// RB form each register's last RB writer left (the datapath's operands),
+	// and the first divergence found. faultSeq/faultDigit arm a single
+	// injected write-back fault (InjectFault) the check must catch;
+	// faultSeq -1 = none.
 	oracle     *emu.Emulator
-	oracleRegs [isa.NumRegs]uint64
-	oracleErr  error
+	dpRB       [isa.NumRegs]rbVal
+	checkErr   error
 	faultSeq   int64
 	faultDigit int
+
+	// commitRegs is the committed register file (commitCheck), seeded
+	// from the reference's registers.
+	commitRegs [isa.NumRegs]uint64
 
 	// stages captures per-instruction pipeline timing when the caller
 	// supplies Options.Stages (used by the pipeline-diagram renderer).
@@ -256,11 +259,6 @@ type Simulator struct {
 	// the lost-wakeup watchdog fires.
 	faultState
 	watchdogWindow int64
-
-	// Redundant binary datapath state (DatapathCheck).
-	dpRegs    [isa.NumRegs]uint64
-	dpRB      [isa.NumRegs]rbVal
-	dpEnabled bool
 
 	// buf supplied the per-run slices above and receives any regrown
 	// backing arrays when the run finishes (see Buffers).
@@ -287,17 +285,20 @@ type StageRecord struct {
 type Options struct {
 	// Backend selects the scheduler backend (zero value: BackendEvent).
 	Backend Backend
-	// Program is the static image the trace was captured from. Wrong-path
-	// fetch (machine.Config.ModelWrongPath) needs it, and the full trace;
-	// without it a misprediction stalls fetch until the branch resolves.
-	Program *isa.Program
-	// Oracle, when non-nil, arms the lockstep oracle: it must be the
-	// program the trace was produced from. Every retired instruction is
-	// then replayed on a reference emulator and cross-checked before it
-	// commits. Needs the full trace.
-	Oracle *isa.Program
+	// The run modes — WrongPath, Oracle and Faults — each need the full
+	// trace. WrongPath, when non-nil, is the image the trace was captured
+	// from, starting at its entry: fetch follows the predicted wrong path
+	// after a misprediction; nil stalls fetch until the branch resolves.
+	WrongPath *isa.Program
+	// Oracle, when non-nil, arms the commit-time check: a reference
+	// emulator positioned at the trace's first instruction (emu.New(prog),
+	// or emu.Resume(prog, st.Arch) for a checkpoint window), which the run
+	// steps. Each retired instruction runs fault-plan detection, the RB
+	// datapath recomputation and the lockstep compare; the first divergence
+	// ends the run with a *DivergenceError.
+	Oracle *emu.Emulator
 	// Faults, when non-nil, arms a fault plan; Simulator.Faults returns its
-	// outcome, complete when Simulate returns. Needs the full trace.
+	// outcome, complete when Simulate returns.
 	Faults *FaultPlan
 	// Stages, when non-nil, must hold one record per trace entry; the run
 	// fills in each instruction's pipeline timing (unreached stages stay
@@ -351,8 +352,8 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 		if dec.err != nil {
 			return nil, dec.err
 		}
-		if mode := fullTraceMode(cfg, opt); mode != "" {
-			return nil, fmt.Errorf("core: %s needs the full trace; a timing trace has no result values", mode)
+		if opt.Oracle != nil || opt.Faults != nil || opt.WrongPath != nil {
+			return nil, fmt.Errorf("core: the run modes (Oracle, Faults, WrongPath) need the full trace; a timing trace has no result values")
 		}
 	} else {
 		var err error
@@ -381,13 +382,12 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 		fetchQCap:       int(cfg.FrontLatency+2) * cfg.FrontWidth,
 		fetchBlockedIdx: -1,
 		lastFetchLine:   -1,
-		prog:            opt.Program,
+		wpProg:          opt.WrongPath,
 		wpPC:            -1,
 		faultSeq:        -1,
 		stages:          opt.Stages,
 		watchdogWindow:  defaultWatchdogWindow,
 		res:             &Result{Machine: cfg.Name, Workload: workload},
-		dpEnabled:       cfg.DatapathCheck,
 		buf:             buf,
 		warmBoundary:    int32(opt.Warmup),
 	}
@@ -432,9 +432,9 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 	for i := range s.stages {
 		s.stages[i] = StageRecord{Fetch: -1, Dispatch: -1, Issue: -1, Done: -1, Retire: -1}
 	}
-	if s.prog != nil && cfg.ModelWrongPath {
+	if s.wpProg != nil {
 		s.shadowMem = emu.NewMemory()
-		for addr, bytes := range s.prog.Data {
+		for addr, bytes := range s.wpProg.Data {
 			for i, b := range bytes {
 				s.shadowMem.StoreByte(addr+uint64(i), b)
 			}
@@ -442,34 +442,13 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 		s.wpOverlay = make(map[uint64]byte)
 	}
 	if opt.Oracle != nil {
-		s.oracle = emu.New(opt.Oracle)
+		s.oracle = opt.Oracle
+		s.commitRegs = opt.Oracle.Regs
 	}
 	if opt.Faults != nil {
 		s.armFaults(*opt.Faults)
 	}
 	return s, nil
-}
-
-// NeedsTrace reports whether a run of cfg under opt arms a mode that reads
-// the full trace — the datapath check, the lockstep oracle, a fault plan,
-// or wrong-path fetch with a program image. Any other run can take a shared
-// timing trace (Options.Decoded).
-func NeedsTrace(cfg machine.Config, opt Options) bool { return fullTraceMode(cfg, opt) != "" }
-
-// fullTraceMode names the first mode cfg and opt arm that reads the full
-// trace, or "" if a timing trace suffices.
-func fullTraceMode(cfg machine.Config, opt Options) string {
-	switch {
-	case cfg.DatapathCheck:
-		return "the datapath check"
-	case opt.Oracle != nil:
-		return "the lockstep oracle"
-	case opt.Faults != nil:
-		return "a fault plan"
-	case cfg.ModelWrongPath && opt.Program != nil:
-		return "wrong-path fetch"
-	}
-	return ""
 }
 
 // Run builds a simulator with New and simulates the trace to completion.
@@ -654,8 +633,8 @@ func (s *Simulator) Simulate() (*Result, error) {
 			s.issuePoll(cycle)
 		}
 		s.retire(cycle)
-		if s.oracleErr != nil {
-			return nil, s.oracleErr
+		if s.checkErr != nil {
+			return nil, s.checkErr
 		}
 		s.res.OccupancySum += int64(s.inFlight)
 
@@ -751,7 +730,7 @@ func (s *Simulator) nextActiveCycle(cycle int64) int64 {
 	case s.fetchBlockedIdx >= 0:
 		// Waiting for a mispredicted branch to resolve (covered by its
 		// grant event) — unless wrong-path fetch is active.
-		if s.cfg.ModelWrongPath && s.prog != nil && s.wpPC >= 0 && s.fqLen < s.fetchQCap {
+		if s.wpProg != nil && s.wpPC >= 0 && s.fqLen < s.fetchQCap {
 			upd(cycle + 1)
 		}
 	case s.nextFetch < s.n && s.fqLen < s.fetchQCap:

@@ -43,19 +43,29 @@ func repeatBody(line string, n int) string {
 	return b.String()
 }
 
-// runProgram traces p (bounded by maxInsts) and simulates it with the
-// program image available, so wrong-path fetch is modeled when enabled.
-func runProgram(cfg machine.Config, workload string, p *isa.Program, maxInsts int64) (*Result, error) {
+// runProgram traces p (bounded by maxInsts) and simulates it under opt,
+// whose run modes, if any, name p.
+func runProgram(cfg machine.Config, workload string, p *isa.Program, maxInsts int64, opt Options) (*Result, error) {
 	trace, err := emu.Trace(p, maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	return Run(cfg, workload, trace, Options{Program: p})
+	return Run(cfg, workload, trace, opt)
 }
 
 func mustRun(t *testing.T, cfg machine.Config, p *isa.Program) *Result {
 	t.Helper()
-	r, err := runProgram(cfg, "test", p, 5_000_000)
+	r, err := runProgram(cfg, "test", p, 5_000_000, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// mustRunChecked is mustRun with the commit-time check armed.
+func mustRunChecked(t *testing.T, cfg machine.Config, p *isa.Program) *Result {
+	t.Helper()
+	r, err := runProgram(cfg, "test", p, 5_000_000, Options{Oracle: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +386,7 @@ func TestDatapathCheckRunsClean(t *testing.T) {
         addq r2, r15, r2
 `)
 	for _, cfg := range []machine.Config{machine.NewRBFull(8), machine.NewRBLimited(4)} {
-		cfg.DatapathCheck = true
-		r := mustRun(t, cfg, p)
+		r := mustRunChecked(t, cfg, p)
 		if r.DatapathChecked < 5000 {
 			t.Errorf("%s: only %d datapath checks", cfg.Name, r.DatapathChecked)
 		}
@@ -388,10 +397,9 @@ func TestDatapathCheckDoesNotChangeTiming(t *testing.T) {
 	p := loopProgram(t, "li r1, 7", 300, "        addq r1, r1, r1\n")
 	cfg := machine.NewRBFull(8)
 	base := mustRun(t, cfg, p)
-	cfg.DatapathCheck = true
-	checked := mustRun(t, cfg, p)
+	checked := mustRunChecked(t, cfg, p)
 	if base.Cycles != checked.Cycles {
-		t.Errorf("datapath check changed timing: %d vs %d", base.Cycles, checked.Cycles)
+		t.Errorf("commit-time check changed timing: %d vs %d", base.Cycles, checked.Cycles)
 	}
 }
 
@@ -488,8 +496,7 @@ func TestClassSchedulersDatapathStillVerifies(t *testing.T) {
 `)
 	cfg := machine.NewRBLimited(8)
 	cfg.ClassSchedulers = true
-	cfg.DatapathCheck = true
-	r := mustRun(t, cfg, p)
+	r := mustRunChecked(t, cfg, p)
 	if r.DatapathChecked == 0 {
 		t.Error("no datapath checks ran")
 	}
@@ -724,9 +731,7 @@ func TestMovePreservesRBTiming(t *testing.T) {
 		t.Errorf("add->mov->add chain %.3f cycles/pair, want ~2 (MOV stays in RB)", per)
 	}
 	// Sanity: the datapath check must verify MOVs of redundant values.
-	cfg := machine.NewRBFull(4)
-	cfg.DatapathCheck = true
-	r2 := mustRun(t, cfg, p)
+	r2 := mustRunChecked(t, machine.NewRBFull(4), p)
 	if r2.DatapathChecked < r.Instructions/2 {
 		t.Errorf("too few datapath checks: %d", r2.DatapathChecked)
 	}

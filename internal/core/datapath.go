@@ -22,8 +22,8 @@ type rbVal struct {
 // the converted result against the functional trace. This is the end-to-end
 // correctness argument for the paper's forwarding scheme: dependent chains
 // of RB operations never convert intermediate values, yet commit identical
-// architectural state.
-func (s *Simulator) datapathCheck(idx int) {
+// architectural state. A mismatch is a *DivergenceError naming the RB datapath.
+func (s *Simulator) datapathCheck(idx int, cycle int64) error {
 	te := &s.trace[idx]
 	in := te.Inst
 
@@ -36,7 +36,7 @@ func (s *Simulator) datapathCheck(idx int) {
 		if s.dpRB[r].valid {
 			return s.dpRB[r].n
 		}
-		return rb.FromUint(s.dpRegs[r])
+		return rb.FromUint(s.commitRegs[r])
 	}
 	opB := func() rb.Number {
 		if in.UseImm {
@@ -84,7 +84,7 @@ func (s *Simulator) datapathCheck(idx int) {
 		if in.UseImm {
 			amount = uint64(in.Imm)
 		} else {
-			amount = s.dpRegs[in.Rb] // shift amounts read the architectural value
+			amount = s.commitRegs[in.Rb] // shift amounts read the architectural value
 		}
 		result = regRB(in.Ra).ShiftLeft(uint(amount & 63))
 	case in.IsCMOV():
@@ -128,23 +128,10 @@ func (s *Simulator) datapathCheck(idx int) {
 		case isa.CMPLE:
 			v = diff.Sign() <= 0
 		}
-		var got uint64
-		if v {
-			got = 1
-		}
-		if te.HasResult && got != te.Result {
-			panic(s.dpError(idx, got, te.Result))
-		}
-		s.res.DatapathChecked++
-		computed = false
+		result = rb.FromUint(b2u(v))
 	case in.Op == isa.CTTZ:
 		// CTTZ counts trailing zero digits directly in RB (§3.6).
-		got := uint64(opB().TrailingZeroDigits())
-		if te.HasResult && got != te.Result {
-			panic(s.dpError(idx, got, te.Result))
-		}
-		s.res.DatapathChecked++
-		computed = false
+		result = rb.FromUint(uint64(opB().TrailingZeroDigits()))
 	case isa.ClassOf(in.Op).IsCondBranch:
 		// Conditional branches test the redundant representation (§3.6).
 		a := regRB(in.Ra)
@@ -168,8 +155,7 @@ func (s *Simulator) datapathCheck(idx int) {
 			taken = a.LSB()
 		}
 		if taken != te.Taken {
-			panic(fmt.Sprintf("core: datapath branch divergence at trace %d (%v): RB test %v, trace %v",
-				idx, in, taken, te.Taken))
+			return s.divergence(te, "RB datapath branch outcome", b2u(taken), b2u(te.Taken), cycle)
 		}
 		s.res.DatapathChecked++
 		computed = false
@@ -182,27 +168,21 @@ func (s *Simulator) datapathCheck(idx int) {
 		// itself broke the §3.2 encoding; catch it before it enters the
 		// register file, where it would corrupt every downstream read.
 		if err := result.Validate(); err != nil {
-			panic(fmt.Sprintf("core: datapath produced non-canonical result at trace %d (%v): %v",
-				idx, in, err))
+			return s.divergence(te, fmt.Sprintf("RB datapath encoding (%v)", err), result.Uint(), te.Result, cycle)
 		}
 		if te.HasResult && result.Uint() != te.Result {
-			panic(s.dpError(idx, result.Uint(), te.Result))
+			return s.divergence(te, "RB datapath result", result.Uint(), te.Result, cycle)
 		}
 		s.res.DatapathChecked++
 	}
 
-	// Commit architectural state for subsequent operand fetches.
+	// Record the result's representation for subsequent operand fetches.
 	if d, ok := in.Dest(); ok {
-		s.dpRegs[d] = te.Result
 		if computed && in.EffectiveClass().Out == isa.FormatRB {
 			s.dpRB[d] = rbVal{n: result, valid: true}
 		} else {
 			s.dpRB[d] = rbVal{}
 		}
 	}
-}
-
-func (s *Simulator) dpError(idx int, got, want uint64) string {
-	return fmt.Sprintf("core: redundant binary datapath divergence at trace %d (%v): RB %#x, golden %#x",
-		idx, s.trace[idx].Inst, got, want)
+	return nil
 }

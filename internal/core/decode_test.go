@@ -178,8 +178,8 @@ func TestNewRejectsBothInputs(t *testing.T) {
 	}
 }
 
-// TestNewRefusesCheckingModesWithoutTrace: the datapath check, the lockstep
-// oracle, a fault plan and wrong-path fetch read result values that only
+// TestNewRefusesCheckingModesWithoutTrace: the run modes — the commit-time
+// check, a fault plan and wrong-path fetch — read result values that only
 // the full trace holds, so New refuses each on a timing trace — and accepts
 // each on the full trace.
 func TestNewRefusesCheckingModesWithoutTrace(t *testing.T) {
@@ -196,39 +196,22 @@ func TestNewRefusesCheckingModesWithoutTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := machine.NewRBFull(8)
-	checked.DatapathCheck = true
-	wrongPath := machine.NewRBFull(8)
-	wrongPath.ModelWrongPath = true
-	plain := machine.NewRBFull(8)
+	cfg := machine.NewRBFull(8)
 	for _, m := range []struct {
 		name string
-		cfg  machine.Config
 		opt  core.Options
 	}{
-		{"datapath check", checked, core.Options{}},
-		{"lockstep oracle", plain, core.Options{Oracle: prog}},
-		{"fault plan", plain, core.Options{Faults: &core.FaultPlan{}}},
-		{"wrong-path fetch", wrongPath, core.Options{Program: prog}},
+		{"commit-time check", core.Options{Oracle: emu.New(prog)}},
+		{"fault plan", core.Options{Faults: &core.FaultPlan{}}},
+		{"wrong-path fetch", core.Options{WrongPath: prog}},
 	} {
-		if !core.NeedsTrace(m.cfg, m.opt) {
-			t.Errorf("%s: NeedsTrace is false", m.name)
-		}
-		if _, err := core.New(m.cfg, "w", trace, m.opt); err != nil {
+		if _, err := core.New(cfg, "w", trace, m.opt); err != nil {
 			t.Errorf("%s: refused on the full trace: %v", m.name, err)
 		}
 		m.opt.Decoded = dec
-		if _, err := core.New(m.cfg, "w", nil, m.opt); err == nil {
+		if _, err := core.New(cfg, "w", nil, m.opt); err == nil {
 			t.Errorf("%s: New accepted a timing trace", m.name)
 		}
-	}
-	// Wrong-path modeling without a program image stalls at a misprediction
-	// and never reads the trace's values: a timing trace suffices.
-	if _, err := core.New(wrongPath, "w", nil, core.Options{Decoded: dec}); err != nil {
-		t.Errorf("wrong-path model without a program: %v", err)
-	}
-	if core.NeedsTrace(wrongPath, core.Options{}) || core.NeedsTrace(plain, core.Options{Program: prog}) {
-		t.Error("NeedsTrace is true for a run that reads no result values")
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/isa"
-	"repro/internal/rb"
-)
+import "repro/internal/rb"
 
 // Datapath- and scheduler-level fault injection with paired detection and
 // recovery (DESIGN.md §12). Three fault kinds model the in-flight corruptions
@@ -177,9 +174,8 @@ func flipRBDigitVec(v uint64, digit int) rb.Number {
 }
 
 // faultStep runs the converter-path detection for any datapath fault
-// targeting the instruction about to commit, and maintains the committed
-// register view stale-bypass substitution draws from. Called from retire
-// only when a fault plan is armed.
+// targeting the instruction about to commit; stale-bypass substitution
+// draws from the committed register file before commitCheck writes it.
 func (s *Simulator) faultStep(idx int, cycle int64) {
 	te := &s.trace[idx]
 	for _, di := range s.faultSeqIdx[te.Seq] {
@@ -227,9 +223,6 @@ func (s *Simulator) faultStep(idx int, cycle int64) {
 		// from the producer's still-held digits and commits the correct
 		// value, so the architectural stream is unchanged.
 		det.Recovered = true
-	}
-	if d, ok := te.Inst.Dest(); ok && te.HasResult {
-		s.commitRegs[d] = te.Result
 	}
 }
 
@@ -307,5 +300,4 @@ type faultState struct {
 	faultSeqIdx map[int64][]int // te.Seq -> detection indexes (datapath faults)
 	dropPosts   map[int64]int   // post ordinal -> detection index
 	postCount   int64
-	commitRegs  [isa.NumRegs]uint64
 }

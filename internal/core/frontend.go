@@ -19,7 +19,7 @@ func (s *Simulator) fetch(cycle int64) {
 	if s.fetchBlockedIdx >= 0 {
 		// An unresolved misprediction: either stall (base model) or keep
 		// fetching down the predicted wrong path.
-		if s.cfg.ModelWrongPath && s.prog != nil {
+		if s.wpProg != nil {
 			s.fetchWrongPath(cycle)
 		}
 		return

@@ -4,20 +4,23 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/rb"
 )
 
-// The lockstep oracle: when enabled, every instruction the timing core
-// commits is replayed, in commit order, on an independent functional
-// reference (a fresh internal/emu emulator walking the same program). The
+// The commit-time check (Options.Oracle): every instruction the timing
+// core commits runs fault-plan detection, then the redundant binary
+// datapath recomputation (datapath.go), then the lockstep compare — it is
+// replayed, in commit order, on an independent functional reference (an
+// internal/emu emulator positioned at the trace's first instruction). The
 // paper's architectural-identity claim — the RB machines differ from the
 // Baseline only in timing — reduces to this stream never diverging: same
 // PCs, same results, same effective addresses, same branch outcomes, same
 // architectural register file, same memory contents at every store. The
-// first divergence aborts the simulation with a DivergenceError naming the
-// instruction, the diverging architectural fact, and a dump of the pipeline
-// state at the moment of detection.
+// first divergence from either check aborts the simulation with a
+// DivergenceError naming the instruction, the diverging architectural fact,
+// and a dump of the pipeline state at the moment of detection.
 
 // DivergenceError reports the first committed instruction at which the
 // timing core's committed stream and the functional reference disagree.
@@ -28,7 +31,9 @@ type DivergenceError struct {
 	PC   int
 	Inst isa.Instruction
 	// Field names the diverging architectural fact ("result", "pc",
-	// "register r5", "memory", ...).
+	// "register r5", "memory", ...); a datapath recomputation that
+	// disagrees with the trace names the RB datapath ("RB datapath
+	// result", "RB datapath branch outcome", ...).
 	Field string
 	// Got is the timing core's committed value; Want the reference's.
 	Got, Want uint64
@@ -46,8 +51,8 @@ func (e *DivergenceError) Error() string {
 // of dynamic instruction seq has one digit of its redundant binary form
 // flipped as it is written back, modeling a corrupted bypass or datapath
 // bit. The shared trace is never mutated; the corruption applies only to
-// this run's committed view, where the oracle (Options.Oracle) must
-// detect it.
+// this run's committed view, where the commit-time check (Options.Oracle)
+// must detect it.
 func (s *Simulator) InjectFault(seq int64, digit int) {
 	if digit < 0 || digit >= rb.Width {
 		panic(fmt.Sprintf("core: fault digit %d out of range", digit))
@@ -62,17 +67,44 @@ func flipRBDigit(v uint64, digit int) uint64 {
 	return flipRBDigitVec(v, digit).Uint()
 }
 
+// commitCheck is the commit-time check on the instruction about to retire,
+// run when the oracle or a fault plan is armed: the fault step and the
+// datapath read commitRegs before the lockstep compare writes it.
+func (s *Simulator) commitCheck(idx int, cycle int64) error {
+	if s.faultOut != nil {
+		s.faultStep(idx, cycle)
+	}
+	if s.oracle == nil {
+		if te := &s.trace[idx]; te.HasResult {
+			if d, ok := te.Inst.Dest(); ok {
+				s.commitRegs[d] = te.Result
+			}
+		}
+		return nil
+	}
+	if err := s.datapathCheck(idx, cycle); err != nil {
+		return err
+	}
+	return s.oracleStep(idx, cycle)
+}
+
+// divergence builds the *DivergenceError for trace entry te.
+func (s *Simulator) divergence(te *emu.TraceEntry, field string, got, want uint64, cycle int64) error {
+	return &DivergenceError{
+		Seq: te.Seq, PC: te.PC, Inst: te.Inst,
+		Field: field, Got: got, Want: want,
+		Dump: s.pipelineDump(cycle),
+	}
+}
+
 // oracleStep replays the instruction about to commit on the reference
-// emulator and cross-checks every architectural fact. It returns a
-// *DivergenceError on the first disagreement.
+// emulator and cross-checks every architectural fact, after writing the
+// committed register file. It returns a *DivergenceError on the first
+// disagreement.
 func (s *Simulator) oracleStep(idx int, cycle int64) error {
 	te := &s.trace[idx]
 	fail := func(field string, got, want uint64) error {
-		return &DivergenceError{
-			Seq: te.Seq, PC: te.PC, Inst: te.Inst,
-			Field: field, Got: got, Want: want,
-			Dump: s.pipelineDump(cycle),
-		}
+		return s.divergence(te, field, got, want, cycle)
 	}
 	if s.oracle.Halted() {
 		return fail("commit past reference HALT", uint64(te.PC), uint64(s.oracle.PC))
@@ -109,17 +141,17 @@ func (s *Simulator) oracleStep(idx int, cycle int64) error {
 	// Commit the timing core's architectural register view, then compare the
 	// whole file against the reference's.
 	if d, ok := te.Inst.Dest(); ok && te.HasResult {
-		s.oracleRegs[d] = committed
+		s.commitRegs[d] = committed
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		if s.oracleRegs[r] != s.oracle.Regs[r] {
-			return fail(fmt.Sprintf("register %v", isa.Reg(r)), s.oracleRegs[r], s.oracle.Regs[r])
+		if s.commitRegs[r] != s.oracle.Regs[r] {
+			return fail(fmt.Sprintf("register %v", isa.Reg(r)), s.commitRegs[r], s.oracle.Regs[r])
 		}
 	}
 	if cls.IsStore {
 		size := storeSize(te.Inst.Op)
 		want := s.oracle.Mem.Read(te.EA, size)
-		got := s.oracleRegs[te.Inst.Ra]
+		got := s.commitRegs[te.Inst.Ra]
 		if size < 8 {
 			got &= 1<<(8*uint(size)) - 1
 		}

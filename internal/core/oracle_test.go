@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/rb"
@@ -32,7 +33,7 @@ func TestLockstepCleanRun(t *testing.T) {
 		machine.NewBaseline(8), machine.NewRBLimited(8),
 		machine.NewRBFull(8), machine.NewIdeal(4),
 	} {
-		s, err := New(cfg, "oracle-clean", trace, Options{Oracle: p})
+		s, err := New(cfg, "oracle-clean", trace, Options{Oracle: emu.New(p)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestLockstepCatchesInjectedFault(t *testing.T) {
 	}
 	for _, cfg := range []machine.Config{machine.NewRBFull(8), machine.NewBaseline(8)} {
 		for _, digit := range []int{0, 17, 63} {
-			s, err := New(cfg, "oracle-fault", trace, Options{Oracle: p})
+			s, err := New(cfg, "oracle-fault", trace, Options{Oracle: emu.New(p)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +99,7 @@ func TestLockstepCatchesInjectedFault(t *testing.T) {
 func TestPipelineDumpContents(t *testing.T) {
 	p := oracleProgram(t, 50)
 	trace := mustTrace(t, p)
-	s, err := New(machine.NewRBFull(8), "oracle-dump", trace, Options{Oracle: p})
+	s, err := New(machine.NewRBFull(8), "oracle-dump", trace, Options{Oracle: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}

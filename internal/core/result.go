@@ -80,12 +80,13 @@ type Result struct {
 	L1I, L1D, L2 mem.CacheStats
 
 	// DatapathChecked counts results recomputed through the redundant
-	// binary datapath and verified against the functional trace.
+	// binary datapath and verified against the functional trace (the
+	// commit-time check, Options.Oracle, only).
 	DatapathChecked int64
 
 	// WrongPathIssued counts wrong-path instructions that reached execution
 	// before being squashed; WrongPathLoads counts those that accessed (and
-	// polluted) the data cache (ModelWrongPath only).
+	// polluted) the data cache (Options.WrongPath only).
 	WrongPathIssued int64
 	WrongPathLoads  int64
 

@@ -6,7 +6,7 @@ import (
 	"repro/internal/isa"
 )
 
-// Wrong-path modeling (machine.Config.ModelWrongPath): instead of stalling
+// Wrong-path modeling (Options.WrongPath): instead of stalling
 // fetch while a mispredicted branch resolves, the front end keeps fetching
 // down the predicted (wrong) path from the static program image. Wrong-path
 // instructions consume instruction-cache bandwidth (polluting the I-cache),
@@ -25,7 +25,7 @@ import (
 // path starts from the fetch-order architectural state, so its instructions
 // compute real values (and real load addresses).
 func (s *Simulator) startWrongPath(predictedNext int) {
-	if !s.cfg.ModelWrongPath || s.prog == nil {
+	if s.wpProg == nil {
 		return
 	}
 	s.wpPC = predictedNext
@@ -89,17 +89,17 @@ func (s *Simulator) wpWrite(addr uint64, size int, v uint64) {
 // fetchWrongPath fetches up to the front width of wrong-path instructions
 // for this cycle, following predicted directions through further branches.
 func (s *Simulator) fetchWrongPath(cycle int64) {
-	if s.wpPC < 0 || s.prog == nil {
+	if s.wpPC < 0 || s.wpProg == nil {
 		return
 	}
 	fetched := 0
 	blocks := 1
 	for fetched < s.cfg.FrontWidth && s.fqLen < s.fetchQCap {
-		if s.wpPC < 0 || s.wpPC >= len(s.prog.Insts) {
+		if s.wpPC < 0 || s.wpPC >= len(s.wpProg.Insts) {
 			s.wpPC = -1
 			return
 		}
-		in := s.prog.Insts[s.wpPC]
+		in := s.wpProg.Insts[s.wpPC]
 		if !s.fetchLine(s.wpPC, cycle) {
 			return // wrong-path fetch also waits on misses
 		}

@@ -43,13 +43,12 @@ func TestWrongPathIdenticalWhenNoMispredicts(t *testing.T) {
 	p := loopProgram(t, "li r1, 0", 3000, "        addq r1, #1, r1\n")
 	base := machine.NewIdeal(8)
 	wp := machine.NewIdeal(8)
-	wp.ModelWrongPath = true
 	wp.Name += "-wp"
-	rBase, err := runProgram(base, "b", p, 1_000_000)
+	rBase, err := runProgram(base, "b", p, 1_000_000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rWP, err := runProgram(wp, "w", p, 1_000_000)
+	rWP, err := runProgram(wp, "w", p, 1_000_000, Options{WrongPath: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +62,12 @@ func TestWrongPathConsumesResources(t *testing.T) {
 	p := unpredictableProgram(t)
 	base := machine.NewRBFull(8)
 	wp := machine.NewRBFull(8)
-	wp.ModelWrongPath = true
 	wp.Name += "-wp"
-	rBase, err := runProgram(base, "b", p, 1_000_000)
+	rBase, err := runProgram(base, "b", p, 1_000_000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rWP, err := runProgram(wp, "w", p, 1_000_000)
+	rWP, err := runProgram(wp, "w", p, 1_000_000, Options{WrongPath: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,34 +94,14 @@ func TestWrongPathConsumesResources(t *testing.T) {
 	}
 }
 
-func TestWrongPathWithoutProgramFallsBackToStall(t *testing.T) {
-	// Run (trace-only) has no program image: the flag must degrade to the
-	// base stall behavior rather than fail.
-	p := unpredictableProgram(t)
-	trace := mustTrace(t, p)
-	cfg := machine.NewIdeal(8)
-	cfg.ModelWrongPath = true
-	r, err := Run(cfg, "traceonly", trace, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.WrongPathIssued != 0 {
-		t.Error("wrong-path instructions issued without a program image")
-	}
-	if r.Instructions != int64(len(trace)) {
-		t.Errorf("retired %d of %d", r.Instructions, len(trace))
-	}
-}
-
 func TestWrongPathDeterminism(t *testing.T) {
 	p := unpredictableProgram(t)
 	cfg := machine.NewRBLimited(8)
-	cfg.ModelWrongPath = true
-	a, err := runProgram(cfg, "a", p, 1_000_000)
+	a, err := runProgram(cfg, "a", p, 1_000_000, Options{WrongPath: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runProgram(cfg, "b", p, 1_000_000)
+	b, err := runProgram(cfg, "b", p, 1_000_000, Options{WrongPath: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +140,7 @@ skip:   subq r1, #1, r1
 		t.Fatal(err)
 	}
 	cfg := machine.NewRBFull(8)
-	cfg.ModelWrongPath = true
-	r, err := runProgram(cfg, "pollute", p, 1_000_000)
+	r, err := runProgram(cfg, "pollute", p, 1_000_000, Options{WrongPath: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +160,11 @@ func TestWrongPathShadowStateMatchesEmulator(t *testing.T) {
 	// everything and stay deterministic.
 	p := unpredictableProgram(t)
 	cfg := machine.NewIdeal(8)
-	cfg.ModelWrongPath = true
-	a, err := runProgram(cfg, "shadow", p, 1_000_000)
+	a, err := runProgram(cfg, "shadow", p, 1_000_000, Options{WrongPath: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runProgram(cfg, "shadow", p, 1_000_000)
+	b, err := runProgram(cfg, "shadow", p, 1_000_000, Options{WrongPath: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +203,7 @@ next:   subq r1, #1, r1
 		t.Fatal(err)
 	}
 	cfg := machine.NewIdeal(8)
-	cfg.ModelWrongPath = true
-	r, err := runProgram(cfg, "wpcalls", p, 1_000_000)
+	r, err := runProgram(cfg, "wpcalls", p, 1_000_000, Options{WrongPath: p})
 	if err != nil {
 		t.Fatal(err)
 	}

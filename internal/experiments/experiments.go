@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/rcache"
@@ -125,33 +124,22 @@ func (h *Harness) CacheStats() rcache.Stats { return h.cache.Stats() }
 // RunCell simulates one (machine, workload) cell, memoized under its
 // CellKey: concurrent misses on the same cell block on the winner's
 // simulation instead of duplicating it, and a second config under a cached
-// cell's name is refused (ErrBadCell). Every cell of a workload shares its
-// cached timing trace (workload.Decoded); a cell that checks the datapath
-// reads values only the full trace holds (core.NeedsTrace), and builds it
-// for its own run.
+// cell's name is refused (ErrBadCell). Every cell of a workload reads its
+// cached timing trace (workload.Decoded): a cell is a machine.Config, which
+// arms no run mode that needs the full trace.
 func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.Workload) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	v, err := CachedCell(ctx, h.cache, CellKey(&cfg, w.Name, nil), &cfg, func() (any, error) {
 		h.runs.Add(1)
-		var (
-			trace []emu.TraceEntry
-			opt   = core.Options{Backend: h.Backend}
-			err   error
-		)
-		if core.NeedsTrace(cfg, opt) {
-			trace, err = w.Trace()
-		} else {
-			opt.Decoded, err = w.Decoded()
-		}
+		dec, err := w.Decoded()
 		if err != nil {
 			return nil, err
 		}
 		buf := h.getBuf()
 		defer h.putBuf(buf)
-		opt.Buffers = buf
-		r, err := core.Run(cfg, w.Name, trace, opt)
+		r, err := core.Run(cfg, w.Name, nil, core.Options{Backend: h.Backend, Decoded: dec, Buffers: buf})
 		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
 		}
@@ -187,18 +175,6 @@ func (h *Harness) submit() func(context.Context, func()) error {
 		return nil
 	}
 	return h.pool.Submit
-}
-
-// suiteWorkloads resolves a suite name to its workloads.
-func suiteWorkloads(suite string) []*workload.Workload {
-	switch suite {
-	case "SPECint95":
-		return workload.SPECint95()
-	case "SPECint2000":
-		return workload.SPECint2000()
-	default:
-		return workload.All()
-	}
 }
 
 func workloadNames(wls []*workload.Workload) []string {

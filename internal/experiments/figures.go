@@ -32,7 +32,10 @@ type IPCFigure struct {
 
 // ipcFigure runs one IPC figure.
 func ipcFigure(ctx context.Context, r Runner, id, title string, width int, suite string) (*IPCFigure, error) {
-	wls := suiteWorkloads(suite)
+	wls, err := workload.Suite(suite)
+	if err != nil {
+		return nil, err
+	}
 	results, err := r.RunMatrix(ctx, machine.All(width), wls)
 	if err != nil {
 		return nil, err
@@ -139,7 +142,7 @@ type Figure13Data struct {
 
 // Figure13 runs the bypass-case measurement.
 func Figure13(ctx context.Context, r Runner) (*Figure13Data, error) {
-	wls := suiteWorkloads("SPECint2000")
+	wls := workload.SPECint2000()
 	cfg := machine.NewRBFull(8)
 	d := &Figure13Data{
 		Workloads:      workloadNames(wls),

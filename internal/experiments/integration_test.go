@@ -5,31 +5,36 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
 // TestDatapathVerificationFullMatrix runs every workload on both redundant
-// binary machines with the datapath check enabled: every RB-class result is
+// binary machines with the commit-time check armed: every RB-class result is
 // recomputed through the redundant binary datapath (operands in forwarded
 // representations, intermediates never converted) and compared with the
-// functional golden model at retire. Any divergence panics inside the core.
+// functional golden model at retire. Any divergence fails the run with a
+// *core.DivergenceError.
 func TestDatapathVerificationFullMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full datapath matrix is slow; skipped with -short")
 	}
 	for _, mk := range []func(int) machine.Config{machine.NewRBFull, machine.NewRBLimited} {
 		cfg := mk(8)
-		cfg.DatapathCheck = true
 		cfg.Name += "-dpcheck"
 		for _, w := range workload.All() {
 			w := w
 			t.Run(cfg.Name+"/"+w.Name, func(t *testing.T) {
+				prog, err := w.Program()
+				if err != nil {
+					t.Fatal(err)
+				}
 				trace, err := w.Trace()
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := core.Run(cfg, w.Name, trace, core.Options{})
+				r, err := core.Run(cfg, w.Name, trace, core.Options{Oracle: emu.New(prog)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -117,16 +117,9 @@ func (b *BatchSpec) workloads() ([]string, error) {
 	if suite == "" {
 		suite = "all"
 	}
-	var wls []*workload.Workload
-	switch suite {
-	case "SPECint95":
-		wls = workload.SPECint95()
-	case "SPECint2000":
-		wls = workload.SPECint2000()
-	case "all":
-		wls = workload.All()
-	default:
-		return nil, badSpec("unknown suite %q (want SPECint95, SPECint2000, or all)", suite)
+	wls, err := workload.Suite(suite)
+	if err != nil {
+		return nil, badSpec("%v", err)
 	}
 	names := make([]string, len(wls))
 	for i, w := range wls {

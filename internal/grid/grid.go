@@ -67,11 +67,6 @@ func (c *CellRequest) Validate() error {
 	if c.Config.Name == "" {
 		return fmt.Errorf("%w: config has no name", ErrBadCell)
 	}
-	if c.Config.ModelWrongPath {
-		// Cells run from the workload's trace without the program image, so
-		// wrong-path fetch cannot be modeled; /v1/sim?wrong-path=true can.
-		return fmt.Errorf("%w: wrong-path cells are not supported", ErrBadCell)
-	}
 	if _, ok := workload.ByName(c.Workload); !ok {
 		return fmt.Errorf("%w: unknown workload %q", ErrBadCell, c.Workload)
 	}

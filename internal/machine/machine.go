@@ -67,7 +67,10 @@ type LatencyEntry struct {
 	TCExtra int64
 }
 
-// Config is a complete machine configuration.
+// Config is a complete machine configuration. It describes only the
+// machine: it is also the /v1/cell wire format and the operand of the cell
+// cache's config == check, so a run's modes — wrong-path fetch, the
+// commit-time check, a fault plan — are set in core.Options instead.
 type Config struct {
 	// Name is the display name ("Baseline-8" etc.).
 	Name string
@@ -110,12 +113,6 @@ type Config struct {
 	// aliasing store to execute (with free store-to-load forwarding). On by
 	// default in every preset.
 	MemoryDependence bool
-	// ModelWrongPath, when the static program image is supplied
-	// (core.Options.Program), keeps fetching down the
-	// predicted wrong path after a misprediction instead of stalling:
-	// wrong-path instructions pollute the instruction cache and consume
-	// fetch, window, and select resources until the branch resolves.
-	ModelWrongPath bool
 	// DependenceSteering enables the steering policy the paper's §4.2 names
 	// as future work: instructions are placed in the cluster of their first
 	// producer (least-loaded scheduler within it) instead of round-robin, so
@@ -126,10 +123,6 @@ type Config struct {
 	// from RB-capable ones (wakeup broadcasts between the groups are latched
 	// for the conversion time, which the availability schedules encode).
 	ClassSchedulers bool
-	// DatapathCheck enables carrying real redundant binary values through
-	// the simulated bypass network and cross-checking them against the
-	// functional trace (slower; used by tests and examples).
-	DatapathCheck bool
 }
 
 // Validate reports configuration inconsistencies.

@@ -1,13 +1,15 @@
 package server
 
 // Cell-path tests: one name identifies one config per process (the alias
-// guard answers 400, never the other config's result), wrong-path cells
-// are refused, and pool-exhaustion chaos releases every wedged worker.
+// guard answers 400, never the other config's result), a body naming a
+// field the wire format does not have is refused, and pool-exhaustion chaos
+// releases every wedged worker.
 
 import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +33,21 @@ func privateServer(t *testing.T, cfg Config) *Server {
 func cellBody(t *testing.T, cfg machine.Config, wl string) string {
 	t.Helper()
 	b, err := json.Marshal(&grid.CellRequest{Config: cfg, Workload: wl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// withConfigField sets field to true in a cell body's config object.
+func withConfigField(t *testing.T, body, field string) string {
+	t.Helper()
+	var req map[string]any
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	req["config"].(map[string]any)[field] = true
+	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,19 +95,47 @@ func TestCellAliasRefused(t *testing.T) {
 	}
 }
 
-// TestCellWrongPathRefused: harness cells run without the program image, so
-// a wrong-path cell would silently return a result without wrong-path
-// modeling; /v1/cell refuses it instead.
+// TestCellWrongPathRefused: wrong-path fetch is a run mode, not part of the
+// machine, so a cell body asking for it names a field the wire format does
+// not have; /v1/cell refuses it instead of silently running a stall-model
+// cell.
 func TestCellWrongPathRefused(t *testing.T) {
 	s := privateServer(t, Config{Parallel: 2})
-	cfg := machine.NewBaseline(4)
-	cfg.ModelWrongPath = true
-	rec, out := postJSON(t, s, "/v1/cell", cellBody(t, cfg, "compress"))
-	if rec.Code != http.StatusBadRequest || !strings.Contains(string(out), "wrong-path") {
-		t.Fatalf("wrong-path cell = %d, want 400 naming wrong-path: %s", rec.Code, out)
+	body := withConfigField(t, cellBody(t, machine.NewBaseline(4), "compress"), "ModelWrongPath")
+	rec, out := postJSON(t, s, "/v1/cell", body)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(string(out), `unknown field \"ModelWrongPath\"`) {
+		t.Fatalf("wrong-path cell = %d, want 400 naming the unknown field: %s", rec.Code, out)
 	}
 	if runs := s.harness.Runs(); runs != 0 {
 		t.Fatalf("refused cell still simulated %d cells", runs)
+	}
+}
+
+// TestCellUnknownFieldRefused: a sampled cell whose config asks for the
+// datapath check — a run mode the wire format does not carry — gets a 400
+// and is never simulated, and the server keeps answering.
+func TestCellUnknownFieldRefused(t *testing.T) {
+	s := privateServer(t, Config{Parallel: 2})
+	b, err := json.Marshal(&grid.CellRequest{
+		Config:   machine.NewRBFull(8),
+		Workload: "mcf",
+		Sampled:  &experiments.SampleSpec{Samples: 4, Warmup: 1000, Measure: 1000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, out := postJSON(t, s, "/v1/cell", withConfigField(t, string(b), "DatapathCheck"))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(string(out), `unknown field \"DatapathCheck\"`) {
+		t.Fatalf("DatapathCheck cell = %d, want 400 naming the unknown field: %s", rec.Code, out)
+	}
+	if runs := s.harness.Runs(); runs != 0 {
+		t.Fatalf("refused cell still simulated %d cells", runs)
+	}
+	req := httptest.NewRequest("GET", "/healthz", nil)
+	hrec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(hrec, req)
+	if hrec.Code != http.StatusOK {
+		t.Fatalf("/healthz after the refused cell = %d", hrec.Code)
 	}
 }
 

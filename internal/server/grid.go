@@ -27,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/grid"
+	"repro/internal/workload"
 )
 
 // maxCellBody bounds /v1/cell and /v1/batch request bodies.
@@ -47,8 +48,16 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad cell body: "+err.Error())
 		return
 	}
+	// Unknown fields are refused, so a body naming a removed or misspelled
+	// field is never simulated as though the field were absent.
 	var req grid.CellRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&req)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("trailing data after the cell request")
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad cell request: "+err.Error())
 		return
 	}
@@ -276,11 +285,8 @@ func (s *Server) artifactParams(w http.ResponseWriter, q map[string][]string, na
 		if suite = first(q, "suite"); suite == "" {
 			suite = "SPECint2000"
 		}
-		switch suite {
-		case "SPECint95", "SPECint2000", "all":
-		default:
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("unknown suite %q (want SPECint95, SPECint2000, or all)", suite))
+		if _, err := workload.Suite(suite); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
 			return 0, "", false
 		}
 	}

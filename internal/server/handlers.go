@@ -215,7 +215,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	datapathCheck, err := boolParam(q.Get("check"))
+	checked, err := boolParam(q.Get("check"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad check: "+err.Error())
 		return
@@ -234,15 +234,12 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	cfg.DatapathCheck = datapathCheck
-	cfg.ModelWrongPath = wrongPath
-
 	if q.Get("ci-target") != "" && q.Get("samples") == "" {
 		writeError(w, http.StatusBadRequest, "ci-target requires samples (it sets the starting cell count)")
 		return
 	}
 	if q.Get("samples") != "" {
-		if datapathCheck || wrongPath || q.Get("sched") != "" {
+		if checked || wrongPath || q.Get("sched") != "" {
 			writeError(w, http.StatusBadRequest,
 				"samples cannot be combined with check, wrong-path, or sched (sampled cells run the default event backend without datapath verification)")
 			return
@@ -270,17 +267,24 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 
 	key := strings.Join([]string{
 		"sim", cfg.Name, wl.Name, noLevels,
-		strconv.FormatBool(datapathCheck), strconv.FormatBool(wrongPath), backend.String(),
+		strconv.FormatBool(checked), strconv.FormatBool(wrongPath), backend.String(),
 	}, "|")
 	s.serveCached(w, r, key, func() (cachedResponse, error) {
-		// The program image lets wrong-path=true fetch down the wrong path.
+		// check=true arms the commit-time check and wrong-path=true fetches
+		// down the wrong path; both read the full trace's result values.
 		prog, err := wl.Program()
 		if err != nil {
 			return cachedResponse{}, err
 		}
-		opt := core.Options{Backend: backend, Program: prog}
+		opt := core.Options{Backend: backend}
+		if checked {
+			opt.Oracle = emu.New(prog)
+		}
+		if wrongPath {
+			opt.WrongPath = prog
+		}
 		var trace []emu.TraceEntry
-		if core.NeedsTrace(cfg, opt) {
+		if checked || wrongPath {
 			trace, err = wl.Trace()
 		} else {
 			opt.Decoded, err = wl.Decoded()

@@ -247,9 +247,7 @@ func TestSimWrongPathModelsWrongPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := machine.NewRBFull(8)
-	cfg.ModelWrongPath = true
-	want, err := core.Run(cfg, wl.Name, trace, core.Options{Program: prog})
+	want, err := core.Run(machine.NewRBFull(8), wl.Name, trace, core.Options{WrongPath: prog})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
 )
@@ -116,9 +117,11 @@ func TestGeneratedWorkloadsVerifyOnRBDatapath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := machine.NewRBFull(8)
-	cfg.DatapathCheck = true
-	r, err := core.Run(cfg, w.Name, trace, core.Options{})
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.Run(machine.NewRBFull(8), w.Name, trace, core.Options{Oracle: emu.New(prog)})
 	if err != nil {
 		t.Fatal(err)
 	}

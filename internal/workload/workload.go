@@ -214,6 +214,20 @@ func All() []*Workload {
 	return out
 }
 
+// Suite resolves a suite name — SPECint95, SPECint2000 or all — to its
+// workloads.
+func Suite(name string) ([]*Workload, error) {
+	switch name {
+	case "SPECint95":
+		return SPECint95(), nil
+	case "SPECint2000":
+		return SPECint2000(), nil
+	case "all":
+		return All(), nil
+	}
+	return nil, fmt.Errorf("unknown suite %q (want SPECint95, SPECint2000, or all)", name)
+}
+
 // ByName finds a workload.
 func ByName(name string) (*Workload, bool) {
 	for _, w := range All() {

@@ -205,3 +205,23 @@ grep -q '"hedges"' "$BIN/co4.metrics"
 kill "$W3_PID" "$CO_PID"
 wait "$W3_PID" "$CO_PID" 2>/dev/null || true
 W3_PID='' CO_PID=''
+
+# Run-mode legs on the built rbsim. A resumed checkpoint runs the commit-time
+# check against a reference resumed from the same checkpoint: the mcf round
+# trip must exit 0 and print the datapath line. -wrong-path must reach the
+# pipeline diagram (it differs from the stall model's), and is refused with
+# exit 2 on a resumed checkpoint, whose wrong-path state would start from
+# the program image.
+go build -o "$BIN/rbsim" ./cmd/rbsim
+"$BIN/rbsim" -workload mcf -save-ckpt "$BIN/mcf.ckpt" -ckpt-at 100000
+"$BIN/rbsim" -load-ckpt "$BIN/mcf.ckpt" -check >"$BIN/mcf.resumed"
+grep -q '^datapath: ' "$BIN/mcf.resumed"
+"$BIN/rbsim" -workload gcc00 -machine rb-full -pipeline 400 >"$BIN/gcc00.pipe"
+"$BIN/rbsim" -workload gcc00 -machine rb-full -pipeline 400 -wrong-path >"$BIN/gcc00.pipe.wp"
+if cmp -s "$BIN/gcc00.pipe" "$BIN/gcc00.pipe.wp"; then
+	echo "-wrong-path did not change the pipeline diagram" >&2
+	exit 1
+fi
+RC=0
+"$BIN/rbsim" -load-ckpt "$BIN/mcf.ckpt" -wrong-path 2>/dev/null || RC=$?
+[ "$RC" -eq 2 ]
