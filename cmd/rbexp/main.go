@@ -3,8 +3,8 @@
 // Usage:
 //
 //	rbexp -exp all            # everything, in paper order
-//	rbexp -exp fig9           # one artifact: table1|table2|table3|
-//	                          # fig9|fig10|fig11|fig12|fig13|fig14|summary
+//	rbexp -exp fig9,table2    # some artifacts, by their names in
+//	                          # experiments.Artifacts
 //	rbexp -exp all -parallel 1   # serial determinism oracle
 //	rbexp -exp sampled -samples 10 -warmup 2000 -measure 2000
 //	                          # SMARTS-sampled IPC vs the full-run oracle
@@ -21,7 +21,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -32,99 +31,23 @@ import (
 	"repro/internal/workload"
 )
 
-type artifact struct {
-	name string
-	run  func(context.Context, experiments.Runner, io.Writer) error
-}
-
-func ipc(fn func(context.Context, experiments.Runner) (*experiments.IPCFigure, error)) func(context.Context, experiments.Runner, io.Writer) error {
-	return func(ctx context.Context, r experiments.Runner, w io.Writer) error {
-		f, err := fn(ctx, r)
-		if err != nil {
-			return err
-		}
-		return f.Render(w)
+// sampled is rbexp's one artifact beyond experiments.Artifacts: the
+// SMARTS estimator diagnostic, which -exp all skips.
+func sampled(ctx context.Context, r experiments.Runner) (experiments.Artifact, error) {
+	h, ok := r.(*experiments.Harness)
+	if !ok {
+		return nil, fmt.Errorf("sampled requires the standard harness")
 	}
-}
-
-// noRunner adapts a renderer that performs no simulation.
-func noRunner(fn func(io.Writer) error) func(context.Context, experiments.Runner, io.Writer) error {
-	return func(_ context.Context, _ experiments.Runner, w io.Writer) error { return fn(w) }
-}
-
-var artifacts = []artifact{
-	{"fig1", func(ctx context.Context, r experiments.Runner, w io.Writer) error {
-		d, err := experiments.Figure1(ctx, r)
-		if err != nil {
-			return err
-		}
-		return d.Render(w)
-	}},
-	{"table1", noRunner(func(w io.Writer) error {
-		d, err := experiments.Table1()
-		if err != nil {
-			return err
-		}
-		return d.Render(w)
-	})},
-	{"table2", noRunner(experiments.RenderTable2)},
-	{"table3", noRunner(experiments.RenderTable3)},
-	{"fig9", ipc(experiments.Figure9)},
-	{"fig10", ipc(experiments.Figure10)},
-	{"fig11", ipc(experiments.Figure11)},
-	{"fig12", ipc(experiments.Figure12)},
-	{"fig13", func(ctx context.Context, r experiments.Runner, w io.Writer) error {
-		d, err := experiments.Figure13(ctx, r)
-		if err != nil {
-			return err
-		}
-		return d.Render(w)
-	}},
-	{"fig14", func(ctx context.Context, r experiments.Runner, w io.Writer) error {
-		d, err := experiments.Figure14(ctx, r)
-		if err != nil {
-			return err
-		}
-		return d.Render(w)
-	}},
-	{"sweeps", func(ctx context.Context, r experiments.Runner, w io.Writer) error {
-		d, err := experiments.Sweeps(ctx, r)
-		if err != nil {
-			return err
-		}
-		return d.Render(w)
-	}},
-	{"summary", func(ctx context.Context, r experiments.Runner, w io.Writer) error {
-		s, err := experiments.ComputeSummary(ctx, r)
-		if err != nil {
-			return err
-		}
-		return s.Render(w)
-	}},
-	{"sampled", func(ctx context.Context, r experiments.Runner, w io.Writer) error {
-		h, ok := r.(*experiments.Harness)
-		if !ok {
-			return fmt.Errorf("sampled requires the standard harness")
-		}
-		cfg, err := machine.ByName("rb-full", 8)
-		if err != nil {
-			return err
-		}
-		if ciTarget > 0 {
-			// Variance-adaptive mode: -samples seeds the first round, then
-			// k doubles until the relative CI meets -ci-target.
-			f, err := experiments.AdaptiveVsFull(ctx, h, cfg, workload.SPECint2000(), sampledSpec, ciTarget)
-			if err != nil {
-				return err
-			}
-			return f.Render(w)
-		}
-		f, err := experiments.SampledVsFull(ctx, h, cfg, workload.SPECint2000(), sampledSpec)
-		if err != nil {
-			return err
-		}
-		return f.Render(w)
-	}},
+	cfg, err := machine.ByName("rb-full", 8)
+	if err != nil {
+		return nil, err
+	}
+	if ciTarget > 0 {
+		// Variance-adaptive mode: -samples seeds the first round, then
+		// k doubles until the relative CI meets -ci-target.
+		return experiments.AdaptiveVsFull(ctx, h, cfg, workload.SPECint2000(), sampledSpec, ciTarget)
+	}
+	return experiments.SampledVsFull(ctx, h, cfg, workload.SPECint2000(), sampledSpec)
 }
 
 // sampledSpec carries the -samples/-warmup/-measure/-ff-warm flags into the
@@ -135,7 +58,7 @@ var (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "artifact to regenerate (all, or one of: fig1 table1 table2 table3 fig9 fig10 fig11 fig12 fig13 fig14 sweeps summary sampled)")
+	exp := flag.String("exp", "all", "artifacts to regenerate: all, or a comma-separated list of "+strings.Join(experiments.ArtifactNames(), " ")+" sampled")
 	parallel := flag.Int("parallel", 0, "simulate up to N (machine, workload) cells concurrently (0 = GOMAXPROCS, 1 = serial)")
 	flag.IntVar(&sampledSpec.Samples, "samples", 10, "sampled artifact: number of sample cells k")
 	flag.IntVar(&sampledSpec.Warmup, "warmup", 2000, "sampled artifact: detailed warm-up instructions per cell")
@@ -170,35 +93,37 @@ func main() {
 	defer harness.Close()
 	ctx := context.Background()
 
-	run := func(a artifact) {
-		if err := a.run(ctx, harness, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "rbexp: %s: %v\n", a.name, err)
+	run := func(name string, fn func(context.Context, experiments.Runner) (experiments.Artifact, error)) {
+		a, err := fn(ctx, harness)
+		var text []byte
+		if err == nil {
+			text, err = experiments.RenderText(a)
+		}
+		if err == nil {
+			_, err = os.Stdout.Write(text)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rbexp: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Println()
 	}
 
 	if *exp == "all" {
-		for _, a := range artifacts {
-			if a.name == "sampled" {
-				continue // estimator diagnostic, not a paper artifact
-			}
-			run(a)
+		for _, a := range experiments.Artifacts {
+			run(a.Name, a.Run)
 		}
 		return
 	}
 	for _, name := range strings.Split(*exp, ",") {
-		found := false
-		for _, a := range artifacts {
-			if a.name == name {
-				run(a)
-				found = true
-				break
-			}
+		if name == "sampled" {
+			run(name, sampled)
+			continue
 		}
-		if !found {
+		a, ok := experiments.ArtifactByName(name)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "rbexp: unknown artifact %q\n", name)
 			os.Exit(2)
 		}
+		run(a.Name, a.Run)
 	}
 }

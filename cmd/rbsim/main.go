@@ -12,7 +12,7 @@
 // flag arms the commit-time check: every retired result is recomputed
 // through the redundant binary datapath and replayed in lockstep on the
 // functional reference. -no-bypass-levels removes bypass levels from the
-// Baseline/Ideal machines (paper §4.2 / Figure 14).
+// Ideal machine (paper §4.2 / Figure 14).
 package main
 
 import (
@@ -47,7 +47,7 @@ func main() {
 	saveCkpt := flag.String("save-ckpt", "", "fast-forward the workload and write an architectural checkpoint to this file")
 	ckptAt := flag.Int64("ckpt-at", 0, "instruction count at which -save-ckpt captures (functional warming runs throughout)")
 	loadCkpt := flag.String("load-ckpt", "", "resume from a checkpoint written with -save-ckpt and simulate the remainder in detail")
-	noLevels := flag.String("no-bypass-levels", "", "comma-separated bypass levels to remove (baseline/ideal machines)")
+	noLevels := flag.String("no-bypass-levels", "", "comma-separated bypass levels to remove (ideal machine only)")
 	list := flag.Bool("list", false, "list available workloads and exit")
 	schedName := flag.String("sched", "event", "scheduler backend: event (calendar-queue wakeup) or poll (per-cycle rescan oracle)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -80,17 +80,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg, err := machine.ByName(strings.ToLower(*machName), *width)
+	cfg, err := machine.ByNameWithout(strings.ToLower(*machName), *width, *noLevels)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 		os.Exit(2)
 	}
-	if *noLevels != "" {
-		if cfg, err = machine.IdealWithout(*width, *noLevels); err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(2)
+	// -load-ckpt and -from-trace read their workload from a file, so the
+	// -workload default must not stand in for it.
+	wlFlagSet := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "workload" {
+			wlFlagSet = true
 		}
-	}
+	})
 	if *saveCkpt != "" {
 		if err := doSaveCkpt(cfg, w, *saveCkpt, *ckptAt); err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
@@ -99,12 +101,6 @@ func main() {
 		return
 	}
 	if *loadCkpt != "" {
-		wlFlagSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workload" {
-				wlFlagSet = true
-			}
-		})
 		if _, err := doLoadCkpt(cfg, backend, *check, *wrongPath, *loadCkpt, *wlName, wlFlagSet); err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 			if errors.Is(err, errCkptWrongPath) {
@@ -115,8 +111,17 @@ func main() {
 		return
 	}
 
+	prog, err := w.Program()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
+		os.Exit(1)
+	}
 	var trace []emu.TraceEntry
 	if *fromTrace != "" {
+		if !wlFlagSet {
+			fmt.Fprintf(os.Stderr, "rbsim: -from-trace requires -workload naming the trace's workload\n")
+			os.Exit(2)
+		}
 		f, err := os.Open(*fromTrace)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
@@ -128,8 +133,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
 			os.Exit(1)
 		}
+		if len(trace) > 0 {
+			pc := trace[0].PC
+			if pc < 0 || pc >= len(prog.Insts) || trace[0].Inst != prog.Insts[pc] {
+				fmt.Fprintf(os.Stderr, "rbsim: trace %s does not start in workload %s (entry pc %d: %s)\n",
+					*fromTrace, w.Name, pc, trace[0].Inst)
+				os.Exit(2)
+			}
+		}
 	} else {
-		var err error
 		trace, err = w.Trace()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
@@ -152,11 +164,6 @@ func main() {
 		}
 		fmt.Printf("wrote %d trace entries to %s\n", len(trace), *saveTrace)
 		return
-	}
-	prog, err := w.Program()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-		os.Exit(1)
 	}
 	// One run's options, for the main run and -pipeline alike.
 	opt := core.Options{Backend: backend}

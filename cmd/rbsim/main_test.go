@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/branch"
@@ -14,8 +16,87 @@ import (
 	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/tracefile"
 	"repro/internal/workload"
 )
+
+// TestMain makes the test binary rbsim itself when RBSIM_MAIN is set, so a
+// test can run the command's flag handling and exit codes in a child.
+func TestMain(m *testing.M) {
+	if os.Getenv("RBSIM_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// rbsim runs the command with args in a child process and returns its exit
+// code and combined output.
+func rbsim(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "RBSIM_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, string(out)
+}
+
+// TestNoBypassLevelsOnlyOnIdeal: removed bypass levels apply to the ideal
+// machine and are refused (exit 2) on any other, never silently replacing
+// the -machine choice.
+func TestNoBypassLevelsOnlyOnIdeal(t *testing.T) {
+	if code, out := rbsim(t, "-machine", "baseline", "-width", "4", "-no-bypass-levels", "1"); code != 2 ||
+		!strings.Contains(out, "only from the ideal machine") {
+		t.Errorf("-machine baseline -no-bypass-levels 1: exit %d, output %q; want exit 2 refusing the levels", code, out)
+	}
+	if code, out := rbsim(t, "-machine", "ideal", "-width", "4", "-no-bypass-levels", "1"); code != 0 ||
+		!strings.Contains(out, "machine:       Ideal-4-No-1") {
+		t.Errorf("-machine ideal -no-bypass-levels 1: exit %d, output %q", code, out)
+	}
+}
+
+// TestFromTraceNeedsItsWorkload: -from-trace takes its workload from an
+// explicit -workload (the default would label and check the trace as
+// compress), refuses a trace that does not start in that workload, and
+// checks a matching one cleanly.
+func TestFromTraceNeedsItsWorkload(t *testing.T) {
+	w, ok := workload.ByName("gap")
+	if !ok {
+		t.Fatal("workload gap missing")
+	}
+	trace, err := w.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gap.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracefile.Write(f, trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := rbsim(t, "-from-trace", path); code != 2 || !strings.Contains(out, "requires -workload") {
+		t.Errorf("-from-trace without -workload: exit %d, output %q", code, out)
+	}
+	if code, out := rbsim(t, "-from-trace", path, "-workload", "compress"); code != 2 ||
+		!strings.Contains(out, "does not start in workload compress") {
+		t.Errorf("gap trace as compress: exit %d, output %q", code, out)
+	}
+	code, out := rbsim(t, "-from-trace", path, "-workload", "gap", "-check")
+	if code != 0 || !strings.Contains(out, "workload:      gap") || !strings.Contains(out, "datapath:") {
+		t.Errorf("-from-trace -workload gap -check: exit %d, output %q", code, out)
+	}
+}
 
 // serialCkpt is the reference for -save-ckpt: step to n on one goroutine,
 // warming every instruction, then capture.

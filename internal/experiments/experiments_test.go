@@ -312,3 +312,27 @@ func TestSweeps(t *testing.T) {
 		}
 	}
 }
+
+// TestArtifactTable pins the artifact table: its names, their paper order
+// (rbexp -exp all prints them in this order), and their uniqueness.
+func TestArtifactTable(t *testing.T) {
+	want := []string{"fig1", "table1", "table2", "table3", "fig9", "fig10",
+		"fig11", "fig12", "fig13", "fig14", "sweeps", "summary"}
+	got := ArtifactNames()
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("artifact table = %v, want %v", got, want)
+	}
+	seen := map[string]bool{}
+	for _, a := range Artifacts {
+		if seen[a.Name] {
+			t.Errorf("artifact %q listed twice", a.Name)
+		}
+		seen[a.Name] = true
+		if b, ok := ArtifactByName(a.Name); !ok || b.Name != a.Name {
+			t.Errorf("ArtifactByName(%q) = %q, %v", a.Name, b.Name, ok)
+		}
+	}
+	if _, ok := ArtifactByName("ipc"); ok {
+		t.Error("ipc is the server's parameterized comparison, not a paper artifact")
+	}
+}

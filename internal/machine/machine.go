@@ -373,6 +373,20 @@ func ByName(name string, width int) (Config, error) {
 	return Config{}, fmt.Errorf("machine: unknown machine %q (want baseline, rb-limited, rb-full, ideal, or staggered)", name)
 }
 
+// ByNameWithout builds a machine from a name and a removed-levels list, as
+// rbsim and /v1/sim take them: with no levels it is ByName, and levels
+// apply only to "ideal" (IdealWithout), never silently replacing another
+// machine.
+func ByNameWithout(name string, width int, levels string) (Config, error) {
+	if levels == "" {
+		return ByName(name, width)
+	}
+	if name != "ideal" {
+		return Config{}, fmt.Errorf("machine: bypass levels can be removed only from the ideal machine, not %q", name)
+	}
+	return IdealWithout(width, levels)
+}
+
 // All returns the four §5.1 machines at one width, in the paper's bar order.
 func All(width int) []Config {
 	return []Config{NewBaseline(width), NewRBLimited(width), NewRBFull(width), NewIdeal(width)}

@@ -257,16 +257,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // artifactParams validates an artifact name (404 on unknown) and its
 // width/suite parameters for /v1/experiment and /v1/batch?artifact=.
 func (s *Server) artifactParams(w http.ResponseWriter, q map[string][]string, name string) (width int, suite string, ok bool) {
-	known := false
-	for _, n := range artifactNames {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown artifact %q (have %s)", name, strings.Join(artifactNames, ", ")))
+	if _, ok := experiments.ArtifactByName(name); !ok && name != "ipc" {
+		writeError(w, http.StatusNotFound, errUnknownArtifact(name).Error())
 		return 0, "", false
 	}
 	width, suite = 8, "SPECint2000"
@@ -521,14 +513,14 @@ func (s *Server) serveArtifactBatch(w http.ResponseWriter, r *http.Request, name
 			stream.event("cell", cellEvent(res))
 		}
 	}}
-	res, err := s.runArtifact(ctx, tee, name, width, suite)
+	res, err := runArtifact(ctx, tee, name, width, suite)
 	stopProgress()
 	elapsed := time.Since(start).Milliseconds() //rblint:allow determinism
 	n := int(landed.Load())
 
 	var text []byte
 	if err == nil {
-		text, err = renderText(res)
+		text, err = experiments.RenderText(res)
 	}
 	if err != nil {
 		bj.abort()

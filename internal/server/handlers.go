@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -18,85 +16,24 @@ import (
 	"repro/internal/workload"
 )
 
-// artifactResult is anything an experiment endpoint can serve: every
-// experiment data structure renders itself as the CLI's text table and
-// JSON-marshals through its exported fields.
-type artifactResult interface {
-	Render(w io.Writer) error
-}
-
-// textArtifact adapts the pre-rendered configuration tables (2 and 3).
-type textArtifact struct {
-	Title string `json:"title"`
-	Text  string `json:"text"`
-}
-
-func (t textArtifact) Render(w io.Writer) error {
-	_, err := io.WriteString(w, t.Text)
-	return err
-}
-
-// artifactNames lists the /v1/experiment/{name} artifacts (sorted; "ipc"
-// is the generic width/suite-parameterized comparison).
-var artifactNames = []string{
-	"fig1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-	"ipc", "sweeps", "summary", "table1", "table2", "table3",
-}
-
-// runArtifact executes one named experiment through run: the server's
-// runner (the router in coordinator mode), or a TeeRunner wrapping it when
-// /v1/batch streams cells (the figures are Runner-generic, so distribution
-// never touches them).
-func (s *Server) runArtifact(ctx context.Context, run experiments.Runner, name string, width int, suite string) (artifactResult, error) {
-	switch name {
-	case "fig1":
-		return experiments.Figure1(ctx, run)
-	case "fig9":
-		return experiments.Figure9(ctx, run)
-	case "fig10":
-		return experiments.Figure10(ctx, run)
-	case "fig11":
-		return experiments.Figure11(ctx, run)
-	case "fig12":
-		return experiments.Figure12(ctx, run)
-	case "fig13":
-		return experiments.Figure13(ctx, run)
-	case "fig14":
-		return experiments.Figure14(ctx, run)
-	case "ipc":
+// runArtifact computes one named artifact through run: the server's runner
+// (the router in coordinator mode), or a TeeRunner wrapping it when
+// /v1/batch streams cells. A name is one of experiments.Artifacts, or "ipc",
+// the server's width/suite-parameterized IPCComparison.
+func runArtifact(ctx context.Context, run experiments.Runner, name string, width int, suite string) (experiments.Artifact, error) {
+	if name == "ipc" {
 		return experiments.IPCComparison(ctx, run, width, suite)
-	case "sweeps":
-		return experiments.Sweeps(ctx, run)
-	case "summary":
-		return experiments.ComputeSummary(ctx, run)
-	case "table1":
-		return experiments.Table1()
-	case "table2":
-		return renderedTable("Table 2. Machine configuration", experiments.RenderTable2)
-	case "table3":
-		return renderedTable("Table 3. Instruction class latencies", experiments.RenderTable3)
 	}
-	return nil, fmt.Errorf("unknown artifact %q (have %s)", name, strings.Join(artifactNames, ", "))
+	a, ok := experiments.ArtifactByName(name)
+	if !ok {
+		return nil, errUnknownArtifact(name)
+	}
+	return a.Run(ctx, run)
 }
 
-// renderText is the one text rendering of an artifact: its table plus the
-// blank line rbexp prints after each artifact, so every format=text body
-// and every journaled batch output diffs clean against rbexp.
-func renderText(res artifactResult) ([]byte, error) {
-	var b bytes.Buffer
-	if err := res.Render(&b); err != nil {
-		return nil, err
-	}
-	b.WriteByte('\n')
-	return b.Bytes(), nil
-}
-
-func renderedTable(title string, render func(io.Writer) error) (artifactResult, error) {
-	var b bytes.Buffer
-	if err := render(&b); err != nil {
-		return nil, err
-	}
-	return textArtifact{Title: title, Text: b.String()}, nil
+// errUnknownArtifact names every artifact runArtifact serves.
+func errUnknownArtifact(name string) error {
+	return fmt.Errorf("unknown artifact %q (have %s, ipc)", name, strings.Join(experiments.ArtifactNames(), ", "))
 }
 
 // cachedResponse is a fully rendered response body in the LRU.
@@ -149,12 +86,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	key := strings.Join([]string{"exp", name, strconv.Itoa(width), suite, format}, "|")
 	s.serveCached(w, r, key, func() (cachedResponse, error) {
-		res, err := s.runArtifact(r.Context(), s.runner(), name, width, suite)
+		res, err := runArtifact(r.Context(), s.runner(), name, width, suite)
 		if err != nil {
 			return cachedResponse{}, err
 		}
 		if format == "text" {
-			b, err := renderText(res)
+			b, err := experiments.RenderText(res)
 			if err != nil {
 				return cachedResponse{}, err
 			}
@@ -203,17 +140,11 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad width: "+err.Error())
 		return
 	}
-	cfg, err := machine.ByName(machName, width)
+	noLevels := q.Get("no-bypass-levels")
+	cfg, err := machine.ByNameWithout(machName, width, noLevels)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	noLevels := q.Get("no-bypass-levels")
-	if noLevels != "" {
-		if cfg, err = machine.IdealWithout(width, noLevels); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
 	}
 	checked, err := boolParam(q.Get("check"))
 	if err != nil {

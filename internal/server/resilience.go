@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/grid"
 )
 
@@ -308,11 +309,11 @@ func (s *Server) completeBatch(ctx context.Context, meta *grid.JournalMeta, bj *
 		}
 		return renderCellBatchText(done), len(cells), nil
 	}
-	res, err := s.runArtifact(ctx, &grid.TeeRunner{R: s.runner(), OnCell: bj.observe}, meta.Artifact, meta.Width, meta.Suite)
+	res, err := runArtifact(ctx, &grid.TeeRunner{R: s.runner(), OnCell: bj.observe}, meta.Artifact, meta.Width, meta.Suite)
 	if err != nil {
 		return nil, 0, err
 	}
-	if out, err = renderText(res); err != nil {
+	if out, err = experiments.RenderText(res); err != nil {
 		return nil, 0, err
 	}
 	replayed, appended := bj.counts()

@@ -21,8 +21,11 @@
 //	             refuses a second config under one name with 400 (the
 //	             alias guard); one fan-out loop (experiments.FanOut), one
 //	             cell compute (grid.RunLocal) for /v1/cell and a
-//	             non-coordinator's /v1/batch, and one artifact text render
-//	             (renderText) for every text response and journal output
+//	             non-coordinator's /v1/batch; one artifact table
+//	             (experiments.Artifacts, plus the local "ipc") behind
+//	             /v1/experiment, /v1/batch?artifact= and journal resume, and
+//	             one text render (experiments.RenderText) for every text
+//	             response and journal output
 //	execution    one bounded worker pool (internal/pool, GOMAXPROCS-sized)
 //	             that every simulation cell of a single-process or worker
 //	             server funnels through — experiments, batches, /v1/cell

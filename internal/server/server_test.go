@@ -139,6 +139,54 @@ func TestExperimentJSONAndResponseCache(t *testing.T) {
 	if after.Hits <= before.Hits {
 		t.Fatalf("response cache hits did not grow: before=%+v after=%+v", before, after)
 	}
+
+	// Tables 2 and 3 are served as exactly {"title", "text"}, the text being
+	// the table rbexp prints.
+	for _, c := range []struct {
+		name, title string
+		render      func(io.Writer) error
+	}{
+		{"table2", "Table 2. Machine configuration", experiments.RenderTable2},
+		{"table3", "Table 3. Instruction class latencies", experiments.RenderTable3},
+	} {
+		rec, body := get(t, "/v1/experiment/"+c.name+"?format=json")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s json status = %d: %s", c.name, rec.Code, body)
+		}
+		var got map[string]string
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("%s JSON: %v\n%s", c.name, err, body)
+		}
+		var text bytes.Buffer
+		if err := c.render(&text); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]string{"title": c.title, "text": text.String()}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s JSON = %q, want %q", c.name, got, want)
+		}
+	}
+}
+
+// TestUnknownArtifactListsTable: an unknown artifact is a 404 on both
+// artifact endpoints, and the error names every artifact of the table plus
+// ipc.
+func TestUnknownArtifactListsTable(t *testing.T) {
+	for _, path := range []string{"/v1/experiment/fig99", "/v1/batch?artifact=fig99"} {
+		rec, body := get(t, path)
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404 (%s)", path, rec.Code, body)
+		}
+		var e map[string]string
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("GET %s error body malformed: %s", path, body)
+		}
+		for _, name := range append(experiments.ArtifactNames(), "ipc") {
+			if !strings.Contains(e["error"], name) {
+				t.Errorf("GET %s error %q does not list %q", path, e["error"], name)
+			}
+		}
+	}
 }
 
 func TestExperimentParameterized(t *testing.T) {
@@ -169,6 +217,7 @@ func TestExperimentValidation(t *testing.T) {
 		{"/v1/sim?workload=nope", http.StatusNotFound},
 		{"/v1/sim?workload=compress&machine=warp", http.StatusBadRequest},
 		{"/v1/sim?workload=compress&no-bypass-levels=9", http.StatusBadRequest},
+		{"/v1/sim?workload=compress&machine=baseline&width=4&no-bypass-levels=1", http.StatusBadRequest},
 		{"/v1/sim?workload=compress&check=maybe", http.StatusBadRequest},
 		{"/v1/check?layer=vibes", http.StatusNotFound},
 		{"/v1/check?seed=NaN", http.StatusBadRequest},

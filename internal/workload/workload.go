@@ -146,39 +146,6 @@ func (w *Workload) emulate(full bool) ([]emu.TraceEntry, *core.Decoded, error) {
 	return trace, d, nil
 }
 
-// InstCount is the workload's dynamic instruction count (cached). Unlike
-// Trace it never materializes the instruction stream: the sampler plans its
-// cells over workloads whose full traces would not be worth holding.
-func (w *Workload) InstCount() (int64, error) {
-	return instCountCache.get(w)
-}
-
-type icCache struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-var instCountCache = &icCache{m: map[string]int64{}}
-
-func (c *icCache) get(w *Workload) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n, ok := c.m[w.Name]; ok {
-		return n, nil
-	}
-	p, err := programCache.get(w)
-	if err != nil {
-		return 0, err
-	}
-	e := emu.New(p)
-	n, err := e.Run(w.MaxInsts, nil)
-	if err != nil {
-		return 0, fmt.Errorf("workload %s: %w", w.Name, err)
-	}
-	c.m[w.Name] = n
-	return n, nil
-}
-
 type progCache struct {
 	mu sync.Mutex
 	m  map[string]*isa.Program

@@ -68,7 +68,7 @@ go test -race -count=10 -timeout 20m -run '^(TestFastForward|TestLibrary)' ./int
 
 # rbserve smoke test: boot the server on an ephemeral port, probe liveness
 # and metrics with its built-in client (no curl dependency), and require the
-# served fig9 text to be byte-identical to rbexp's output.
+# served artifact text to be byte-identical to rbexp's output.
 BIN="$(mktemp -d)"
 trap 'rm -rf "$BIN"; [ -n "${SRV_PID:-}" ] && kill "$SRV_PID" 2>/dev/null || true' EXIT
 go build -o "$BIN/rbserve" ./cmd/rbserve
@@ -90,6 +90,13 @@ diff "$BIN/fig9.srv" "$BIN/fig9.cli"
 # pool (no router tier); its artifact text must match rbexp too.
 "$BIN/rbserve" -get "http://$ADDR/v1/batch?artifact=fig9&format=text" >"$BIN/fig9.batch"
 diff "$BIN/fig9.batch" "$BIN/fig9.cli"
+# Five more artifacts, each with its own renderer, cross the HTTP path: their
+# served text bodies, joined in order, must equal one rbexp run over them.
+for name in fig1 table1 table2 table3 fig13; do
+	"$BIN/rbserve" -get "http://$ADDR/v1/experiment/$name?format=text"
+done >"$BIN/types.srv"
+"$BIN/rbexp" -exp fig1,table1,table2,table3,fig13 >"$BIN/types.cli"
+diff "$BIN/types.srv" "$BIN/types.cli"
 kill "$SRV_PID"
 wait "$SRV_PID" || true
 SRV_PID=''
