@@ -69,7 +69,7 @@ var benchBuffers = core.NewBuffers()
 // buffers and the workload's shared timing trace.
 func runCell(b *testing.B, cfg machine.Config, w *workload.Workload) *core.Result {
 	b.Helper()
-	r, err := core.Run(cfg, w.Name, nil, core.Options{Buffers: benchBuffers, Decoded: decodedOf(b, w)})
+	r, err := core.Run(cfg, w.Name, decodedOf(b, w), core.Options{Buffers: benchBuffers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func BenchmarkBranchPredictor(b *testing.B) {
 
 // BenchmarkSimulatorThroughput reports simulated instructions per second for
 // the full 8-wide RB machine on two paths: per-run is an uncached one-off
-// run (fresh buffers, the full trace decoded inside the run), shared-decode
+// run (Buffers.Run on fresh buffers, decoding the full trace), shared-decode
 // the harness's path (reused buffers and the workload's shared timing trace).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	w, _ := workload.ByName("gcc00")
@@ -374,7 +374,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg := machine.NewRBFull(8)
 	b.Run("per-run", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(cfg, w.Name, tr, core.Options{}); err != nil {
+			if _, err := core.NewBuffers().Run(cfg, w.Name, tr); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -387,7 +387,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		buf := core.NewBuffers()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(cfg, w.Name, nil, core.Options{Buffers: buf, Decoded: dec}); err != nil {
+			if _, err := core.Run(cfg, w.Name, dec, core.Options{Buffers: buf}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -466,10 +466,10 @@ func BenchmarkAblationWrongPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := traceOf(b, w)
-	for _, wp := range []*isa.Program{nil, prog} {
+	dec := decodedOf(b, w)
+	for _, wrongPath := range []bool{false, true} {
 		name := "stall"
-		if wp != nil {
+		if wrongPath {
 			name = "wrong-path"
 		}
 		b.Run(name, func(b *testing.B) {
@@ -477,7 +477,11 @@ func BenchmarkAblationWrongPath(b *testing.B) {
 			cfg.Name = "RB-full-8-" + name
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				r, err := core.Run(cfg, w.Name, tr, core.Options{WrongPath: wp})
+				var opt core.Options
+				if wrongPath {
+					opt.WrongPath = emu.New(prog)
+				}
+				r, err := core.Run(cfg, w.Name, dec, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -555,7 +559,7 @@ func BenchmarkSampledSimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	full, err := core.Run(cfg, w.Name, tr, core.Options{})
+	full, err := core.NewBuffers().Run(cfg, w.Name, tr)
 	if err != nil {
 		b.Fatal(err)
 	}

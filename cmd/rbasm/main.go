@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +23,21 @@ import (
 	"repro/internal/emu"
 )
 
+// stdout buffers the command's output; main flushes it and exits 1 if any
+// of it could not be written.
+var stdout = bufio.NewWriter(os.Stdout)
+
 func main() {
+	code := run()
+	if err := stdout.Flush(); err != nil && code == 0 {
+		fmt.Fprintf(os.Stderr, "rbasm: writing output: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// run is the command; it returns the exit status.
+func run() int {
 	run := flag.Bool("run", false, "execute the program")
 	dis := flag.Bool("dis", false, "print the decoded program")
 	showTrace := flag.Bool("trace", false, "print every committed instruction (with -run)")
@@ -31,17 +46,17 @@ func main() {
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: rbasm [-run|-dis] [-trace] [-max N] prog.s")
-		os.Exit(2)
+		return 2
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbasm: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	prog, err := asm.Assemble(string(src))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbasm: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	if *dis || !*run {
@@ -50,10 +65,10 @@ func main() {
 			if i == prog.Entry {
 				marker = "=>"
 			}
-			fmt.Printf("%s %4d: %s\n", marker, i, in)
+			fmt.Fprintf(stdout, "%s %4d: %s\n", marker, i, in)
 		}
 		if !*run {
-			return
+			return 0
 		}
 	}
 
@@ -61,26 +76,27 @@ func main() {
 	var fn func(emu.TraceEntry)
 	if *showTrace {
 		fn = func(t emu.TraceEntry) {
-			fmt.Printf("%8d  pc=%-5d %-28s", t.Seq, t.PC, t.Inst.String())
+			fmt.Fprintf(stdout, "%8d  pc=%-5d %-28s", t.Seq, t.PC, t.Inst.String())
 			if t.HasResult {
-				fmt.Printf(" -> %#x", t.Result)
+				fmt.Fprintf(stdout, " -> %#x", t.Result)
 			}
 			if t.Inst.Class().IsMemory() {
-				fmt.Printf(" [ea %#x]", t.EA)
+				fmt.Fprintf(stdout, " [ea %#x]", t.EA)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 	n, err := e.Run(*maxInsts, fn)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbasm: after %d instructions: %v\n", n, err)
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("halted after %d instructions\n", n)
+	fmt.Fprintf(stdout, "halted after %d instructions\n", n)
 	for i := 0; i < 32; i += 4 {
 		for j := i; j < i+4; j++ {
-			fmt.Printf("r%-2d %#-18x ", j, e.Regs[j])
+			fmt.Fprintf(stdout, "r%-2d %#-18x ", j, e.Regs[j])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }

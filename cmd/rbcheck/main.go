@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -25,7 +26,21 @@ import (
 	"repro/internal/check"
 )
 
+// stdout buffers the command's output; main flushes it and exits 1 if any
+// of it could not be written.
+var stdout = bufio.NewWriter(os.Stdout)
+
 func main() {
+	code := run()
+	if err := stdout.Flush(); err != nil && code == 0 {
+		fmt.Fprintf(os.Stderr, "rbcheck: writing output: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// run is the command; it returns the exit status.
+func run() int {
 	quick := flag.Bool("quick", true, "run the quick tier (the CI gate)")
 	full := flag.Bool("full", false, "run the full tier (overrides -quick)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON")
@@ -35,7 +50,7 @@ func main() {
 
 	if *engine != "packed" && *engine != "scalar" {
 		fmt.Fprintf(os.Stderr, "rbcheck: unknown -engine %q (want packed or scalar)\n", *engine)
-		os.Exit(2)
+		return 2
 	}
 	opts := check.Options{Full: *full, Seed: *seed, ScalarGates: *engine == "scalar"}
 	_ = quick // -quick is the default; -full overrides it
@@ -47,7 +62,7 @@ func main() {
 		if opts.Full {
 			tier = "full"
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
 			Tier    string         `json:"tier"`
@@ -55,7 +70,7 @@ func main() {
 			Reports []check.Report `json:"reports"`
 		}{tier, passed, reports}); err != nil {
 			fmt.Fprintln(os.Stderr, "rbcheck:", err)
-			os.Exit(1)
+			return 1
 		}
 	} else {
 		var failed int
@@ -65,19 +80,20 @@ func main() {
 				status = "FAIL"
 				failed++
 			}
-			fmt.Printf("%s  %-10s %-40s %10d trials  %6dms", status, r.Layer, r.Name, r.Trials, r.Millis)
+			fmt.Fprintf(stdout, "%s  %-10s %-40s %10d trials  %6dms", status, r.Layer, r.Name, r.Trials, r.Millis)
 			if r.Detail != "" {
-				fmt.Printf("  %s", r.Detail)
+				fmt.Fprintf(stdout, "  %s", r.Detail)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if passed {
-			fmt.Printf("PASS: %d checks\n", len(reports))
+			fmt.Fprintf(stdout, "PASS: %d checks\n", len(reports))
 		} else {
-			fmt.Printf("FAIL: %d of %d checks failed\n", failed, len(reports))
+			fmt.Fprintf(stdout, "FAIL: %d of %d checks failed\n", failed, len(reports))
 		}
 	}
 	if !passed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

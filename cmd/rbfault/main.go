@@ -18,9 +18,11 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -30,7 +32,21 @@ import (
 	"repro/internal/server"
 )
 
+// stdout buffers the command's output; main flushes it and exits 1 if any
+// of it could not be written.
+var stdout = bufio.NewWriter(os.Stdout)
+
 func main() {
+	code := run()
+	if err := stdout.Flush(); err != nil && code == 0 {
+		fmt.Fprintf(os.Stderr, "rbfault: writing output: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// run is the command; it returns the exit status.
+func run() int {
 	quick := flag.Bool("quick", true, "run the quick tier (the CI gate)")
 	full := flag.Bool("full", false, "run the full tier (overrides -quick)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON")
@@ -42,30 +58,30 @@ func main() {
 
 	if *engine != "packed" && *engine != "scalar" {
 		fmt.Fprintf(os.Stderr, "rbfault: unknown -engine %q (want packed or scalar)\n", *engine)
-		os.Exit(2)
+		return 2
 	}
 	start := time.Now()
 	campaign, err := fault.Run(fault.Options{Full: *full, Seed: *seed, ScalarGates: *engine == "scalar"})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rbfault:", err)
-		os.Exit(1)
+		return 1
 	}
 	svc, err := runServiceLeg()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rbfault: service leg:", err)
-		os.Exit(1)
+		return 1
 	}
 	var gridRep *fault.GridReport
 	if *gridLeg {
 		if gridRep, err = fault.RunGrid(fault.Options{Full: *full, Seed: *seed}); err != nil {
 			fmt.Fprintln(os.Stderr, "rbfault: grid leg:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	fmt.Fprintf(os.Stderr, "rbfault: campaign finished in %v\n", time.Since(start).Round(time.Millisecond))
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
 			*fault.Campaign
@@ -73,26 +89,27 @@ func main() {
 			Grid    *fault.GridReport `json:"Grid,omitempty"`
 		}{campaign, svc, gridRep}); err != nil {
 			fmt.Fprintln(os.Stderr, "rbfault:", err)
-			os.Exit(1)
+			return 1
 		}
 	} else {
-		campaign.WriteText(os.Stdout)
-		svc.writeText(os.Stdout)
+		campaign.WriteText(stdout)
+		svc.writeText(stdout)
 		if gridRep != nil {
-			gridRep.WriteText(os.Stdout)
+			gridRep.WriteText(stdout)
 		}
 	}
 
 	if err := verify(campaign, svc); err != nil {
 		fmt.Fprintln(os.Stderr, "rbfault: FAIL:", err)
-		os.Exit(1)
+		return 1
 	}
 	if gridRep != nil {
 		if err := gridRep.Verify(); err != nil {
 			fmt.Fprintln(os.Stderr, "rbfault: FAIL:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // serviceReport is the service-level chaos leg's outcome. Every field is a
@@ -217,7 +234,7 @@ func getMetrics(s *server.Server, snap *server.MetricsSnapshot) error {
 	return json.Unmarshal(rec.Body.Bytes(), snap)
 }
 
-func (r *serviceReport) writeText(w *os.File) {
+func (r *serviceReport) writeText(w io.Writer) {
 	fmt.Fprintf(w, "\nservice level (chaos against in-process rbserve, breaker 8-window/0.50/min-4):\n")
 	fmt.Fprintf(w, "  cancel-storm %3d requests: %d ok, %d canceled 503, %d shed by open breaker (trips %d)\n",
 		r.StormRequests, r.StormOK, r.StormCanceled, r.StormShed, r.BreakerTrips)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -19,7 +20,21 @@ import (
 	"repro/internal/workload"
 )
 
+// stdout buffers the command's output; main flushes it and exits 1 if any
+// of it could not be written.
+var stdout = bufio.NewWriter(os.Stdout)
+
 func main() {
+	code := run()
+	if err := stdout.Flush(); err != nil && code == 0 {
+		fmt.Fprintf(os.Stderr, "rbgen: writing output: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// run is the command; it returns the exit status.
+func run() int {
 	chain := flag.Int("chain", 4, "dependent adds on the carried chain per iteration")
 	loads := flag.Int("loads", 2, "loads per iteration")
 	stores := flag.Int("stores", 1, "stores per iteration")
@@ -40,27 +55,27 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbgen: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	if *showAsm {
-		fmt.Print(w.Source)
-		return
+		fmt.Fprint(stdout, w.Source)
+		return 0
 	}
-	trace, err := w.Trace()
+	dec, err := w.Decoded()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rbgen: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("%s\n%d dynamic instructions\n\n", w.Description, len(trace))
-	fmt.Printf("%-12s %8s %10s %12s\n", "machine", "IPC", "cycles", "mispredict")
+	fmt.Fprintf(stdout, "%s\n%d dynamic instructions\n\n", w.Description, dec.Len())
+	fmt.Fprintf(stdout, "%-12s %8s %10s %12s\n", "machine", "IPC", "cycles", "mispredict")
 	var base, rbf float64
 	for _, cfg := range machine.All(*width) {
-		r, err := core.Run(cfg, w.Name, trace, core.Options{})
+		r, err := core.Run(cfg, w.Name, dec, core.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rbgen: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("%-12s %8.3f %10d %11.2f%%\n", cfg.Kind, r.IPC(), r.Cycles, 100*r.MispredictRate())
+		fmt.Fprintf(stdout, "%-12s %8.3f %10d %11.2f%%\n", cfg.Kind, r.IPC(), r.Cycles, 100*r.MispredictRate())
 		switch cfg.Kind {
 		case machine.Baseline:
 			base = r.IPC()
@@ -69,6 +84,7 @@ func main() {
 		}
 	}
 	if base > 0 {
-		fmt.Printf("\nRB-full vs Baseline: %+.1f%%\n", 100*(rbf/base-1))
+		fmt.Fprintf(stdout, "\nRB-full vs Baseline: %+.1f%%\n", 100*(rbf/base-1))
 	}
+	return 0
 }

@@ -38,6 +38,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -66,8 +67,9 @@ func main() {
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
+		flush()
 		return
 	}
 	analyzers, err := selectRules(analyzers, *rules)
@@ -126,13 +128,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "rblint: load:", e)
 		}
 		for _, d := range rep.Diagnostics {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 		printNetlist(rep.Netlist)
 		if rep.Passed {
-			fmt.Printf("rblint: %d packages, %d rules, %d netlists: clean\n",
+			fmt.Fprintf(stdout, "rblint: %d packages, %d rules, %d netlists: clean\n",
 				len(prog.Pkgs), len(analyzers), len(rep.Netlist.Entries))
 		}
+		flush()
 	}
 	if !rep.Passed {
 		os.Exit(1)
@@ -171,11 +174,21 @@ func selectRules(all []*lint.Analyzer, spec string) ([]*lint.Analyzer, error) {
 func printNetlist(r *gates.DepthReport) {
 	for _, e := range r.Entries {
 		for _, i := range e.Issues {
-			fmt.Printf("netlist %s width %d: %s\n", e.Circuit, e.Width, i)
+			fmt.Fprintf(stdout, "netlist %s width %d: %s\n", e.Circuit, e.Width, i)
 		}
 	}
 	for _, v := range r.Violations {
-		fmt.Println("depth-budget:", v)
+		fmt.Fprintln(stdout, "depth-budget:", v)
+	}
+}
+
+// stdout buffers the text output; flush writes it out, and output that
+// cannot be written is a tool failure (exit 2), as with -json.
+var stdout = bufio.NewWriter(os.Stdout)
+
+func flush() {
+	if err := stdout.Flush(); err != nil {
+		fatal(err)
 	}
 }
 

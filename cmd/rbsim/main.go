@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,19 +32,30 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pipeview"
 	"repro/internal/prof"
-	"repro/internal/tracefile"
 	"repro/internal/workload"
 )
 
+// stdout buffers the command's output; main flushes it and exits 1 if any
+// of it could not be written.
+var stdout = bufio.NewWriter(os.Stdout)
+
 func main() {
+	code := run()
+	if err := stdout.Flush(); err != nil && code == 0 {
+		fmt.Fprintf(os.Stderr, "rbsim: writing output: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// run is the command; it returns the exit status.
+func run() int {
 	wlName := flag.String("workload", "compress", "workload name (see -list)")
 	machName := flag.String("machine", "ideal", "machine model: baseline, rb-limited, rb-full, ideal, staggered")
 	width := flag.Int("width", 8, "execution width: 4 or 8")
 	check := flag.Bool("check", false, "check every retired result through the redundant binary datapath and against a lockstep reference emulator")
 	wrongPath := flag.Bool("wrong-path", false, "fetch and squash the predicted wrong path after mispredictions")
 	pipeline := flag.Int("pipeline", 0, "print a cycle-by-cycle pipeline diagram of the first N instructions")
-	saveTrace := flag.String("save-trace", "", "write the workload's committed trace to this file and exit")
-	fromTrace := flag.String("from-trace", "", "simulate a trace previously written with -save-trace instead of tracing the workload")
 	saveCkpt := flag.String("save-ckpt", "", "fast-forward the workload and write an architectural checkpoint to this file")
 	ckptAt := flag.Int64("ckpt-at", 0, "instruction count at which -save-ckpt captures (functional warming runs throughout)")
 	loadCkpt := flag.String("load-ckpt", "", "resume from a checkpoint written with -save-ckpt and simulate the remainder in detail")
@@ -55,115 +67,64 @@ func main() {
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
 
+	fail := func(code int, err error) int {
+		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
+		return code
+	}
 	backend, err := core.ParseBackend(*schedName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile, *traceFile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	defer stopProf()
 
 	if *list {
 		for _, w := range workload.All() {
-			fmt.Printf("%-10s %-12s %s\n", w.Name, w.Suite, w.Description)
+			fmt.Fprintf(stdout, "%-10s %-12s %s\n", w.Name, w.Suite, w.Description)
 		}
-		return
+		return 0
 	}
 
 	w, ok := workload.ByName(*wlName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "rbsim: unknown workload %q (try -list)\n", *wlName)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown workload %q (try -list)", *wlName))
 	}
 
 	cfg, err := machine.ByNameWithout(strings.ToLower(*machName), *width, *noLevels)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
-	// -load-ckpt and -from-trace read their workload from a file, so the
-	// -workload default must not stand in for it.
-	wlFlagSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workload" {
-			wlFlagSet = true
-		}
-	})
 	if *saveCkpt != "" {
 		if err := doSaveCkpt(cfg, w, *saveCkpt, *ckptAt); err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 	if *loadCkpt != "" {
-		if _, err := doLoadCkpt(cfg, backend, *check, *wrongPath, *loadCkpt, *wlName, wlFlagSet); err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			if errors.Is(err, errCkptWrongPath) {
-				os.Exit(2)
+		// -load-ckpt reads its workload from the file, so the -workload
+		// default must not stand in for it.
+		wlFlagSet := false
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "workload" {
+				wlFlagSet = true
 			}
-			os.Exit(1)
+		})
+		if _, err := doLoadCkpt(cfg, backend, *check, *wrongPath, *loadCkpt, *wlName, wlFlagSet); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	prog, err := w.Program()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
-	var trace []emu.TraceEntry
-	if *fromTrace != "" {
-		if !wlFlagSet {
-			fmt.Fprintf(os.Stderr, "rbsim: -from-trace requires -workload naming the trace's workload\n")
-			os.Exit(2)
-		}
-		f, err := os.Open(*fromTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(1)
-		}
-		trace, err = tracefile.Read(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(1)
-		}
-		if len(trace) > 0 {
-			pc := trace[0].PC
-			if pc < 0 || pc >= len(prog.Insts) || trace[0].Inst != prog.Insts[pc] {
-				fmt.Fprintf(os.Stderr, "rbsim: trace %s does not start in workload %s (entry pc %d: %s)\n",
-					*fromTrace, w.Name, pc, trace[0].Inst)
-				os.Exit(2)
-			}
-		}
-	} else {
-		trace, err = w.Trace()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *saveTrace != "" {
-		f, err := os.Create(*saveTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tracefile.Write(f, trace); err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d trace entries to %s\n", len(trace), *saveTrace)
-		return
+	dec, err := w.Decoded()
+	if err != nil {
+		return fail(1, err)
 	}
 	// One run's options, for the main run and -pipeline alike.
 	opt := core.Options{Backend: backend}
@@ -171,64 +132,73 @@ func main() {
 		opt.Oracle = emu.New(prog)
 	}
 	if *wrongPath {
-		opt.WrongPath = prog
+		opt.WrongPath = emu.New(prog)
 	}
 	if *pipeline > 0 {
+		// The diagram prints instruction text, which only the full trace
+		// holds.
+		trace, err := w.Trace()
+		if err != nil {
+			return fail(1, err)
+		}
 		n := *pipeline
 		if n > len(trace) {
 			n = len(trace)
 		}
 		opt.Stages = make([]core.StageRecord, len(trace))
-		if _, err := core.Run(cfg, w.Name, trace, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(1)
+		if _, err := core.Run(cfg, w.Name, dec, opt); err != nil {
+			return fail(1, err)
 		}
-		if err := pipeview.Render(os.Stdout, cfg, trace, opt.Stages, 0, n); err != nil {
-			fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-			os.Exit(1)
+		if err := pipeview.Render(stdout, cfg, trace, opt.Stages, 0, n); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
-	r, err := core.Run(cfg, w.Name, trace, opt)
+	r, err := core.Run(cfg, w.Name, dec, opt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rbsim: %v\n", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 
-	fmt.Printf("workload:      %s (%s)\n", w.Name, w.Suite)
-	fmt.Printf("machine:       %s\n", cfg.Name)
-	fmt.Printf("instructions:  %d\n", r.Instructions)
-	fmt.Printf("cycles:        %d\n", r.Cycles)
-	fmt.Printf("IPC:           %.4f\n", r.IPC())
-	fmt.Printf("occupancy:     %.1f in-flight instructions (window %d)\n", r.AvgOccupancy(), cfg.WindowSize)
-	fmt.Printf("branches:      %d (%.2f%% mispredicted)\n", r.Branches, 100*r.MispredictRate())
-	fmt.Printf("L1I:           %.2f%% miss (%d accesses)\n", 100*r.L1I.MissRate(), r.L1I.Accesses())
-	fmt.Printf("L1D:           %.2f%% miss (%d accesses)\n", 100*r.L1D.MissRate(), r.L1D.Accesses())
-	fmt.Printf("L2:            %.2f%% miss (%d accesses)\n", 100*r.L2.MissRate(), r.L2.Accesses())
+	fmt.Fprintf(stdout, "workload:      %s (%s)\n", w.Name, w.Suite)
+	fmt.Fprintf(stdout, "machine:       %s\n", cfg.Name)
+	fmt.Fprintf(stdout, "instructions:  %d\n", r.Instructions)
+	fmt.Fprintf(stdout, "cycles:        %d\n", r.Cycles)
+	fmt.Fprintf(stdout, "IPC:           %.4f\n", r.IPC())
+	fmt.Fprintf(stdout, "occupancy:     %.1f in-flight instructions (window %d)\n", r.AvgOccupancy(), cfg.WindowSize)
+	fmt.Fprintf(stdout, "branches:      %d (%.2f%% mispredicted)\n", r.Branches, 100*r.MispredictRate())
+	fmt.Fprintf(stdout, "L1I:           %.2f%% miss (%d accesses)\n", 100*r.L1I.MissRate(), r.L1I.Accesses())
+	fmt.Fprintf(stdout, "L1D:           %.2f%% miss (%d accesses)\n", 100*r.L1D.MissRate(), r.L1D.Accesses())
+	fmt.Fprintf(stdout, "L2:            %.2f%% miss (%d accesses)\n", 100*r.L2.MissRate(), r.L2.Accesses())
 	var lastTotal int64
 	for _, v := range r.LastArriving {
 		lastTotal += v
 	}
-	fmt.Printf("bypassed:      %.1f%% of instructions had a bypassed source\n",
+	fmt.Fprintf(stdout, "bypassed:      %.1f%% of instructions had a bypassed source\n",
 		100*float64(r.BypassedInstructions)/float64(max64(r.Instructions, 1)))
 	if lastTotal > 0 {
-		fmt.Printf("bypass cases:  ")
+		fmt.Fprintf(stdout, "bypass cases:  ")
 		for c := core.BypassCase(0); c < core.NumBypassCases; c++ {
-			fmt.Printf("%s %.1f%%  ", c, 100*float64(r.LastArriving[c])/float64(lastTotal))
+			fmt.Fprintf(stdout, "%s %.1f%%  ", c, 100*float64(r.LastArriving[c])/float64(lastTotal))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Printf("source levels: %.1f%% first-level bypass, %.1f%% other level, %.1f%% register file/none\n",
+	fmt.Fprintf(stdout, "source levels: %.1f%% first-level bypass, %.1f%% other level, %.1f%% register file/none\n",
 		pct(r.SrcLevel1, r.Instructions), pct(r.SrcOtherLevel, r.Instructions), pct(r.SrcNoBypass, r.Instructions))
-	fmt.Printf("dynamic mix:\n")
+	fmt.Fprintf(stdout, "dynamic mix:\n")
 	for row := isa.Table1Row(0); row < isa.NumTable1Rows; row++ {
-		fmt.Printf("  %-45s %.1f%%\n", row.String(), pct(r.Table1Counts[row], r.Instructions))
+		fmt.Fprintf(stdout, "  %-45s %.1f%%\n", row.String(), pct(r.Table1Counts[row], r.Instructions))
 	}
-	if *wrongPath {
-		fmt.Printf("wrong path:    %d squashed instructions reached execution\n", r.WrongPathIssued)
+	printModes(r, *wrongPath, *check)
+	return 0
+}
+
+// printModes prints the run modes' report lines.
+func printModes(r *core.Result, wrongPath, check bool) {
+	if wrongPath {
+		fmt.Fprintf(stdout, "wrong path:    %d squashed instructions reached execution\n", r.WrongPathIssued)
 	}
-	if *check {
-		fmt.Printf("datapath:      %d results verified through the redundant binary datapath\n", r.DatapathChecked)
+	if check {
+		fmt.Fprintf(stdout, "datapath:      %d results verified through the redundant binary datapath\n", r.DatapathChecked)
 	}
 }
 
@@ -272,22 +242,17 @@ func doSaveCkpt(cfg machine.Config, w *workload.Workload, path string, n int64) 
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote checkpoint of %s at instruction %d to %s (fingerprint %s)\n",
+	fmt.Fprintf(stdout, "wrote checkpoint of %s at instruction %d to %s (fingerprint %s)\n",
 		w.Name, st.Seq(), path, st.Fingerprint())
 	return nil
 }
 
-// errCkptWrongPath refuses -wrong-path on a resumed checkpoint (exit 2).
-var errCkptWrongPath = errors.New("-wrong-path cannot be combined with -load-ckpt: wrong-path state starts from the program image, not the checkpoint")
-
 // doLoadCkpt resumes a checkpoint, replays the remainder of the workload
 // through the detailed simulator with the checkpointed warm state, and prints
-// the measured statistics. With check set, the commit-time check replays the
-// remainder on a second emulator resumed from the same checkpoint.
+// the measured statistics. The run modes step emulators resumed from the
+// same checkpoint: with check set, the commit-time check's reference, and
+// with wrongPath set, the fetch-order emulator.
 func doLoadCkpt(cfg machine.Config, backend core.Backend, check, wrongPath bool, path, wlName string, wlFlagSet bool) (*core.Result, error) {
-	if wrongPath {
-		return nil, errCkptWrongPath
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -313,38 +278,40 @@ func doLoadCkpt(cfg machine.Config, backend core.Backend, check, wrongPath bool,
 	if remaining <= 0 {
 		return nil, fmt.Errorf("checkpoint is at instruction %d, at or past the workload bound %d", st.Seq(), w.MaxInsts)
 	}
-	trace := make([]emu.TraceEntry, 0, remaining)
+	var d core.Decoder
 	var te emu.TraceEntry
-	for int64(len(trace)) < remaining {
+	for n := int64(0); n < remaining && !e.Halted(); n++ {
 		if err := e.StepInto(&te); err != nil {
-			if e.Halted() {
-				break
-			}
 			return nil, err
 		}
-		trace = append(trace, te)
+		d.Add(&te)
 	}
-	if len(trace) == 0 {
+	dec, err := d.Decoded()
+	if err != nil {
+		return nil, err
+	}
+	if dec.Len() == 0 {
 		return nil, fmt.Errorf("checkpoint is at instruction %d, past the end of the program", st.Seq())
 	}
 	opt := core.Options{Backend: backend, Hier: &st.Hier, Pred: st.Pred}
 	if check {
 		opt.Oracle = emu.Resume(prog, st.Arch)
 	}
-	r, err := core.Run(cfg, w.Name, trace, opt)
+	if wrongPath {
+		opt.WrongPath = emu.Resume(prog, st.Arch)
+	}
+	r, err := core.Run(cfg, w.Name, dec, opt)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("workload:      %s (resumed at instruction %d)\n", w.Name, st.Seq())
-	fmt.Printf("machine:       %s\n", cfg.Name)
-	fmt.Printf("instructions:  %d\n", r.Instructions)
-	fmt.Printf("cycles:        %d\n", r.Cycles)
-	fmt.Printf("IPC:           %.4f\n", r.IPC())
-	fmt.Printf("branches:      %d (%.2f%% mispredicted)\n", r.Branches, 100*r.MispredictRate())
-	fmt.Printf("L1D:           %.2f%% miss (%d accesses)\n", 100*r.L1D.MissRate(), r.L1D.Accesses())
-	if check {
-		fmt.Printf("datapath:      %d results verified through the redundant binary datapath\n", r.DatapathChecked)
-	}
+	fmt.Fprintf(stdout, "workload:      %s (resumed at instruction %d)\n", w.Name, st.Seq())
+	fmt.Fprintf(stdout, "machine:       %s\n", cfg.Name)
+	fmt.Fprintf(stdout, "instructions:  %d\n", r.Instructions)
+	fmt.Fprintf(stdout, "cycles:        %d\n", r.Cycles)
+	fmt.Fprintf(stdout, "IPC:           %.4f\n", r.IPC())
+	fmt.Fprintf(stdout, "branches:      %d (%.2f%% mispredicted)\n", r.Branches, 100*r.MispredictRate())
+	fmt.Fprintf(stdout, "L1D:           %.2f%% miss (%d accesses)\n", 100*r.L1D.MissRate(), r.L1D.Accesses())
+	printModes(r, wrongPath, check)
 	return r, nil
 }
 

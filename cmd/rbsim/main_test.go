@@ -16,7 +16,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/tracefile"
 	"repro/internal/workload"
 )
 
@@ -61,40 +60,26 @@ func TestNoBypassLevelsOnlyOnIdeal(t *testing.T) {
 	}
 }
 
-// TestFromTraceNeedsItsWorkload: -from-trace takes its workload from an
-// explicit -workload (the default would label and check the trace as
-// compress), refuses a trace that does not start in that workload, and
-// checks a matching one cleanly.
-func TestFromTraceNeedsItsWorkload(t *testing.T) {
-	w, ok := workload.ByName("gap")
-	if !ok {
-		t.Fatal("workload gap missing")
-	}
-	trace, err := w.Trace()
+// TestOutputWriteFailureExits1: output that cannot be written — stdout on
+// /dev/full — fails the command with exit 1, for the report and -list
+// alike, instead of exiting 0 having written nothing.
+func TestOutputWriteFailureExits1(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
 	if err != nil {
-		t.Fatal(err)
+		t.Skipf("no /dev/full: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "gap.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tracefile.Write(f, trace); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if code, out := rbsim(t, "-from-trace", path); code != 2 || !strings.Contains(out, "requires -workload") {
-		t.Errorf("-from-trace without -workload: exit %d, output %q", code, out)
-	}
-	if code, out := rbsim(t, "-from-trace", path, "-workload", "compress"); code != 2 ||
-		!strings.Contains(out, "does not start in workload compress") {
-		t.Errorf("gap trace as compress: exit %d, output %q", code, out)
-	}
-	code, out := rbsim(t, "-from-trace", path, "-workload", "gap", "-check")
-	if code != 0 || !strings.Contains(out, "workload:      gap") || !strings.Contains(out, "datapath:") {
-		t.Errorf("-from-trace -workload gap -check: exit %d, output %q", code, out)
+	defer full.Close()
+	for _, args := range [][]string{{"-workload", "compress"}, {"-list"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "RBSIM_MAIN=1")
+		cmd.Stdout = full
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v with stdout on /dev/full: %v, stderr %q; want exit 1", args, err, stderr.String())
+		}
 	}
 }
 
@@ -173,8 +158,9 @@ func TestSaveCkptMatchesSerial(t *testing.T) {
 
 // TestLoadCkptCheckAndWrongPath: a resumed checkpoint runs the commit-time
 // check against a reference resumed from the same checkpoint, so the check
-// passes and the datapath verifies results; -wrong-path, whose state starts
-// from the program image, is refused.
+// passes and the datapath verifies results; -wrong-path fetches down wrong
+// paths from a fetch-order emulator resumed from it too, with or without
+// the check, which does not change timing.
 func TestLoadCkptCheckAndWrongPath(t *testing.T) {
 	cfg := machine.NewRBFull(8)
 	w, ok := workload.ByName("compress")
@@ -192,7 +178,19 @@ func TestLoadCkptCheckAndWrongPath(t *testing.T) {
 	if r.DatapathChecked == 0 {
 		t.Error("-load-ckpt -check verified no results through the RB datapath")
 	}
-	if _, err := doLoadCkpt(cfg, core.BackendEvent, false, true, path, "", false); !errors.Is(err, errCkptWrongPath) {
-		t.Errorf("-load-ckpt -wrong-path: got %v, want %v", err, errCkptWrongPath)
+	wp, err := doLoadCkpt(cfg, core.BackendEvent, false, true, path, "", false)
+	if err != nil {
+		t.Fatalf("-load-ckpt -wrong-path: %v", err)
+	}
+	if wp.WrongPathIssued == 0 {
+		t.Error("-load-ckpt -wrong-path issued no wrong-path work")
+	}
+	both, err := doLoadCkpt(cfg, core.BackendEvent, true, true, path, "", false)
+	if err != nil {
+		t.Fatalf("-load-ckpt -wrong-path -check: %v", err)
+	}
+	if both.DatapathChecked == 0 || both.Cycles != wp.Cycles || both.WrongPathIssued != wp.WrongPathIssued {
+		t.Errorf("-load-ckpt -wrong-path -check: %d datapath checks, %d cycles and %d wrong-path issues; unchecked %d cycles and %d issues",
+			both.DatapathChecked, both.Cycles, both.WrongPathIssued, wp.Cycles, wp.WrongPathIssued)
 	}
 }

@@ -38,11 +38,15 @@ func run(cfg machine.Config, src string) *core.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace, err := emu.Trace(prog, 10_000_000)
+	var d core.Decoder
+	if _, err := emu.New(prog).Run(10_000_000, func(te emu.TraceEntry) { d.Add(&te) }); err != nil {
+		log.Fatal(err)
+	}
+	dec, err := d.Decoded()
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := core.Run(cfg, "chain", trace, core.Options{})
+	r, err := core.Run(cfg, "chain", dec, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,13 +19,13 @@ import (
 
 func main() {
 	w, _ := workload.ByName("twolf")
-	trace, err := w.Trace()
+	dec, err := w.Decoded()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	run := func(cfg machine.Config) *core.Result {
-		r, err := core.Run(cfg, w.Name, trace, core.Options{})
+		r, err := core.Run(cfg, w.Name, dec, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := core.Run(base, w.Name, trace, core.Options{Oracle: emu.New(prog)})
+	r, err := core.Run(base, w.Name, dec, core.Options{Oracle: emu.New(prog)})
 	if err != nil {
 		log.Fatal(err)
 	}

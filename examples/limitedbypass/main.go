@@ -68,7 +68,11 @@ loop:   sll  r1, #2, r2          ; SLL
 	if err != nil {
 		log.Fatal(err)
 	}
-	fig4, err := emu.Trace(prog, 1_000_000)
+	var d core.Decoder
+	if _, err := emu.New(prog).Run(1_000_000, func(te emu.TraceEntry) { d.Add(&te) }); err != nil {
+		log.Fatal(err)
+	}
+	fig4, err := d.Decoded()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +88,7 @@ loop:   sll  r1, #2, r2          ; SLL
 	// Part 3: Figure 14 in miniature — the Ideal machine with levels removed,
 	// on one real workload.
 	w, _ := workload.ByName("crafty")
-	trace, err := w.Trace()
+	dec, err := w.Decoded()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +98,7 @@ loop:   sll  r1, #2, r2          ; SLL
 		bypass.Full().Without(3), bypass.Full().Without(1, 2), bypass.Full().Without(2, 3),
 	} {
 		c := machine.NewIdealLimited(8, bp)
-		r, err := core.Run(c, w.Name, trace, core.Options{})
+		r, err := core.Run(c, w.Name, dec, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

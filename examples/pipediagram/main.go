@@ -42,6 +42,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var d core.Decoder
+	for i := range trace {
+		d.Add(&trace[i])
+	}
+	dec, err := d.Decoded()
+	if err != nil {
+		log.Fatal(err)
+	}
 	// Render only the dependency graph itself (skip the li setup).
 	first := 0
 	for i, te := range trace {
@@ -53,7 +61,7 @@ func main() {
 
 	for _, cfg := range []machine.Config{machine.NewRBFull(4), machine.NewRBLimited(4)} {
 		stages := make([]core.StageRecord, len(trace))
-		if _, err := core.Run(cfg, "fig4", trace, core.Options{Stages: stages}); err != nil {
+		if _, err := core.Run(cfg, "fig4", dec, core.Options{Stages: stages}); err != nil {
 			log.Fatal(err)
 		}
 		which := "Figure 5 (full bypass network)"

@@ -113,10 +113,18 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
+	var d core.Decoder
+	for i := range trace {
+		d.Add(&trace[i])
+	}
+	dec, err := d.Decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range holeConfigs {
 		cfg := machine.NewIdealLimited(4, tc.cfg)
 		stages := make([]core.StageRecord, len(trace))
-		if _, err := core.Run(cfg, "hole-chain", trace, core.Options{Stages: stages}); err != nil {
+		if _, err := core.Run(cfg, "hole-chain", dec, core.Options{Stages: stages}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		s := bypass.FromConfig(tc.cfg, bypass.RFOffset)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/branch"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -22,8 +23,9 @@ import (
 // statistics, the lot — for every (machine × workload) cell of the
 // experiment matrix, plus per-instruction stage timelines, a wrong-path
 // (squash-under-issue) cell, and a checkpoint-warmed sampling window. Each
-// matrix cell also gets a timing-trace leg: the harness's runs on the
-// workload's cached timing trace alone must equal runs on the full trace.
+// matrix cell also gets a decode-sources leg: the harness's runs on the
+// workload's cached timing trace, streamed from the emulator, must equal
+// runs on a timing trace decoded from the full trace emu.Trace collects.
 
 // Backends runs the poll-vs-event equivalence layer.
 func Backends(opts Options) []Report {
@@ -39,9 +41,9 @@ func Backends(opts Options) []Report {
 				func() (int64, string, error) {
 					return backendMatrixCell(w, width)
 				}))
-			out = append(out, run("backends", fmt.Sprintf("timing-vs-full-trace/%s/width-%d", w.Name, width),
+			out = append(out, run("backends", fmt.Sprintf("streamed-vs-traced-decode/%s/width-%d", w.Name, width),
 				func() (int64, string, error) {
-					return backendTimingTrace(w, width)
+					return backendDecodeSources(w, width)
 				}))
 		}
 	}
@@ -65,11 +67,11 @@ func backendMatrixCell(w *workload.Workload, width int) (int64, string, error) {
 	}
 	var trials int64
 	for _, cfg := range machine.All(width) {
-		rEvent, err := core.Run(cfg, w.Name, nil, core.Options{Backend: core.BackendEvent, Decoded: dec})
+		rEvent, err := core.Run(cfg, w.Name, dec, core.Options{Backend: core.BackendEvent})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s event: %w", cfg.Name, err)
 		}
-		rPoll, err := core.Run(cfg, w.Name, nil, core.Options{Backend: core.BackendPoll, Decoded: dec})
+		rPoll, err := core.Run(cfg, w.Name, dec, core.Options{Backend: core.BackendPoll})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s poll: %w", cfg.Name, err)
 		}
@@ -81,13 +83,26 @@ func backendMatrixCell(w *workload.Workload, width int) (int64, string, error) {
 	return trials, fmt.Sprintf("%d machines bit-identical over %d instructions", trials, dec.Len()), nil
 }
 
-// backendTimingTrace runs every machine model of one matrix cell through
+// backendDecodeSources runs every machine model of one matrix cell through
 // the experiment harness — which simulates on the workload's shared, cached
-// timing trace alone (workload.Decoded) — and again on the full trace,
-// decoded inside the run, and requires bit-identical results: a drift
-// between the two inputs fails here, not only in the core unit tests.
-func backendTimingTrace(w *workload.Workload, width int) (int64, string, error) {
-	trace, err := w.Trace()
+// timing trace, streamed from the emulator (workload.Decoded) — and again
+// on a timing trace a Decoder builds from the full trace emu.Trace
+// collects, and requires bit-identical results: a drift between the two
+// decode sources fails here, not only in the core unit tests.
+func backendDecodeSources(w *workload.Workload, width int) (int64, string, error) {
+	prog, err := w.Program()
+	if err != nil {
+		return 0, "", err
+	}
+	trace, err := emu.Trace(prog, w.MaxInsts)
+	if err != nil {
+		return 0, "", err
+	}
+	var d core.Decoder
+	for i := range trace {
+		d.Add(&trace[i])
+	}
+	traced, err := d.Decoded()
 	if err != nil {
 		return 0, "", err
 	}
@@ -95,20 +110,20 @@ func backendTimingTrace(w *workload.Workload, width int) (int64, string, error) 
 	defer h.Close()
 	var trials int64
 	for _, cfg := range machine.All(width) {
-		timing, err := h.RunCell(context.Background(), cfg, w)
+		streamed, err := h.RunCell(context.Background(), cfg, w)
 		if err != nil {
 			return trials, "", fmt.Errorf("%s harness: %w", cfg.Name, err)
 		}
-		full, err := core.Run(cfg, w.Name, trace, core.Options{})
+		r, err := core.Run(cfg, w.Name, traced, core.Options{})
 		if err != nil {
-			return trials, "", fmt.Errorf("%s full trace: %w", cfg.Name, err)
+			return trials, "", fmt.Errorf("%s traced decode: %w", cfg.Name, err)
 		}
-		if err := diffResults(cfg.Name, "timing trace", "full trace", timing, full); err != nil {
+		if err := diffResults(cfg.Name, "streamed decode", "traced decode", streamed, r); err != nil {
 			return trials, "", err
 		}
 		trials++
 	}
-	return trials, fmt.Sprintf("%d machines bit-identical on the timing trace over %d instructions", trials, len(trace)), nil
+	return trials, fmt.Sprintf("%d machines bit-identical on both decodes over %d instructions", trials, traced.Len()), nil
 }
 
 // backendStages compares the full per-instruction pipeline timelines (fetch,
@@ -126,11 +141,11 @@ func backendStages(opts Options) (int64, string, error) {
 	}
 	cfg := machine.NewRBLimited(8) // holes + clustering: the hardest schedule
 	stEvent, stPoll := make([]core.StageRecord, dec.Len()), make([]core.StageRecord, dec.Len())
-	rEvent, err := core.Run(cfg, w.Name, nil, core.Options{Backend: core.BackendEvent, Stages: stEvent, Decoded: dec})
+	rEvent, err := core.Run(cfg, w.Name, dec, core.Options{Backend: core.BackendEvent, Stages: stEvent})
 	if err != nil {
 		return 0, "", fmt.Errorf("event: %w", err)
 	}
-	rPoll, err := core.Run(cfg, w.Name, nil, core.Options{Backend: core.BackendPoll, Stages: stPoll, Decoded: dec})
+	rPoll, err := core.Run(cfg, w.Name, dec, core.Options{Backend: core.BackendPoll, Stages: stPoll})
 	if err != nil {
 		return 0, "", fmt.Errorf("poll: %w", err)
 	}
@@ -159,18 +174,18 @@ func backendWrongPath(opts Options) (int64, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	trace, err := w.Trace()
+	dec, err := w.Decoded()
 	if err != nil {
 		return 0, "", err
 	}
 	var trials int64
 	for _, cfg := range []machine.Config{machine.NewRBFull(8), machine.NewBaseline(4)} {
 		cfg.Name += "-wp"
-		rEvent, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendEvent, WrongPath: prog})
+		rEvent, err := core.Run(cfg, w.Name, dec, core.Options{Backend: core.BackendEvent, WrongPath: emu.New(prog)})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s event: %w", cfg.Name, err)
 		}
-		rPoll, err := core.Run(cfg, w.Name, trace, core.Options{Backend: core.BackendPoll, WrongPath: prog})
+		rPoll, err := core.Run(cfg, w.Name, dec, core.Options{Backend: core.BackendPoll, WrongPath: emu.New(prog)})
 		if err != nil {
 			return trials, "", fmt.Errorf("%s poll: %w", cfg.Name, err)
 		}
@@ -215,7 +230,14 @@ func backendWindow() (int64, string, error) {
 		warmer.Observe(&trace[i])
 	}
 	hs := hier.State()
-	window := trace[start : start+warmup+measure+cooldown]
+	var d core.Decoder
+	for i := start; i < start+warmup+measure+cooldown; i++ {
+		d.Add(&trace[i])
+	}
+	window, err := d.Decoded()
+	if err != nil {
+		return 0, "", err
+	}
 	var split [2]*core.WindowResult
 	for i, b := range []core.Backend{core.BackendEvent, core.BackendPoll} {
 		s, err := core.New(cfg, w.Name, window, core.Options{
@@ -242,7 +264,7 @@ func backendWindow() (int64, string, error) {
 		return 0, "", fmt.Errorf("%s: degenerate split: warm-up %d, measured %d of %d cycles",
 			cfg.Name, ev.WarmupCycles, ev.MeasuredCycles, ev.Result.Cycles)
 	}
-	return int64(len(window)), fmt.Sprintf("warmed window split identical (%d warm-up + %d measured cycles)",
+	return int64(window.Len()), fmt.Sprintf("warmed window split identical (%d warm-up + %d measured cycles)",
 		ev.WarmupCycles, ev.MeasuredCycles), nil
 }
 

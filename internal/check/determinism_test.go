@@ -20,16 +20,16 @@ func TestDeterministicReplay(t *testing.T) {
 	if !ok {
 		t.Fatal("compress workload missing")
 	}
-	trace, err := w.Trace()
+	dec, err := w.Decoded()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range machine.All(8) {
-		a, err := core.Run(cfg, w.Name, trace, core.Options{})
+		a, err := core.Run(cfg, w.Name, dec, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := core.Run(cfg, w.Name, trace, core.Options{})
+		b, err := core.Run(cfg, w.Name, dec, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

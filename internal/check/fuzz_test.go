@@ -131,12 +131,12 @@ func FuzzLockstep(f *testing.F) {
 	f.Add([]byte{12, 0x09, 0x04, 15, 0x21, 0x02, 16, 0x0a, 0x08, 25, 0x09, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog := programFromBytes(data)
-		trace, err := emu.Trace(prog, 2048)
+		dec, _, err := emuDecode(prog, 2048)
 		if err != nil {
 			t.Skip() // e.g. arithmetic the emulator rejects; not a lockstep question
 		}
 		for _, cfg := range []machine.Config{machine.NewBaseline(4), machine.NewRBFull(4)} {
-			if _, err := core.Run(cfg, "fuzz", trace, core.Options{Oracle: emu.New(prog)}); err != nil {
+			if _, err := core.Run(cfg, "fuzz", dec, core.Options{Oracle: emu.New(prog)}); err != nil {
 				t.Fatalf("%s: %v", cfg.Name, err)
 			}
 		}

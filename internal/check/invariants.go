@@ -45,14 +45,14 @@ func machineInvariants(w *workload.Workload, width int) (int64, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	trace, err := w.Trace()
+	dec, err := w.Decoded()
 	if err != nil {
 		return 0, "", err
 	}
 	configs := machine.All(width)
 	results := make(map[string]*core.Result, len(configs))
 	for _, cfg := range configs {
-		r, err := core.Run(cfg, w.Name, trace, core.Options{Oracle: emu.New(prog)})
+		r, err := core.Run(cfg, w.Name, dec, core.Options{Oracle: emu.New(prog)})
 		if err != nil {
 			return 0, "", fmt.Errorf("%s: %w", cfg.Kind, err)
 		}
@@ -68,8 +68,8 @@ func machineInvariants(w *workload.Workload, width int) (int64, string, error) {
 	// machines and equal to the trace length.
 	trials := int64(len(configs))
 	ref := results["Baseline"]
-	if ref.Instructions != int64(len(trace)) {
-		return trials, "", fmt.Errorf("Baseline committed %d instructions, trace has %d", ref.Instructions, len(trace))
+	if ref.Instructions != int64(dec.Len()) {
+		return trials, "", fmt.Errorf("Baseline committed %d instructions, trace has %d", ref.Instructions, dec.Len())
 	}
 	for name, r := range results {
 		if r.Instructions != ref.Instructions {

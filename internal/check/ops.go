@@ -378,19 +378,21 @@ func Ops(opts Options) []Report {
 	}
 }
 
-// checkOperates compares emu.Eval with every operate row over the boundary
-// corpus crossed with itself plus randomized trials.
+// checkOperates single-steps every operate row on the emulator over the
+// boundary corpus crossed with itself plus randomized trials.
 func checkOperates(opts Options) (int64, error) {
 	rng := opts.rng("ops-operates")
 	extra := opts.pick(64, 4096)
 	var trials int64
 	for _, s := range operateSpecs {
+		e := emu.New(&isa.Program{Insts: []isa.Instruction{{Op: s.op, Ra: 1, Rb: 2, Rc: 3}}})
 		try := func(ra, rb, old uint64) error {
-			got, err := emu.Eval(s.op, ra, rb, old)
+			e.PC, e.Regs[1], e.Regs[2], e.Regs[3] = 0, ra, rb, old
+			te, err := e.Step()
 			if err != nil {
 				return fmt.Errorf("%v: %v", s.op, err)
 			}
-			want := s.eval(ra, rb, old)
+			got, want := te.Result, s.eval(ra, rb, old)
 			if got != want {
 				return fmt.Errorf("%v ra=%#x rb=%#x old=%#x: emulator %#x, table %#x",
 					s.op, ra, rb, old, got, want)

@@ -3,7 +3,6 @@ package check
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/emu"
@@ -42,11 +41,10 @@ func oracleMachines(opts Options) []machine.Config {
 
 // Oracle runs the lockstep layer over a mix of arithmetic-heavy,
 // pointer-chasing and branchy kernels (every workload in the full tier).
-// Each workload's full trace is built once and replayed on every machine.
+// Every machine replays the workload's shared timing trace.
 func Oracle(opts Options) []Report {
 	var out []Report
 	for _, w := range tierWorkloads(opts, "compress", "li", "mcf") {
-		fullTrace := sync.OnceValues(w.Trace)
 		for _, cfg := range oracleMachines(opts) {
 			cfg, w := cfg, w
 			out = append(out, run("oracle", fmt.Sprintf("lockstep/%s/%s", cfg.Name, w.Name),
@@ -55,11 +53,11 @@ func Oracle(opts Options) []Report {
 					if err != nil {
 						return 0, "", err
 					}
-					trace, err := fullTrace()
+					dec, err := w.Decoded()
 					if err != nil {
 						return 0, "", err
 					}
-					r, err := core.Run(cfg, w.Name, trace, core.Options{Oracle: emu.New(prog)})
+					r, err := core.Run(cfg, w.Name, dec, core.Options{Oracle: emu.New(prog)})
 					if err != nil {
 						return 0, "", err
 					}
@@ -77,18 +75,18 @@ func Oracle(opts Options) []Report {
 // injected fault would vacuously pass every lockstep run.
 func faultInjectionCheck() (int64, string, error) {
 	prog := mixedProgram(64)
-	trace, err := emuTrace(prog)
+	dec, writes, err := emuDecode(prog, 1<<20)
 	if err != nil {
 		return 0, "", err
 	}
 	var trials int64
-	for _, faultSeq := range []int64{0, 7, int64(len(trace) / 2), int64(len(trace) - 2)} {
+	for _, faultSeq := range []int64{0, 7, int64(len(writes) / 2), int64(len(writes) - 2)} {
 		for _, digit := range []int{0, 5, 62} {
-			if !trace[faultSeq].HasResult {
+			if !writes[faultSeq] {
 				continue
 			}
 			trials++
-			div, err := runWithFault(machine.NewRBFull(8), prog, trace, faultSeq, digit)
+			div, err := runWithFault(machine.NewRBFull(8), prog, dec, faultSeq, digit)
 			if err != nil {
 				return trials, "", err
 			}
@@ -106,8 +104,8 @@ func faultInjectionCheck() (int64, string, error) {
 
 // runWithFault runs one lockstep simulation with an injected single-digit
 // fault and returns the divergence the oracle must produce.
-func runWithFault(cfg machine.Config, prog *isa.Program, trace traceT, seq int64, digit int) (*core.DivergenceError, error) {
-	s, err := core.New(cfg, "fault-injection", trace, core.Options{Oracle: emu.New(prog)})
+func runWithFault(cfg machine.Config, prog *isa.Program, dec *core.Decoded, seq int64, digit int) (*core.DivergenceError, error) {
+	s, err := core.New(cfg, "fault-injection", dec, core.Options{Oracle: emu.New(prog)})
 	if err != nil {
 		return nil, err
 	}

@@ -1,17 +1,24 @@
 package check
 
 import (
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
 )
 
-// traceT abbreviates the committed trace type threaded through this package.
-type traceT = []emu.TraceEntry
-
-// emuTrace executes a synthetic program on the functional emulator and
-// returns its committed trace.
-func emuTrace(prog *isa.Program) (traceT, error) {
-	return emu.Trace(prog, 1<<20)
+// emuDecode executes a synthetic program on the functional emulator (bounded
+// by max instructions) and streams its committed stream into a timing
+// trace, noting which dynamic instructions write a register.
+func emuDecode(prog *isa.Program, max int64) (dec *core.Decoded, writes []bool, err error) {
+	var d core.Decoder
+	if _, err := emu.New(prog).Run(max, func(te emu.TraceEntry) {
+		d.Add(&te)
+		writes = append(writes, te.HasResult)
+	}); err != nil {
+		return nil, nil, err
+	}
+	dec, err = d.Decoded()
+	return dec, writes, err
 }
 
 // mixedProgram builds a small loop, iterated iters times, that exercises the

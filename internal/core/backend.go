@@ -392,8 +392,8 @@ func (s *Simulator) retire(cycle int64) {
 		if d < 0 || d >= cycle {
 			return
 		}
-		if s.oracle != nil || s.faultOut != nil {
-			if err := s.commitCheck(int(s.retirePtr), cycle); err != nil {
+		if s.oracle != nil {
+			if err := s.commitCheck(s.retirePtr, cycle); err != nil {
 				s.checkErr = err
 				return
 			}

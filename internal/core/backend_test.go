@@ -73,11 +73,11 @@ func TestBackendsBitIdentical(t *testing.T) {
 
 	for _, cfg := range cfgs {
 		stEvent, stPoll := make([]StageRecord, len(trace)), make([]StageRecord, len(trace))
-		rEvent, err := Run(cfg, "eq", trace, Options{Stages: stEvent})
+		rEvent, err := Run(cfg, "eq", decodeTrace(t, trace), Options{Stages: stEvent})
 		if err != nil {
 			t.Fatalf("%s event: %v", cfg.Name, err)
 		}
-		rPoll, err := Run(cfg, "eq", trace, Options{Backend: BackendPoll, Stages: stPoll})
+		rPoll, err := Run(cfg, "eq", decodeTrace(t, trace), Options{Backend: BackendPoll, Stages: stPoll})
 		if err != nil {
 			t.Fatalf("%s poll: %v", cfg.Name, err)
 		}
@@ -103,11 +103,11 @@ func TestBackendsBitIdenticalWrongPath(t *testing.T) {
 	for _, w := range []int{4, 8} {
 		cfg := machine.NewRBFull(w)
 		cfg.Name += "-wp"
-		rEvent, err := Run(cfg, "eq", trace, Options{WrongPath: p})
+		rEvent, err := Run(cfg, "eq", decodeTrace(t, trace), Options{WrongPath: emu.New(p)})
 		if err != nil {
 			t.Fatalf("%s event: %v", cfg.Name, err)
 		}
-		rPoll, err := Run(cfg, "eq", trace, Options{Backend: BackendPoll, WrongPath: p})
+		rPoll, err := Run(cfg, "eq", decodeTrace(t, trace), Options{Backend: BackendPoll, WrongPath: emu.New(p)})
 		if err != nil {
 			t.Fatalf("%s poll: %v", cfg.Name, err)
 		}
@@ -157,7 +157,7 @@ func TestSteadyStateIssueLoopZeroAllocs(t *testing.T) {
 	cfg := machine.NewRBFull(8)
 	run := func(trace []emu.TraceEntry) func() {
 		return func() {
-			if _, err := Run(cfg, "alloc", trace, Options{}); err != nil {
+			if _, err := Run(cfg, "alloc", decodeTrace(t, trace), Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -179,7 +179,7 @@ func TestSteadyStateIssueLoopZeroAllocs(t *testing.T) {
 // per-cycle cost the event backend eliminates).
 func BenchmarkReadyPoll(b *testing.B) {
 	cfg := machine.NewRBLimited(8)
-	s, err := New(cfg, "bench", make([]emu.TraceEntry, 4), Options{})
+	s, err := New(cfg, "bench", decodeTrace(b, make([]emu.TraceEntry, 4)), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func BenchmarkReadyPoll(b *testing.B) {
 // replaces per-cycle polling in the event backend.
 func BenchmarkEarliestReady(b *testing.B) {
 	cfg := machine.NewRBLimited(8)
-	s, err := New(cfg, "bench", make([]emu.TraceEntry, 4), Options{})
+	s, err := New(cfg, "bench", decodeTrace(b, make([]emu.TraceEntry, 4)), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -223,9 +223,10 @@ func benchmarkSimulate(b *testing.B, backend Backend) {
 		b.Fatal(err)
 	}
 	cfg := machine.NewRBFull(8)
+	dec := decodeTrace(b, trace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, "bench", trace, Options{Backend: backend}); err != nil {
+		if _, err := Run(cfg, "bench", dec, Options{Backend: backend}); err != nil {
 			b.Fatal(err)
 		}
 	}

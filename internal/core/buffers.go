@@ -8,11 +8,11 @@ import (
 )
 
 // Buffers holds every per-run allocation a Simulator needs — the per-trace
-// timing slices, the trace's decode when the run is given no shared one,
-// the uop slab, the fetch ring, the cache hierarchy, and the branch
-// predictor — so sweep drivers that simulate many cells back to back
-// (figure benchmarks, the sampler's measurement windows) reuse memory
-// instead of reallocating tens of bytes per trace entry per cell.
+// timing slices, a decode the run builds for itself (Decode), the uop slab,
+// the fetch ring, the cache hierarchy, and the branch predictor — so sweep
+// drivers that simulate many cells back to back (figure benchmarks, the
+// sampler's measurement windows) reuse memory instead of reallocating tens
+// of bytes per trace entry per cell.
 //
 // A Buffers is owned by one run at a time: it is NOT safe for concurrent
 // use. Concurrent drivers keep one per worker (experiments.Harness does this
@@ -26,7 +26,7 @@ type Buffers struct {
 	fetchQ      []fetchEntry
 	calBuf      []int32
 
-	// dec decodes the full trace of a run given no Options.Decoded.
+	// dec builds the decodes of Decode.
 	dec Decoder
 
 	hier    *mem.Hierarchy
@@ -47,13 +47,16 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// decode decodes a full trace into the buffer's own Decoder.
-func (b *Buffers) decode(trace []emu.TraceEntry) (*Decoded, error) {
-	b.dec.reset(len(trace))
-	for i := range trace {
-		b.dec.Add(&trace[i])
+// Decode builds a timing trace in the buffer's own Decoder, reusing its
+// arrays: it empties the decoder for a stream of about n entries and calls
+// fill to add the stream's entries. The decode lives in b, for a run on b,
+// until b's next Decode.
+func (b *Buffers) Decode(n int, fill func(*Decoder) error) (*Decoded, error) {
+	b.dec.reset(n)
+	if err := fill(&b.dec); err != nil {
+		return nil, err
 	}
-	return b.dec.decoded()
+	return &b.dec.d, b.dec.d.err
 }
 
 // hierarchy returns a reset hierarchy for cfg, reusing the cached one when
@@ -79,7 +82,18 @@ func (b *Buffers) predictor() *branch.Predictor {
 	return b.pred
 }
 
-// Run is core.Run drawing all per-run allocations from b.
+// Run is the one full-trace convenience: it decodes trace into b
+// (Decode) and runs the decode with core.Run, drawing all per-run
+// allocations from b.
 func (b *Buffers) Run(cfg machine.Config, workload string, trace []emu.TraceEntry) (*Result, error) {
-	return Run(cfg, workload, trace, Options{Buffers: b})
+	dec, err := b.Decode(len(trace), func(d *Decoder) error {
+		for i := range trace {
+			d.Add(&trace[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return Run(cfg, workload, dec, Options{Buffers: b})
 }

@@ -36,11 +36,11 @@ func TestBuffersReuseIdentical(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			for ti, trace := range traces {
 				for _, cfg := range []machine.Config{machine.NewBaseline(4), machine.NewRBFull(8)} {
-					want, err := Run(cfg, "w", trace, Options{Backend: b})
+					want, err := Run(cfg, "w", decodeTrace(t, trace), Options{Backend: b})
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := Run(cfg, "w", trace, Options{Backend: b, Buffers: buf})
+					got, err := Run(cfg, "w", decodeTrace(t, trace), Options{Backend: b, Buffers: buf})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -56,8 +56,8 @@ func TestBuffersReuseIdentical(t *testing.T) {
 
 // runWindow simulates trace under opt and reads its warm-up/measurement
 // split.
-func runWindow(cfg machine.Config, trace []emu.TraceEntry, opt Options) (*WindowResult, error) {
-	s, err := New(cfg, "w", trace, opt)
+func runWindow(t *testing.T, cfg machine.Config, trace []emu.TraceEntry, opt Options) (*WindowResult, error) {
+	s, err := New(cfg, "w", decodeTrace(t, trace), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -78,11 +78,11 @@ func TestRunWindowSplit(t *testing.T) {
 	}
 	cfg := machine.NewBaseline(4)
 
-	full, err := Run(cfg, "w", trace, Options{})
+	full, err := Run(cfg, "w", decodeTrace(t, trace), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := runWindow(cfg, trace, Options{})
+	zero, err := runWindow(t, cfg, trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunWindowSplit(t *testing.T) {
 	}
 
 	warm := len(trace) / 3
-	wr, err := runWindow(cfg, trace, Options{Warmup: warm})
+	wr, err := runWindow(t, cfg, trace, Options{Warmup: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRunWindowSplit(t *testing.T) {
 		t.Fatalf("measured IPC %f", ipc)
 	}
 
-	if _, err := runWindow(cfg, trace, Options{Warmup: len(trace) + 1}); err == nil {
+	if _, err := runWindow(t, cfg, trace, Options{Warmup: len(trace) + 1}); err == nil {
 		t.Fatal("warmup beyond window accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestWindowHonorsBackend(t *testing.T) {
 	var splits [2]*WindowResult
 	for i, b := range []Backend{BackendEvent, BackendPoll} {
 		opt.Backend = b
-		s, err := New(cfg, "w", trace, opt)
+		s, err := New(cfg, "w", decodeTrace(t, trace), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

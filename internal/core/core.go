@@ -9,23 +9,24 @@
 // hierarchy with SAM-indexed data cache, and a hybrid branch predictor whose
 // mispredictions flush and refill the front end.
 //
-// There is one way in: New(cfg, workload, trace, Options) builds a
-// simulator and Simulate runs it; Run is the two in one, and Buffers.Run is
-// Run on a reused buffer set. A run reads one input: either a full trace,
-// which it decodes into its buffers, or a shared timing trace
-// (Options.Decoded, see Decoder), which the experiment harness builds once
-// per workload for every cell to read. Options carries everything else a
-// run can vary — the scheduler backend, its three run modes (wrong-path
-// fetch, the commit-time check and a fault plan), a stage timeline to fill,
-// the warm-up/measurement split with checkpoint-warmed cache and predictor
-// state, and the buffers. The run modes read result values only the full
-// trace holds, so New refuses them on a timing trace. A windowed run's split
-// is read afterwards with Simulator.Window.
+// There is one way in: New(cfg, workload, dec, Options) builds a simulator
+// over a timing trace (Decoded, see Decoder) and Simulate runs it; Run is
+// the two in one. The experiment harness builds each workload's timing
+// trace once (workload.Decoded) for every cell to read; Buffers.Decode
+// streams a run's own into reused arrays, and Buffers.Run is the one
+// full-trace convenience. Options carries everything else a run can vary —
+// the scheduler backend, its three run modes (wrong-path fetch, the
+// commit-time check and a fault plan), a stage timeline to fill, the
+// warm-up/measurement split with checkpoint-warmed cache and predictor
+// state, and the buffers. The timing trace holds no result values: every
+// value a run mode reads comes from an emulator the run is given and steps
+// itself — Options.Oracle at commit, Options.WrongPath at fetch. A windowed
+// run's split is read afterwards with Simulator.Window.
 //
 // Substitution note (see DESIGN.md §3): simulation is driven by the
 // committed trace. By default wrong-path instructions do not contend for
 // resources, but every misprediction still costs the full front-end refill
-// from the resolving branch. With the program image given in
+// from the resolving branch. With a fetch-order emulator in
 // Options.WrongPath, fetch follows the predicted wrong path, whose
 // instructions do consume fetch, window, select and cache resources until
 // the branch resolves.
@@ -174,8 +175,7 @@ const calendarHorizon = 512
 type Simulator struct {
 	cfg     machine.Config
 	backend Backend
-	n       int32            // trace entries
-	trace   []emu.TraceEntry // the full trace; nil on a timing trace
+	n       int32 // trace entries
 	dec     *Decoded
 	hier    *mem.Hierarchy
 	pred    *branch.Predictor
@@ -221,27 +221,26 @@ type Simulator struct {
 	retirePtr int32
 	inFlight  int
 
-	// Wrong-path state (Options.WrongPath). shadowRegs and shadowMem track
-	// architectural state in fetch order so the wrong path executes with
-	// real values; wpRegs/wpOverlay hold the speculative state while a wrong
-	// path is active.
-	wpProg      *isa.Program
-	wpPC        int
+	// Wrong-path state (Options.WrongPath): the fetch-order emulator, and
+	// the active wrong path — a fork of it, stepped down the predicted
+	// path; nil when none is active.
+	wp          *emu.Emulator
+	wpPath      *emu.Emulator
 	wpInFlight  int
 	fetchQHasWP bool
-	shadowRegs  [isa.NumRegs]uint64
-	shadowMem   *emu.Memory
-	wpRegs      [isa.NumRegs]uint64
-	wpOverlay   map[uint64]byte
 
 	res *Result
 
-	// Commit-time check state (Options.Oracle): the reference emulator, the
-	// RB form each register's last RB writer left (the datapath's operands),
-	// and the first divergence found. faultSeq/faultDigit arm a single
-	// injected write-back fault (InjectFault) the check must catch;
-	// faultSeq -1 = none.
+	// Commit-time check state (Options.Oracle): the reference emulator and
+	// its step for the instruction being committed, the memory-op ordinal
+	// of the next load or store to commit, the RB form each register's last
+	// RB writer left (the datapath's operands), and the first error found
+	// (a divergence, or a fetch-order emulator that drifted).
+	// faultSeq/faultDigit arm a single injected write-back fault
+	// (InjectFault) the check must catch; faultSeq -1 = none.
 	oracle     *emu.Emulator
+	ref        emu.TraceEntry
+	commitMem  int32
 	dpRB       [isa.NumRegs]rbVal
 	checkErr   error
 	faultSeq   int64
@@ -281,24 +280,33 @@ type StageRecord struct {
 }
 
 // Options configures one simulation. The zero value runs the event-driven
-// backend over the full trace alone, cold, on fresh buffers.
+// backend over the timing trace alone, cold, on fresh buffers.
 type Options struct {
 	// Backend selects the scheduler backend (zero value: BackendEvent).
 	Backend Backend
-	// The run modes — WrongPath, Oracle and Faults — each need the full
-	// trace. WrongPath, when non-nil, is the image the trace was captured
-	// from, starting at its entry: fetch follows the predicted wrong path
-	// after a misprediction; nil stalls fetch until the branch resolves.
-	WrongPath *isa.Program
-	// Oracle, when non-nil, arms the commit-time check: a reference
-	// emulator positioned at the trace's first instruction (emu.New(prog),
-	// or emu.Resume(prog, st.Arch) for a checkpoint window), which the run
-	// steps. Each retired instruction runs fault-plan detection, the RB
-	// datapath recomputation and the lockstep compare; the first divergence
-	// ends the run with a *DivergenceError.
+	// The run modes — WrongPath, Oracle and Faults — read values the
+	// timing trace does not hold from the emulators they are given, each
+	// positioned at the trace's first instruction: emu.New(prog), or
+	// emu.Resume(prog, st.Arch) for a checkpoint window. The run steps them
+	// itself; an emulator elsewhere ends the run with an error.
+	//
+	// WrongPath, when non-nil, is the fetch-order emulator: the run steps
+	// it as it fetches each trace entry, and after a misprediction fetch
+	// follows the predicted wrong path, executing it on a fork (Fork) taken
+	// before the mispredicted branch's own step; nil stalls fetch until the
+	// branch resolves.
+	WrongPath *emu.Emulator
+	// Oracle, when non-nil, arms the commit-time check: the reference
+	// emulator, which the run steps at commit. Each retired instruction runs
+	// fault-plan detection, the RB datapath recomputation against the
+	// reference's result and the lockstep compare of every fact the timing
+	// trace supplied; the first divergence ends the run with a
+	// *DivergenceError.
 	Oracle *emu.Emulator
 	// Faults, when non-nil, arms a fault plan; Simulator.Faults returns its
-	// outcome, complete when Simulate returns.
+	// outcome, complete when Simulate returns. Datapath faults
+	// (FaultDigitFlip, FaultStaleBypass) draw their golden values from the
+	// reference and need Oracle; drop-wakeup faults need nothing.
 	Faults *FaultPlan
 	// Stages, when non-nil, must hold one record per trace entry; the run
 	// fills in each instruction's pipeline timing (unreached stages stay
@@ -307,7 +315,7 @@ type Options struct {
 	// Warmup is how many leading trace entries are detailed warm-up: they
 	// execute in full detail but their cycles are reported separately (see
 	// Simulator.Window) so the measurement excludes cold-start transients.
-	// Must be in [0, len(trace)].
+	// Must be in [0, dec.Len()].
 	Warmup int
 	// Measure bounds the measurement window: trace entries beyond
 	// Warmup+Measure are cooldown — simulated in full detail so the
@@ -323,43 +331,27 @@ type Options struct {
 	Pred *branch.PredictorState
 	// Buffers supplies the per-run allocations; nil takes a fresh set.
 	Buffers *Buffers
-	// Decoded, when non-nil, is the run's input: a shared timing trace
-	// (Decoder, workload.Decoded), and New must then be given no full trace.
-	// A decode holds, per entry, a 16-byte dependence record, a 32-bit op
-	// word (formats, latency class, flags, branch kind and outcome) and a
-	// 32-bit PC, and 8 bytes of effective address per load or store: about
-	// 25 bytes against emu.TraceEntry's 64. nil decodes the full trace into
-	// Buffers, at a cost per run the shared decode pays once per trace.
-	Decoded *Decoded
 }
 
-// New builds a simulator for a configuration and its input: a full trace,
-// or nil and a timing trace in opt.Decoded. It is the only constructor: Run
-// and Buffers.Run go through it.
-func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Options) (*Simulator, error) {
+// New builds a simulator for a configuration over a timing trace. It is the
+// only constructor: Run and Buffers.Run go through it.
+func New(cfg machine.Config, workload string, dec *Decoded, opt Options) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if dec.err != nil {
+		return nil, dec.err
+	}
+	if opt.Faults != nil && opt.Oracle == nil {
+		for _, f := range opt.Faults.Faults {
+			if f.Kind != FaultDropWakeup {
+				return nil, fmt.Errorf("core: %v faults draw their golden values from the reference and need Options.Oracle", f.Kind)
+			}
+		}
 	}
 	buf := opt.Buffers
 	if buf == nil {
 		buf = NewBuffers()
-	}
-	dec := opt.Decoded
-	if dec != nil {
-		if trace != nil {
-			return nil, fmt.Errorf("core: a run reads a full trace or a timing trace, not both")
-		}
-		if dec.err != nil {
-			return nil, dec.err
-		}
-		if opt.Oracle != nil || opt.Faults != nil || opt.WrongPath != nil {
-			return nil, fmt.Errorf("core: the run modes (Oracle, Faults, WrongPath) need the full trace; a timing trace has no result values")
-		}
-	} else {
-		var err error
-		if dec, err = buf.decode(trace); err != nil {
-			return nil, err
-		}
 	}
 	n := dec.Len()
 	if opt.Warmup < 0 || opt.Warmup > n {
@@ -375,15 +367,13 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 		cfg:             cfg,
 		backend:         opt.Backend,
 		n:               int32(n),
-		trace:           trace,
 		dec:             dec,
 		scheds:          make([]schedList, cfg.NumSchedulers),
 		freeHead:        nilID,
 		fetchQCap:       int(cfg.FrontLatency+2) * cfg.FrontWidth,
 		fetchBlockedIdx: -1,
 		lastFetchLine:   -1,
-		wpProg:          opt.WrongPath,
-		wpPC:            -1,
+		wp:              opt.WrongPath,
 		faultSeq:        -1,
 		stages:          opt.Stages,
 		watchdogWindow:  defaultWatchdogWindow,
@@ -432,15 +422,6 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 	for i := range s.stages {
 		s.stages[i] = StageRecord{Fetch: -1, Dispatch: -1, Issue: -1, Done: -1, Retire: -1}
 	}
-	if s.wpProg != nil {
-		s.shadowMem = emu.NewMemory()
-		for addr, bytes := range s.wpProg.Data {
-			for i, b := range bytes {
-				s.shadowMem.StoreByte(addr+uint64(i), b)
-			}
-		}
-		s.wpOverlay = make(map[uint64]byte)
-	}
 	if opt.Oracle != nil {
 		s.oracle = opt.Oracle
 		s.commitRegs = opt.Oracle.Regs
@@ -452,8 +433,8 @@ func New(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Option
 }
 
 // Run builds a simulator with New and simulates the trace to completion.
-func Run(cfg machine.Config, workload string, trace []emu.TraceEntry, opt Options) (*Result, error) {
-	s, err := New(cfg, workload, trace, opt)
+func Run(cfg machine.Config, workload string, dec *Decoded, opt Options) (*Result, error) {
+	s, err := New(cfg, workload, dec, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -730,7 +711,7 @@ func (s *Simulator) nextActiveCycle(cycle int64) int64 {
 	case s.fetchBlockedIdx >= 0:
 		// Waiting for a mispredicted branch to resolve (covered by its
 		// grant event) — unless wrong-path fetch is active.
-		if s.wpProg != nil && s.wpPC >= 0 && s.fqLen < s.fetchQCap {
+		if s.wpPath != nil && s.fqLen < s.fetchQCap {
 			upd(cycle + 1)
 		}
 	case s.nextFetch < s.n && s.fqLen < s.fetchQCap:

@@ -43,14 +43,33 @@ func repeatBody(line string, n int) string {
 	return b.String()
 }
 
-// runProgram traces p (bounded by maxInsts) and simulates it under opt,
-// whose run modes, if any, name p.
+// runProgram streams p's committed stream (bounded by maxInsts) into a
+// timing trace and simulates it under opt, whose run modes, if any, step
+// emulators of p.
 func runProgram(cfg machine.Config, workload string, p *isa.Program, maxInsts int64, opt Options) (*Result, error) {
-	trace, err := emu.Trace(p, maxInsts)
+	var d Decoder
+	if _, err := emu.New(p).Run(maxInsts, func(te emu.TraceEntry) { d.Add(&te) }); err != nil {
+		return nil, err
+	}
+	dec, err := d.Decoded()
 	if err != nil {
 		return nil, err
 	}
-	return Run(cfg, workload, trace, opt)
+	return Run(cfg, workload, dec, opt)
+}
+
+// decodeTrace is the timing trace of a full trace.
+func decodeTrace(t testing.TB, trace []emu.TraceEntry) *Decoded {
+	t.Helper()
+	var d Decoder
+	for i := range trace {
+		d.Add(&trace[i])
+	}
+	dec, err := d.Decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
 }
 
 func mustRun(t *testing.T, cfg machine.Config, p *isa.Program) *Result {
@@ -73,7 +92,7 @@ func mustRunChecked(t *testing.T, cfg machine.Config, p *isa.Program) *Result {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	r, err := Run(machine.NewIdeal(8), "empty", nil, Options{})
+	r, err := Run(machine.NewIdeal(8), "empty", decodeTrace(t, nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +444,11 @@ func TestTraceDrivenDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(machine.NewRBLimited(8), "det", trace, Options{})
+	a, err := Run(machine.NewRBLimited(8), "det", decodeTrace(t, trace), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(machine.NewRBLimited(8), "det", trace, Options{})
+	b, err := Run(machine.NewRBLimited(8), "det", decodeTrace(t, trace), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +463,7 @@ func TestRetireOrderAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(machine.NewBaseline(4), "retire", trace, Options{})
+	r, err := Run(machine.NewBaseline(4), "retire", decodeTrace(t, trace), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +640,7 @@ func TestStageCaptureInPackage(t *testing.T) {
 	p := loopProgram(t, "li r1, 1", 50, "        addq r1, r1, r1\n")
 	trace := mustTrace(t, p)
 	stages := make([]StageRecord, len(trace))
-	r, err := Run(machine.NewIdeal(4), "stages", trace, Options{Stages: stages})
+	r, err := Run(machine.NewIdeal(4), "stages", decodeTrace(t, trace), Options{Stages: stages})
 	if err != nil {
 		t.Fatal(err)
 	}

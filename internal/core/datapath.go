@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/rb"
 )
@@ -19,13 +20,12 @@ type rbVal struct {
 // redundant binary datapath — consuming operands in whatever representation
 // the bypass network would deliver them (forwarded RB numbers from RB
 // producers, hardwired conversions of TC values otherwise) — and verifies
-// the converted result against the functional trace. This is the end-to-end
+// the converted result against the reference step ref. This is the end-to-end
 // correctness argument for the paper's forwarding scheme: dependent chains
 // of RB operations never convert intermediate values, yet commit identical
 // architectural state. A mismatch is a *DivergenceError naming the RB datapath.
-func (s *Simulator) datapathCheck(idx int, cycle int64) error {
-	te := &s.trace[idx]
-	in := te.Inst
+func (s *Simulator) datapathCheck(ref *emu.TraceEntry, cycle int64) error {
+	in := ref.Inst
 
 	// Operand fetch: RB representation if the producing write left one,
 	// otherwise the hardwired TC->RB conversion of the architectural value.
@@ -154,8 +154,8 @@ func (s *Simulator) datapathCheck(idx int, cycle int64) error {
 		case isa.BLBS:
 			taken = a.LSB()
 		}
-		if taken != te.Taken {
-			return s.divergence(te, "RB datapath branch outcome", b2u(taken), b2u(te.Taken), cycle)
+		if taken != ref.Taken {
+			return s.divergence(ref, "RB datapath branch outcome", b2u(taken), b2u(ref.Taken), cycle)
 		}
 		s.res.DatapathChecked++
 		computed = false
@@ -168,10 +168,10 @@ func (s *Simulator) datapathCheck(idx int, cycle int64) error {
 		// itself broke the §3.2 encoding; catch it before it enters the
 		// register file, where it would corrupt every downstream read.
 		if err := result.Validate(); err != nil {
-			return s.divergence(te, fmt.Sprintf("RB datapath encoding (%v)", err), result.Uint(), te.Result, cycle)
+			return s.divergence(ref, fmt.Sprintf("RB datapath encoding (%v)", err), result.Uint(), ref.Result, cycle)
 		}
-		if te.HasResult && result.Uint() != te.Result {
-			return s.divergence(te, "RB datapath result", result.Uint(), te.Result, cycle)
+		if ref.HasResult && result.Uint() != ref.Result {
+			return s.divergence(ref, "RB datapath result", result.Uint(), ref.Result, cycle)
 		}
 		s.res.DatapathChecked++
 	}

@@ -18,16 +18,16 @@ import (
 // structural and branch-kind flags and the branch outcome (one op word), and
 // the PC; a load or store also has its effective address, in a side array
 // indexed by memory-op ordinal. The next PC is the next entry's PC, so only
-// the last entry's is kept. A timing run reads nothing else: the result
-// values, the full instruction and the sequence number stay in
-// emu.TraceEntry, which only the checking modes read.
+// the last entry's is kept. A run reads nothing else: the result values,
+// the full instruction and the sequence number stay in the emulator, and
+// the run modes that need them step one of their own (Options).
 //
 // The experiment matrix simulates every machine over the same traces, so the
 // harness builds each workload's decode once, streaming it from the
 // emulator without materializing the full trace (workload.Decoded), and
-// every cell reads the shared, immutable result. A run given a full trace
-// instead (the checking modes, sampled windows, one-off runs) decodes it
-// into its Buffers. Both go through Decoder.Add, so there is one decode.
+// every cell reads the shared, immutable result. A run that decodes its own
+// stream (a sampled window, Buffers.Run) does so into its Buffers
+// (Buffers.Decode). Both go through Decoder.Add, so there is one decode.
 
 // opWord packs an entry's per-instruction facts into 32 bits:
 //
@@ -74,6 +74,19 @@ func (w opWord) latency() isa.LatencyClass { return isa.LatencyClass(w >> opLatS
 func (w opWord) nsrc() int8                { return int8(w >> opNsrcShift & 3) }
 func (w opWord) kind() branch.Kind         { return branch.Kind(w >> opKindShift & 7) }
 func (w opWord) has(flag opWord) bool      { return w&flag != 0 }
+
+// opInstMask selects the op word bits read from the instruction alone:
+// everything but the source count and the branch outcome.
+const opInstMask = ^(3<<opNsrcShift | opTaken)
+
+// instOp is the op word of instruction in under opInstMask.
+func instOp(in *isa.Instruction) opWord {
+	w := classOp(in.EffectiveClass(), 0) | opWord(branch.KindOf(in.Op))<<opKindShift
+	if _, ok := in.Dest(); ok {
+		w |= opDest
+	}
+	return w
+}
 
 // depMem is the slot of an entry's dependence record that holds its memory
 // dependence; slots 0..nsrc-1 hold its register producers as
@@ -128,8 +141,8 @@ func (d *Decoded) nextPC(i int32) int {
 	return int(d.lastNextPC)
 }
 
-// Decoder builds a Decoded, for Options.Decoded, one committed entry at a
-// time in trace order — from emu.Emulator.Run's per-entry callback, so that
+// Decoder builds a Decoded, for New, one committed entry at a time in trace
+// order — from emu.Emulator.Run's per-entry callback, so that
 // building a timing trace never holds the full one. Memory dependences are
 // always decoded; a run whose machine does not model them ignores them.
 // The zero value is ready to use.
@@ -200,7 +213,7 @@ func (b *Decoder) Add(te *emu.TraceEntry) {
 		}
 		k++
 	}
-	op := classOp(cls, k) | opWord(branch.KindOf(in.Op))<<opKindShift
+	op := instOp(in) | opWord(k)<<opNsrcShift
 	if te.Taken {
 		op |= opTaken
 	}
@@ -221,7 +234,6 @@ func (b *Decoder) Add(te *emu.TraceEntry) {
 	}
 	if r, ok := in.Dest(); ok {
 		b.lastWriter[r] = i
-		op |= opDest
 	}
 	d.deps = append(d.deps, dep)
 	d.ops = append(d.ops, op)
@@ -238,12 +250,6 @@ func (b *Decoder) Decoded() (*Decoded, error) {
 	d.deps, d.ops, d.pc, d.ea = fit(d.deps), fit(d.ops), fit(d.pc), fit(d.ea)
 	b.d = Decoded{}
 	return &d, d.err
-}
-
-// decoded returns b's decode in place, arrays unclipped, for a run that
-// decodes into its Buffers.
-func (b *Decoder) decoded() (*Decoded, error) {
-	return &b.d, b.d.err
 }
 
 // fit returns s with its capacity trimmed to its length, copying only when

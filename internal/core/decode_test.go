@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -33,17 +34,12 @@ func decode(trace []emu.TraceEntry) (*core.Decoded, error) {
 	return b.Decoded()
 }
 
-// runStaged simulates trace (or, when it is nil, opt.Decoded) under opt,
-// capturing the stage timeline, and returns the result, the timeline and
-// the warm-up/measurement split.
-func runStaged(t *testing.T, cfg machine.Config, trace []emu.TraceEntry, opt core.Options) (*core.Result, []core.StageRecord, *core.WindowResult) {
+// runStaged simulates dec under opt, capturing the stage timeline, and
+// returns the result, the timeline and the warm-up/measurement split.
+func runStaged(t *testing.T, cfg machine.Config, dec *core.Decoded, opt core.Options) (*core.Result, []core.StageRecord, *core.WindowResult) {
 	t.Helper()
-	n := len(trace)
-	if trace == nil {
-		n = opt.Decoded.Len()
-	}
-	opt.Stages = make([]core.StageRecord, n)
-	s, err := core.New(cfg, "w", trace, opt)
+	opt.Stages = make([]core.StageRecord, dec.Len())
+	s, err := core.New(cfg, "w", dec, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.Name, err)
 	}
@@ -54,32 +50,55 @@ func runStaged(t *testing.T, cfg machine.Config, trace []emu.TraceEntry, opt cor
 	return r, opt.Stages, s.Window()
 }
 
-// requireSameRun runs cfg twice — on the full trace, decoded per run, and on
-// the timing trace alone with reused buffers, as the harness does — and
-// requires bit-identical results, stage timelines and window splits.
+// requireSameRun runs cfg twice — on the full trace, decoded into the run's
+// own buffers as Buffers.Run does, and on the shared timing trace with
+// reused buffers, as the harness does — and requires bit-identical results,
+// stage timelines and window splits. An event-backend run without a split
+// is also run through Buffers.Run itself.
 func requireSameRun(t *testing.T, cfg machine.Config, trace []emu.TraceEntry, dec *core.Decoded, buf *core.Buffers, opt core.Options) {
 	t.Helper()
-	want, wantSt, wantWin := runStaged(t, cfg, trace, opt)
-	opt.Decoded, opt.Buffers = dec, buf
-	got, gotSt, gotWin := runStaged(t, cfg, nil, opt)
+	own := core.NewBuffers()
+	perRun, err := own.Decode(len(trace), func(d *core.Decoder) error {
+		for i := range trace {
+			d.Add(&trace[i])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Buffers = own
+	want, wantSt, wantWin := runStaged(t, cfg, perRun, opt)
+	opt.Buffers = buf
+	got, gotSt, gotWin := runStaged(t, cfg, dec, opt)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s/%s: timing-only run diverges:\n got %+v\nwant %+v", cfg.Name, opt.Backend, got, want)
+		t.Fatalf("%s/%s: shared-decode run diverges:\n got %+v\nwant %+v", cfg.Name, opt.Backend, got, want)
+	}
+	if opt.Backend == core.BackendEvent && opt.Warmup == 0 {
+		r, err := own.Run(cfg, "w", trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("%s: shared-decode run diverges from Buffers.Run:\n got %+v\nwant %+v", cfg.Name, got, r)
+		}
 	}
 	for i := range wantSt {
 		if gotSt[i] != wantSt[i] {
-			t.Fatalf("%s/%s: stage timeline diverges at instruction %d: timing-only %+v, full trace %+v",
+			t.Fatalf("%s/%s: stage timeline diverges at instruction %d: shared decode %+v, per-run decode %+v",
 				cfg.Name, opt.Backend, i, gotSt[i], wantSt[i])
 		}
 	}
 	gotWin.Result, wantWin.Result = nil, nil
 	if *gotWin != *wantWin {
-		t.Fatalf("%s/%s: window split diverges: timing-only %+v, full trace %+v", cfg.Name, opt.Backend, gotWin, wantWin)
+		t.Fatalf("%s/%s: window split diverges: shared decode %+v, per-run decode %+v", cfg.Name, opt.Backend, gotWin, wantWin)
 	}
 }
 
-// TestSharedDecodeMatchesPerRun is the differential gate for the timing
-// trace: a run on a workload's cached Decoded alone must equal a run on its
-// full trace, for both backends and every figure machine, with memory
+// TestSharedDecodeMatchesPerRun is the differential gate for the shared
+// timing trace: a run on a workload's cached Decoded, streamed from the
+// emulator, must equal a run on its full trace decoded per run (and
+// Buffers.Run), for both backends and every figure machine, with memory
 // dependences off, and over a warm-up/measurement window. A -race build
 // still runs every machine, each on one of the three workloads.
 func TestSharedDecodeMatchesPerRun(t *testing.T) {
@@ -128,7 +147,7 @@ func TestSharedDecodeMatchesPerRun(t *testing.T) {
 	}
 
 	// A sampled window decodes on its own slice; its timing trace must
-	// agree with the full-trace run, split included.
+	// agree with the per-run decode, split included.
 	start := len(trace) / 3
 	window := trace[start : start+6000]
 	winDec, err := decode(window)
@@ -141,8 +160,11 @@ func TestSharedDecodeMatchesPerRun(t *testing.T) {
 	}
 }
 
-// TestNewRejectsBothInputs: a run reads a full trace or a timing trace,
-// never both — there would be two sources of truth for one run.
+// TestNewRejectsBothInputs: a run has one input, the timing trace; the full
+// trace is no longer a second input New could be handed beside it (the
+// name dates from when New refused the two together). New accepts a timing
+// trace alone, runs an empty one to zero instructions, and rejects the
+// decode of a stream that is not a committed instruction stream.
 func TestNewRejectsBothInputs(t *testing.T) {
 	w, _ := workload.ByName("gcc")
 	trace, err := w.Trace()
@@ -154,64 +176,25 @@ func TestNewRejectsBothInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := machine.NewRBFull(8)
-	if _, err := core.New(cfg, "w", nil, core.Options{Decoded: dec}); err != nil {
+	if _, err := core.New(cfg, "w", dec, core.Options{}); err != nil {
 		t.Fatalf("timing trace alone refused: %v", err)
-	}
-	if _, err := core.New(cfg, "w", trace, core.Options{}); err != nil {
-		t.Fatalf("full trace alone refused: %v", err)
-	}
-	for name, tr := range map[string][]emu.TraceEntry{
-		"its own trace":  trace,
-		"an empty trace": {},
-		"a trace prefix": trace[:10],
-	} {
-		if _, err := core.New(cfg, "w", tr, core.Options{Decoded: dec}); err == nil {
-			t.Errorf("%s: New accepted a full trace beside a timing trace", name)
-		}
 	}
 	empty, err := decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := core.Run(cfg, "w", nil, core.Options{Decoded: empty}); err != nil || r.Instructions != 0 {
+	if r, err := core.Run(cfg, "w", empty, core.Options{}); err != nil || r.Instructions != 0 {
 		t.Errorf("empty timing trace: %+v, %v", r, err)
 	}
-}
-
-// TestNewRefusesCheckingModesWithoutTrace: the run modes — the commit-time
-// check, a fault plan and wrong-path fetch — read result values that only
-// the full trace holds, so New refuses each on a timing trace — and accepts
-// each on the full trace.
-func TestNewRefusesCheckingModesWithoutTrace(t *testing.T) {
-	w, _ := workload.ByName("compress")
-	trace, err := w.Trace()
-	if err != nil {
-		t.Fatal(err)
+	broken := append([]emu.TraceEntry(nil), trace[:100]...)
+	broken[40].NextPC++
+	var d core.Decoder
+	for i := range broken {
+		d.Add(&broken[i])
 	}
-	dec, err := w.Decoded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := w.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := machine.NewRBFull(8)
-	for _, m := range []struct {
-		name string
-		opt  core.Options
-	}{
-		{"commit-time check", core.Options{Oracle: emu.New(prog)}},
-		{"fault plan", core.Options{Faults: &core.FaultPlan{}}},
-		{"wrong-path fetch", core.Options{WrongPath: prog}},
-	} {
-		if _, err := core.New(cfg, "w", trace, m.opt); err != nil {
-			t.Errorf("%s: refused on the full trace: %v", m.name, err)
-		}
-		m.opt.Decoded = dec
-		if _, err := core.New(cfg, "w", nil, m.opt); err == nil {
-			t.Errorf("%s: New accepted a timing trace", m.name)
-		}
+	bad, _ := d.Decoded()
+	if _, err := core.New(cfg, "w", bad, core.Options{}); err == nil {
+		t.Error("New accepted the decode of a trace whose next PCs do not chain")
 	}
 }
 
@@ -229,11 +212,82 @@ func TestDecodeRejectsBrokenStream(t *testing.T) {
 	if _, err := decode(broken); err == nil {
 		t.Error("Decode accepted a trace whose next PCs do not chain")
 	}
-	if _, err := core.Run(machine.NewRBFull(8), "w", broken, core.Options{}); err == nil {
+	if _, err := core.NewBuffers().Run(machine.NewRBFull(8), "w", broken); err == nil {
 		t.Error("Run accepted a trace whose next PCs do not chain")
 	}
 	// A window's last next PC points outside it, which is fine.
 	if _, err := decode(trace[10:20]); err != nil {
 		t.Errorf("window refused: %v", err)
+	}
+}
+
+// TestRunModesShareOneDecode: the run modes read values from emulators of
+// their own, never from the timing trace, so the commit-time check,
+// wrong-path fetch and a datapath fault plan run concurrently on one shared
+// workload.Decoded (under -race in CI): every run equals its serial run, and
+// the decode is left unchanged.
+func TestRunModesShareOneDecode(t *testing.T) {
+	w, _ := workload.ByName("li")
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := w.Decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := core.Seeded(dec, func([]int32, []bool, []uint64) {})
+	modes := map[string]func() core.Options{
+		"oracle":     func() core.Options { return core.Options{Oracle: emu.New(prog)} },
+		"wrong-path": func() core.Options { return core.Options{WrongPath: emu.New(prog)} },
+		"faults": func() core.Options {
+			return core.Options{Oracle: emu.New(prog), Faults: &core.FaultPlan{Faults: []core.Fault{
+				{Kind: core.FaultDigitFlip, Seq: 1001, Digit: 3},
+				{Kind: core.FaultStaleBypass, Seq: 2002},
+			}}}
+		},
+	}
+	type outcome struct {
+		r   *core.Result
+		out *core.FaultOutcome
+		err error
+	}
+	cfg := machine.NewRBFull(8)
+	run := func(opt core.Options) outcome {
+		s, err := core.New(cfg, w.Name, dec, opt)
+		if err != nil {
+			return outcome{err: err}
+		}
+		r, err := s.Simulate()
+		return outcome{r, s.Faults(), err}
+	}
+	serial := map[string]outcome{}
+	for name, opt := range modes {
+		if serial[name] = run(opt()); serial[name].err != nil {
+			t.Fatalf("%s: %v", name, serial[name].err)
+		}
+	}
+	if serial["wrong-path"].r.WrongPathIssued == 0 {
+		t.Fatal("the wrong-path run issued no wrong-path work")
+	}
+	var wg sync.WaitGroup
+	got := make(map[string]*outcome, len(modes))
+	for name, opt := range modes {
+		o := new(outcome)
+		got[name] = o
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			*o = run(opt())
+		}()
+	}
+	wg.Wait()
+	for name, o := range got {
+		if !reflect.DeepEqual(*o, serial[name]) {
+			t.Errorf("%s: concurrent run differs from the serial run:\n got %+v\nwant %+v", name, *o, serial[name])
+		}
+	}
+	if !reflect.DeepEqual(dec, pristine) {
+		t.Error("the runs changed the shared decode")
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/rb"
+import (
+	"repro/internal/emu"
+	"repro/internal/rb"
+)
 
 // Datapath- and scheduler-level fault injection with paired detection and
 // recovery (DESIGN.md §12). Three fault kinds model the in-flight corruptions
@@ -33,8 +36,10 @@ import "repro/internal/rb"
 //     poll oracle would have computed — instead of aborting the run.
 //
 // All injection is confined to the run's committed view and the scheduler's
-// event stream; the shared trace is never mutated, and recovery leaves the
-// architectural results identical to a fault-free run.
+// event stream; the timing trace is never mutated, and recovery leaves the
+// architectural results identical to a fault-free run. Datapath faults take
+// their golden values from the commit-time check's reference step, so a plan
+// holding any needs Options.Oracle.
 
 // FaultKind selects a datapath or scheduler fault model.
 type FaultKind uint8
@@ -174,18 +179,18 @@ func flipRBDigitVec(v uint64, digit int) rb.Number {
 }
 
 // faultStep runs the converter-path detection for any datapath fault
-// targeting the instruction about to commit; stale-bypass substitution
-// draws from the committed register file before commitCheck writes it.
-func (s *Simulator) faultStep(idx int, cycle int64) {
-	te := &s.trace[idx]
-	for _, di := range s.faultSeqIdx[te.Seq] {
+// targeting trace entry idx, about to commit, whose golden result is the
+// reference step ref's; stale-bypass substitution draws from the committed
+// register file before commitCheck writes it.
+func (s *Simulator) faultStep(ref *emu.TraceEntry, idx int32, cycle int64) {
+	for _, di := range s.faultSeqIdx[ref.Seq] {
 		det := &s.faultOut.Detections[di]
-		if !te.HasResult {
+		if !ref.HasResult {
 			continue // no result to corrupt; never injected
 		}
 		det.Injected = true
 		det.InjectCycle = s.done[idx]
-		golden := te.Result
+		golden := ref.Result
 		// The producer computed the residue from the digits as produced;
 		// the corruption happens downstream, so the carried residue
 		// describes the correct value.
@@ -195,7 +200,7 @@ func (s *Simulator) faultStep(idx int, cycle int64) {
 		case FaultDigitFlip:
 			received = flipRBDigitVec(golden, det.Fault.Digit)
 		case FaultStaleBypass:
-			d, ok := te.Inst.Dest()
+			d, ok := ref.Inst.Dest()
 			if !ok {
 				det.Injected = false
 				continue
@@ -297,7 +302,7 @@ func (s *Simulator) watchdogRecover(cycle int64) int {
 // fault-free hot path pays only a nil check.
 type faultState struct {
 	faultOut    *FaultOutcome
-	faultSeqIdx map[int64][]int // te.Seq -> detection indexes (datapath faults)
+	faultSeqIdx map[int64][]int // dynamic instruction number -> detection indexes (datapath faults)
 	dropPosts   map[int64]int   // post ordinal -> detection index
 	postCount   int64
 }

@@ -42,7 +42,7 @@ func TestFaultDigitFlipAlwaysDetectedByResidue(t *testing.T) {
 			faults = append(faults, Fault{Kind: FaultDigitFlip, Seq: te.Seq, Digit: int(te.Seq) % 64})
 		}
 	}
-	s, err := New(machine.NewRBFull(4), "faults", trace, Options{Faults: &FaultPlan{Faults: faults}})
+	s, err := New(machine.NewRBFull(4), "faults", decodeTrace(t, trace), Options{Oracle: emu.New(p), Faults: &FaultPlan{Faults: faults}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFaultStaleBypassDetected(t *testing.T) {
 			faults = append(faults, Fault{Kind: FaultStaleBypass, Seq: te.Seq})
 		}
 	}
-	s, err := New(machine.NewRBFull(4), "faults", trace, Options{Faults: &FaultPlan{Faults: faults}})
+	s, err := New(machine.NewRBFull(4), "faults", decodeTrace(t, trace), Options{Oracle: emu.New(p), Faults: &FaultPlan{Faults: faults}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +128,13 @@ func TestLostWakeupWatchdogRecovery(t *testing.T) {
 	}
 	cfg := machine.NewRBFull(4)
 
-	oracle, err := Run(cfg, "faults", trace, Options{Backend: BackendPoll})
+	oracle, err := Run(cfg, "faults", decodeTrace(t, trace), Options{Backend: BackendPoll})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const window = 2000
-	s, err := New(cfg, "faults", trace, Options{Faults: &FaultPlan{
+	s, err := New(cfg, "faults", decodeTrace(t, trace), Options{Faults: &FaultPlan{
 		Faults:         []Fault{{Kind: FaultDropWakeup, PostIndex: 50}},
 		WatchdogWindow: window,
 	}})
@@ -172,6 +172,40 @@ func TestLostWakeupWatchdogRecovery(t *testing.T) {
 	}
 }
 
+// TestNewRefusesCheckingModesWithoutTrace: the run modes read their values
+// from emulators of their own, not from a full trace, so New accepts each
+// (the commit-time check, wrong-path fetch and a fault plan) on a timing
+// trace alone. What it still refuses is a mode without the source of its
+// values: digit-flip and stale-bypass faults take their golden values from
+// the commit-time check's reference and need Options.Oracle; a drop-wakeup
+// plan needs no reference.
+func TestNewRefusesCheckingModesWithoutTrace(t *testing.T) {
+	p := chainProgram(t, 10)
+	dec := decodeTrace(t, mustTrace(t, p))
+	cfg := machine.NewRBFull(4)
+	for name, opt := range map[string]Options{
+		"commit-time check": {Oracle: emu.New(p)},
+		"wrong-path fetch":  {WrongPath: emu.New(p)},
+		"fault plan":        {Faults: &FaultPlan{}},
+	} {
+		if _, err := Run(cfg, "faults", dec, opt); err != nil {
+			t.Errorf("%s: refused on a timing trace: %v", name, err)
+		}
+	}
+	for _, k := range []FaultKind{FaultDigitFlip, FaultStaleBypass} {
+		plan := &FaultPlan{Faults: []Fault{{Kind: FaultDropWakeup}, {Kind: k, Seq: 3}}}
+		if _, err := New(cfg, "faults", dec, Options{Faults: plan}); err == nil {
+			t.Errorf("%v: New accepted a datapath fault without the oracle", k)
+		}
+		if _, err := New(cfg, "faults", dec, Options{Oracle: emu.New(p), Faults: plan}); err != nil {
+			t.Errorf("%v: refused with the oracle: %v", k, err)
+		}
+	}
+	if _, err := New(cfg, "faults", dec, Options{Faults: &FaultPlan{Faults: []Fault{{Kind: FaultDropWakeup}}}}); err != nil {
+		t.Errorf("drop-wakeup plan refused without the oracle: %v", err)
+	}
+}
+
 // TestFaultFreeRunHasNoWatchdogActivity: arming an empty plan changes
 // nothing, and no watchdog recovery fires on a healthy run.
 func TestFaultFreeRunHasNoWatchdogActivity(t *testing.T) {
@@ -181,11 +215,11 @@ func TestFaultFreeRunHasNoWatchdogActivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := machine.NewRBFull(4)
-	clean, err := Run(cfg, "faults", trace, Options{})
+	clean, err := Run(cfg, "faults", decodeTrace(t, trace), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(cfg, "faults", trace, Options{Faults: &FaultPlan{}})
+	s, err := New(cfg, "faults", decodeTrace(t, trace), Options{Faults: &FaultPlan{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,7 @@ func (s *Simulator) fetch(cycle int64) {
 	if s.fetchBlockedIdx >= 0 {
 		// An unresolved misprediction: either stall (base model) or keep
 		// fetching down the predicted wrong path.
-		if s.wpProg != nil {
-			s.fetchWrongPath(cycle)
-		}
+		s.fetchWrongPath(cycle)
 		return
 	}
 	fetched := 0
@@ -37,8 +35,11 @@ func (s *Simulator) fetch(cycle int64) {
 			s.stages[s.nextFetch].Fetch = cycle
 		}
 		s.fqPush(fetchEntry{idx: s.nextFetch, fetchCycle: cycle, mispredict: mispredict})
-		if s.shadowMem != nil {
-			s.updateShadow(s.nextFetch)
+		if s.wp != nil {
+			if err := s.stepFetchOrder(pc); err != nil {
+				s.checkErr = err
+				return
+			}
 		}
 		s.nextFetch++
 		fetched++

@@ -16,8 +16,8 @@ import (
 
 // TestLayoutBudget pins the memory layout the experiment matrix budgets
 // for: the workload cache holds the timing traces of ~2.5M entries, 24 bytes
-// each plus 8 per load or store (21% of entries), and the checking modes
-// build full traces of 64-byte entries on demand. A field added to any of
+// each plus 8 per load or store (21% of entries), and tools that inspect
+// values build full traces of 64-byte entries on demand. A field added to any of
 // these re-budgets that cache and must update this test on purpose.
 func TestLayoutBudget(t *testing.T) {
 	if got := unsafe.Sizeof(emu.TraceEntry{}); got != 64 {

@@ -10,17 +10,19 @@ import (
 )
 
 // The commit-time check (Options.Oracle): every instruction the timing
-// core commits runs fault-plan detection, then the redundant binary
-// datapath recomputation (datapath.go), then the lockstep compare — it is
-// replayed, in commit order, on an independent functional reference (an
-// internal/emu emulator positioned at the trace's first instruction). The
-// paper's architectural-identity claim — the RB machines differ from the
-// Baseline only in timing — reduces to this stream never diverging: same
-// PCs, same results, same effective addresses, same branch outcomes, same
-// architectural register file, same memory contents at every store. The
-// first divergence from either check aborts the simulation with a
-// DivergenceError naming the instruction, the diverging architectural fact,
-// and a dump of the pipeline state at the moment of detection.
+// core commits is replayed, in commit order, on an independent functional
+// reference (an internal/emu emulator positioned at the trace's first
+// instruction), and the reference's step feeds fault-plan detection, then
+// the redundant binary datapath recomputation (datapath.go), then the
+// lockstep compare. The paper's architectural-identity claim — the RB
+// machines differ from the Baseline only in timing — reduces to this stream
+// never diverging: the RB datapath computes the reference's results and
+// branch outcomes, and every fact the timing model read from its timing
+// trace (PCs, op words, branch outcomes, effective addresses) is the
+// reference's. The first divergence from either check aborts the
+// simulation with a DivergenceError naming the instruction, the diverging
+// architectural fact, and a dump of the pipeline state at the moment of
+// detection.
 
 // DivergenceError reports the first committed instruction at which the
 // timing core's committed stream and the functional reference disagree.
@@ -30,10 +32,10 @@ type DivergenceError struct {
 	// PC is its instruction index; Inst the instruction itself.
 	PC   int
 	Inst isa.Instruction
-	// Field names the diverging architectural fact ("result", "pc",
-	// "register r5", "memory", ...); a datapath recomputation that
-	// disagrees with the trace names the RB datapath ("RB datapath
-	// result", "RB datapath branch outcome", ...).
+	// Field names the diverging architectural fact ("pc", "next pc",
+	// "effective address", "result", "register r5", "memory", ...); a
+	// datapath recomputation that disagrees with the reference names the
+	// RB datapath ("RB datapath result", "RB datapath branch outcome", ...).
 	Field string
 	// Got is the timing core's committed value; Want the reference's.
 	Got, Want uint64
@@ -50,7 +52,7 @@ func (e *DivergenceError) Error() string {
 // InjectFault arms a single transient fault for oracle testing: the result
 // of dynamic instruction seq has one digit of its redundant binary form
 // flipped as it is written back, modeling a corrupted bypass or datapath
-// bit. The shared trace is never mutated; the corruption applies only to
+// bit. The timing trace is never mutated; the corruption applies only to
 // this run's committed view, where the commit-time check (Options.Oracle)
 // must detect it.
 func (s *Simulator) InjectFault(seq int64, digit int) {
@@ -68,79 +70,79 @@ func flipRBDigit(v uint64, digit int) uint64 {
 }
 
 // commitCheck is the commit-time check on the instruction about to retire,
-// run when the oracle or a fault plan is armed: the fault step and the
-// datapath read commitRegs before the lockstep compare writes it.
-func (s *Simulator) commitCheck(idx int, cycle int64) error {
+// run when the oracle is armed: it steps the reference, then runs the fault
+// step and the datapath, which read commitRegs before the lockstep compare
+// writes it.
+func (s *Simulator) commitCheck(idx int32, cycle int64) error {
+	ref := &s.ref
+	if s.oracle.Halted() {
+		*ref = emu.TraceEntry{Seq: s.oracle.InstCount(), PC: s.oracle.PC}
+		return s.divergence(ref, "commit past reference HALT", uint64(s.dec.pc[idx]), uint64(s.oracle.PC), cycle)
+	}
+	if err := s.oracle.StepInto(ref); err != nil {
+		return fmt.Errorf("core: lockstep reference at instruction %d: %w", s.oracle.InstCount(), err)
+	}
 	if s.faultOut != nil {
-		s.faultStep(idx, cycle)
+		s.faultStep(ref, idx, cycle)
 	}
-	if s.oracle == nil {
-		if te := &s.trace[idx]; te.HasResult {
-			if d, ok := te.Inst.Dest(); ok {
-				s.commitRegs[d] = te.Result
-			}
-		}
-		return nil
-	}
-	if err := s.datapathCheck(idx, cycle); err != nil {
+	if err := s.datapathCheck(ref, cycle); err != nil {
 		return err
 	}
-	return s.oracleStep(idx, cycle)
+	return s.lockstep(ref, idx, cycle)
 }
 
-// divergence builds the *DivergenceError for trace entry te.
-func (s *Simulator) divergence(te *emu.TraceEntry, field string, got, want uint64, cycle int64) error {
+// divergence builds the *DivergenceError for the reference step ref.
+func (s *Simulator) divergence(ref *emu.TraceEntry, field string, got, want uint64, cycle int64) error {
 	return &DivergenceError{
-		Seq: te.Seq, PC: te.PC, Inst: te.Inst,
+		Seq: ref.Seq, PC: ref.PC, Inst: ref.Inst,
 		Field: field, Got: got, Want: want,
 		Dump: s.pipelineDump(cycle),
 	}
 }
 
-// oracleStep replays the instruction about to commit on the reference
-// emulator and cross-checks every architectural fact, after writing the
-// committed register file. It returns a *DivergenceError on the first
+// lockstep compares every fact the timing trace supplied for entry idx —
+// its PC, op word, branch outcome, next PC and effective address — with the
+// reference step ref, then commits the timing core's result (the
+// reference's, corrupted only by InjectFault) and compares the register
+// file and, at a store, memory. It returns a *DivergenceError on the first
 // disagreement.
-func (s *Simulator) oracleStep(idx int, cycle int64) error {
-	te := &s.trace[idx]
+func (s *Simulator) lockstep(ref *emu.TraceEntry, idx int32, cycle int64) error {
 	fail := func(field string, got, want uint64) error {
-		return s.divergence(te, field, got, want, cycle)
+		return s.divergence(ref, field, got, want, cycle)
 	}
-	if s.oracle.Halted() {
-		return fail("commit past reference HALT", uint64(te.PC), uint64(s.oracle.PC))
+	d := s.dec
+	op := d.ops[idx]
+	if pc := int(d.pc[idx]); pc != ref.PC {
+		return fail("pc", uint64(pc), uint64(ref.PC))
 	}
-	if s.oracle.PC != te.PC {
-		return fail("pc", uint64(te.PC), uint64(s.oracle.PC))
+	if got, want := op&opInstMask, instOp(&ref.Inst); got != want {
+		return fail("op word", uint64(got), uint64(want))
 	}
-	ref, err := s.oracle.Step()
-	if err != nil {
-		return fmt.Errorf("core: lockstep reference at instruction %d: %w", te.Seq, err)
+	if op.has(opTaken) != ref.Taken {
+		return fail("branch outcome", b2u(op.has(opTaken)), b2u(ref.Taken))
+	}
+	if next := d.nextPC(idx); next != ref.NextPC {
+		return fail("next pc", uint64(next), uint64(ref.NextPC))
+	}
+	if op.has(opLoad | opStore) {
+		ea := d.ea[s.commitMem]
+		s.commitMem++
+		if ea != ref.EA {
+			return fail("effective address", ea, ref.EA)
+		}
 	}
 
-	committed := te.Result
-	if te.Seq == s.faultSeq && te.HasResult {
+	committed := ref.Result
+	if ref.Seq == s.faultSeq && ref.HasResult {
 		committed = flipRBDigit(committed, s.faultDigit)
 	}
-	if te.HasResult != ref.HasResult {
-		return fail("result presence", b2u(te.HasResult), b2u(ref.HasResult))
-	}
-	if te.HasResult && committed != ref.Result {
+	if committed != ref.Result {
 		return fail("result", committed, ref.Result)
-	}
-	cls := isa.ClassOf(te.Inst.Op)
-	if cls.IsMemory() && te.EA != ref.EA {
-		return fail("effective address", te.EA, ref.EA)
-	}
-	if cls.IsBranch() && te.Taken != ref.Taken {
-		return fail("branch outcome", b2u(te.Taken), b2u(ref.Taken))
-	}
-	if te.NextPC != ref.NextPC {
-		return fail("next pc", uint64(te.NextPC), uint64(ref.NextPC))
 	}
 
 	// Commit the timing core's architectural register view, then compare the
 	// whole file against the reference's.
-	if d, ok := te.Inst.Dest(); ok && te.HasResult {
+	if d, ok := ref.Inst.Dest(); ok && ref.HasResult {
 		s.commitRegs[d] = committed
 	}
 	for r := 0; r < isa.NumRegs; r++ {
@@ -148,18 +150,29 @@ func (s *Simulator) oracleStep(idx int, cycle int64) error {
 			return fail(fmt.Sprintf("register %v", isa.Reg(r)), s.commitRegs[r], s.oracle.Regs[r])
 		}
 	}
-	if cls.IsStore {
-		size := storeSize(te.Inst.Op)
-		want := s.oracle.Mem.Read(te.EA, size)
-		got := s.commitRegs[te.Inst.Ra]
+	if op.has(opStore) {
+		size := storeSize(ref.Inst.Op)
+		want := s.oracle.Mem.Read(ref.EA, size)
+		got := s.commitRegs[ref.Inst.Ra]
 		if size < 8 {
 			got &= 1<<(8*uint(size)) - 1
 		}
 		if got != want {
-			return fail(fmt.Sprintf("memory[%#x]", te.EA), got, want)
+			return fail(fmt.Sprintf("memory[%#x]", ref.EA), got, want)
 		}
 	}
 	return nil
+}
+
+func storeSize(op isa.Op) int {
+	switch op {
+	case isa.STQ:
+		return 8
+	case isa.STL:
+		return 4
+	default:
+		return 1
+	}
 }
 
 func b2u(b bool) uint64 {
@@ -192,7 +205,7 @@ func (s *Simulator) pipelineDump(cycle int64) string {
 			if u.wp {
 				b.WriteString(" [wrong-path]")
 			} else {
-				fmt.Fprintf(&b, " [%d %v]", u.idx, s.trace[u.idx].Inst.Op)
+				fmt.Fprintf(&b, " [%d pc %d]", u.idx, s.dec.pc[u.idx])
 			}
 			j++
 		}

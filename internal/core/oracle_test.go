@@ -33,7 +33,7 @@ func TestLockstepCleanRun(t *testing.T) {
 		machine.NewBaseline(8), machine.NewRBLimited(8),
 		machine.NewRBFull(8), machine.NewIdeal(4),
 	} {
-		s, err := New(cfg, "oracle-clean", trace, Options{Oracle: emu.New(p)})
+		s, err := New(cfg, "oracle-clean", decodeTrace(t, trace), Options{Oracle: emu.New(p)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestLockstepCatchesInjectedFault(t *testing.T) {
 	}
 	for _, cfg := range []machine.Config{machine.NewRBFull(8), machine.NewBaseline(8)} {
 		for _, digit := range []int{0, 17, 63} {
-			s, err := New(cfg, "oracle-fault", trace, Options{Oracle: emu.New(p)})
+			s, err := New(cfg, "oracle-fault", decodeTrace(t, trace), Options{Oracle: emu.New(p)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestLockstepCatchesInjectedFault(t *testing.T) {
 func TestPipelineDumpContents(t *testing.T) {
 	p := oracleProgram(t, 50)
 	trace := mustTrace(t, p)
-	s, err := New(machine.NewRBFull(8), "oracle-dump", trace, Options{Oracle: emu.New(p)})
+	s, err := New(machine.NewRBFull(8), "oracle-dump", decodeTrace(t, trace), Options{Oracle: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFlipRBDigitChangesValueByPowerOfTwo(t *testing.T) {
 
 func TestInjectFaultRejectsBadDigit(t *testing.T) {
 	trace := mustTrace(t, oracleProgram(t, 2))
-	s, err := New(machine.NewRBFull(8), "oracle-panic", trace, Options{})
+	s, err := New(machine.NewRBFull(8), "oracle-panic", decodeTrace(t, trace), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

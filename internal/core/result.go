@@ -80,7 +80,7 @@ type Result struct {
 	L1I, L1D, L2 mem.CacheStats
 
 	// DatapathChecked counts results recomputed through the redundant
-	// binary datapath and verified against the functional trace (the
+	// binary datapath and verified against the functional reference (the
 	// commit-time check, Options.Oracle, only).
 	DatapathChecked int64
 

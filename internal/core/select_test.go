@@ -27,7 +27,7 @@ func TestSteeringRoundRobinPairs(t *testing.T) {
 	}
 	trace := mustTrace(t, p)
 	cfg := machine.NewRBFull(8)
-	s, err := New(cfg, "steer", trace, Options{Backend: BackendPoll})
+	s, err := New(cfg, "steer", decodeTrace(t, trace), Options{Backend: BackendPoll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSelectTwoOldestReady(t *testing.T) {
 	for _, cfg := range []machine.Config{machine.NewRBLimited(8), machine.NewRBFull(4), machine.NewBaseline(8)} {
 		for _, be := range []Backend{BackendEvent, BackendPoll} {
 			stages := make([]StageRecord, len(trace))
-			s, err := New(cfg, "select", trace, Options{Backend: be, Stages: stages})
+			s, err := New(cfg, "select", decodeTrace(t, trace), Options{Backend: be, Stages: stages})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestSelectTwoOldestReady(t *testing.T) {
 // must name the first cycle the poll check accepts.
 func TestCrossClusterWakeup(t *testing.T) {
 	cfg := machine.NewRBFull(8)
-	s, err := New(cfg, "cluster", make([]emu.TraceEntry, 2), Options{Backend: BackendPoll})
+	s, err := New(cfg, "cluster", decodeTrace(t, make([]emu.TraceEntry, 2)), Options{Backend: BackendPoll})
 	if err != nil {
 		t.Fatal(err)
 	}

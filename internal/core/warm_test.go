@@ -60,6 +60,10 @@ func TestWarmerMatchesDetailedFrontEnd(t *testing.T) {
 				}
 			}
 			trace := full[:n]
+			dec, err := decode(trace)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, cfg := range machines {
 				warmer := ckpt.NewWarmer(mem.MustHierarchy(cfg.Mem), branch.New())
 				for j := range trace {
@@ -67,7 +71,7 @@ func TestWarmerMatchesDetailedFrontEnd(t *testing.T) {
 				}
 				wantPred, wantHier := warmer.Pred.State(), warmer.Hier.State()
 				for _, be := range []core.Backend{core.BackendEvent, core.BackendPoll} {
-					if _, err := core.Run(cfg, w.Name, trace, core.Options{Backend: be, Buffers: buf}); err != nil {
+					if _, err := core.Run(cfg, w.Name, dec, core.Options{Backend: be, Buffers: buf}); err != nil {
 						t.Fatalf("%s/%d/%s/%s: %v", w.Name, n, cfg.Name, be, err)
 					}
 					pred, hier := buf.WarmState()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/branch"
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -13,161 +15,76 @@ import (
 // fetch and dispatch slots, window capacity, and scheduler select bandwidth,
 // and are squashed when the branch resolves — the first-order costs the
 // plain trace-driven mode folds into the refill penalty. The wrong path
-// executes with real values: a shadow architectural state is maintained in
-// fetch order, so wrong-path loads compute their true speculative addresses
-// and pollute the data cache just as in hardware; wrong-path stores drain
-// from the store queue without committing.
+// executes with real values on the emulator's own semantics: the run steps
+// a fetch-order emulator past every committed instruction it fetches, and
+// each wrong path runs on a fork of it, so wrong-path loads compute their
+// true speculative addresses and pollute the data cache just as in
+// hardware; wrong-path stores reach only the fork's copy-on-write memory,
+// as they drain from the store queue without committing.
 
 // startWrongPath records where the wrong path begins when a misprediction is
 // detected at fetch. predictedNext is the PC the (wrong) prediction would
 // fetch next; -1 when the front end has no predicted target (e.g. a BTB
-// miss), in which case fetch simply stalls as in the base model. The wrong
-// path starts from the fetch-order architectural state, so its instructions
-// compute real values (and real load addresses).
+// miss), in which case fetch simply stalls as in the base model. The fork is
+// taken before the fetch-order emulator steps the mispredicted branch
+// itself, so a call's link-register write is not yet in it.
 func (s *Simulator) startWrongPath(predictedNext int) {
-	if s.wpProg == nil {
+	if s.wp == nil || predictedNext < 0 {
 		return
 	}
-	s.wpPC = predictedNext
-	s.wpRegs = s.shadowRegs
-	for k := range s.wpOverlay {
-		delete(s.wpOverlay, k)
-	}
+	s.wpPath = s.wp.Fork()
+	s.wpPath.PC = predictedNext
 }
 
-// updateShadow applies fetched committed instruction idx to the
-// fetch-order architectural state used to seed wrong paths. It reads the
-// full trace's result values, which is why wrong-path fetch needs the full
-// trace; fetch calls it only when the shadow state exists.
-func (s *Simulator) updateShadow(idx int32) {
-	te := &s.trace[idx]
-	cls := isa.ClassOf(te.Inst.Op)
-	if cls.IsStore {
-		size := storeSize(te.Inst.Op)
-		s.shadowMem.Write(te.EA, size, s.shadowRegs[te.Inst.Ra])
-		return
+// stepFetchOrder steps the fetch-order emulator past the committed
+// instruction fetched at pc, which must be the one it is positioned at.
+func (s *Simulator) stepFetchOrder(pc int32) error {
+	if s.wp.PC != int(pc) {
+		return fmt.Errorf("core: wrong-path emulator is at pc %d after %d instructions, but fetch reads pc %d: it must start at the trace's first instruction",
+			s.wp.PC, s.wp.InstCount(), pc)
 	}
-	if d, ok := te.Inst.Dest(); ok {
-		s.shadowRegs[d] = te.Result
-	}
-}
-
-func storeSize(op isa.Op) int {
-	switch op {
-	case isa.STQ:
-		return 8
-	case isa.STL:
-		return 4
-	default:
-		return 1
-	}
-}
-
-// wpRead reads wrong-path memory: speculative stores overlay the fetch-order
-// shadow memory.
-func (s *Simulator) wpRead(addr uint64, size int) uint64 {
-	var v uint64
-	for i := 0; i < size; i++ {
-		a := addr + uint64(i)
-		b, ok := s.wpOverlay[a]
-		if !ok {
-			b = s.shadowMem.LoadByte(a)
-		}
-		v |= uint64(b) << (8 * i)
-	}
-	return v
-}
-
-// wpWrite buffers a wrong-path store (it never reaches the cache: squashed
-// stores drain from the store queue without committing).
-func (s *Simulator) wpWrite(addr uint64, size int, v uint64) {
-	for i := 0; i < size; i++ {
-		s.wpOverlay[addr+uint64(i)] = byte(v >> (8 * i))
-	}
+	var te emu.TraceEntry
+	return s.wp.StepInto(&te)
 }
 
 // fetchWrongPath fetches up to the front width of wrong-path instructions
 // for this cycle, following predicted directions through further branches.
 func (s *Simulator) fetchWrongPath(cycle int64) {
-	if s.wpPC < 0 || s.wpProg == nil {
+	e := s.wpPath
+	if e == nil {
 		return
 	}
+	insts := e.Program().Insts
 	fetched := 0
 	blocks := 1
 	for fetched < s.cfg.FrontWidth && s.fqLen < s.fetchQCap {
-		if s.wpPC < 0 || s.wpPC >= len(s.wpProg.Insts) {
-			s.wpPC = -1
+		pc := e.PC
+		if pc < 0 || pc >= len(insts) {
+			s.wpPath = nil
 			return
 		}
-		in := s.wpProg.Insts[s.wpPC]
-		if !s.fetchLine(s.wpPC, cycle) {
+		if !s.fetchLine(pc, cycle) {
 			return // wrong-path fetch also waits on misses
 		}
-		fe := fetchEntry{idx: -1, fetchCycle: cycle, wpOp: in.Op}
-		s.wpExecute(s.wpPC, in, &fe)
-		s.fqPush(fe)
+		// An instruction the emulator cannot execute writes nothing; the
+		// path still follows the predictor past it.
+		var te emu.TraceEntry
+		_ = e.StepInto(&te)
+		s.fqPush(fetchEntry{idx: -1, fetchCycle: cycle, wpOp: te.Inst.Op, wpEA: te.EA})
 		s.fetchQHasWP = true
 		fetched++
-		next, taken, ok := s.wrongPathNext(s.wpPC, in)
+		next, taken, ok := s.wrongPathNext(pc, te.Inst)
 		if !ok {
-			s.wpPC = -1
+			s.wpPath = nil
 			return
 		}
 		if taken {
 			s.lastFetchLine = -1
 			blocks++
 		}
-		s.wpPC = next
+		e.PC = next
 		if blocks > s.cfg.MaxFetchBlocks {
 			return
-		}
-	}
-}
-
-// wpExecute runs one wrong-path instruction against the speculative shadow
-// state, recording load addresses so the dispatched uop can pollute the data
-// cache with a real access.
-func (s *Simulator) wpExecute(pc int, in isa.Instruction, fe *fetchEntry) {
-	cls := isa.ClassOf(in.Op)
-	ra := s.wpRegs[in.Ra]
-	rb := s.wpRegs[in.Rb]
-	if in.UseImm {
-		rb = uint64(in.Imm)
-	}
-	write := func(r isa.Reg, v uint64) {
-		if r != isa.RZero {
-			s.wpRegs[r] = v
-		}
-	}
-	switch {
-	case in.Op == isa.HALT:
-	case in.Op == isa.LDA:
-		write(in.Ra, s.wpRegs[in.Rb]+uint64(in.Imm))
-	case in.Op == isa.LDAH:
-		write(in.Ra, s.wpRegs[in.Rb]+uint64(in.Imm)*65536)
-	case cls.IsLoad:
-		ea := s.wpRegs[in.Rb] + uint64(in.Imm)
-		fe.wpEA = ea
-		var v uint64
-		switch in.Op {
-		case isa.LDQ:
-			v = s.wpRead(ea, 8)
-		case isa.LDL:
-			v = uint64(int64(int32(uint32(s.wpRead(ea, 4)))))
-		default:
-			v = s.wpRead(ea, 1)
-		}
-		write(in.Ra, v)
-	case cls.IsStore:
-		s.wpWrite(s.wpRegs[in.Rb]+uint64(in.Imm), storeSize(in.Op), ra)
-	case cls.IsCondBranch:
-		// Direction comes from the predictor (wrongPathNext); no register
-		// state changes.
-	case in.Op == isa.BR || in.Op == isa.BSR || cls.IsIndirect:
-		write(in.Ra, uint64(pc+1))
-	default:
-		if v, err := emu.Eval(in.Op, ra, rb, s.wpRegs[in.Rc]); err == nil {
-			write(in.Rc, v)
 		}
 	}
 }
@@ -213,7 +130,7 @@ func (s *Simulator) dispatchWrongPath(fe *fetchEntry, cycle int64) bool {
 // classic bug-surface the intrusive lists remove. Issue scans observe the
 // squash via squashEpoch and restart from a clean list head.)
 func (s *Simulator) squashWrongPath() {
-	if s.wpInFlight == 0 && s.wpPC < 0 && !s.fetchQHasWP {
+	if s.wpInFlight == 0 && s.wpPath == nil && !s.fetchQHasWP {
 		return
 	}
 	s.fqFilterWP()
@@ -240,7 +157,7 @@ func (s *Simulator) squashWrongPath() {
 	}
 	s.inFlight -= s.wpInFlight
 	s.wpInFlight = 0
-	s.wpPC = -1
+	s.wpPath = nil
 	s.fetchQHasWP = false
 	s.squashEpoch++
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
 )
@@ -48,7 +50,7 @@ func TestWrongPathIdenticalWhenNoMispredicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rWP, err := runProgram(wp, "w", p, 1_000_000, Options{WrongPath: p})
+	rWP, err := runProgram(wp, "w", p, 1_000_000, Options{WrongPath: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestWrongPathConsumesResources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rWP, err := runProgram(wp, "w", p, 1_000_000, Options{WrongPath: p})
+	rWP, err := runProgram(wp, "w", p, 1_000_000, Options{WrongPath: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +99,11 @@ func TestWrongPathConsumesResources(t *testing.T) {
 func TestWrongPathDeterminism(t *testing.T) {
 	p := unpredictableProgram(t)
 	cfg := machine.NewRBLimited(8)
-	a, err := runProgram(cfg, "a", p, 1_000_000, Options{WrongPath: p})
+	a, err := runProgram(cfg, "a", p, 1_000_000, Options{WrongPath: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runProgram(cfg, "b", p, 1_000_000, Options{WrongPath: p})
+	b, err := runProgram(cfg, "b", p, 1_000_000, Options{WrongPath: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ skip:   subq r1, #1, r1
 		t.Fatal(err)
 	}
 	cfg := machine.NewRBFull(8)
-	r, err := runProgram(cfg, "pollute", p, 1_000_000, Options{WrongPath: p})
+	r, err := runProgram(cfg, "pollute", p, 1_000_000, Options{WrongPath: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,25 +154,58 @@ skip:   subq r1, #1, r1
 	}
 }
 
+// TestWrongPathShadowStateMatchesEmulator: the fetch-order emulator seeds
+// every wrong path and the wrong paths run on forks of it, so after a run
+// whose wrong paths store to memory it has stepped exactly the committed
+// stream and holds the architectural emulator's final registers and memory
+// — no wrong-path store reached it — and a second run is identical.
 func TestWrongPathShadowStateMatchesEmulator(t *testing.T) {
-	// The fetch-order shadow state seeds wrong paths; on a straight-line
-	// region it must agree with the architectural emulator. We verify
-	// indirectly: with 100%-biased branches the shadow state is exercised but
-	// never observed, and with wrong-path modeling the run must still retire
-	// everything and stay deterministic.
-	p := unpredictableProgram(t)
+	p, err := asm.Assemble(`
+        li r1, 3000
+        li r9, 88172645
+        li r10, 0x4000
+loop:   sll r9, #13, r3
+        xor r9, r3, r9
+        srl r9, #7, r3
+        xor r9, r3, r9
+        sll r9, #17, r3
+        xor r9, r3, r9
+        srl r9, #23, r4
+        blbs r4, skip
+        stq r4, 0(r10)       ; only on the not-taken path
+        ldq r5, 8(r10)
+        addq r5, r4, r5
+        stq r5, 8(r10)
+skip:   subq r1, #1, r1
+        bgt r1, loop
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := machine.NewIdeal(8)
-	a, err := runProgram(cfg, "shadow", p, 1_000_000, Options{WrongPath: p})
+	wp := emu.New(p)
+	a, err := runProgram(cfg, "shadow", p, 1_000_000, Options{WrongPath: wp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runProgram(cfg, "shadow", p, 1_000_000, Options{WrongPath: p})
+	if a.WrongPathIssued == 0 {
+		t.Fatal("no wrong-path work issued")
+	}
+	ref := emu.New(p)
+	if _, err := ref.Run(1_000_000, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !wp.Halted() || wp.InstCount() != ref.InstCount() || wp.Regs != ref.Regs || !wp.Mem.Equal(ref.Mem) {
+		t.Errorf("fetch-order emulator after the run: halted %v after %d instructions, registers equal %v, memory equal %v; reference %d instructions",
+			wp.Halted(), wp.InstCount(), wp.Regs == ref.Regs, wp.Mem.Equal(ref.Mem), ref.InstCount())
+	}
+	b, err := runProgram(cfg, "shadow", p, 1_000_000, Options{WrongPath: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Cycles != b.Cycles || a.WrongPathLoads != b.WrongPathLoads {
-		t.Errorf("wrong-path shadow execution nondeterministic: %d/%d vs %d/%d",
-			a.Cycles, a.WrongPathLoads, b.Cycles, b.WrongPathLoads)
+	if *a != *b {
+		t.Errorf("wrong-path runs nondeterministic:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -203,7 +238,7 @@ next:   subq r1, #1, r1
 		t.Fatal(err)
 	}
 	cfg := machine.NewIdeal(8)
-	r, err := runProgram(cfg, "wpcalls", p, 1_000_000, Options{WrongPath: p})
+	r, err := runProgram(cfg, "wpcalls", p, 1_000_000, Options{WrongPath: emu.New(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,5 +248,35 @@ next:   subq r1, #1, r1
 	trace := mustTrace(t, p)
 	if r.Instructions != int64(len(trace)) {
 		t.Errorf("retired %d of %d", r.Instructions, len(trace))
+	}
+}
+
+// TestRunModeEmulatorsMustStartAtTheTrace: a WrongPath or Oracle emulator
+// that is not positioned at the trace's first instruction ends the run with
+// an error naming the mismatch at that instruction instead of silently
+// drifting.
+func TestRunModeEmulatorsMustStartAtTheTrace(t *testing.T) {
+	p := unpredictableProgram(t)
+	dec := decodeTrace(t, mustTrace(t, p))
+	for name, tc := range map[string]struct {
+		opt  func(*emu.Emulator) Options
+		want string
+	}{
+		"wrong-path": {func(e *emu.Emulator) Options { return Options{WrongPath: e} },
+			"wrong-path emulator is at pc 1 after 1 instructions, but fetch reads pc 0"},
+		"oracle": {func(e *emu.Emulator) Options { return Options{Oracle: e} },
+			"lockstep divergence at instruction 1 (pc 1: "},
+	} {
+		if _, err := Run(machine.NewRBFull(8), "w", dec, tc.opt(emu.New(p))); err != nil {
+			t.Fatalf("%s: emulator at the first instruction: %v", name, err)
+		}
+		e := emu.New(p)
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Run(machine.NewRBFull(8), "w", dec, tc.opt(e))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: an emulator one instruction past the trace's start: %v; want an error containing %q", name, err, tc.want)
+		}
 	}
 }

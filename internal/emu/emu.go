@@ -97,6 +97,19 @@ func Resume(prog *isa.Program, st *State) *Emulator {
 	}
 }
 
+// Fork returns an independent copy of the emulator: registers, PC and
+// instruction count are copied, and memory is shared copy-on-write
+// (Memory.Snapshot), so neither copy sees the other's later stores. The
+// timing core runs each wrong path on a fork of its fetch-order emulator.
+func (e *Emulator) Fork() *Emulator {
+	f := *e
+	f.Mem = e.Mem.Snapshot().NewMemory()
+	return &f
+}
+
+// Program is the image the emulator executes.
+func (e *Emulator) Program() *isa.Program { return e.prog }
+
 // writeDest commits a register result and records it in the trace entry.
 func (e *Emulator) writeDest(t *TraceEntry, r isa.Reg, v uint64) {
 	if r == isa.RZero {
@@ -204,14 +217,6 @@ func (e *Emulator) errEval(err error) error {
 // errHalted is allocated once so the hotpath Step never constructs an error
 // on the (caller-checkable) already-halted path.
 var errHalted = fmt.Errorf("emu: program has halted")
-
-// Eval computes the result of a three-operand (or one-input) operate
-// instruction outside the emulator — used by the core's wrong-path model to
-// execute speculative instructions against shadow register state. rcOld is
-// the previous destination value (conditional moves read it).
-func Eval(op isa.Op, ra, rb, rcOld uint64) (uint64, error) {
-	return evalOperate(op, ra, rb, rcOld)
-}
 
 // condTaken evaluates a conditional branch test on a register value.
 func condTaken(op isa.Op, v uint64) bool {

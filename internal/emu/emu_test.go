@@ -431,3 +431,56 @@ func TestEvalOperateRejectsNonOperate(t *testing.T) {
 		t.Error("evalOperate accepted a load")
 	}
 }
+
+// TestForkIsolatesMemory: a fork starts with its parent's registers, PC and
+// memory, and from then on neither sees the other's stores.
+func TestForkIsolatesMemory(t *testing.T) {
+	p, err := asm.Assemble(`
+        li  r1, 0x2000
+        li  r2, 11
+        stq r2, 0(r1)
+        li  r3, 22
+        stq r3, 0(r1)
+        stq r3, 8(r1)
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(p)
+	for i := 0; i < 3; i++ { // through the first store
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := e.Fork()
+	if f.PC != e.PC || f.Regs != e.Regs || f.InstCount() != e.InstCount() || f.Program() != p {
+		t.Fatalf("fork state %d/%v differs from parent %d/%v", f.PC, f.Regs, e.PC, e.Regs)
+	}
+	if got := f.Mem.Read(0x2000, 8); got != 11 {
+		t.Fatalf("fork reads %d before any store, want the parent's 11", got)
+	}
+	f.Mem.Write(0x2000, 8, 99)
+	f.Mem.Write(0x3000, 8, 98)
+	if got := e.Mem.Read(0x2000, 8); got != 11 {
+		t.Errorf("parent sees the fork's store: %d", got)
+	}
+	if got := e.Mem.Read(0x3000, 8); got != 0 {
+		t.Errorf("parent sees the fork's store to a new page: %d", got)
+	}
+	if _, err := e.Run(100, nil); err != nil { // the parent's later stores
+		t.Fatal(err)
+	}
+	if got := e.Mem.Read(0x2008, 8); got != 22 {
+		t.Fatalf("parent stored %d, want 22", got)
+	}
+	if got := f.Mem.Read(0x2000, 8); got != 99 {
+		t.Errorf("fork sees the parent's later store: %d, want its own 99", got)
+	}
+	if got := f.Mem.Read(0x2008, 8); got != 0 {
+		t.Errorf("fork sees the parent's later store: %d, want 0", got)
+	}
+	if f.Halted() || f.Regs[3] != 0 {
+		t.Errorf("fork follows the parent's later execution: halted=%v r3=%d", f.Halted(), f.Regs[3])
+	}
+}

@@ -126,7 +126,7 @@ func (h *Harness) CacheStats() rcache.Stats { return h.cache.Stats() }
 // simulation instead of duplicating it, and a second config under a cached
 // cell's name is refused (ErrBadCell). Every cell of a workload reads its
 // cached timing trace (workload.Decoded): a cell is a machine.Config, which
-// arms no run mode that needs the full trace.
+// arms no run mode.
 func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.Workload) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.W
 		}
 		buf := h.getBuf()
 		defer h.putBuf(buf)
-		r, err := core.Run(cfg, w.Name, nil, core.Options{Backend: h.Backend, Decoded: dec, Buffers: buf})
+		r, err := core.Run(cfg, w.Name, dec, core.Options{Backend: h.Backend, Buffers: buf})
 		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
 		}

@@ -30,11 +30,11 @@ func TestDatapathVerificationFullMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				trace, err := w.Trace()
+				dec, err := w.Decoded()
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := core.Run(cfg, w.Name, trace, core.Options{Oracle: emu.New(prog)})
+				r, err := core.Run(cfg, w.Name, dec, core.Options{Oracle: emu.New(prog)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,9 +71,12 @@ func TestAllMachinesAllWorkloadsComplete(t *testing.T) {
 	for _, cfg := range cfgs {
 		for _, w := range workload.All() {
 			r := results[cfg.Name][w.Name]
-			trace, _ := w.Trace()
-			if r.Instructions != int64(len(trace)) {
-				t.Errorf("%s/%s: retired %d of %d", cfg.Name, w.Name, r.Instructions, len(trace))
+			dec, err := w.Decoded()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Instructions != int64(dec.Len()) {
+				t.Errorf("%s/%s: retired %d of %d", cfg.Name, w.Name, r.Instructions, dec.Len())
 			}
 			if r.IPC() <= 0 || r.IPC() > float64(cfg.Width) {
 				t.Errorf("%s/%s: IPC %.3f out of range", cfg.Name, w.Name, r.IPC())

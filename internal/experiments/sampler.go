@@ -281,27 +281,32 @@ func (h *Harness) runSampleCell(ctx context.Context, cfg machine.Config, w *work
 			}
 			warmer.Observe(&te)
 		}
+		buf := h.getBuf()
+		defer h.putBuf(buf)
 		window := spec.window()
-		trace := make([]emu.TraceEntry, 0, window)
-		for int64(len(trace)) < window && !e.Halted() {
-			if err := e.StepInto(&te); err != nil {
-				return nil, fmt.Errorf("cell %d of %s at inst %d: %w", i, w.Name, e.InstCount(), err)
+		dec, err := buf.Decode(int(window), func(d *core.Decoder) error {
+			for n := int64(0); n < window && !e.Halted(); n++ {
+				if err := e.StepInto(&te); err != nil {
+					return fmt.Errorf("cell %d of %s at inst %d: %w", i, w.Name, e.InstCount(), err)
+				}
+				d.Add(&te)
 			}
-			trace = append(trace, te)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		warm := spec.Warmup
-		if warm > len(trace) {
-			warm = len(trace)
+		if warm > dec.Len() {
+			warm = dec.Len()
 		}
 		measure := spec.Measure
-		if warm+measure > len(trace) {
+		if warm+measure > dec.Len() {
 			measure = 0 // truncated tail cell: measure to the end, drain included
 		}
 		hs := hier.State()
 		ps := pred.State()
-		buf := h.getBuf()
-		defer h.putBuf(buf)
-		s, err := core.New(cfg, w.Name, trace, core.Options{
+		s, err := core.New(cfg, w.Name, dec, core.Options{
 			Backend: h.Backend,
 			Warmup:  warm,
 			Measure: measure,

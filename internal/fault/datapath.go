@@ -77,19 +77,29 @@ func injectProgram(n int, rnd *rand.Rand) *isa.Program {
 	return &isa.Program{Insts: insts}
 }
 
-// campaignTrace traces the injection program once per campaign.
-func campaignTrace(opts Options) ([]emu.TraceEntry, error) {
+// campaignProgram is the campaign's seeded injection program.
+func campaignProgram(opts Options) *isa.Program {
 	n := 150
 	if opts.Full {
 		n = 500
 	}
-	return emu.Trace(injectProgram(n, opts.rng(200)), 1<<20)
+	return injectProgram(n, opts.rng(200))
 }
 
-// runFaultSet arms the faults on a fresh simulator over trace and folds the
-// detections into rep.
-func runFaultSet(cfg machine.Config, trace []emu.TraceEntry, faults []core.Fault, rep *DatapathReport) error {
-	s, err := core.New(cfg, "fault-campaign", trace, core.Options{Faults: &core.FaultPlan{Faults: faults}})
+// campaignDecode streams the injection program into its timing trace.
+func campaignDecode(prog *isa.Program) (*core.Decoded, error) {
+	var d core.Decoder
+	if _, err := emu.New(prog).Run(1<<20, func(te emu.TraceEntry) { d.Add(&te) }); err != nil {
+		return nil, err
+	}
+	return d.Decoded()
+}
+
+// runFaultSet arms the faults on a fresh simulator over dec, whose
+// commit-time check steps a reference emulator of prog for the faults'
+// golden values, and folds the detections into rep.
+func runFaultSet(cfg machine.Config, prog *isa.Program, dec *core.Decoded, faults []core.Fault, rep *DatapathReport) error {
+	s, err := core.New(cfg, "fault-campaign", dec, core.Options{Oracle: emu.New(prog), Faults: &core.FaultPlan{Faults: faults}})
 	if err != nil {
 		return err
 	}
@@ -135,9 +145,16 @@ func runFaultSet(cfg machine.Config, trace []emu.TraceEntry, faults []core.Fault
 	return nil
 }
 
-// runDatapath sweeps both datapath fault models over the campaign trace.
-func runDatapath(opts Options, trace []emu.TraceEntry) ([]DatapathReport, error) {
+// runDatapath sweeps both datapath fault models over the campaign program.
+// It is straight-line code, so dynamic instruction i is instruction i.
+func runDatapath(opts Options, prog *isa.Program, dec *core.Decoded) ([]DatapathReport, error) {
 	cfg := machine.NewRBFull(4)
+	var targets []int64 // the result-producing instructions
+	for i, in := range prog.Insts {
+		if _, ok := in.Dest(); ok {
+			targets = append(targets, int64(i))
+		}
+	}
 
 	// Digit flips: every result-producing instruction, one seeded digit per
 	// run; the full sweep repeats with fresh digits.
@@ -149,14 +166,10 @@ func runDatapath(opts Options, trace []emu.TraceEntry) ([]DatapathReport, error)
 	for run := 0; run < runs; run++ {
 		rnd := opts.rng(300 + int64(run))
 		var faults []core.Fault
-		for _, te := range trace {
-			if te.HasResult {
-				faults = append(faults, core.Fault{
-					Kind: core.FaultDigitFlip, Seq: te.Seq, Digit: rnd.Intn(64),
-				})
-			}
+		for _, seq := range targets {
+			faults = append(faults, core.Fault{Kind: core.FaultDigitFlip, Seq: seq, Digit: rnd.Intn(64)})
 		}
-		if err := runFaultSet(cfg, trace, faults, flips); err != nil {
+		if err := runFaultSet(cfg, prog, dec, faults, flips); err != nil {
 			return nil, err
 		}
 	}
@@ -164,12 +177,10 @@ func runDatapath(opts Options, trace []emu.TraceEntry) ([]DatapathReport, error)
 	// Stale bypass: every result-producing instruction once.
 	stale := &DatapathReport{Model: "stale-bypass"}
 	var faults []core.Fault
-	for _, te := range trace {
-		if te.HasResult {
-			faults = append(faults, core.Fault{Kind: core.FaultStaleBypass, Seq: te.Seq})
-		}
+	for _, seq := range targets {
+		faults = append(faults, core.Fault{Kind: core.FaultStaleBypass, Seq: seq})
 	}
-	if err := runFaultSet(cfg, trace, faults, stale); err != nil {
+	if err := runFaultSet(cfg, prog, dec, faults, stale); err != nil {
 		return nil, err
 	}
 

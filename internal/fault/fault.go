@@ -63,15 +63,16 @@ func Run(opts Options) (*Campaign, error) {
 		return nil, err
 	}
 	// The datapath and scheduler legs inject into the same seeded program;
-	// trace it once and share (the trace is read-only under injection).
-	trace, err := campaignTrace(opts)
+	// decode it once and share (the decode is read-only under injection).
+	prog := campaignProgram(opts)
+	dec, err := campaignDecode(prog)
 	if err != nil {
 		return nil, err
 	}
-	if c.Datapath, err = runDatapath(opts, trace); err != nil {
+	if c.Datapath, err = runDatapath(opts, prog, dec); err != nil {
 		return nil, err
 	}
-	if c.Sched, err = runSched(opts, trace); err != nil {
+	if c.Sched, err = runSched(opts, dec); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/machine"
 )
 
@@ -31,12 +30,12 @@ type SchedReport struct {
 // while still modeling a realistic detection bound.
 const schedWatchdogWindow = 2000
 
-func runSched(opts Options, trace []emu.TraceEntry) (SchedReport, error) {
+func runSched(opts Options, dec *core.Decoded) (SchedReport, error) {
 	rep := SchedReport{Window: schedWatchdogWindow}
 	cfg := machine.NewRBFull(4)
 
 	// Dry run: count the wakeup posts a healthy run makes.
-	dry, err := core.New(cfg, "fault-campaign", trace, core.Options{Backend: core.BackendEvent})
+	dry, err := core.New(cfg, "fault-campaign", dec, core.Options{Backend: core.BackendEvent})
 	if err != nil {
 		return rep, err
 	}
@@ -60,7 +59,7 @@ func runSched(opts Options, trace []emu.TraceEntry) (SchedReport, error) {
 		ordinal := int64(i)*stratum + rnd.Int63n(maxI64(stratum, 1))
 		rep.Drops++
 
-		s, err := core.New(cfg, "fault-campaign", trace, core.Options{
+		s, err := core.New(cfg, "fault-campaign", dec, core.Options{
 			Backend: core.BackendEvent,
 			Faults: &core.FaultPlan{
 				Faults:         []core.Fault{{Kind: core.FaultDropWakeup, PostIndex: ordinal}},

@@ -33,11 +33,25 @@ func stagesFor(t *testing.T, cfg machine.Config) ([]emu.TraceEntry, []core.Stage
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := make([]core.StageRecord, len(trace))
-	if _, err := core.Run(cfg, "fig4", trace, core.Options{Stages: stages}); err != nil {
+	return trace, runStages(t, cfg, trace)
+}
+
+// runStages simulates trace on cfg and returns its stage timeline.
+func runStages(t *testing.T, cfg machine.Config, trace []emu.TraceEntry) []core.StageRecord {
+	t.Helper()
+	var d core.Decoder
+	for i := range trace {
+		d.Add(&trace[i])
+	}
+	dec, err := d.Decoded()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return trace, stages
+	stages := make([]core.StageRecord, len(trace))
+	if _, err := core.Run(cfg, "pipeview", dec, core.Options{Stages: stages}); err != nil {
+		t.Fatal(err)
+	}
+	return stages
 }
 
 // findIssue returns the issue cycle of the first trace entry with the op.
@@ -170,10 +184,7 @@ func TestRenderShowsMemoryStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := machine.NewIdeal(4)
-	stages := make([]core.StageRecord, len(trace))
-	if _, err := core.Run(cfg, "mm", trace, core.Options{Stages: stages}); err != nil {
-		t.Fatal(err)
-	}
+	stages := runStages(t, cfg, trace)
 	var b strings.Builder
 	if err := Render(&b, cfg, trace, stages, 0, len(trace)); err != nil {
 		t.Fatal(err)

@@ -202,8 +202,12 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}, "|")
 	s.serveCached(w, r, key, func() (cachedResponse, error) {
 		// check=true arms the commit-time check and wrong-path=true fetches
-		// down the wrong path; both read the full trace's result values.
+		// down the wrong path; each steps an emulator of its own.
 		prog, err := wl.Program()
+		if err != nil {
+			return cachedResponse{}, err
+		}
+		dec, err := wl.Decoded()
 		if err != nil {
 			return cachedResponse{}, err
 		}
@@ -212,23 +216,14 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 			opt.Oracle = emu.New(prog)
 		}
 		if wrongPath {
-			opt.WrongPath = prog
-		}
-		var trace []emu.TraceEntry
-		if checked || wrongPath {
-			trace, err = wl.Trace()
-		} else {
-			opt.Decoded, err = wl.Decoded()
-		}
-		if err != nil {
-			return cachedResponse{}, err
+			opt.WrongPath = emu.New(prog)
 		}
 		var (
 			res  *core.Result
 			rerr error
 		)
 		if err := s.runInPool(r.Context(), func() {
-			res, rerr = core.Run(cfg, wl.Name, trace, opt)
+			res, rerr = core.Run(cfg, wl.Name, dec, opt)
 		}); err != nil {
 			return cachedResponse{}, err
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/workload"
@@ -271,10 +272,10 @@ func TestSimEndpoint(t *testing.T) {
 	}
 }
 
-// TestSimWrongPathModelsWrongPath: /v1/sim?wrong-path=true runs with the
-// workload's program image, so wrong-path fetch is modeled exactly as a
-// direct core.Run with the image models it (rbsim -wrong-path), instead of
-// silently degrading to the stall model of a trace-only run.
+// TestSimWrongPathModelsWrongPath: /v1/sim?wrong-path=true runs with a
+// fetch-order emulator of the workload, so wrong-path fetch is modeled
+// exactly as a direct core.Run with one models it (rbsim -wrong-path),
+// instead of silently degrading to the stall model.
 func TestSimWrongPathModelsWrongPath(t *testing.T) {
 	rec, body := get(t, "/v1/sim?workload=gcc00&machine=rb-full&width=8&wrong-path=true")
 	if rec.Code != http.StatusOK {
@@ -292,16 +293,16 @@ func TestSimWrongPathModelsWrongPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := wl.Trace()
+	dec, err := wl.Decoded()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Run(machine.NewRBFull(8), wl.Name, trace, core.Options{WrongPath: prog})
+	want, err := core.Run(machine.NewRBFull(8), wl.Name, dec, core.Options{WrongPath: emu.New(prog)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Result, want) {
-		t.Fatalf("served result differs from core.Run with the program image:\n got %+v\nwant %+v", res.Result, want)
+		t.Fatalf("served result differs from core.Run with a fetch-order emulator:\n got %+v\nwant %+v", res.Result, want)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestDecodedSharedAcrossGoroutines(t *testing.T) {
 			if decs[i], errs[i] = w.Decoded(); errs[i] != nil {
 				return
 			}
-			got[i], errs[i] = core.Run(cfgs[i], w.Name, nil, core.Options{Decoded: decs[i]})
+			got[i], errs[i] = core.Run(cfgs[i], w.Name, decs[i], core.Options{})
 		}(i)
 	}
 	wg.Wait()
@@ -50,7 +50,7 @@ func TestDecodedSharedAcrossGoroutines(t *testing.T) {
 		if decs[i] != decs[0] {
 			t.Fatalf("%s: got a second decode of one workload", cfg.Name)
 		}
-		want, err := core.Run(cfg, w.Name, trace, core.Options{})
+		want, err := core.NewBuffers().Run(cfg, w.Name, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func runMatrix(t *testing.T, cfgs []machine.Config, wls []*Workload) map[string]
 					if err != nil {
 						return nil, err
 					}
-					return core.Run(cfg, w.Name, nil, core.Options{Decoded: dec})
+					return core.Run(cfg, w.Name, dec, core.Options{})
 				}()
 				mu.Lock()
 				defer mu.Unlock()

@@ -19,7 +19,7 @@ func genRun(t *testing.T, p GenParams, cfg machine.Config) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.Run(cfg, w.Name, trace, core.Options{})
+	r, err := core.NewBuffers().Run(cfg, w.Name, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestGeneratedWorkloadsVerifyOnRBDatapath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := w.Trace()
+	dec, err := w.Decoded()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestGeneratedWorkloadsVerifyOnRBDatapath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.Run(machine.NewRBFull(8), w.Name, trace, core.Options{Oracle: emu.New(prog)})
+	r, err := core.Run(machine.NewRBFull(8), w.Name, dec, core.Options{Oracle: emu.New(prog)})
 	if err != nil {
 		t.Fatal(err)
 	}

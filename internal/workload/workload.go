@@ -22,8 +22,8 @@
 // use. This is what lets the experiment harness and rbserve fan (machine,
 // workload) cells across a worker pool without copying traces. Trace
 // returns a fresh full trace (64 bytes per entry) that the caller owns; no
-// one else holds it, and nothing caches it. Only the checking modes and
-// tools that inspect values need it.
+// one else holds it, and nothing caches it. Only tools that inspect values
+// need it: the simulator's run modes step emulators of their own.
 package workload
 
 import (
@@ -92,7 +92,7 @@ func (w *Workload) Trace() ([]emu.TraceEntry, error) {
 
 // Decoded returns the workload's timing trace (core.Decoded), streamed from
 // the emulator on first use and cached: every simulation of the workload
-// shares it through core.Options.Decoded.
+// shares it (core.New).
 func (w *Workload) Decoded() (*core.Decoded, error) {
 	v, _, err := traceCache.Do(context.Background(), w.Name, func() (any, int64, error) {
 		_, dec, err := w.emulate(false)

@@ -35,8 +35,9 @@ GOMAXPROCS=1 go test -count=1 ./...
 go test -run '^TestExhaustPoolReleasesEveryWorker$' -timeout 2m ./internal/server/
 # -quick includes the backends layer: the event-driven scheduler must be
 # bit-identical to the poll oracle on every checked (machine, workload) cell,
-# and its timing-vs-full-trace legs require a run on a workload's cached
-# timing trace alone to equal a run on its full trace.
+# and its streamed-vs-traced-decode legs require a run on a workload's
+# cached timing trace, streamed from the emulator, to equal a run on a
+# timing trace decoded from the full trace emu.Trace collects.
 go run ./cmd/rbcheck -quick
 # Fault-injection gate: detection floors (gate coverage, 100% residue on
 # single digit flips, full watchdog recovery) plus the deterministic
@@ -216,9 +217,9 @@ W3_PID='' CO_PID=''
 # Run-mode legs on the built rbsim. A resumed checkpoint runs the commit-time
 # check against a reference resumed from the same checkpoint: the mcf round
 # trip must exit 0 and print the datapath line. -wrong-path must reach the
-# pipeline diagram (it differs from the stall model's), and is refused with
-# exit 2 on a resumed checkpoint, whose wrong-path state would start from
-# the program image.
+# pipeline diagram (it differs from the stall model's), and on a resumed
+# checkpoint its fetch-order emulator resumes from the same checkpoint: with
+# -check it must exit 0, print the datapath line and squash wrong-path work.
 go build -o "$BIN/rbsim" ./cmd/rbsim
 "$BIN/rbsim" -workload mcf -save-ckpt "$BIN/mcf.ckpt" -ckpt-at 100000
 "$BIN/rbsim" -load-ckpt "$BIN/mcf.ckpt" -check >"$BIN/mcf.resumed"
@@ -229,6 +230,24 @@ if cmp -s "$BIN/gcc00.pipe" "$BIN/gcc00.pipe.wp"; then
 	echo "-wrong-path did not change the pipeline diagram" >&2
 	exit 1
 fi
-RC=0
-"$BIN/rbsim" -load-ckpt "$BIN/mcf.ckpt" -wrong-path 2>/dev/null || RC=$?
-[ "$RC" -eq 2 ]
+"$BIN/rbsim" -load-ckpt "$BIN/mcf.ckpt" -wrong-path -check >"$BIN/mcf.resumed.wp"
+grep -q '^datapath: ' "$BIN/mcf.resumed.wp"
+grep -q '^wrong path: *[1-9]' "$BIN/mcf.resumed.wp"
+
+# Output that cannot be written is a failure: with stdout on /dev/full every
+# command must exit nonzero instead of exiting 0 having written nothing.
+if [ -c /dev/full ]; then
+	go build -o "$BIN/" ./cmd/rbgen ./cmd/rbasm ./cmd/rbcheck ./cmd/rbfault ./cmd/rblint
+	printf 'li r1, 5\nhalt\n' >"$BIN/f.s"
+	for cmd in "rbsim -workload compress" "rbsim -list" "rbgen" "rbgen -asm" \
+		"rbasm -run $BIN/f.s" "rbasm -dis $BIN/f.s" "rbcheck -quick" "rbfault -quick" \
+		"rbexp -exp table1" "rblint ./..." "rblint -list"; do
+		set -- $cmd
+		bin=$1
+		shift
+		if "$BIN/$bin" "$@" >/dev/full 2>/dev/null; then
+			echo "$cmd exited 0 with stdout on /dev/full" >&2
+			exit 1
+		fi
+	done
+fi
