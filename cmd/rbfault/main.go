@@ -12,9 +12,11 @@
 // and -engine=scalar swaps the gate sweep onto the scalar EvalFault oracle
 // without changing a byte of it.
 // Timing and progress go to stderr only. The exit status is 0 iff every
-// detection floor holds (gate coverage above its empirical floor, 100%
-// detection of single RB digit flips and unmasked stale substitutions, full
-// watchdog recovery, and the expected deterministic chaos outcome counts).
+// detection floor of fault.Floors holds (gate coverage above its empirical
+// floor, 100% detection of single RB digit flips and unmasked stale
+// substitutions, full watchdog recovery within the detection bound — the
+// floors rbcheck's faults layer reports) and the service leg shows the
+// expected deterministic chaos outcome counts.
 package main
 
 import (
@@ -242,32 +244,12 @@ func (r *serviceReport) writeText(w io.Writer) {
 		r.DegradedRequests, r.DegradedOK, r.DegradedInjected)
 }
 
-// verify asserts the campaign's detection floors (mirroring the rbcheck
-// faults layer) and the service leg's deterministic outcome counts.
+// verify asserts the campaign's detection floors (fault.Floors, the ones
+// the rbcheck faults layer reports) and the service leg's deterministic
+// outcome counts.
 func verify(c *fault.Campaign, svc *serviceReport) error {
-	for _, g := range c.Gates {
-		if g.Sites == 0 {
-			return fmt.Errorf("%s: empty gate sweep", g.Circuit)
-		}
-		if g.Coverage() < 0.90 {
-			return fmt.Errorf("%s: gate coverage %.3f below floor 0.90", g.Circuit, g.Coverage())
-		}
-	}
-	for _, d := range c.Datapath {
-		if d.Injected == 0 {
-			return fmt.Errorf("%s: nothing injected", d.Model)
-		}
-		if d.Coverage() != 1 || len(d.FalseNegatives) > 0 {
-			return fmt.Errorf("%s: coverage %.3f, false negatives %v", d.Model, d.Coverage(), d.FalseNegatives)
-		}
-		if d.Model == "digit-flip" && d.Oracle != 0 {
-			return fmt.Errorf("digit-flip: %d flips bypassed the residue check", d.Oracle)
-		}
-	}
-	s := c.Sched
-	if s.Injected == 0 || s.Detected != s.Injected || s.Recovered != s.Injected {
-		return fmt.Errorf("scheduler: %d injected, %d detected, %d recovered — want full recovery",
-			s.Injected, s.Detected, s.Recovered)
+	if err := c.Verify(); err != nil {
+		return err
 	}
 	// The storm's outcome sequence is fully determined: four straight
 	// canceled 503s trip the breaker at its minimum sample count, then

@@ -5,7 +5,7 @@
 // The paper's argument rests on the claim that the RB machines are
 // *architecturally identical* to the Baseline — only timing differs. This
 // package makes that claim (and the arithmetic it depends on) continuously
-// checkable, in seven layers:
+// checkable, in seven layers (the Layers table, in run order):
 //
 //	oracle     — lockstep replay: every instruction the timing core commits
 //	             is re-executed on an independent functional reference and
@@ -33,10 +33,11 @@
 //	             functions, branch predicates, or behavioral program checks)
 //	             and the table is asserted to cover the opcode space.
 //	faults     — the fault-injection campaign's detection guarantees
-//	             (internal/fault): gate-level coverage above its empirical
-//	             floor, 100% residue detection of single RB digit flips,
-//	             100% combined coverage of stale-bypass substitution, and
-//	             watchdog recovery of every dropped scheduler wakeup.
+//	             (internal/fault's Floors, one report each): gate-level
+//	             coverage above its empirical floor, 100% residue detection
+//	             of single RB digit flips, 100% combined coverage of
+//	             stale-bypass substitution, and watchdog recovery of every
+//	             dropped scheduler wakeup.
 //
 // cmd/rbcheck runs the full suite from the command line with -quick/-full
 // tiers and JSON output for CI; go test ./internal/check runs it (plus the
@@ -151,16 +152,31 @@ func run(layer, name string, body func() (trials int64, detail string, err error
 	return r
 }
 
-// Run executes the whole suite — all seven layers — and returns every report.
+// Layer is one verification layer: its name and the checks it runs.
+type Layer struct {
+	Name string
+	Run  func(Options) []Report
+}
+
+// Layers is the suite, in run order: Run executes every layer, and
+// /v1/check looks a layer up here by name.
+var Layers = []Layer{
+	{"oracle", Oracle},
+	{"invariants", Invariants},
+	{"backends", Backends},
+	{"adders", Adders},
+	{"converter", Converter},
+	{"ops", Ops},
+	{"faults", Faults},
+}
+
+// Run executes the whole suite — every layer in Layers — and returns every
+// report.
 func Run(opts Options) []Report {
 	var out []Report
-	out = append(out, Oracle(opts)...)
-	out = append(out, Invariants(opts)...)
-	out = append(out, Backends(opts)...)
-	out = append(out, Adders(opts)...)
-	out = append(out, Converter(opts)...)
-	out = append(out, Ops(opts)...)
-	out = append(out, Faults(opts)...)
+	for _, l := range Layers {
+		out = append(out, l.Run(opts)...)
+	}
 	return out
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // TestArithmeticLayersPass runs the adder and converter layers at the quick
@@ -42,6 +44,46 @@ func TestReportJSONShape(t *testing.T) {
 	for _, key := range []string{`"layer"`, `"name"`, `"passed"`, `"trials"`, `"duration_ms"`} {
 		if !strings.Contains(string(b), key) {
 			t.Errorf("report JSON missing %s: %s", key, b)
+		}
+	}
+}
+
+// TestFaultFloorsReportEachViolation: the faults layer reports one check
+// per floor of fault.Floors, and a campaign violating one floor fails
+// exactly that report and Campaign.Verify, the check rbfault runs.
+func TestFaultFloorsReportEachViolation(t *testing.T) {
+	base, err := fault.Run(fault.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range floorReports(base) {
+		if !r.Passed {
+			t.Fatalf("quick campaign fails %s: %s", r.Name, r.Detail)
+		}
+	}
+	edits := map[string]func(c *fault.Campaign){
+		"gate-coverage":       func(c *fault.Campaign) { c.Gates[0].Detected = c.Gates[0].Sites * 8 / 10 },
+		"residue-digit-flips": func(c *fault.Campaign) { c.Datapath[0].Recovered-- },
+		"stale-bypass-coverage": func(c *fault.Campaign) {
+			c.Datapath[1].Residue, c.Datapath[1].Oracle = 0, c.Datapath[1].Oracle+c.Datapath[1].Residue
+		},
+		"watchdog-recovery": func(c *fault.Campaign) { c.Sched.MaxLatency = c.Sched.Window + 1001 },
+	}
+	if base.Datapath[0].Model != "digit-flip" || base.Datapath[1].Model != "stale-bypass" {
+		t.Fatalf("datapath reports %q, %q", base.Datapath[0].Model, base.Datapath[1].Model)
+	}
+	for _, f := range fault.Floors {
+		c := *base
+		c.Gates = append([]fault.GateReport(nil), base.Gates...)
+		c.Datapath = append([]fault.DatapathReport(nil), base.Datapath...)
+		edits[f.Name](&c)
+		for _, r := range floorReports(&c) {
+			if r.Passed != (r.Name != f.Name) {
+				t.Errorf("violating %s: report %s passed=%v (%s)", f.Name, r.Name, r.Passed, r.Detail)
+			}
+		}
+		if err := c.Verify(); err == nil || !strings.HasPrefix(err.Error(), f.Name+": ") {
+			t.Errorf("violating %s: Verify returned %v", f.Name, err)
 		}
 	}
 }

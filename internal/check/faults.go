@@ -7,27 +7,14 @@ import (
 )
 
 // The faults layer: the fault-injection campaign's detection guarantees,
-// asserted as pinned floors. The design's claims (DESIGN.md §12) are exact —
-// the mod-3 residue check catches *every* single RB digit flip, residue plus
-// the commit-time value compare catch every unmasked stale substitution, and
-// the watchdog recovers every dropped wakeup — so those are asserted at
-// 100%. Gate-level coverage with bounded vector sets is inherently
-// empirical; its floor is pinned below observed values so a detection
-// regression (a broken fault model, a mis-wired observable) trips it while
-// vector-set noise does not.
-
-// gateCoverageFloor is the empirical gate-level floor: observed coverage is
-// 96-100% per circuit across seeds (hard-to-sensitize group-propagate gates
-// in prefix trees account for the gap).
-const gateCoverageFloor = 0.90
+// one report per floor of fault.Floors (DESIGN.md §12), the same floors
+// rbfault enforces.
 
 // Faults runs the fault-injection campaign and asserts its detection and
 // recovery guarantees.
 func Faults(opts Options) []Report {
-	var out []Report
-
 	var campaign *fault.Campaign
-	out = append(out, run("faults", "campaign", func() (int64, string, error) {
+	out := []Report{run("faults", "campaign", func() (int64, string, error) {
 		var err error
 		campaign, err = fault.Run(fault.Options{Full: opts.Full, Seed: opts.Seed})
 		if err != nil {
@@ -42,86 +29,18 @@ func Faults(opts Options) []Report {
 		}
 		trials += int64(campaign.Sched.Drops)
 		return trials, fmt.Sprintf("%d fault sites swept", trials), nil
-	}))
+	})}
 	if campaign == nil {
 		return out
 	}
+	return append(out, floorReports(campaign)...)
+}
 
-	out = append(out, run("faults", "gate-coverage", func() (int64, string, error) {
-		trials := int64(0)
-		for _, g := range campaign.Gates {
-			trials += int64(g.Sites)
-			if g.Sites == 0 {
-				return trials, "", fmt.Errorf("%s: empty sweep", g.Circuit)
-			}
-			if cov := g.Coverage(); cov < gateCoverageFloor {
-				return trials, "", fmt.Errorf("%s: coverage %.3f below floor %.2f (undetected: %v)",
-					g.Circuit, cov, gateCoverageFloor, g.Undetected)
-			}
-		}
-		return trials, fmt.Sprintf("%d circuits above %.0f%% coverage", len(campaign.Gates), 100*gateCoverageFloor), nil
-	}))
-
-	out = append(out, run("faults", "residue-digit-flips", func() (int64, string, error) {
-		for _, d := range campaign.Datapath {
-			if d.Model != "digit-flip" {
-				continue
-			}
-			if d.Injected == 0 {
-				return 0, "", fmt.Errorf("no digit flips injected")
-			}
-			if len(d.FalseNegatives) > 0 || d.Coverage() != 1 {
-				return int64(d.Injected), "", fmt.Errorf("coverage %.3f, false negatives %v — residue must catch every single-digit flip",
-					d.Coverage(), d.FalseNegatives)
-			}
-			if d.Oracle != 0 {
-				return int64(d.Injected), "", fmt.Errorf("%d flips reached the value compare; the residue check must fire first", d.Oracle)
-			}
-			if d.Recovered != d.Residue {
-				return int64(d.Injected), "", fmt.Errorf("%d detected, %d recovered", d.Residue, d.Recovered)
-			}
-			return int64(d.Injected), fmt.Sprintf("%d/%d flips caught by residue, max latency %d cycles",
-				d.Residue, d.Injected, d.MaxLatency), nil
-		}
-		return 0, "", fmt.Errorf("digit-flip report missing")
-	}))
-
-	out = append(out, run("faults", "stale-bypass-coverage", func() (int64, string, error) {
-		for _, d := range campaign.Datapath {
-			if d.Model != "stale-bypass" {
-				continue
-			}
-			if d.Injected == 0 {
-				return 0, "", fmt.Errorf("no stale substitutions injected")
-			}
-			if len(d.FalseNegatives) > 0 || d.Coverage() != 1 {
-				return int64(d.Injected), "", fmt.Errorf("coverage %.3f, false negatives %v",
-					d.Coverage(), d.FalseNegatives)
-			}
-			if d.Residue == 0 {
-				return int64(d.Injected), "", fmt.Errorf("residue check caught nothing — broadcast residue not being compared")
-			}
-			return int64(d.Injected), fmt.Sprintf("%d residue + %d oracle of %d unmasked",
-				d.Residue, d.Oracle, d.Injected-d.Masked), nil
-		}
-		return 0, "", fmt.Errorf("stale-bypass report missing")
-	}))
-
-	out = append(out, run("faults", "watchdog-recovery", func() (int64, string, error) {
-		s := campaign.Sched
-		if s.Injected == 0 {
-			return 0, "", fmt.Errorf("no drop faults injected")
-		}
-		if s.Detected != s.Injected || s.Recovered != s.Injected {
-			return int64(s.Injected), "", fmt.Errorf("%d injected, %d detected, %d recovered — watchdog must recover every lost wakeup",
-				s.Injected, s.Detected, s.Recovered)
-		}
-		if s.MaxLatency > s.Window+1000 {
-			return int64(s.Injected), "", fmt.Errorf("max detection latency %d cycles exceeds window %d", s.MaxLatency, s.Window)
-		}
-		return int64(s.Injected), fmt.Sprintf("%d/%d lost wakeups recovered, mean latency %.0f cycles",
-			s.Recovered, s.Injected, s.MeanLatency), nil
-	}))
-
+// floorReports reports each of the campaign's floors as one check.
+func floorReports(c *fault.Campaign) []Report {
+	out := make([]Report, len(fault.Floors))
+	for i, f := range fault.Floors {
+		out[i] = run("faults", f.Name, func() (int64, string, error) { return f.Check(c) })
+	}
 	return out
 }

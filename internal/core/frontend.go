@@ -30,7 +30,7 @@ func (s *Simulator) fetch(cycle int64) {
 		if !s.fetchLine(int(pc), cycle) {
 			return
 		}
-		mispredict := s.predictBranch(s.nextFetch, int(pc), op)
+		mispredict, redirect := s.predictBranch(s.nextFetch, int(pc), op)
 		if s.stages != nil {
 			s.stages[s.nextFetch].Fetch = cycle
 		}
@@ -44,6 +44,7 @@ func (s *Simulator) fetch(cycle int64) {
 		s.nextFetch++
 		fetched++
 		if mispredict {
+			s.startWrongPath(redirect)
 			s.fetchBlockedIdx = s.nextFetch - 1
 			return
 		}
@@ -77,21 +78,21 @@ func (s *Simulator) fetchLine(pc int, cycle int64) bool {
 // predictBranch consults and trains the predictor for trace entry idx, at
 // pc with op word op, at fetch time (branch.Predictor.Fetch, the touch
 // sequence functional warming shares), returning whether the front end will
-// follow the wrong path (and so must stall until the branch resolves).
-func (s *Simulator) predictBranch(idx int32, pc int, op opWord) bool {
+// follow the wrong path (and so must stall until the branch resolves) and
+// the PC that path starts at (-1 when the predictor had no target).
+func (s *Simulator) predictBranch(idx int32, pc int, op opWord) (mispredict bool, redirect int) {
 	k := op.kind()
 	if k == branch.NotBranch {
-		return false
+		return false, 0
 	}
-	mispredict, redirect := s.pred.Fetch(k, pc, op.has(opTaken), s.dec.nextPC(idx))
+	mispredict, redirect = s.pred.Fetch(k, pc, op.has(opTaken), s.dec.nextPC(idx))
 	if k.Predicted() {
 		s.res.Branches++
 	}
 	if mispredict {
 		s.res.BranchMispredicts++
-		s.startWrongPath(redirect)
 	}
-	return mispredict
+	return mispredict, redirect
 }
 
 // dispatch moves instructions from the front-end queue into the schedulers.

@@ -25,9 +25,10 @@ import (
 // startWrongPath records where the wrong path begins when a misprediction is
 // detected at fetch. predictedNext is the PC the (wrong) prediction would
 // fetch next; -1 when the front end has no predicted target (e.g. a BTB
-// miss), in which case fetch simply stalls as in the base model. The fork is
-// taken before the fetch-order emulator steps the mispredicted branch
-// itself, so a call's link-register write is not yet in it.
+// miss), in which case fetch simply stalls as in the base model. Fetch calls
+// it after the fetch-order emulator has stepped the mispredicted branch
+// itself, so the fork holds a call's link-register write, which the wrong
+// path's instructions (a return, say) read as they would in hardware.
 func (s *Simulator) startWrongPath(predictedNext int) {
 	if s.wp == nil || predictedNext < 0 {
 		return

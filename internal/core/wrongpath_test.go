@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/branch"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -248,6 +249,54 @@ next:   subq r1, #1, r1
 	trace := mustTrace(t, p)
 	if r.Instructions != int64(len(trace)) {
 		t.Errorf("retired %d of %d", r.Instructions, len(trace))
+	}
+}
+
+// TestWrongPathForksAfterTheCallsLinkWrite: the wrong path after a
+// mispredicted indirect call runs on a fork that already holds the call's
+// link-register write, so a return on that path goes where hardware's would.
+func TestWrongPathForksAfterTheCallsLinkWrite(t *testing.T) {
+	p, err := asm.Assemble(`
+        .entry main
+t0:     addq r2, #1, r2
+        ret  r31, (r26)
+t1:     addq r3, #1, r3
+        halt
+main:   lea  r27, t1
+        jsr  r26, (r27)
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := mustTrace(t, p)
+	call := -1
+	for i, te := range trace {
+		if te.Inst.Op == isa.JSR {
+			call = i
+		}
+	}
+	if call < 0 || trace[call].NextPC == 0 {
+		t.Fatalf("no call to t1 in the trace")
+	}
+	s, err := New(machine.NewIdeal(8), "link", decodeTrace(t, trace), Options{WrongPath: emu.New(p)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Train the BTB so the call predicts t0 (pc 0) while it goes to t1.
+	callPC := trace[call].PC
+	s.pred.Fetch(branch.IndirectCall, callPC, true, 0)
+	for cycle := int64(0); s.wpPath == nil && cycle < 10_000; cycle++ {
+		s.fetch(cycle)
+	}
+	if s.wpPath == nil {
+		t.Fatal("the mispredicted call started no wrong path")
+	}
+	if s.wpPath.PC != 0 {
+		t.Errorf("wrong path starts at pc %d, want the predicted t0 (0)", s.wpPath.PC)
+	}
+	if got, want := s.wpPath.Regs[26], uint64(callPC+1); got != want {
+		t.Errorf("wrong path's link register r26 = %d, want %d, the call's return address", got, want)
 	}
 }
 

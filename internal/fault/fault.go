@@ -18,9 +18,13 @@
 // Every campaign is a pure function of (Options.Seed, Options.Full): fault
 // sites, test vectors, injected programs, and sampled drop ordinals all
 // derive from seeded generators, so two runs at the same seed produce
-// byte-identical reports. The service-level chaos leg (injected latency,
-// cancellations, pool exhaustion against internal/server) lives in
-// cmd/rbfault, which owns the HTTP plumbing.
+// byte-identical reports. The detection floors a campaign must meet are
+// the Floors table (floors.go), next to GridReport.Verify for the grid
+// campaign: rbcheck's faults layer reports each floor as one check, and
+// cmd/rbfault fails on the first that does not hold (Campaign.Verify). The
+// service-level chaos leg (injected latency, cancellations, pool
+// exhaustion against internal/server) lives in cmd/rbfault, which owns the
+// HTTP plumbing.
 package fault
 
 import "math/rand"

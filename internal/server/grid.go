@@ -171,9 +171,13 @@ func newBatchStream(w http.ResponseWriter, format string) *batchStream {
 	return &batchStream{w: w, sse: sse}
 }
 
-// event emits one named event. Write errors (a vanished client) are
-// ignored: the request context's cancellation is what stops the work.
+// event emits one named event; a nil stream (an aggregate format) emits
+// nothing. Write errors (a vanished client) are ignored: the request
+// context's cancellation is what stops the work.
 func (b *batchStream) event(name string, v any) {
+	if b == nil {
+		return
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
@@ -200,7 +204,8 @@ func (b *batchStream) event(name string, v any) {
 // Axes mode expands machines x widths x windows x no-bypass-levels x
 // workloads into cells; artifact mode runs a named paper artifact through
 // the grid, streaming its cells as they complete. format=sse|ndjson stream
-// per-cell results; json|text aggregate.
+// per-cell results; json|text aggregate. Either kind becomes a journal meta
+// and runs through serveBatch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	format := q.Get("format")
@@ -227,31 +232,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	meta := &grid.JournalMeta{Spec: spec, Format: format}
 	if name := q.Get("artifact"); name != "" {
 		if spec != nil || q.Get("machines") != "" || q.Get("no-bypass-levels") != "" {
 			writeError(w, http.StatusBadRequest, "artifact and sweep axes are mutually exclusive")
 			return
 		}
-		width, suite, ok := s.artifactParams(w, q, name)
-		if !ok {
+		var ok bool
+		if meta.Width, meta.Suite, ok = s.artifactParams(w, q, name); !ok {
 			return
 		}
-		s.serveArtifactBatch(w, r, name, width, suite, format)
-		return
-	}
-	if spec == nil {
+		meta.Artifact = name
+	} else if spec == nil {
 		var err error
-		if spec, err = batchSpecFromQuery(q); err != nil {
+		if meta.Spec, err = batchSpecFromQuery(q); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
-	cells, err := spec.Cells()
-	if err != nil {
-		s.failRequest(w, r, err) // ErrBadSpec -> 400
-		return
-	}
-	s.serveCellBatch(w, r, spec, cells, format)
+	s.serveBatch(w, r, meta)
 }
 
 // artifactParams validates an artifact name (404 on unknown) and its
@@ -361,25 +360,65 @@ func intsParam(v string) ([]int, error) {
 	return out, nil
 }
 
+// batchRun runs one batch to completion. onCell sees each cell as it lands
+// and onErr each cell of a sweep that failed (onErr may be nil; both may be
+// called from many goroutines). It returns the aggregate response value,
+// the canonical text rendering (the format=text body and the journal's
+// completed output) and the first error; a failed sweep still returns the
+// cells that landed.
+type batchRun func(ctx context.Context, onCell func(*grid.CellResult), onErr func(key string, err error)) (result any, text []byte, err error)
+
+// newBatch builds a batch from its journal meta, the batch's whole
+// identity. The /v1/batch handler and journal resume both start here, so a
+// resumed batch computes and renders exactly as an uninterrupted one. total
+// is the cell count when it is known up front: 0 for an artifact, whose
+// cells the figure code chooses as it runs.
+func (s *Server) newBatch(meta *grid.JournalMeta) (total int, run batchRun, err error) {
+	if meta.Spec == nil {
+		// The figure code is untouched: a TeeRunner around the runner
+		// /v1/experiment uses reports each distinct cell as it lands, and
+		// the artifact renders exactly as /v1/experiment does.
+		return 0, func(ctx context.Context, onCell func(*grid.CellResult), _ func(string, error)) (any, []byte, error) {
+			res, err := runArtifact(ctx, &grid.TeeRunner{R: s.runner(), OnCell: onCell}, meta.Artifact, meta.Width, meta.Suite)
+			if err != nil {
+				return nil, nil, err
+			}
+			text, err := experiments.RenderText(res)
+			return res, text, err
+		}, nil
+	}
+	cells, err := meta.Spec.Cells()
+	if err != nil {
+		return 0, nil, err
+	}
+	return len(cells), func(ctx context.Context, onCell func(*grid.CellResult), onErr func(string, error)) (any, []byte, error) {
+		done, err := s.computeCellBatch(ctx, cells, onCell, onErr)
+		return cellBatch{Cells: done, Count: len(done)}, renderCellBatchText(done), err
+	}, nil
+}
+
+// cellBatch is a sweep's aggregate response: its landed cells, sorted by
+// key.
+type cellBatch struct {
+	Cells []BatchCellEvent `json:"cells"`
+	Count int              `json:"count"`
+}
+
 // computeCellBatch runs every cell concurrently (the router's in-flight
 // semaphore or the pool is the bound), invoking onCell/onErr as each lands
-// (either may be nil; both may be called from many goroutines). It returns
-// the successful cells sorted by key plus the first error. The /v1/batch
-// handler and the journal-resume path share this exact code, which is what
-// makes a resumed batch's output byte-identical to an uninterrupted one.
-func (s *Server) computeCellBatch(ctx context.Context, cells []grid.CellRequest, onCell func(i int, res *grid.CellResult), onErr func(i int, err error)) ([]BatchCellEvent, error) {
+// (onErr may be nil). It returns the successful cells sorted by key plus
+// the first error.
+func (s *Server) computeCellBatch(ctx context.Context, cells []grid.CellRequest, onCell func(*grid.CellResult), onErr func(key string, err error)) ([]BatchCellEvent, error) {
 	results := make([]*grid.CellResult, len(cells))
 	errs := make([]error, len(cells))
 	// Every cell runs to completion (a partial batch reports what landed),
 	// so per-cell errors are kept here and the fan-out itself never fails.
 	experiments.FanOut(ctx, len(cells), experiments.Spawn, func(i int) error {
 		results[i], errs[i] = s.runCell(ctx, &cells[i])
-		if errs[i] != nil {
-			if onErr != nil {
-				onErr(i, errs[i])
-			}
-		} else if onCell != nil {
-			onCell(i, results[i])
+		if errs[i] == nil {
+			onCell(results[i])
+		} else if onErr != nil {
+			onErr(cells[i].Key(), errs[i])
 		}
 		return nil
 	})
@@ -399,8 +438,7 @@ func (s *Server) computeCellBatch(ctx context.Context, cells []grid.CellRequest,
 	return done, firstErr
 }
 
-// renderCellBatchText is the canonical text rendering of a cell batch —
-// the format=text response body and the journal's completed-output file.
+// renderCellBatchText is the canonical text rendering of a cell batch.
 func renderCellBatchText(done []BatchCellEvent) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "batch: %d cells\n", len(done))
@@ -410,151 +448,86 @@ func renderCellBatchText(done []BatchCellEvent) []byte {
 	return b.Bytes()
 }
 
-// serveCellBatch runs one cell sweep and delivers results per the format.
-// A client disconnect cancels the request context, which cancels every
-// outstanding worker call. With -journal-dir, completed cells are journaled
-// as they land and the batch id travels in the X-Batch-Id header and the
-// done record.
-func (s *Server) serveCellBatch(w http.ResponseWriter, r *http.Request, spec *grid.BatchSpec, cells []grid.CellRequest, format string) {
-	ctx := r.Context()
+// serveBatch runs one batch and delivers it in meta.Format. A client
+// disconnect cancels the request context, which cancels every outstanding
+// worker call. With -journal-dir, cells are journaled as they land, the
+// batch id travels in the X-Batch-Id header and the done record, and a
+// finished batch leaves its canonical text beside the journal (the output
+// the resume path and the ci.sh chaos leg diff against serial rbexp).
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, meta *grid.JournalMeta) {
+	total, run, err := s.newBatch(meta)
+	if err != nil {
+		s.failRequest(w, r, err) // ErrBadSpec -> 400
+		return
+	}
 	start := time.Now() //rblint:allow determinism
-	bj := s.startJournal(&grid.JournalMeta{Spec: spec, Format: format})
+	bj := s.startJournal(meta)
 	if bj != nil {
 		w.Header().Set("X-Batch-Id", bj.id)
 	}
 	var stream *batchStream
-	if format == "sse" || format == "ndjson" {
-		stream = newBatchStream(w, format)
+	if meta.Format == "sse" || meta.Format == "ndjson" {
+		stream = newBatchStream(w, meta.Format)
 	}
-	var landed atomic.Int64
+	var landed, failed atomic.Int64
 	stopProgress := s.streamProgress(stream, start, func() (int, int) {
-		return int(landed.Load()), len(cells)
+		return int(landed.Load()), total
 	})
-	done, firstErr := s.computeCellBatch(ctx, cells, func(i int, res *grid.CellResult) {
+	res, text, err := run(r.Context(), func(c *grid.CellResult) {
 		landed.Add(1)
-		bj.observe(res)
-		if stream != nil {
-			stream.event("cell", cellEvent(res))
-		}
-	}, func(i int, err error) {
-		if stream != nil {
-			stream.event("error", map[string]string{"key": cells[i].Key(), "error": err.Error()})
-		}
+		bj.observe(c)
+		stream.event("cell", cellEvent(c))
+	}, func(key string, cerr error) {
+		failed.Add(1)
+		stream.event("error", map[string]string{"key": key, "error": cerr.Error()})
 	})
 	stopProgress()
-	if firstErr == nil {
-		bj.finish(renderCellBatchText(done))
-	} else {
+	n := int(landed.Load())
+	if err != nil {
 		bj.abort()
+	} else {
+		bj.finish(text)
+		if total == 0 {
+			total = n // an artifact's cell count is known once it is done
+		}
 	}
 
-	elapsed := time.Since(start).Milliseconds() //rblint:allow determinism
 	if stream != nil {
-		d := BatchDone{Cells: len(done), Total: len(cells), ElapsedMs: elapsed, Partial: firstErr != nil}
+		d := BatchDone{Cells: n, Total: total, ElapsedMs: time.Since(start).Milliseconds()} //rblint:allow determinism
 		if bj != nil {
 			d.ID = bj.id
 		}
-		if firstErr != nil {
-			d.Error = firstErr.Error()
+		switch {
+		case err != nil:
+			if failed.Load() == 0 {
+				// A failure no cell reported (an artifact fails as a whole).
+				stream.event("error", map[string]string{"error": err.Error()})
+			}
+			d.Partial, d.Error = true, err.Error()
+		case meta.Artifact != "":
+			stream.event("result", res)
 		}
 		stream.event("done", d)
 		return
 	}
-	if firstErr != nil {
-		if errors.Is(firstErr, grid.ErrNoWorkers) {
+	if err != nil {
+		if cb, ok := res.(cellBatch); ok && errors.Is(err, grid.ErrNoWorkers) {
 			// Grid degraded mid-sweep: flag what completed as partial.
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"error":   firstErr.Error(),
+				"error":   err.Error(),
 				"partial": true,
-				"cells":   done,
-				"total":   len(cells),
+				"cells":   cb.Cells,
+				"total":   total,
 			})
-			return
-		}
-		s.failRequest(w, r, firstErr)
-		return
-	}
-	switch format {
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(renderCellBatchText(done))
-	default: // json
-		writeJSON(w, http.StatusOK, map[string]any{"count": len(done), "cells": done})
-	}
-}
-
-// serveArtifactBatch runs one named paper artifact through the grid. The
-// figure code is untouched: a TeeRunner around the runner /v1/experiment
-// uses reports each distinct cell as it lands (streamed to the client,
-// journaled when batches are durable), and the aggregate artifact renders
-// exactly as /v1/experiment (format=text stays byte-identical to rbexp).
-// The journal's completed output is always the text rendering — the
-// artifact the resume path and the ci.sh chaos leg diff against serial
-// rbexp.
-func (s *Server) serveArtifactBatch(w http.ResponseWriter, r *http.Request, name string, width int, suite string, format string) {
-	ctx := r.Context()
-	start := time.Now() //rblint:allow determinism
-	bj := s.startJournal(&grid.JournalMeta{Artifact: name, Width: width, Suite: suite, Format: format})
-	if bj != nil {
-		w.Header().Set("X-Batch-Id", bj.id)
-	}
-	var stream *batchStream
-	if format == "sse" || format == "ndjson" {
-		stream = newBatchStream(w, format)
-	}
-	var landed atomic.Int64
-	stopProgress := s.streamProgress(stream, start, func() (int, int) {
-		return int(landed.Load()), 0 // artifact cell totals are not known up front
-	})
-	tee := &grid.TeeRunner{R: s.runner(), OnCell: func(res *grid.CellResult) {
-		landed.Add(1)
-		bj.observe(res)
-		if stream != nil {
-			stream.event("cell", cellEvent(res))
-		}
-	}}
-	res, err := runArtifact(ctx, tee, name, width, suite)
-	stopProgress()
-	elapsed := time.Since(start).Milliseconds() //rblint:allow determinism
-	n := int(landed.Load())
-
-	var text []byte
-	if err == nil {
-		text, err = experiments.RenderText(res)
-	}
-	if err != nil {
-		bj.abort()
-		if stream != nil {
-			stream.event("error", map[string]string{"error": err.Error()})
-			d := BatchDone{Cells: n, ElapsedMs: elapsed, Partial: true, Error: err.Error()}
-			if bj != nil {
-				d.ID = bj.id
-			}
-			stream.event("done", d)
 			return
 		}
 		s.failRequest(w, r, err)
 		return
 	}
-	bj.finish(text)
-	switch {
-	case stream != nil:
-		stream.event("result", res)
-		d := BatchDone{Cells: n, Total: n, ElapsedMs: elapsed}
-		if bj != nil {
-			d.ID = bj.id
-		}
-		stream.event("done", d)
-	case format == "text":
+	if meta.Format == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write(text)
-	default: // json
-		body, merr := json.MarshalIndent(res, "", "  ")
-		if merr != nil {
-			s.failRequest(w, r, merr)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(body, '\n'))
+		return
 	}
+	writeJSON(w, http.StatusOK, res)
 }

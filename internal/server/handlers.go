@@ -323,28 +323,21 @@ type CheckResponse struct {
 	Reports []check.Report `json:"reports"`
 }
 
-// checkLayers dispatches one verification layer by name; "all" runs the
-// whole suite.
-func checkLayer(layer string, opts check.Options) ([]check.Report, error) {
-	switch layer {
-	case "all":
-		return check.Run(opts), nil
-	case "oracle":
-		return check.Oracle(opts), nil
-	case "invariants":
-		return check.Invariants(opts), nil
-	case "backends":
-		return check.Backends(opts), nil
-	case "adders":
-		return check.Adders(opts), nil
-	case "converter":
-		return check.Converter(opts), nil
-	case "ops":
-		return check.Ops(opts), nil
-	case "faults":
-		return check.Faults(opts), nil
+// checkLayer looks a verification layer up in check.Layers; "all" runs
+// the whole suite.
+func checkLayer(name string) (func(check.Options) []check.Report, error) {
+	if name == "all" {
+		return check.Run, nil
 	}
-	return nil, fmt.Errorf("unknown layer %q (want all, oracle, invariants, backends, adders, converter, ops, or faults)", layer)
+	names := []string{"all"}
+	for _, l := range check.Layers {
+		if l.Name == name {
+			return l.Run, nil
+		}
+		names = append(names, l.Name)
+	}
+	last := len(names) - 1
+	return nil, fmt.Errorf("unknown layer %q (want %s, or %s)", name, strings.Join(names[:last], ", "), names[last])
 }
 
 // handleCheck runs the differential verification suite on demand:
@@ -380,27 +373,17 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	switch layer {
-	case "all", "oracle", "invariants", "backends", "adders", "converter", "ops", "faults":
-	default:
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown layer %q (want all, oracle, invariants, backends, adders, converter, ops, or faults)", layer))
+	runLayer, err := checkLayer(layer)
+	if err != nil {
+		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	key := strings.Join([]string{"check", layer, strconv.FormatBool(full), strconv.FormatInt(seed, 10), engine}, "|")
 	s.serveCached(w, r, key, func() (cachedResponse, error) {
 		opts := check.Options{Full: full, Seed: seed, ScalarGates: engine == "scalar"}
-		var (
-			reports []check.Report
-			lerr    error
-		)
-		if err := s.runInPool(r.Context(), func() {
-			reports, lerr = checkLayer(layer, opts)
-		}); err != nil {
+		var reports []check.Report
+		if err := s.runInPool(r.Context(), func() { reports = runLayer(opts) }); err != nil {
 			return cachedResponse{}, err
-		}
-		if lerr != nil {
-			return cachedResponse{}, lerr
 		}
 		body, err := json.MarshalIndent(CheckResponse{
 			Layer: layer, Full: full, Seed: seed,

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/grid"
 )
 
@@ -278,7 +277,14 @@ func (s *Server) resumeJournal(ctx context.Context, id string) error {
 		bj.seen[c.Key] = true
 	}
 
-	out, total, err := s.completeBatch(ctx, &rep.Meta, bj)
+	// The journaled meta rebuilds the batch exactly as the live handler
+	// built it; journaled cells are cache hits, so only missing cells reach
+	// workers.
+	total, run, err := s.newBatch(&rep.Meta)
+	var out []byte
+	if err == nil {
+		_, out, err = run(ctx, bj.observe, nil)
+	}
 	if err != nil {
 		bj.abort()
 		s.logf("journal %s: resume failed (will retry next start): %v", id, err)
@@ -286,36 +292,11 @@ func (s *Server) resumeJournal(ctx context.Context, id string) error {
 	}
 	bj.finish(out)
 	replayed, appended := bj.counts()
+	if total == 0 {
+		total = replayed + appended // an artifact: every distinct cell is journaled
+	}
 	s.resumed.Add(1)
 	s.logf("journal %s: resumed: %d cells from journal, %d re-dispatched, %d total",
 		id, replayed, appended, total)
 	return nil
-}
-
-// completeBatch re-runs a journaled batch to completion and renders its
-// canonical text output. Journaled cells are cache hits; only missing cells
-// reach workers.
-func (s *Server) completeBatch(ctx context.Context, meta *grid.JournalMeta, bj *batchJournal) (out []byte, total int, err error) {
-	if meta.Spec != nil {
-		cells, err := meta.Spec.Cells()
-		if err != nil {
-			return nil, 0, err
-		}
-		done, err := s.computeCellBatch(ctx, cells, func(i int, res *grid.CellResult) {
-			bj.observe(res)
-		}, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		return renderCellBatchText(done), len(cells), nil
-	}
-	res, err := runArtifact(ctx, &grid.TeeRunner{R: s.runner(), OnCell: bj.observe}, meta.Artifact, meta.Width, meta.Suite)
-	if err != nil {
-		return nil, 0, err
-	}
-	if out, err = experiments.RenderText(res); err != nil {
-		return nil, 0, err
-	}
-	replayed, appended := bj.counts()
-	return out, replayed + appended, nil
 }

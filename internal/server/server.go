@@ -23,9 +23,13 @@
 //	             cell compute (grid.RunLocal) for /v1/cell and a
 //	             non-coordinator's /v1/batch; one artifact table
 //	             (experiments.Artifacts, plus the local "ipc") behind
-//	             /v1/experiment, /v1/batch?artifact= and journal resume, and
+//	             /v1/experiment, /v1/batch?artifact= and journal resume,
 //	             one text render (experiments.RenderText) for every text
-//	             response and journal output
+//	             response and journal output, and one batch routine: an
+//	             axes sweep and an artifact alike become a grid.JournalMeta,
+//	             newBatch builds the batch from it for the live handler
+//	             (serveBatch: journal, stream, progress, done record and
+//	             formats, once) and for journal resume
 //	execution    one bounded worker pool (internal/pool, GOMAXPROCS-sized)
 //	             that every simulation cell of a single-process or worker
 //	             server funnels through — experiments, batches, /v1/cell

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/experiments"
@@ -345,6 +346,33 @@ func TestCheckEndpoint(t *testing.T) {
 		if !r.Passed {
 			t.Fatalf("check failed: %+v", r)
 		}
+	}
+}
+
+// TestUnknownCheckLayerListsTable: the /v1/check 404 names "all" and then
+// every layer of check.Layers, in table order.
+func TestUnknownCheckLayerListsTable(t *testing.T) {
+	rec, body := get(t, "/v1/check?layer=nope")
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("unknown layer status = %d: %s", rec.Code, body)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	const want = `unknown layer "nope" (want all, oracle, invariants, backends, adders, converter, ops, or faults)`
+	if e.Error != want {
+		t.Errorf("404 body %q, want %q", e.Error, want)
+	}
+	rest := e.Error
+	for _, l := range check.Layers {
+		i := strings.Index(rest, " "+l.Name)
+		if i < 0 {
+			t.Fatalf("404 %q does not name layer %q after the layers before it", e.Error, l.Name)
+		}
+		rest = rest[i+len(l.Name)+1:]
 	}
 }
 

@@ -98,6 +98,11 @@ for name in fig1 table1 table2 table3 fig13; do
 done >"$BIN/types.srv"
 "$BIN/rbexp" -exp fig1,table1,table2,table3,fig13 >"$BIN/types.cli"
 diff "$BIN/types.srv" "$BIN/types.cli"
+# An axes sweep must not depend on where its cells run either: this
+# single-process body is diffed against the two-worker coordinator's below.
+AXES='machines=baseline,rb-full&widths=4&workloads=compress,gcc00&format=text'
+"$BIN/rbserve" -get "http://$ADDR/v1/batch?$AXES" >"$BIN/axes.srv"
+grep -q '^batch: 4 cells$' "$BIN/axes.srv"
 kill "$SRV_PID"
 wait "$SRV_PID" || true
 SRV_PID=''
@@ -133,6 +138,8 @@ diff "$BIN/fig9.grid" "$BIN/fig9.cli"
 # The figure endpoints route through the same grid Runner.
 "$BIN/rbserve" -get "http://$CO/v1/experiment/fig9?format=text" >"$BIN/fig9.grid2"
 diff "$BIN/fig9.grid2" "$BIN/fig9.cli"
+"$BIN/rbserve" -get "http://$CO/v1/batch?$AXES" >"$BIN/axes.grid"
+diff "$BIN/axes.grid" "$BIN/axes.srv"
 # Both workers actually served cells, and the stream terminates with done.
 "$BIN/rbserve" -get "http://$CO/metrics" | grep -q '"mode": *"coordinator"'
 "$BIN/rbserve" -get "http://$CO/v1/batch?machines=baseline&widths=4&workloads=compress&format=sse" \
