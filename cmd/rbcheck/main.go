@@ -1,18 +1,17 @@
-// Command rbcheck runs the differential verification suite: lockstep oracle
-// replays, cross-machine invariants, cross-layer adder equivalence, RB->TC
-// converter equivalence, and the per-opcode equivalence tables (see
-// internal/check).
+// Command rbcheck runs the differential verification suite, one report per
+// check over the layers of check.Layers, in run order: lockstep oracle
+// replays, cross-machine invariants, the poll-vs-event scheduler backends,
+// cross-layer adder equivalence, RB->TC converter equivalence, the
+// per-opcode equivalence tables, and the fault-injection campaign's
+// detection floors (see internal/check).
 //
 // Usage:
 //
-//	rbcheck [-quick|-full] [-json] [-seed N] [-engine packed|scalar]
+//	rbcheck [-quick|-full] [-json] [-seed N]
 //
 // The quick tier is the CI gate and finishes in seconds; the full tier runs
 // every workload, both widths, and the deep exhaustive/random trial counts.
-// -json emits one machine-readable object for CI consumption. -engine picks
-// the gate-netlist evaluation engine for the adder/converter equivalence
-// layers: the default bit-parallel 64-lane walk, or the scalar oracle it is
-// pinned to (reports are identical either way, modulo durations). The exit
+// -json emits one machine-readable object for CI consumption. The exit
 // status is 0 iff every check passed.
 package main
 
@@ -45,14 +44,9 @@ func run() int {
 	full := flag.Bool("full", false, "run the full tier (overrides -quick)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON")
 	seed := flag.Int64("seed", 0, "seed for randomized trials (0 = fixed default)")
-	engine := flag.String("engine", "packed", "gate-netlist engine: packed (64-lane) or scalar (oracle)")
 	flag.Parse()
 
-	if *engine != "packed" && *engine != "scalar" {
-		fmt.Fprintf(os.Stderr, "rbcheck: unknown -engine %q (want packed or scalar)\n", *engine)
-		return 2
-	}
-	opts := check.Options{Full: *full, Seed: *seed, ScalarGates: *engine == "scalar"}
+	opts := check.Options{Full: *full, Seed: *seed}
 	_ = quick // -quick is the default; -full overrides it
 	reports := check.Run(opts)
 	passed := check.Passed(reports)

@@ -5,12 +5,11 @@
 //
 // Usage:
 //
-//	rbfault [-quick|-full] [-json] [-seed N] [-engine packed|scalar]
+//	rbfault [-quick|-full] [-json] [-seed N] [-grid]
 //
 // Everything on stdout is a pure function of (seed, tier): two runs at the
-// same seed are byte-identical, which is what lets CI diff campaign output —
-// and -engine=scalar swaps the gate sweep onto the scalar EvalFault oracle
-// without changing a byte of it.
+// same seed are byte-identical, which is what lets CI diff campaign output.
+// -grid adds the grid chaos campaign (routing, heartbeats, journal resume).
 // Timing and progress go to stderr only. The exit status is 0 iff every
 // detection floor of fault.Floors holds (gate coverage above its empirical
 // floor, 100% detection of single RB digit flips and unmasked stale
@@ -53,17 +52,12 @@ func run() int {
 	full := flag.Bool("full", false, "run the full tier (overrides -quick)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON")
 	seed := flag.Int64("seed", 0, "campaign seed")
-	engine := flag.String("engine", "packed", "gate-sweep engine: packed (64 sites/pass) or scalar (oracle)")
 	gridLeg := flag.Bool("grid", false, "add the grid chaos campaign (routing, heartbeats, journal resume)")
 	flag.Parse()
 	_ = quick // -quick is the default; -full overrides it
 
-	if *engine != "packed" && *engine != "scalar" {
-		fmt.Fprintf(os.Stderr, "rbfault: unknown -engine %q (want packed or scalar)\n", *engine)
-		return 2
-	}
 	start := time.Now()
-	campaign, err := fault.Run(fault.Options{Full: *full, Seed: *seed, ScalarGates: *engine == "scalar"})
+	campaign, err := fault.Run(fault.Options{Full: *full, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rbfault:", err)
 		return 1

@@ -13,32 +13,32 @@ import (
 // arithmetic must compute the same function — exhaustively at small widths,
 // and over boundary patterns plus random redundant forms at 64 bits.
 
-// Adders runs the adder-equivalence layer. The exhaustive and randomized
-// netlist sweeps stream their vectors through the bit-parallel 64-lane
-// engine (gates.PackedEvaluator) by default; opts.ScalarGates routes them
-// through the scalar oracle instead, producing identical reports.
+// Adders runs the adder-equivalence layer. Each netlist check is handed the
+// netlist it sweeps and streams its vectors through the bit-parallel 64-lane
+// engine (gates.PackedEvaluator), which internal/gates pins lane for lane to
+// the scalar Circuit.Eval walk.
 func Adders(opts Options) []Report {
-	tcEx, rbEx, rb64 := tcGatesExhaustive, rbGatesExhaustive, rbGates64
-	if opts.ScalarGates {
-		tcEx, rbEx, rb64 = tcGatesExhaustiveScalar, rbGatesExhaustiveScalar, rbGates64Scalar
-	}
 	var out []Report
 	// 2's-complement adder netlists, exhaustive over all operand pairs.
 	for _, n := range []int{4, 8} {
 		n := n
 		out = append(out, run("adders", fmt.Sprintf("tc-gates-exhaustive/%d-bit", n),
-			func() (int64, string, error) { return tcEx(n) }))
+			func() (int64, string, error) {
+				return tcGatesExhaustive(
+					tcAdder{"ripple-carry", gates.RippleCarryAdder(n)},
+					tcAdder{"kogge-stone", gates.KoggeStoneAdder(n)})
+			}))
 	}
 	// RB adder netlist, exhaustive over all digit-vector pairs.
 	rbN := opts.pick(4, 6)
 	out = append(out, run("adders", fmt.Sprintf("rb-gates-exhaustive/%d-digit", rbN),
-		func() (int64, string, error) { return rbEx(rbN) }))
+		func() (int64, string, error) { return rbGatesExhaustive(gates.RBAdder(rbN)) }))
 	// 64-bit word-level RB arithmetic vs native.
 	out = append(out, run("adders", "rb-word/64-bit",
 		func() (int64, string, error) { return rbWord64(opts) }))
 	// 64-bit RB adder netlist vs native.
 	out = append(out, run("adders", "rb-gates/64-digit",
-		func() (int64, string, error) { return rb64(opts) }))
+		func() (int64, string, error) { return rbGates64(opts, gates.RBAdder(64)) }))
 	// Carry-save and radix-4 redundant forms vs native.
 	out = append(out, run("adders", "carry-save",
 		func() (int64, string, error) { return carrySaveCheck(opts) }))
@@ -47,19 +47,19 @@ func Adders(opts Options) []Report {
 	return out
 }
 
-// tcGatesExhaustive proves the ripple-carry and Kogge-Stone netlists compute
-// n-bit addition for every operand pair, 64 pairs per packed pass: the inner
-// operand b enumerates consecutive integers, so both the input lanes and the
-// expected sum lanes are LaneCounter patterns — packing, evaluation, and
-// comparison are all O(width) per block.
-func tcGatesExhaustive(n int) (int64, string, error) {
-	adders := []struct {
-		name string
-		r    *gates.AdderResult
-	}{
-		{"ripple-carry", gates.RippleCarryAdder(n)},
-		{"kogge-stone", gates.KoggeStoneAdder(n)},
-	}
+// tcAdder is one named 2's-complement adder netlist.
+type tcAdder struct {
+	name string
+	r    *gates.AdderResult
+}
+
+// tcGatesExhaustive proves each n-bit adder netlist (all of one width)
+// computes n-bit addition for every operand pair, 64 pairs per packed pass:
+// the inner operand b enumerates consecutive integers, so both the input
+// lanes and the expected sum lanes are LaneCounter patterns — packing,
+// evaluation, and comparison are all O(width) per block.
+func tcGatesExhaustive(adders ...tcAdder) (int64, string, error) {
+	n := len(adders[0].r.A)
 	mask := uint64(1)<<uint(n) - 1
 	var trials int64
 	for _, ad := range adders {
@@ -108,36 +108,6 @@ func tcGatesExhaustive(n int) (int64, string, error) {
 	return trials, fmt.Sprintf("all %d operand pairs, both netlists", (mask+1)*(mask+1)), nil
 }
 
-// tcGatesExhaustiveScalar is the scalar-oracle form of tcGatesExhaustive.
-func tcGatesExhaustiveScalar(n int) (int64, string, error) {
-	adders := []struct {
-		name string
-		r    *gates.AdderResult
-	}{
-		{"ripple-carry", gates.RippleCarryAdder(n)},
-		{"kogge-stone", gates.KoggeStoneAdder(n)},
-	}
-	mask := uint64(1)<<uint(n) - 1
-	var trials int64
-	for _, ad := range adders {
-		for a := uint64(0); a <= mask; a++ {
-			for b := uint64(0); b <= mask; b++ {
-				sum, cout, err := ad.r.EvalWords(a, b)
-				if err != nil {
-					return trials, "", err
-				}
-				trials++
-				want := a + b
-				if sum != want&mask || cout != (want>>uint(n) != 0) {
-					return trials, "", fmt.Errorf("%s(%d): %d+%d = sum %d cout %v, want %d cout %v",
-						ad.name, n, a, b, sum, cout, want&mask, want>>uint(n) != 0)
-				}
-			}
-		}
-	}
-	return trials, fmt.Sprintf("all %d operand pairs, both netlists", (mask+1)*(mask+1)), nil
-}
-
 // digitVectors enumerates every valid n-digit (plus, minus) component pair:
 // per digit the encodings are (0,0), (1,0), (0,1) — 3^n vectors.
 func digitVectors(n int) [][2]uint64 {
@@ -161,8 +131,8 @@ func digitValue(plus, minus uint64) int64 { return int64(plus) - int64(minus) }
 // of n-digit redundant operands, and that the sum encoding stays disjoint.
 // The a operand broadcasts across lanes; each packed pass sweeps 64 b
 // vectors at once.
-func rbGatesExhaustive(n int) (int64, string, error) {
-	r := gates.RBAdder(n)
+func rbGatesExhaustive(r *gates.RBAdderResult) (int64, string, error) {
+	n := len(r.APlus)
 	vecs := digitVectors(n)
 	ev := r.C.PackedEvaluator()
 	outs := make([]gates.Node, 0, 2*n+2)
@@ -215,40 +185,6 @@ func rbGatesExhaustive(n int) (int64, string, error) {
 					return trials, "", fmt.Errorf("RBAdder(%d): a=%v b=%v: value %d (carry %d), want %d",
 						n, a, b, gotVal, carry, want)
 				}
-			}
-		}
-	}
-	return trials, fmt.Sprintf("all %d digit-vector pairs", len(vecs)*len(vecs)), nil
-}
-
-// rbGatesExhaustiveScalar is the scalar-oracle form of rbGatesExhaustive.
-func rbGatesExhaustiveScalar(n int) (int64, string, error) {
-	r := gates.RBAdder(n)
-	vecs := digitVectors(n)
-	var trials int64
-	for _, a := range vecs {
-		for _, b := range vecs {
-			sp, sm, coutP, coutM, err := r.EvalDigits(a[0], a[1], b[0], b[1])
-			if err != nil {
-				return trials, "", err
-			}
-			trials++
-			if sp&sm != 0 {
-				return trials, "", fmt.Errorf("RBAdder(%d): sum encoding overlap plus=%#x minus=%#x for a=%v b=%v",
-					n, sp, sm, a, b)
-			}
-			carry := int64(0)
-			if coutP {
-				carry++
-			}
-			if coutM {
-				carry--
-			}
-			got := digitValue(sp, sm) + carry<<uint(n)
-			want := digitValue(a[0], a[1]) + digitValue(b[0], b[1])
-			if got != want {
-				return trials, "", fmt.Errorf("RBAdder(%d): a=%v b=%v: value %d (carry %d), want %d",
-					n, a, b, got, carry, want)
 			}
 		}
 	}
@@ -310,10 +246,9 @@ func rbWord64(opts Options) (int64, string, error) {
 // rbGates64 proves the full-width RB adder netlist agrees with native 64-bit
 // arithmetic (mod 2^64, where the carry-out digit vanishes) over boundary
 // patterns and random redundant forms. The redundant operand forms are drawn
-// in visit order (the same rng stream as the scalar oracle), then swept 64
-// pairs per packed pass via bit-matrix transposes.
-func rbGates64(opts Options) (int64, string, error) {
-	r := gates.RBAdder(64)
+// in visit order, then swept 64 pairs per packed pass via bit-matrix
+// transposes.
+func rbGates64(opts Options, r *gates.RBAdderResult) (int64, string, error) {
 	rnd := opts.rng("rb-gates-forms")
 	type pair struct{ x, y, xp, xm, yp, ym uint64 }
 	var pairs []pair
@@ -368,34 +303,6 @@ func rbGates64(opts Options) (int64, string, error) {
 		}
 	}
 	return trials, "gate netlist vs native mod 2^64", nil
-}
-
-// rbGates64Scalar is the scalar-oracle form of rbGates64.
-func rbGates64Scalar(opts Options) (int64, string, error) {
-	r := gates.RBAdder(64)
-	rnd := opts.rng("rb-gates-forms")
-	var firstErr error
-	trials := operandPairs(opts, "rb-gates/64-digit", opts.pick(300, 3000), func(x, y uint64) {
-		if firstErr != nil {
-			return
-		}
-		nx, ny := rb.RedundantForm(x, rnd), rb.RedundantForm(y, rnd)
-		xp, xm := nx.Components()
-		yp, ym := ny.Components()
-		sp, sm, _, _, err := r.EvalDigits(xp, xm, yp, ym)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		if sp&sm != 0 {
-			firstErr = fmt.Errorf("RBAdder(64): sum encoding overlap for %#x + %#x", x, y)
-			return
-		}
-		if got := sp - sm; got != x+y {
-			firstErr = fmt.Errorf("RBAdder(64): %#x + %#x = %#x, want %#x", x, y, got, x+y)
-		}
-	})
-	return trials, "gate netlist vs native mod 2^64", firstErr
 }
 
 // carrySaveCheck proves the carry-save accumulator form agrees with native

@@ -53,8 +53,9 @@ import (
 
 // Report is the machine-readable outcome of one check.
 type Report struct {
-	// Layer is the verification layer ("oracle", "invariants", "adders",
-	// "converter"); Name identifies the check within it.
+	// Layer is the verification layer, one of the Layers names ("oracle",
+	// "invariants", "backends", "adders", "converter", "ops", "faults");
+	// Name identifies the check within it.
 	Layer string `json:"layer"`
 	Name  string `json:"name"`
 	// Passed is the verdict; Detail explains a failure (or summarizes a
@@ -76,12 +77,6 @@ type Options struct {
 	// Seed drives the randomized trials; 0 selects a fixed default so runs
 	// are reproducible unless a seed is chosen deliberately.
 	Seed int64
-	// ScalarGates forces the gate-netlist equivalence layers (adders,
-	// converter) through the scalar Eval walk instead of the bit-parallel
-	// 64-lane engine. The two engines produce identical reports — trial
-	// counts, details, and verdicts (TestGateLayersEngineParity) — so the
-	// flag exists as the oracle mode rbcheck -engine=scalar exposes.
-	ScalarGates bool
 }
 
 // rng returns the deterministic random source for one check, decorrelated

@@ -13,21 +13,17 @@ import (
 // path out of the RB domain, so a bug here corrupts architectural state.
 
 // Converter runs the converter-equivalence layer. Like the adders layer,
-// the netlist sweeps run on the bit-parallel 64-lane engine by default and
-// on the scalar oracle under opts.ScalarGates, with identical reports.
+// each netlist check is handed the netlist it sweeps and runs it on the
+// bit-parallel 64-lane engine.
 func Converter(opts Options) []Report {
-	convEx, conv64 := converterExhaustive, converter64
-	if opts.ScalarGates {
-		convEx, conv64 = converterExhaustiveScalar, converter64Scalar
-	}
 	var out []Report
 	for _, n := range []int{4, 8} {
 		n := n
 		out = append(out, run("converter", fmt.Sprintf("gates-exhaustive/%d-digit", n),
-			func() (int64, string, error) { return convEx(n) }))
+			func() (int64, string, error) { return converterExhaustive(gates.RBToTCConverter(n)) }))
 	}
 	out = append(out, run("converter", "gates/64-digit",
-		func() (int64, string, error) { return conv64(opts) }))
+		func() (int64, string, error) { return converter64(opts, gates.RBToTCConverter(64)) }))
 	out = append(out, run("converter", "redundant-form-roundtrip",
 		func() (int64, string, error) { return redundantFormRoundTrip(opts) }))
 	return out
@@ -35,8 +31,8 @@ func Converter(opts Options) []Report {
 
 // converterExhaustive proves the converter netlist maps every valid n-digit
 // redundant input to its value mod 2^n, 64 digit vectors per packed pass.
-func converterExhaustive(n int) (int64, string, error) {
-	r := gates.RBToTCConverter(n)
+func converterExhaustive(r *gates.ConverterResult) (int64, string, error) {
+	n := len(r.Plus)
 	vecs := digitVectors(n)
 	mask := uint64(1)<<uint(n) - 1
 	ev := r.C.PackedEvaluator()
@@ -72,31 +68,10 @@ func converterExhaustive(n int) (int64, string, error) {
 	return trials, fmt.Sprintf("all %d digit vectors", trials), nil
 }
 
-// converterExhaustiveScalar is the scalar-oracle form of converterExhaustive.
-func converterExhaustiveScalar(n int) (int64, string, error) {
-	r := gates.RBToTCConverter(n)
-	mask := uint64(1)<<uint(n) - 1
-	var trials int64
-	for _, v := range digitVectors(n) {
-		out, err := r.EvalWords(v[0], v[1])
-		if err != nil {
-			return trials, "", err
-		}
-		trials++
-		if want := (v[0] - v[1]) & mask; out != want {
-			return trials, "", fmt.Errorf("converter(%d): plus=%#x minus=%#x -> %#x, want %#x",
-				n, v[0], v[1], out, want)
-		}
-	}
-	return trials, fmt.Sprintf("all %d digit vectors", trials), nil
-}
-
 // converter64 proves the 64-digit converter netlist agrees with the
 // word-level conversion over boundary values and random redundant forms,
-// batched 64 operands per packed pass via bit-matrix transposes (the same
-// rng draw order as the scalar oracle).
-func converter64(opts Options) (int64, string, error) {
-	r := gates.RBToTCConverter(64)
+// batched 64 operands per packed pass via bit-matrix transposes.
+func converter64(opts Options, r *gates.ConverterResult) (int64, string, error) {
 	rnd := opts.rng("converter-forms")
 	type operand struct{ p, m, want uint64 }
 	var cases []operand
@@ -143,39 +118,6 @@ func converter64(opts Options) (int64, string, error) {
 				return trials, "", fmt.Errorf("converter(64): plus=%#x minus=%#x -> %#x, want %#x",
 					c.p, c.m, out[k], c.want)
 			}
-		}
-	}
-	return trials, "netlist vs word-level conversion", nil
-}
-
-// converter64Scalar is the scalar-oracle form of converter64.
-func converter64Scalar(opts Options) (int64, string, error) {
-	r := gates.RBToTCConverter(64)
-	rnd := opts.rng("converter-forms")
-	var trials int64
-	check := func(n rb.Number) error {
-		trials++
-		p, m := n.Components()
-		out, err := r.EvalWords(p, m)
-		if err != nil {
-			return err
-		}
-		if out != n.Uint() {
-			return fmt.Errorf("converter(64): plus=%#x minus=%#x -> %#x, want %#x", p, m, out, n.Uint())
-		}
-		return nil
-	}
-	for _, v := range BoundaryOperands {
-		if err := check(rb.FromUint(v)); err != nil {
-			return trials, "", err
-		}
-		if err := check(rb.RedundantForm(v, rnd)); err != nil {
-			return trials, "", err
-		}
-	}
-	for i := 0; i < opts.pick(500, 5000); i++ {
-		if err := check(rb.RedundantForm(rnd.Uint64(), rnd)); err != nil {
-			return trials, "", err
 		}
 	}
 	return trials, "netlist vs word-level conversion", nil

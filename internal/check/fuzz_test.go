@@ -129,6 +129,9 @@ func FuzzLockstep(f *testing.F) {
 	f.Add([]byte{22, 0x09, 0x03, 0, 0x09, 0x02, 23, 0x12, 0x01, 1, 0x1b, 0x06, 24, 0x24, 0x02})
 	// Conditional moves and compares feeding branches.
 	f.Add([]byte{12, 0x09, 0x04, 15, 0x21, 0x02, 16, 0x0a, 0x08, 25, 0x09, 0x01})
+	// A CMPLT whose RB subtraction overflows: 0x7fffffffffffffe8 < -48 is
+	// false although the wrapped difference is negative.
+	f.Add([]byte("7A17\xcdaA\x931XA$A020"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog := programFromBytes(data)
 		dec, _, err := emuDecode(prog, 2048)

@@ -118,15 +118,18 @@ func (s *Simulator) datapathCheck(ref *emu.TraceEntry, cycle int64) error {
 		}
 	case in.Op == isa.CMPEQ || in.Op == isa.CMPLT || in.Op == isa.CMPLE:
 		// Signed compares subtract in the RB domain and test the difference.
-		diff, _ := rb.Sub(regRB(in.Ra), opB())
+		// When the subtraction overflows (§3.5), the wrapped difference's
+		// sign is the opposite of the true difference's.
+		diff, f := rb.Sub(regRB(in.Ra), opB())
+		lt := (diff.Sign() < 0) != f.Overflow
 		var v bool
 		switch in.Op {
 		case isa.CMPEQ:
 			v = diff.IsZero()
 		case isa.CMPLT:
-			v = diff.Sign() < 0
+			v = lt
 		case isa.CMPLE:
-			v = diff.Sign() <= 0
+			v = lt || diff.IsZero()
 		}
 		result = rb.FromUint(b2u(v))
 	case in.Op == isa.CTTZ:

@@ -4,7 +4,8 @@
 //   - gate level: stuck-at-0, stuck-at-1, and single-evaluation transient
 //     flips on every named net of the internal/gates adder and converter
 //     netlists, detected by output comparison against the fault-free circuit
-//     over a deterministic test-vector set;
+//     over a deterministic test-vector set, 64 fault sites per pass of the
+//     bit-parallel engine (gates.PackedEvaluator);
 //
 //   - datapath level: RB digit flips and stale-bypass-value substitution on
 //     the committed results of a simulated program, detected by the mod-3
@@ -36,12 +37,6 @@ type Options struct {
 	Full bool
 	// Seed drives every pseudo-random choice in the campaign.
 	Seed int64
-	// ScalarGates forces the gate-level sweep through the scalar EvalFault
-	// oracle instead of the bit-parallel 64-lane engine (64 fault sites per
-	// pass). Reports are identical either way — pinned by
-	// TestGateSweepEngineParity — so the flag exists as the oracle mode
-	// rbfault -engine=scalar exposes.
-	ScalarGates bool
 }
 
 // rng derives an independent, deterministic stream for one campaign stage.

@@ -100,19 +100,22 @@ func buildCircuits(width int) []gateCircuit {
 	}
 }
 
-// runGates sweeps sites × models × vectors for each circuit. The default
-// path packs 64 fault sites per evaluation — each site's fault confined to
-// its own lane of the bit-parallel engine, every lane fed the same vector —
-// so a whole block's detection verdicts fall out of one topological walk
-// per vector. The fault-free reference is always the scalar Eval oracle,
-// and opts.ScalarGates switches the faulted sweep itself back to the scalar
-// EvalFault walk; the reports are identical either way.
-func runGates(opts Options) ([]GateReport, error) {
+// gateSweep is one circuit's sweep: its test vectors (boundary, then seeded
+// random), their fault-free outputs, and its fault sites in deterministic
+// order.
+type gateSweep struct {
+	gc              gateCircuit
+	vectors, golden [][]bool
+	sites           []gates.Fault
+}
+
+// gateSweeps builds the campaign's circuits at the tier's width and their
+// sweeps. The fault-free references come from the scalar Eval walk.
+func gateSweeps(opts Options) (width int, sweeps []gateSweep, err error) {
 	width, nvec := 8, 24
 	if opts.Full {
 		width, nvec = 16, 64
 	}
-	var reports []GateReport
 	for ci, gc := range buildCircuits(width) {
 		rnd := opts.rng(100 + int64(ci))
 		vectors := make([][]bool, 0, nvec+2)
@@ -126,12 +129,11 @@ func runGates(opts Options) ([]GateReport, error) {
 		for v := 0; v < nvec; v++ {
 			vectors = append(vectors, gc.gen(rnd))
 		}
-		// Fault-free references, one per vector (the scalar oracle).
 		golden := make([][]bool, len(vectors))
 		for vi, vec := range vectors {
 			out, err := gc.c.Eval(vec, gc.outs)
 			if err != nil {
-				return nil, fmt.Errorf("fault: %s golden eval: %w", gc.name, err)
+				return 0, nil, fmt.Errorf("fault: %s golden eval: %w", gc.name, err)
 			}
 			golden[vi] = out
 		}
@@ -142,21 +144,34 @@ func runGates(opts Options) ([]GateReport, error) {
 				sites = append(sites, gates.Fault{Net: net, Model: m})
 			}
 		}
-		rep := GateReport{Circuit: gc.name, Width: width, Vectors: len(vectors), Sites: len(sites)}
-		detected := make([]bool, len(sites))
-		if opts.ScalarGates {
-			if err := sweepScalar(gc, vectors, golden, sites, detected); err != nil {
-				return nil, err
-			}
-		} else if err := sweepPacked(gc, vectors, golden, sites, detected); err != nil {
+		sweeps = append(sweeps, gateSweep{gc, vectors, golden, sites})
+	}
+	return width, sweeps, nil
+}
+
+// runGates sweeps sites × models × vectors for each circuit on the packed
+// engine, 64 fault sites per evaluation: each site's fault is confined to
+// its own lane of the bit-parallel engine and every lane is fed the same
+// vector, so a whole block's detection verdicts fall out of one
+// topological walk per vector.
+func runGates(opts Options) ([]GateReport, error) {
+	width, sweeps, err := gateSweeps(opts)
+	if err != nil {
+		return nil, err
+	}
+	var reports []GateReport
+	for _, sw := range sweeps {
+		rep := GateReport{Circuit: sw.gc.name, Width: width, Vectors: len(sw.vectors), Sites: len(sw.sites)}
+		detected, err := sweepPacked(sw)
+		if err != nil {
 			return nil, err
 		}
-		for i, s := range sites {
+		for i, s := range sw.sites {
 			if detected[i] {
 				rep.Detected++
 			} else {
 				rep.Undetected = append(rep.Undetected,
-					fmt.Sprintf("%s:%s", gc.c.NetName(s.Net), s.Model))
+					fmt.Sprintf("%s:%s", sw.gc.c.NetName(s.Net), s.Model))
 			}
 		}
 		reports = append(reports, rep)
@@ -170,9 +185,12 @@ func runGates(opts Options) ([]GateReport, error) {
 // the outer loop: after each one the still-unexposed sites are repacked into
 // dense blocks, so the walk count tracks the (fast-shrinking) undetected
 // population instead of paying every block's worst lane. A site's verdict is
-// unchanged — it is detected iff some vector exposes it, vectors tried in
-// the same order as the scalar sweep.
-func sweepPacked(gc gateCircuit, vectors, golden [][]bool, sites []gates.Fault, detected []bool) error {
+// unchanged — it is detected iff some vector exposes it — and
+// TestGateSweepEngineParity pins each verdict to a one-site-at-a-time
+// scalar EvalFault sweep. It returns each site's verdict, in site order.
+func sweepPacked(sw gateSweep) ([]bool, error) {
+	gc, vectors, golden, sites := sw.gc, sw.vectors, sw.golden, sw.sites
+	detected := make([]bool, len(sites))
 	ev := gc.c.PackedEvaluator()
 	in := make([]uint64, gc.c.NumInputs())
 	goldenW := make([]uint64, len(gc.outs))
@@ -206,7 +224,7 @@ func sweepPacked(gc gateCircuit, vectors, golden [][]bool, sites []gates.Fault, 
 			var err error
 			got, err = ev.EvalFault(in, gc.outs, faults, got[:0])
 			if err != nil {
-				return fmt.Errorf("fault: %s faulted eval: %w", gc.name, err)
+				return nil, fmt.Errorf("fault: %s faulted eval: %w", gc.name, err)
 			}
 			var exposed uint64
 			for oi := range gc.outs {
@@ -222,27 +240,5 @@ func sweepPacked(gc gateCircuit, vectors, golden [][]bool, sites []gates.Fault, 
 		}
 		pending = next
 	}
-	return nil
-}
-
-// sweepScalar is the one-site-at-a-time oracle sweep.
-func sweepScalar(gc gateCircuit, vectors, golden [][]bool, sites []gates.Fault, detected []bool) error {
-	for i, s := range sites {
-		for vi, vec := range vectors {
-			out, err := gc.c.EvalFault(vec, gc.outs, []gates.Fault{{Net: s.Net, Model: s.Model}})
-			if err != nil {
-				return fmt.Errorf("fault: %s faulted eval: %w", gc.name, err)
-			}
-			for oi := range out {
-				if out[oi] != golden[vi][oi] {
-					detected[i] = true
-					break
-				}
-			}
-			if detected[i] {
-				break
-			}
-		}
-	}
-	return nil
+	return detected, nil
 }

@@ -482,7 +482,7 @@ func shallowWalk(n ast.Node, f func(ast.Node) bool) {
 			return false
 		}
 		if _, ok := n.(*ast.FuncLit); ok {
-			f(n) // visible as a value (closure allocation) ...
+			f(n)         // visible as a value (closure allocation) ...
 			return false // ... but its body belongs to another frame
 		}
 		return f(n)

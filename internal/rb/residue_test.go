@@ -90,9 +90,9 @@ func TestSingleDigitFlipAlwaysChangesResidue(t *testing.T) {
 					corrupted = append(corrupted, c)
 				}
 			}
-			mk(p&^bit, m&^bit)    // digit -> 0
-			mk(p|bit, m&^bit)     // digit -> +1
-			mk(p&^bit, m|bit)     // digit -> -1
+			mk(p&^bit, m&^bit) // digit -> 0
+			mk(p|bit, m&^bit)  // digit -> +1
+			mk(p&^bit, m|bit)  // digit -> -1
 			for _, c := range corrupted {
 				if c.CheckResidue(carried) {
 					t.Fatalf("corruption of digit %d of %v passed the residue check", d, n)

@@ -23,7 +23,7 @@ import (
 // matrixWorker answers full cells with the canned result and sampled cells
 // with a fixed estimate that differs per workload.
 func matrixWorker(t *testing.T) *fakeWorker {
-	full := canned(t) // once, here: canned fills a shared cache unlocked
+	full := canned(t)
 	fw := &fakeWorker{name: "matrix"}
 	fw.fn = func(ctx context.Context, req *grid.CellRequest) (*grid.CellResult, error) {
 		if req.Sampled != nil {

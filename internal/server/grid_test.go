@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -240,20 +241,25 @@ func TestLocalBatchOneTier(t *testing.T) {
 	}
 }
 
-// canned builds a fake transport result from one real computed cell.
-var cannedResult *core.Result
+// canned builds a fake transport result from one real computed cell,
+// computed once: fake workers call it from concurrent goroutines, which is
+// also why a failure is t.Error, not t.Fatal.
+var (
+	cannedOnce   sync.Once
+	cannedResult *core.Result
+	cannedErr    error
+)
 
 func canned(t *testing.T) *core.Result {
 	t.Helper()
-	if cannedResult == nil {
+	cannedOnce.Do(func() {
 		h := experiments.NewHarness(1)
 		defer h.Close()
 		w, _ := workload.ByName("compress")
-		res, err := h.RunCell(context.Background(), machine.NewBaseline(4), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cannedResult = res
+		cannedResult, cannedErr = h.RunCell(context.Background(), machine.NewBaseline(4), w)
+	})
+	if cannedErr != nil {
+		t.Error(cannedErr)
 	}
 	return cannedResult
 }

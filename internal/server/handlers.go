@@ -344,21 +344,14 @@ func checkLayer(name string) (func(check.Options) []check.Report, error) {
 //
 //	GET /v1/check?layer=adders
 //	GET /v1/check?layer=all&full=true&seed=7
-//	GET /v1/check?layer=adders&engine=scalar
+//
+// layer is "all" (the default) or one name of check.Layers; full selects
+// the deep tier and seed the randomized trials' seed, as on rbcheck.
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	layer := q.Get("layer")
 	if layer == "" {
 		layer = "all"
-	}
-	engine := q.Get("engine")
-	if engine == "" {
-		engine = "packed"
-	}
-	if engine != "packed" && engine != "scalar" {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("bad engine %q (want packed or scalar)", engine))
-		return
 	}
 	full, err := boolParam(q.Get("full"))
 	if err != nil {
@@ -378,9 +371,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	key := strings.Join([]string{"check", layer, strconv.FormatBool(full), strconv.FormatInt(seed, 10), engine}, "|")
+	key := strings.Join([]string{"check", layer, strconv.FormatBool(full), strconv.FormatInt(seed, 10)}, "|")
 	s.serveCached(w, r, key, func() (cachedResponse, error) {
-		opts := check.Options{Full: full, Seed: seed, ScalarGates: engine == "scalar"}
+		opts := check.Options{Full: full, Seed: seed}
 		var reports []check.Report
 		if err := s.runInPool(r.Context(), func() { reports = runLayer(opts) }); err != nil {
 			return cachedResponse{}, err

@@ -65,7 +65,6 @@ func TestBadParamsNever500(t *testing.T) {
 		"/v1/check?full=maybe",
 		"/v1/check?seed=1e5",
 		"/v1/check?seed=abc",
-		"/v1/check?layer=adders&engine=vectorized",
 		// /v1/experiment.
 		"/v1/experiment/nosuch",
 		"/v1/experiment/fig9?format=xml",

@@ -69,8 +69,8 @@ func TestSketchVersusSortedReference(t *testing.T) {
 	state := uint64(12345)
 	for i := 0; i < 20000; i++ {
 		state = state*6364136223846793005 + 1442695040888963407
-		u := float64(state>>11) / float64(1<<53)           // uniform [0,1)
-		v := 1e-6 * math.Pow(10, 7*u)                      // log-uniform 1e-6..10
+		u := float64(state>>11) / float64(1<<53) // uniform [0,1)
+		v := 1e-6 * math.Pow(10, 7*u)            // log-uniform 1e-6..10
 		xs = append(xs, v)
 		s.Observe(v)
 	}

@@ -8,6 +8,12 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Formatting gate: the build fails while gofmt would rewrite any file.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists files that need formatting: $unformatted" >&2
+	exit 1
+fi
 go run ./cmd/rblint ./...
 # Machine-readable lint artifact + rule-coverage gate: the -json report is
 # kept as a CI artifact, and the set of analyzers that actually ran is
