@@ -410,6 +410,48 @@ func BenchmarkEmulator(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceBuild measures the trace builds over all twenty workloads,
+// in ns per committed instruction: run is plain emulation (the counting
+// pass), trace the full trace (emu.Trace) and decoded the timing trace a
+// workload's cold Decoded builds (core.DecodeProgram).
+func BenchmarkTraceBuild(b *testing.B) {
+	var (
+		progs []*isa.Program
+		insts int64
+	)
+	wls := workload.All()
+	for _, w := range wls {
+		p, err := w.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := emu.New(p).Run(w.MaxInsts, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs, insts = append(progs, p), insts+n
+	}
+	for _, c := range []struct {
+		name  string
+		build func(p *isa.Program, max int64) error
+	}{
+		{"run", func(p *isa.Program, max int64) error { _, err := emu.New(p).Run(max, nil); return err }},
+		{"trace", func(p *isa.Program, max int64) error { _, err := emu.Trace(p, max); return err }},
+		{"decoded", func(p *isa.Program, max int64) error { _, err := core.DecodeProgram(p, max); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j, p := range progs {
+					if err := c.build(p, wls[j].MaxInsts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*insts), "ns/inst")
+		})
+	}
+}
+
 // BenchmarkAblationClassSchedulers compares unified round-robin steering
 // against the §4.3 class-partitioned schedulers on the RB machine.
 func BenchmarkAblationClassSchedulers(b *testing.B) {

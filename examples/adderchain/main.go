@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/machine"
 )
 
@@ -38,11 +37,7 @@ func run(cfg machine.Config, src string) *core.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var d core.Decoder
-	if _, err := emu.New(prog).Run(10_000_000, func(te emu.TraceEntry) { d.Add(&te) }); err != nil {
-		log.Fatal(err)
-	}
-	dec, err := d.Decoded()
+	dec, err := core.DecodeProgram(prog, 10_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bypass"
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -68,11 +67,7 @@ loop:   sll  r1, #2, r2          ; SLL
 	if err != nil {
 		log.Fatal(err)
 	}
-	var d core.Decoder
-	if _, err := emu.New(prog).Run(1_000_000, func(te emu.TraceEntry) { d.Add(&te) }); err != nil {
-		log.Fatal(err)
-	}
-	fig4, err := d.Decoded()
+	fig4, err := core.DecodeProgram(prog, 1_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}

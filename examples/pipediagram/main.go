@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/machine"
 	"repro/internal/pipeview"
 )
@@ -38,15 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace, err := emu.Trace(p, 1000)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var d core.Decoder
-	for i := range trace {
-		d.Add(&trace[i])
-	}
-	dec, err := d.Decoded()
+	trace, dec, err := core.TraceProgram(p, 1000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bypass"
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
 )
@@ -109,15 +108,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := emu.Trace(p, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d core.Decoder
-	for i := range trace {
-		d.Add(&trace[i])
-	}
-	dec, err := d.Decoded()
+	trace, dec, err := core.TraceProgram(p, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func grown[T any](s []T, n int) []T {
 // fill to add the stream's entries. The decode lives in b, for a run on b,
 // until b's next Decode.
 func (b *Buffers) Decode(n int, fill func(*Decoder) error) (*Decoded, error) {
-	b.dec.reset(n)
+	b.dec.reset(n, 0)
 	if err := fill(&b.dec); err != nil {
 		return nil, err
 	}

@@ -43,15 +43,10 @@ func repeatBody(line string, n int) string {
 	return b.String()
 }
 
-// runProgram streams p's committed stream (bounded by maxInsts) into a
-// timing trace and simulates it under opt, whose run modes, if any, step
-// emulators of p.
+// runProgram decodes p's committed stream (bounded by maxInsts) and
+// simulates it under opt, whose run modes, if any, step emulators of p.
 func runProgram(cfg machine.Config, workload string, p *isa.Program, maxInsts int64, opt Options) (*Result, error) {
-	var d Decoder
-	if _, err := emu.New(p).Run(maxInsts, func(te emu.TraceEntry) { d.Add(&te) }); err != nil {
-		return nil, err
-	}
-	dec, err := d.Decoded()
+	dec, err := DecodeProgram(p, maxInsts)
 	if err != nil {
 		return nil, err
 	}

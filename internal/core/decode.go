@@ -23,11 +23,13 @@ import (
 // the run modes that need them step one of their own (Options).
 //
 // The experiment matrix simulates every machine over the same traces, so the
-// harness builds each workload's decode once, streaming it from the
-// emulator without materializing the full trace (workload.Decoded), and
-// every cell reads the shared, immutable result. A run that decodes its own
-// stream (a sampled window, Buffers.Run) does so into its Buffers
-// (Buffers.Decode). Both go through Decoder.Add, so there is one decode.
+// harness builds each workload's decode once (workload.Decoded), and every
+// cell reads the shared, immutable result. That build is DecodeProgram: a
+// counting pass sizes the columns, then a second emulator streams the
+// committed entries into them without materializing the full trace. A run
+// that decodes its own stream (a sampled window, Buffers.Run) does so into
+// its Buffers (Buffers.Decode). All of them go through Decoder.Add, so there
+// is one decode.
 
 // opWord packs an entry's per-instruction facts into 32 bits:
 //
@@ -142,10 +144,11 @@ func (d *Decoded) nextPC(i int32) int {
 }
 
 // Decoder builds a Decoded, for New, one committed entry at a time in trace
-// order — from emu.Emulator.Run's per-entry callback, so that
-// building a timing trace never holds the full one. Memory dependences are
-// always decoded; a run whose machine does not model them ignores them.
-// The zero value is ready to use.
+// order — from an emulator's committed stream, so that building a timing
+// trace never holds the full one. Memory dependences are always decoded; a
+// run whose machine does not model them ignores them. NewDecoder sizes the
+// columns for a stream of known length; the zero value is ready to use and
+// grows them as entries arrive.
 type Decoder struct {
 	d Decoded
 	// lastWriter is the most recent producer of each register; lastStore
@@ -157,13 +160,23 @@ type Decoder struct {
 	started    bool
 }
 
-// reset empties b for a stream of about n entries, reusing its arrays.
-func (b *Decoder) reset(n int) {
+// NewDecoder returns a Decoder for a stream of n entries, mems of them loads
+// or stores: each column of its decode is allocated once, at exactly that
+// length, so Decoded copies nothing.
+func NewDecoder(n, mems int) *Decoder {
+	b := new(Decoder)
+	b.reset(n, mems)
+	return b
+}
+
+// reset empties b for a stream of about n entries, mems of them loads or
+// stores, reusing its arrays.
+func (b *Decoder) reset(n, mems int) {
 	d := &b.d
 	d.deps = grown(d.deps, n)[:0]
 	d.ops = grown(d.ops, n)[:0]
 	d.pc = grown(d.pc, n)[:0]
-	d.ea = d.ea[:0]
+	d.ea = grown(d.ea, mems)[:0]
 	d.lastNextPC = 0
 	d.table1 = [isa.NumTable1Rows]int64{}
 	d.err = nil
@@ -180,7 +193,7 @@ func (b *Decoder) reset(n int) {
 // Add decodes the next committed entry.
 func (b *Decoder) Add(te *emu.TraceEntry) {
 	if !b.started {
-		b.reset(0)
+		b.reset(0, 0)
 	}
 	d := &b.d
 	i := int32(len(d.ops))
@@ -241,22 +254,62 @@ func (b *Decoder) Add(te *emu.TraceEntry) {
 	d.lastNextPC = int32(te.NextPC)
 }
 
-// Decoded finishes the stream and returns its decode, sized exactly. The
-// error reports a stream that is not a committed instruction stream (an
-// entry's next PC is not the following entry's PC). b must not be used
-// afterwards.
+// Decoded finishes the stream and returns its decode. Its columns are
+// exactly sized when NewDecoder was given the stream's lengths; a zero
+// Decoder's keep whatever spare capacity they grew. The error reports a
+// stream that is not a committed instruction stream (an entry's next PC is
+// not the following entry's PC). b must not be used afterwards.
 func (b *Decoder) Decoded() (*Decoded, error) {
 	d := b.d
-	d.deps, d.ops, d.pc, d.ea = fit(d.deps), fit(d.ops), fit(d.pc), fit(d.ea)
 	b.d = Decoded{}
 	return &d, d.err
 }
 
-// fit returns s with its capacity trimmed to its length, copying only when
-// there is spare capacity.
-func fit[T any](s []T) []T {
-	if cap(s) == len(s) {
-		return s
+// DecodeProgram runs prog on the functional emulator from its entry, bounded
+// by max instructions, and returns its timing trace. A counting pass (plain
+// emulation) sizes the decode first (NewDecoder), then a second emulator
+// streams the committed entries into it through one scratch entry. A program
+// that runs past max or leaves its image returns the emulator's error.
+func DecodeProgram(prog *isa.Program, max int64) (*Decoded, error) {
+	_, d, err := decodeProgram(prog, max, false)
+	return d, err
+}
+
+// TraceProgram is DecodeProgram that also returns the full committed trace,
+// allocated once at its length and written in place by the same pass that
+// decodes it.
+func TraceProgram(prog *isa.Program, max int64) ([]emu.TraceEntry, *Decoded, error) {
+	return decodeProgram(prog, max, true)
+}
+
+func decodeProgram(prog *isa.Program, max int64, full bool) ([]emu.TraceEntry, *Decoded, error) {
+	e := emu.New(prog)
+	n, err := e.Run(max, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	return append(make([]T, 0, len(s)), s...)
+	var (
+		trace []emu.TraceEntry
+		one   emu.TraceEntry
+	)
+	if full {
+		trace = make([]emu.TraceEntry, n)
+	}
+	b := NewDecoder(int(n), int(e.MemOps()))
+	e = emu.New(prog)
+	for i := range int(n) {
+		te := &one
+		if full {
+			te = &trace[i]
+		}
+		if err := e.StepInto(te); err != nil {
+			return nil, nil, err
+		}
+		b.Add(te)
+	}
+	d, err := b.Decoded()
+	if err != nil {
+		return nil, nil, err
+	}
+	return trace, d, nil
 }

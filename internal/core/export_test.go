@@ -39,3 +39,10 @@ func Seeded(d *Decoded, corrupt func(pc []int32, taken []bool, ea []uint64)) *De
 func (s *Simulator) SeedRBOperand(r isa.Reg, v int64) {
 	s.dpRB[r] = rbVal{n: rb.FromInt(v), valid: true}
 }
+
+// Columns returns the lengths and capacities of d's columns: deps, ops, pc
+// and ea.
+func Columns(d *Decoded) (lens, caps [4]int) {
+	return [4]int{len(d.deps), len(d.ops), len(d.pc), len(d.ea)},
+		[4]int{cap(d.deps), cap(d.ops), cap(d.pc), cap(d.ea)}
+}

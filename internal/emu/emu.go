@@ -49,6 +49,7 @@ type Emulator struct {
 	prog   *isa.Program
 	halted bool
 	seq    int64
+	memOps int64
 }
 
 // New builds an emulator with the program's initial data loaded.
@@ -67,6 +68,12 @@ func (e *Emulator) Halted() bool { return e.halted }
 
 // InstCount is the number of committed instructions so far.
 func (e *Emulator) InstCount() int64 { return e.seq }
+
+// MemOps is the number of loads and stores this emulator has committed
+// (since New, or since Resume: a State does not record it). A counting pass
+// reads it to size a timing trace's effective-address column
+// (core.DecodeProgram).
+func (e *Emulator) MemOps() int64 { return e.memOps }
 
 // State is a resumable snapshot of the architectural machine state: the
 // register file, PC, halt flag, dynamic instruction count, and a
@@ -156,6 +163,7 @@ func (e *Emulator) StepInto(t *TraceEntry) error {
 	case in.Op == isa.LDAH:
 		e.writeDest(t, in.Ra, e.Regs[in.Rb]+uint64(in.Imm)*65536)
 	case c.IsLoad:
+		e.memOps++
 		t.EA = e.Regs[in.Rb] + uint64(in.Imm)
 		var v uint64
 		switch in.Op {
@@ -168,6 +176,7 @@ func (e *Emulator) StepInto(t *TraceEntry) error {
 		}
 		e.writeDest(t, in.Ra, v)
 	case c.IsStore:
+		e.memOps++
 		t.EA = e.Regs[in.Rb] + uint64(in.Imm)
 		switch in.Op {
 		case isa.STQ:
@@ -382,14 +391,23 @@ func (e *Emulator) Run(max int64, fn func(TraceEntry)) (int64, error) {
 	return e.seq - start, nil
 }
 
-// Trace runs the program to completion (bounded by max) and collects the
-// full committed trace.
+// Trace runs the program to completion (bounded by max) and returns the
+// full committed trace. A counting pass (Run without a callback) sizes it
+// first, so the trace is allocated once, at its exact length, and a second
+// emulator writes each entry in place (StepInto). A program that runs past
+// max or leaves its image fails the counting pass, and Trace returns that
+// error and no trace.
 func Trace(prog *isa.Program, max int64) ([]TraceEntry, error) {
-	e := New(prog)
-	trace := make([]TraceEntry, 0, 4096)
-	_, err := e.Run(max, func(t TraceEntry) { trace = append(trace, t) })
+	n, err := New(prog).Run(max, nil)
 	if err != nil {
 		return nil, err
+	}
+	trace := make([]TraceEntry, n)
+	e := New(prog)
+	for i := range trace {
+		if err := e.StepInto(&trace[i]); err != nil {
+			return nil, err
+		}
 	}
 	return trace, nil
 }

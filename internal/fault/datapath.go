@@ -86,15 +86,6 @@ func campaignProgram(opts Options) *isa.Program {
 	return injectProgram(n, opts.rng(200))
 }
 
-// campaignDecode streams the injection program into its timing trace.
-func campaignDecode(prog *isa.Program) (*core.Decoded, error) {
-	var d core.Decoder
-	if _, err := emu.New(prog).Run(1<<20, func(te emu.TraceEntry) { d.Add(&te) }); err != nil {
-		return nil, err
-	}
-	return d.Decoded()
-}
-
 // runFaultSet arms the faults on a fresh simulator over dec, whose
 // commit-time check steps a reference emulator of prog for the faults'
 // golden values, and folds the detections into rep.

@@ -28,7 +28,11 @@
 // HTTP plumbing.
 package fault
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/core"
+)
 
 // Options configures a campaign.
 type Options struct {
@@ -64,7 +68,7 @@ func Run(opts Options) (*Campaign, error) {
 	// The datapath and scheduler legs inject into the same seeded program;
 	// decode it once and share (the decode is read-only under injection).
 	prog := campaignProgram(opts)
-	dec, err := campaignDecode(prog)
+	dec, err := core.DecodeProgram(prog, 1<<20)
 	if err != nil {
 		return nil, err
 	}

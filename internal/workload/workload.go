@@ -15,8 +15,7 @@
 // Concurrency: the package is safe for concurrent use. Program memoizes the
 // assembled image under a mutex, and every caller shares it. Decoded serves
 // each workload's timing trace (core.Decoded, about 25 bytes per committed
-// instruction), which it streams from one emulator pass without holding the
-// full trace, from a cost-bounded cache: concurrent first callers for one
+// instruction) from a cost-bounded cache: concurrent first callers for one
 // workload coalesce onto one build, every caller shares the immutable
 // result, and a decode evicted under the byte budget is rebuilt on its next
 // use. This is what lets the experiment harness and rbserve fan (machine,
@@ -24,6 +23,14 @@
 // returns a fresh full trace (64 bytes per entry) that the caller owns; no
 // one else holds it, and nothing caches it. Only tools that inspect values
 // need it: the simulator's run modes step emulators of their own.
+//
+// Every build counts, then fills: a plain emulator run counts the committed
+// instructions (and, for a decode, the loads and stores among them), and a
+// second run writes them into arrays allocated once at exactly those
+// lengths (core.DecodeProgram, core.TraceProgram, emu.Trace). Nothing is
+// grown by append and then copied, so a build allocates what it keeps plus
+// the two emulators' memory pages and, for a decode, the decoder's store
+// map.
 package workload
 
 import (
@@ -59,18 +66,22 @@ func (w *Workload) Program() (*isa.Program, error) {
 }
 
 // Trace runs the workload to completion on the functional emulator and
-// returns the committed instruction stream, a fresh copy the caller owns.
-// When the workload's timing trace is not cached, the same emulator pass
-// builds it and leaves it in the cache for Decoded.
+// returns the committed instruction stream, a fresh copy the caller owns
+// (emu.Trace). When the workload's timing trace is not cached,
+// core.TraceProgram builds both from one fill pass and leaves the decode in
+// the cache for Decoded.
 func (w *Workload) Trace() ([]emu.TraceEntry, error) {
+	p, err := programCache.get(w)
+	if err != nil {
+		return nil, err
+	}
 	var trace []emu.TraceEntry
 	if _, ok := traceCache.Get(w.Name); !ok {
 		if _, _, err := traceCache.Do(context.Background(), w.Name, func() (any, int64, error) {
 			var dec *core.Decoded
 			var err error
-			trace, dec, err = w.emulate(true)
-			if err != nil {
-				return nil, 0, err
+			if trace, dec, err = core.TraceProgram(p, w.MaxInsts); err != nil {
+				return nil, 0, fmt.Errorf("workload %s: %w", w.Name, err)
 			}
 			return dec, dec.Bytes(), nil
 		}); err != nil {
@@ -79,10 +90,6 @@ func (w *Workload) Trace() ([]emu.TraceEntry, error) {
 	}
 	if trace == nil {
 		// The decode was cached, or another caller built it: trace alone.
-		p, err := programCache.get(w)
-		if err != nil {
-			return nil, err
-		}
 		if trace, err = emu.Trace(p, w.MaxInsts); err != nil {
 			return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 		}
@@ -90,14 +97,18 @@ func (w *Workload) Trace() ([]emu.TraceEntry, error) {
 	return trace, nil
 }
 
-// Decoded returns the workload's timing trace (core.Decoded), streamed from
-// the emulator on first use and cached: every simulation of the workload
+// Decoded returns the workload's timing trace (core.Decoded), built on first
+// use (core.DecodeProgram) and cached: every simulation of the workload
 // shares it (core.New).
 func (w *Workload) Decoded() (*core.Decoded, error) {
 	v, _, err := traceCache.Do(context.Background(), w.Name, func() (any, int64, error) {
-		_, dec, err := w.emulate(false)
+		p, err := programCache.get(w)
 		if err != nil {
 			return nil, 0, err
+		}
+		dec, err := core.DecodeProgram(p, w.MaxInsts)
+		if err != nil {
+			return nil, 0, fmt.Errorf("workload %s: %w", w.Name, err)
 		}
 		return dec, dec.Bytes(), nil
 	})
@@ -114,37 +125,6 @@ const traceCacheBudget = 128 << 20
 // traceCache holds each workload's timing trace under its name. A single
 // shard: the budget covers all of them, and a miss is a whole emulator run.
 var traceCache = rcache.New(1, traceCacheBudget)
-
-// emulate runs the workload on the functional emulator and streams the
-// committed entries into its timing trace; with full it also collects the
-// full trace (nil otherwise) from the same pass.
-func (w *Workload) emulate(full bool) ([]emu.TraceEntry, *core.Decoded, error) {
-	p, err := programCache.get(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	var (
-		trace []emu.TraceEntry
-		dec   core.Decoder
-	)
-	if full {
-		trace = make([]emu.TraceEntry, 0, 4096)
-	}
-	_, err = emu.New(p).Run(w.MaxInsts, func(t emu.TraceEntry) {
-		dec.Add(&t)
-		if full {
-			trace = append(trace, t)
-		}
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("workload %s: %w", w.Name, err)
-	}
-	d, err := dec.Decoded()
-	if err != nil {
-		return nil, nil, fmt.Errorf("workload %s: %w", w.Name, err)
-	}
-	return trace, d, nil
-}
 
 type progCache struct {
 	mu sync.Mutex
