@@ -9,14 +9,10 @@
 //     every construction site.
 //   - determinism: simulator packages may not read the wall clock, use the
 //     global math/rand state, or feed map-iteration order into reports.
-//   - opcoverage: every ISA opcode must be handled by the functional
-//     emulator's dispatch and by the differential-check equivalence tables.
 //   - lockstate: no mutex held across a blocking operation, and no
 //     unlock-missing-on-early-return path (CFG/dataflow).
 //   - goleak: every goroutine has a ctx/done/close escape path.
 //   - hotalloc: no allocation sites in //rblint:hotpath functions.
-//   - bypasshole: constant bypass.Schedule literals satisfy the paper's
-//     Fig.-14 hole constraints.
 //
 // Netlist analyzers (internal/gates) over the built adder circuits:
 // structural lint (cycles, dangling inputs, unused gates) and the static

@@ -177,6 +177,33 @@ func (s Schedule) Seamless() bool {
 	return true
 }
 
+// Validate reports a schedule no bypass network of the paper's machine can
+// produce (§4.2, Figure 14): a level-0 tap (a result forwarded in its own
+// production cycle), a tap above NumLevels, a negative RFFrom, bypass levels
+// with no register-file tail (the value is unobtainable once the last level
+// drains and its consumer waits forever), or a hole past NumLevels. Holes
+// exist only where a bypass level is missing; the register file serves
+// every offset from its first one on, so a gap between the last level and
+// RFFrom would be a hole no level removal makes. RFFrom itself may lie
+// past RFOffset: a schedule is relative to its own form's production, and
+// a form converted later is read from the file later.
+func (s Schedule) Validate() error {
+	switch {
+	case s.LevelMask&1 != 0:
+		return fmt.Errorf("bypass: schedule %+v forwards at offset 0, before the result exists", s)
+	case s.LevelMask>>(NumLevels+1) != 0:
+		return fmt.Errorf("bypass: schedule %+v names a bypass level above %d", s, NumLevels)
+	case s.RFFrom < 0:
+		return fmt.Errorf("bypass: schedule %+v has a negative register-file offset", s)
+	case s.LevelMask != 0 && s.RFFrom == 0:
+		return fmt.Errorf("bypass: schedule %+v has bypass levels but no register-file tail", s)
+	case s.LevelMask != 0 && s.RFFrom > NumLevels+1:
+		// Holes() would hold NumLevels+1 .. RFFrom-1 (checked without building it).
+		return fmt.Errorf("bypass: schedule %+v has a hole at offset %d, past the last bypass level %d", s, NumLevels+1, NumLevels)
+	}
+	return nil
+}
+
 // Holes lists the unavailable offsets between the first and last available
 // bypass/register-file offsets (the data-availability holes of §4.2).
 func (s Schedule) Holes() []int64 {

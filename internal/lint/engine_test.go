@@ -1,13 +1,11 @@
 package lint
 
 import (
-	"go/constant"
-	"go/types"
 	"strings"
 	"testing"
 )
 
-// Golden tests for the four CFG/dataflow analyzers. Each loads a "bad"
+// Golden tests for the CFG/dataflow analyzers. Each loads a "bad"
 // fixture (every finding pinned in the golden file) and an "ok" fixture
 // (clean patterns plus one allow-suppressed true positive each); an "ok"
 // path appearing in the rendered output fails the test.
@@ -57,20 +55,6 @@ func TestHotAllocGolden(t *testing.T) {
 	checkGolden(t, "hotalloc.golden", got)
 }
 
-func TestBypassHoleGolden(t *testing.T) {
-	l := newTestLoader(t)
-	prog := loadProgram(t, l, "bypassholebad", "bypassholeok")
-	diags := Apply(prog, []*Analyzer{BypassHole})
-	if len(diags) == 0 {
-		t.Fatal("seeded Fig.-14 violations produced no diagnostics")
-	}
-	got := render(t, l, diags)
-	if strings.Contains(got, "bypassholeok") {
-		t.Errorf("negative fixture was flagged:\n%s", got)
-	}
-	checkGolden(t, "bypasshole.golden", got)
-}
-
 // TestDeterminismFlowGolden exercises the taint upgrade: map-iteration order
 // escaping the loop through assignments before reaching ordered output —
 // including the figure1 regression shape — with the collect-then-sort and
@@ -89,31 +73,4 @@ func TestDeterminismFlowGolden(t *testing.T) {
 		t.Errorf("want 2 findings, got %d:\n%s", len(diags), render(t, l, diags))
 	}
 	checkGolden(t, "determinismflow.golden", render(t, l, diags))
-}
-
-// TestBypassHoleConstantsMatch pins the analyzer's private mirror of the
-// bypass package's geometry to the real exported values: if NumLevels or
-// RFOffset ever changes, this fails before the rule silently drifts.
-func TestBypassHoleConstantsMatch(t *testing.T) {
-	l := newTestLoader(t)
-	pkg, err := l.Load(l.Module + "/internal/bypass")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkg.TypeError != nil {
-		t.Fatal(pkg.TypeError)
-	}
-	for name, want := range map[string]int64{
-		"NumLevels": bypassNumLevels,
-		"RFOffset":  bypassRFOffset,
-	} {
-		obj, ok := pkg.Types.Scope().Lookup(name).(*types.Const)
-		if !ok {
-			t.Fatalf("bypass.%s is not an exported constant", name)
-		}
-		got, exact := constant.Int64Val(constant.ToInt(obj.Val()))
-		if !exact || got != want {
-			t.Errorf("bypass.%s = %d, analyzer mirror = %d", name, got, want)
-		}
-	}
 }

@@ -3,25 +3,26 @@
 // and go/types packages.
 //
 // The simulator's correctness argument is structural — redundant binary
-// digits are disjoint (plus, minus) pairs, the four machine models must be
-// deterministic replicas of one another, and every ISA opcode must be handled
-// by both the functional emulator and the differential-check tables. Those
-// properties are verified dynamically by internal/check; this package makes
-// them checkable *statically*, at review time, before any simulation runs.
+// digits are disjoint (plus, minus) pairs, and the machine models must be
+// deterministic replicas of one another — and the serving layer's rests on
+// locks, goroutines and hot paths having the right shape. The rules here
+// check those shapes statically, at review time, before any simulation
+// runs. A property the program can check where it holds is checked there
+// instead: bypass schedules by machine.Config.Validate, opcode coverage by
+// internal/check's ops layer.
 //
 // The framework provides:
 //
 //   - Diagnostic: a position-annotated finding produced by an analyzer.
-//   - Analyzer: a named rule, either per-package (Run) or whole-program
-//     (RunProgram) for cross-package rules like opcode coverage.
+//   - Analyzer: a named rule, run over each package.
 //   - Package / Program: type-checked source loaded by Loader (load.go).
 //   - Allowlist directives: a "//rblint:allow <rule> [<rule>...]" comment
 //     suppresses findings of the named rules on the comment's line (for a
 //     trailing comment) or on the line directly below (for a standalone
 //     comment line). Every suppression is deliberate and greppable.
 //
-// The concrete rules live in rbconstruct.go, determinism.go and
-// opcoverage.go; the gate-netlist checks (which operate on built
+// The concrete rules live in rbconstruct.go, determinism.go, lockstate.go,
+// goleak.go and hotalloc.go; the gate-netlist checks (which operate on built
 // gates.Circuit values rather than source) live in internal/gates/lint.go.
 package lint
 
@@ -35,14 +36,11 @@ import (
 	"time"
 )
 
-// Analyzers returns the default rule set cmd/rblint runs. The first three
-// are the v1 syntactic rules; the last four ride on the CFG/dataflow engine
+// Analyzers returns the default rule set cmd/rblint runs. The first two
+// are the v1 syntactic rules; the last three ride on the CFG/dataflow engine
 // in cfg.go and dataflow.go.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		RBConstruct, Determinism, OpCoverage,
-		Lockstate, Goleak, HotAlloc, BypassHole,
-	}
+	return []*Analyzer{RBConstruct, Determinism, Lockstate, Goleak, HotAlloc}
 }
 
 // Diagnostic is one finding: a rule violation anchored to a source position.
@@ -66,12 +64,8 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description for -help style output.
 	Doc string
-	// Run analyzes a single package. Nil for program-level analyzers.
+	// Run analyzes a single package.
 	Run func(pkg *Package) []Diagnostic
-	// RunProgram analyzes the whole loaded program at once; used by rules
-	// that cross package boundaries (opcode coverage). Nil for per-package
-	// analyzers.
-	RunProgram func(prog *Program) []Diagnostic
 }
 
 // Package is one loaded, type-checked package.
@@ -100,26 +94,11 @@ type Package struct {
 	allow map[string]map[int]map[string]bool
 }
 
-// Program is the set of packages one driver invocation analyzes.
+// Program is the set of packages one driver invocation analyzes, in load
+// order.
 type Program struct {
-	Fset   *token.FileSet
-	Pkgs   []*Package
-	byPath map[string]*Package
-}
-
-// Package returns the loaded package with the given import path, or nil.
-func (p *Program) Package(path string) *Package { return p.byPath[path] }
-
-// add registers a package (keeping load order for deterministic reports).
-func (p *Program) add(pkg *Package) {
-	if p.byPath == nil {
-		p.byPath = map[string]*Package{}
-	}
-	if _, dup := p.byPath[pkg.Path]; dup {
-		return
-	}
-	p.byPath[pkg.Path] = pkg
-	p.Pkgs = append(p.Pkgs, pkg)
+	Fset *token.FileSet
+	Pkgs []*Package
 }
 
 // diag constructs a Diagnostic for a node position within the package.
@@ -274,27 +253,9 @@ func ApplyTimed(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []RuleTimin
 // findings.
 func applyOne(prog *Program, a *Analyzer) []Diagnostic {
 	var out []Diagnostic
-	if a.Run != nil {
-		for _, pkg := range prog.Pkgs {
-			for _, d := range a.Run(pkg) {
-				if !pkg.allowed(d) {
-					out = append(out, d)
-				}
-			}
-		}
-	}
-	if a.RunProgram != nil {
-		// Program-level findings are anchored to a position in some loaded
-		// package; resolve allowlists through whichever package owns the file.
-		for _, d := range a.RunProgram(prog) {
-			suppressed := false
-			for _, pkg := range prog.Pkgs {
-				if pkg.allowed(d) {
-					suppressed = true
-					break
-				}
-			}
-			if !suppressed {
+	for _, pkg := range prog.Pkgs {
+		for _, d := range a.Run(pkg) {
+			if !pkg.allowed(d) {
 				out = append(out, d)
 			}
 		}

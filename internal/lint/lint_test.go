@@ -40,7 +40,7 @@ func loadProgram(t *testing.T, l *Loader, names ...string) *Program {
 		if pkg.TypeError != nil {
 			t.Fatalf("fixture %s does not type-check: %v", name, pkg.TypeError)
 		}
-		prog.add(pkg)
+		prog.Pkgs = append(prog.Pkgs, pkg)
 	}
 	return prog
 }
@@ -109,45 +109,6 @@ func TestDeterminismGolden(t *testing.T) {
 		t.Errorf("negative fixture was flagged:\n%s", got)
 	}
 	checkGolden(t, "determinism.golden", got)
-}
-
-func TestOpCoverageGolden(t *testing.T) {
-	l := newTestLoader(t)
-	prog := loadProgram(t, l, "opcov/isa", "opcov/emu", "opcov/check")
-	an := NewOpCoverage(
-		fixturePath(l, "opcov/isa"),
-		fixturePath(l, "opcov/emu"),
-		fixturePath(l, "opcov/check"),
-	)
-	diags := Apply(prog, []*Analyzer{an})
-	if len(diags) == 0 {
-		t.Fatal("seeded coverage gaps produced no diagnostics")
-	}
-	checkGolden(t, "opcoverage.golden", render(t, l, diags))
-}
-
-func TestOpCoverageCleanFixture(t *testing.T) {
-	l := newTestLoader(t)
-	prog := loadProgram(t, l, "opcovok/isa", "opcovok/emu", "opcovok/check")
-	an := NewOpCoverage(
-		fixturePath(l, "opcovok/isa"),
-		fixturePath(l, "opcovok/emu"),
-		fixturePath(l, "opcovok/check"),
-	)
-	if diags := Apply(prog, []*Analyzer{an}); len(diags) != 0 {
-		t.Errorf("fully covered fixture was flagged: %s", render(t, l, diags))
-	}
-}
-
-// TestOpCoverageSkipsWithoutISA: the program-level rule must stay silent
-// when the ISA package is not part of the analyzed set (e.g. rblint invoked
-// on a single unrelated package).
-func TestOpCoverageSkipsWithoutISA(t *testing.T) {
-	l := newTestLoader(t)
-	prog := loadProgram(t, l, "rbconstructok")
-	if diags := Apply(prog, []*Analyzer{OpCoverage}); len(diags) != 0 {
-		t.Errorf("opcoverage reported without an ISA package: %v", diags)
-	}
 }
 
 func TestExpandSkipsTestdata(t *testing.T) {

@@ -292,7 +292,7 @@ func (l *Loader) LoadAll(paths []string) (*Program, []error) {
 			errs = append(errs, fmt.Errorf("lint: loading %s: %w", p, err))
 			continue
 		}
-		prog.add(pkg)
+		prog.Pkgs = append(prog.Pkgs, pkg)
 	}
 	return prog, errs
 }

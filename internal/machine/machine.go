@@ -125,7 +125,12 @@ type Config struct {
 	ClassSchedulers bool
 }
 
-// Validate reports configuration inconsistencies.
+// Validate reports configuration inconsistencies: everything the core and
+// the cache hierarchy need to build a machine that runs, including a known
+// Kind and, for every latency class, schedules that pass
+// bypass.Schedule.Validate and reach a register file. core.New calls it,
+// so a /v1/cell config is refused with an error rather than failing inside
+// a simulation.
 func (c *Config) Validate() error {
 	if c.Width <= 0 || c.Width%2 != 0 {
 		return fmt.Errorf("machine: width %d must be a positive multiple of 2", c.Width)
@@ -139,10 +144,40 @@ func (c *Config) Validate() error {
 	if c.Clusters < 1 || c.Width%c.Clusters != 0 {
 		return fmt.Errorf("machine: %d clusters do not divide width %d", c.Clusters, c.Width)
 	}
+	if c.NumSchedulers < 1 || c.SchedulerSize < 1 {
+		return fmt.Errorf("machine: %d schedulers of %d entries; want at least one scheduler of at least one entry",
+			c.NumSchedulers, c.SchedulerSize)
+	}
 	if c.NumSchedulers%c.Clusters != 0 {
 		return fmt.Errorf("machine: %d clusters do not divide %d schedulers", c.Clusters, c.NumSchedulers)
 	}
-	return nil
+	if c.FrontWidth < 1 || c.RetireWidth < 1 || c.MaxFetchBlocks < 1 {
+		return fmt.Errorf("machine: front width %d, retire width %d and fetch blocks %d must each be at least 1",
+			c.FrontWidth, c.RetireWidth, c.MaxFetchBlocks)
+	}
+	if c.FrontLatency < 0 || c.IssueToExecute < 0 || c.InterClusterDelay < 0 {
+		return fmt.Errorf("machine: front latency %d, issue-to-execute %d and inter-cluster delay %d must not be negative",
+			c.FrontLatency, c.IssueToExecute, c.InterClusterDelay)
+	}
+	if c.Kind > Staggered {
+		return fmt.Errorf("machine: unknown kind %d", uint8(c.Kind))
+	}
+	for class := isa.LatencyClass(0); class < isa.NumLatencyClasses; class++ {
+		if e := c.Latencies[class]; e.Exec < 1 || e.TCExtra < 0 {
+			return fmt.Errorf("machine: latency class %v has exec %d, TC extra %d; want exec >= 1, extra >= 0",
+				class, e.Exec, e.TCExtra)
+		}
+		rbIn, tcIn := c.Schedules(class)
+		for _, s := range [2]bypass.Schedule{rbIn, tcIn} {
+			if err := s.Validate(); err != nil {
+				return fmt.Errorf("machine: latency class %v: %w", class, err)
+			}
+			if s.RFFrom < 1 {
+				return fmt.Errorf("machine: latency class %v: schedule %+v never reaches a register file", class, s)
+			}
+		}
+	}
+	return c.Mem.Validate()
 }
 
 // MinPipeline is the paper's minimum pipeline depth in cycles: 6 fetch and
@@ -402,34 +437,30 @@ func (c *Config) Schedules(class isa.LatencyClass) (rbIn, tcIn bypass.Schedule) 
 	case Baseline, Ideal:
 		s := bypass.FromConfig(c.IdealBypass, bypass.RFOffset)
 		return s, s
-	case Staggered:
-		// Low-half consumers (the RB-capable classes stand in for "can start
-		// from the low 32 bits") chain at offset 1; full-width consumers wait
-		// the second stage. Structurally identical to RB-full's schedules.
-		e := c.Latencies[class]
-		if e.TCExtra == 0 {
-			s := bypass.FromConfig(bypass.Full(), bypass.RFOffset)
-			return s, s
-		}
-		tcIn = bypass.Schedule{LevelMask: 1 << uint(1+e.TCExtra), RFFrom: int(e.TCExtra) + 2}
-		rbIn = bypass.FromConfig(bypass.Full(), bypass.RFOffset)
-		return rbIn, tcIn
-	case RBFull, RBLimited:
+	case Staggered, RBFull, RBLimited:
+		// On Staggered, the RB-capable classes stand in for consumers that
+		// can start from the low 32 bits, and TCExtra is the second adder
+		// stage; the schedules are RB-full's.
 		if e.TCExtra == 0 {
 			// TC-producing classes: seamless from offset 1 for everyone.
 			s := bypass.FromConfig(bypass.Full(), bypass.RFOffset)
 			return s, s
 		}
-		// TC consumers: BYP-3 carries the converted value at offset
-		// 1+TCExtra, then the TC register file: seamless from 1+TCExtra.
-		tcIn = bypass.Schedule{LevelMask: 1 << uint(1+e.TCExtra), RFFrom: int(e.TCExtra) + 2}
-		if c.Kind == RBFull {
-			// BYP-1 plus the RB register file: seamless from offset 1.
-			rbIn = bypass.FromConfig(bypass.Full(), bypass.RFOffset)
-		} else {
+		// TC consumers: the level at offset 1+TCExtra (BYP-3 behind the
+		// paper's 2-cycle converter) carries the converted value when the
+		// network has that level, then the TC register file: seamless from
+		// 1+TCExtra.
+		tcIn = bypass.Schedule{RFFrom: int(e.TCExtra) + 2}
+		if 1+e.TCExtra <= bypass.NumLevels {
+			tcIn.LevelMask = 1 << uint(1+e.TCExtra)
+		}
+		if c.Kind == RBLimited {
 			// Limited network: BYP-1, the paper's 2-cycle hole, then the TC
 			// register file (BYP-3 is not connected to RB-input ALUs).
 			rbIn = bypass.Schedule{LevelMask: 1 << 1, RFFrom: 4}
+		} else {
+			// BYP-1 plus the RB register file: seamless from offset 1.
+			rbIn = bypass.FromConfig(bypass.Full(), bypass.RFOffset)
 		}
 		return rbIn, tcIn
 	}

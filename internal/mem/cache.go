@@ -58,19 +58,30 @@ const (
 	lineDirty = 1 << 1
 )
 
-// NewCache validates the configuration and builds an empty cache.
-func NewCache(cfg CacheConfig) (*Cache, error) {
+// Validate reports a geometry NewCache cannot build: a line size that is
+// not a power of two, or a capacity that does not split into a power-of-two
+// number (at least one) of sets of Ways lines.
+func (cfg CacheConfig) Validate() error {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		return nil, fmt.Errorf("mem: line size %d is not a power of two", cfg.LineBytes)
+		return fmt.Errorf("mem: line size %d is not a power of two", cfg.LineBytes)
 	}
-	if cfg.Ways <= 0 || cfg.SizeBytes%(cfg.LineBytes*cfg.Ways) != 0 {
-		return nil, fmt.Errorf("mem: size %d not divisible into %d-way sets of %d-byte lines",
+	lines := cfg.SizeBytes / cfg.LineBytes
+	if cfg.Ways <= 0 || cfg.SizeBytes%cfg.LineBytes != 0 || lines%cfg.Ways != 0 {
+		return fmt.Errorf("mem: size %d not divisible into %d-way sets of %d-byte lines",
 			cfg.SizeBytes, cfg.Ways, cfg.LineBytes)
 	}
-	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("mem: set count %d is not a power of two", sets)
+	if sets := lines / cfg.Ways; sets < 1 || sets&(sets-1) != 0 {
+		return fmt.Errorf("mem: set count %d is not a positive power of two", sets)
 	}
+	return nil
+}
+
+// NewCache validates the configuration and builds an empty cache.
+func NewCache(cfg CacheConfig) (*Cache, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	c := &Cache{
 		cfg: cfg, sets: sets,
 		tags:  make([]uint64, sets*cfg.Ways),

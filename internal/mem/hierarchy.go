@@ -1,5 +1,7 @@
 package mem
 
+import "fmt"
+
 // HierarchyConfig gathers the latency and contention parameters of Table 2.
 // All latencies are in core cycles.
 type HierarchyConfig struct {
@@ -68,25 +70,36 @@ type Hierarchy struct {
 	dec *Decoder
 }
 
+// Validate reports a configuration NewHierarchy cannot build or that
+// would run time backwards: an invalid cache geometry, no L2 or memory
+// bank, or a negative latency or bank busy time.
+func (cfg *HierarchyConfig) Validate() error {
+	for _, c := range [3]CacheConfig{cfg.L1I, cfg.L1D, cfg.L2} {
+		if err := c.Validate(); err != nil {
+			return err
+		}
+	}
+	if cfg.L2Banks < 1 || cfg.MemBanks < 1 {
+		return fmt.Errorf("mem: %d L2 banks and %d memory banks; want at least one of each", cfg.L2Banks, cfg.MemBanks)
+	}
+	if cfg.L1ILatency < 0 || cfg.L1DLatency < 0 || cfg.L2Latency < 0 || cfg.MemLatency < 0 ||
+		cfg.L2BankBusy < 0 || cfg.MemBankBusy < 0 {
+		return fmt.Errorf("mem: negative latency or bank busy time in %+v", *cfg)
+	}
+	return nil
+}
+
 // NewHierarchy builds the hierarchy.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	l1i, err := NewCache(cfg.L1I)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l1d, err := NewCache(cfg.L1D)
-	if err != nil {
-		return nil, err
-	}
-	l2, err := NewCache(cfg.L2)
-	if err != nil {
-		return nil, err
-	}
+	l1d := MustCache(cfg.L1D) // Validate checked every geometry
 	return &Hierarchy{
 		cfg:         cfg,
-		l1i:         l1i,
+		l1i:         MustCache(cfg.L1I),
 		l1d:         l1d,
-		l2:          l2,
+		l2:          MustCache(cfg.L2),
 		l2BankFree:  make([]int64, cfg.L2Banks),
 		memBankFree: make([]int64, cfg.MemBanks),
 		pendingD:    make(map[uint64]int64),

@@ -10,15 +10,43 @@ import (
 
 func TestCacheConfigValidation(t *testing.T) {
 	bad := []CacheConfig{
-		{SizeBytes: 1024, LineBytes: 48, Ways: 2},   // line not power of two
-		{SizeBytes: 1000, LineBytes: 64, Ways: 2},   // size not divisible
-		{SizeBytes: 64 * 3, LineBytes: 64, Ways: 1}, // sets not power of two
-		{SizeBytes: 1024, LineBytes: 64, Ways: 0},   // zero ways
+		{SizeBytes: 1024, LineBytes: 48, Ways: 2},            // line not power of two
+		{SizeBytes: 1000, LineBytes: 64, Ways: 2},            // size not divisible
+		{SizeBytes: 64 * 3, LineBytes: 64, Ways: 1},          // sets not power of two
+		{SizeBytes: 1024, LineBytes: 64, Ways: 0},            // zero ways
+		{SizeBytes: 0, LineBytes: 64, Ways: 2},               // no sets
+		{SizeBytes: -1024, LineBytes: 64, Ways: 2},           // negative sets
+		{SizeBytes: 1024, LineBytes: 1 << 32, Ways: 1 << 32}, // line x ways overflows
 	}
 	for _, cfg := range bad {
 		if _, err := NewCache(cfg); err == nil {
 			t.Errorf("NewCache(%+v) accepted invalid config", cfg)
 		}
+	}
+}
+
+// TestHierarchyConfigValidation: a geometry or contention model the
+// hierarchy cannot be built from, or a latency that runs time backwards, is
+// an error from NewHierarchy, never a panic in the core's MustHierarchy.
+func TestHierarchyConfigValidation(t *testing.T) {
+	for name, edit := range map[string]func(*HierarchyConfig){
+		"L1I size 0":     func(c *HierarchyConfig) { c.L1I.SizeBytes = 0 },
+		"L1D size 0":     func(c *HierarchyConfig) { c.L1D.SizeBytes = 0 },
+		"L2 ways 3":      func(c *HierarchyConfig) { c.L2.Ways = 3 },
+		"L2 banks 0":     func(c *HierarchyConfig) { c.L2Banks = 0 },
+		"memory banks 0": func(c *HierarchyConfig) { c.MemBanks = 0 },
+		"L1D latency -1": func(c *HierarchyConfig) { c.L1DLatency = -1 },
+		"L2 busy -1":     func(c *HierarchyConfig) { c.L2BankBusy = -1 },
+		"memory -100":    func(c *HierarchyConfig) { c.MemLatency = -100 },
+	} {
+		cfg := DefaultConfig()
+		edit(&cfg)
+		if _, err := NewHierarchy(cfg); err == nil {
+			t.Errorf("%s: NewHierarchy accepted %+v", name, cfg)
+		}
+	}
+	if _, err := NewHierarchy(DefaultConfig()); err != nil {
+		t.Errorf("Table 2 hierarchy refused: %v", err)
 	}
 }
 

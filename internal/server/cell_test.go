@@ -2,7 +2,8 @@ package server
 
 // Cell-path tests: one name identifies one config per process (the alias
 // guard answers 400, never the other config's result), a body naming a
-// field the wire format does not have is refused, and pool-exhaustion chaos
+// field the wire format does not have or a config no machine can be built
+// from is refused, and pool-exhaustion chaos
 // releases every wedged worker.
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/grid"
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
@@ -136,6 +138,46 @@ func TestCellUnknownFieldRefused(t *testing.T) {
 	s.Handler().ServeHTTP(hrec, req)
 	if hrec.Code != http.StatusOK {
 		t.Fatalf("/healthz after the refused cell = %d", hrec.Code)
+	}
+}
+
+// TestCellBadConfigRefused: /v1/cell is a wire format, so a config no
+// machine can be built from — an unknown kind, a converter finishing
+// before or never after its adder, a cache without sets, a hierarchy
+// without banks, a negative pipeline latency — is refused with 400 by
+// machine.Config.Validate, never simulated, and the server stays up.
+// Before Validate checked them, the unknown kind and the memory geometries
+// panicked on a pool goroutine and took the process down.
+func TestCellBadConfigRefused(t *testing.T) {
+	s := privateServer(t, Config{Parallel: 2})
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*machine.Config)
+	}{
+		{"kind9", "unknown kind", func(c *machine.Config) { c.Kind = 9 }},
+		{"tcextra-1", "TC extra -1", func(c *machine.Config) { c.Latencies[isa.LatIntArith].TCExtra = -1 }},
+		{"tcextra-2", "TC extra -2", func(c *machine.Config) { c.Latencies[isa.LatIntArith].TCExtra = -2 }},
+		{"l1d0", "set count 0", func(c *machine.Config) { c.Mem.L1D.SizeBytes = 0 }},
+		{"l2banks0", "L2 banks", func(c *machine.Config) { c.Mem.L2Banks = 0 }},
+		{"membanks0", "memory banks", func(c *machine.Config) { c.Mem.MemBanks = 0 }},
+		{"front-5", "front latency -5", func(c *machine.Config) { c.FrontLatency = -5 }},
+	} {
+		cfg := machine.NewRBFull(8)
+		cfg.Name = "RB-full-8-" + tc.name
+		tc.edit(&cfg)
+		rec, out := postJSON(t, s, "/v1/cell", cellBody(t, cfg, "compress"))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s cell = %d, want 400 mentioning %q: %s", tc.name, rec.Code, tc.want, out)
+		}
+	}
+	if runs := s.harness.Runs(); runs != 0 {
+		t.Fatalf("refused cells still simulated %d cells", runs)
+	}
+	req := httptest.NewRequest("GET", "/healthz", nil)
+	hrec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(hrec, req)
+	if hrec.Code != http.StatusOK {
+		t.Fatalf("/healthz after the refused cells = %d", hrec.Code)
 	}
 }
 
