@@ -759,10 +759,9 @@ func BenchmarkPackedEval(b *testing.B) {
 
 // --- Static analysis -------------------------------------------------------
 
-// BenchmarkLintAll runs the full rblint analyzer set — the v1 syntactic
-// rules plus the CFG/dataflow engine (lockstate, goleak, hotalloc and the
-// determinism taint pass) — over every package of this
-// module, loader included, so the recorded number is the true cost of the CI
+// BenchmarkLintAll runs the full rblint analyzer set — rbconstruct,
+// determinism (with its CFG taint pass) and lockstate — over every package
+// of this module, loader included, so the recorded number is the true cost of the CI
 // leg. The committed tree must lint clean; any finding fails the benchmark.
 func BenchmarkLintAll(b *testing.B) {
 	root, module, err := lint.FindModule(".")

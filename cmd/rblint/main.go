@@ -11,8 +11,10 @@
 //     global math/rand state, or feed map-iteration order into reports.
 //   - lockstate: no mutex held across a blocking operation, and no
 //     unlock-missing-on-early-return path (CFG/dataflow).
-//   - goleak: every goroutine has a ctx/done/close escape path.
-//   - hotalloc: no allocation sites in //rblint:hotpath functions.
+//
+// Goroutine leaks and hot-path allocations are checked at run time instead:
+// internal/leakcheck ends every test binary of a package that starts
+// goroutines, and testing.AllocsPerRun tests pin each hot path at zero.
 //
 // Netlist analyzers (internal/gates) over the built adder circuits:
 // structural lint (cycles, dangling inputs, unused gates) and the static

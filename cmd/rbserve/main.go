@@ -160,7 +160,6 @@ func main() {
 		}
 		// Process-lifetime daemon by design: the worker beats until it
 		// dies, and a coordinator restart just sees it rejoin.
-		//rblint:allow goleak
 		go heartbeatLoop(strings.TrimRight(*register, "/"), adv)
 	}
 

@@ -228,3 +228,29 @@ func TestUpdateReturnsPrediction(t *testing.T) {
 		}
 	}
 }
+
+// TestFetchAllocatesNothing: the detailed front end and functional warming
+// call Fetch for every committed branch, so no kind, hit or miss, may
+// allocate.
+func TestFetchAllocatesNothing(t *testing.T) {
+	type branch struct {
+		k        Kind
+		pc, next int
+		taken    bool
+	}
+	r := rand.New(rand.NewSource(7))
+	stream := make([]branch, 4096)
+	for i := range stream {
+		stream[i] = branch{Kind(1 + r.Intn(NumKinds-1)), r.Intn(1 << 12), r.Intn(1 << 12), r.Intn(3) > 0}
+	}
+	p := New()
+	fetch := func() {
+		for _, b := range stream {
+			p.Fetch(b.k, b.pc, b.taken, b.next)
+		}
+	}
+	fetch()
+	if n := testing.AllocsPerRun(20, fetch); n != 0 {
+		t.Fatalf("Fetch over %d branches: %v allocs per pass, want 0", len(stream), n)
+	}
+}

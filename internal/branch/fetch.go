@@ -51,8 +51,6 @@ func (k Kind) Predicted() bool { return k >= Cond }
 // fetch goes instead — the fall-through of a wrongly not-taken branch, the
 // stale BTB or RAS target of a wrong-target one, or -1 with no predicted
 // target.
-//
-//rblint:hotpath the detailed front end and functional warming call it per branch
 func (p *Predictor) Fetch(k Kind, pc int, taken bool, next int) (mispredict bool, redirect int) {
 	switch k {
 	case Cond:

@@ -11,8 +11,12 @@ import (
 	"repro/internal/branch"
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/leakcheck"
 	"repro/internal/mem"
+	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // testProgram assembles a small loop with loads, stores, and data-dependent
 // branches so checkpoints carry non-trivial memory and predictor state.
@@ -239,4 +243,38 @@ func TestReadErrors(t *testing.T) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// TestWarmAllocatesNothing: functional warming runs once per fast-forwarded
+// instruction, so once the caches and predictor tables have seen a commit
+// stream, warming it again must not allocate.
+func TestWarmAllocatesNothing(t *testing.T) {
+	w, _ := workload.ByName("gcc00")
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := emu.Trace(prog, w.MaxInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits := make([]Commit, len(trace))
+	for i := range trace {
+		commits[i] = commitOf(&trace[i])
+	}
+	warmer := NewWarmer(mem.MustHierarchy(mem.DefaultConfig()), branch.New())
+	warm := func() {
+		for _, c := range commits {
+			warmer.Warm(c)
+		}
+	}
+	warm()
+	// AllocsPerRun counts the whole process's allocations. Over 100 passes
+	// the few a runtime goroutine makes (the unique package's cleanup after
+	// a GC cycle; this binary links it through leakcheck's net/http) average
+	// below one per pass, while a Warm that allocates does so once per
+	// commit.
+	if n := testing.AllocsPerRun(100, warm); n != 0 {
+		t.Fatalf("Warm over %d commits: %v allocs per pass, want 0", len(commits), n)
+	}
 }

@@ -56,8 +56,6 @@ func NewWarmer(h *mem.Hierarchy, p *branch.Predictor) *Warmer {
 func (w *Warmer) Observe(te *emu.TraceEntry) { w.Warm(commitOf(te)) }
 
 // Warm feeds one committed instruction through the warm-state models.
-//
-//rblint:hotpath functional warming runs once per fast-forwarded instruction
 func (w *Warmer) Warm(c Commit) {
 	pc := int(c.PC)
 	if w.Hier != nil {

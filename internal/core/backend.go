@@ -104,8 +104,6 @@ func (s *Simulator) earliestReadyFrom(u *uop, from int64) int64 {
 // issuePoll performs wakeup and select for every scheduler by re-evaluating
 // every resident entry (the BackendPoll oracle), then executes the granted
 // instructions oldest-first up to the select width.
-//
-//rblint:hotpath per-cycle issue loop; TestSteadyStateIssueZeroAllocs pins 0 allocs/cycle
 func (s *Simulator) issuePoll(cycle int64) {
 	for si := range s.scheds {
 		granted := 0
@@ -137,8 +135,6 @@ func (s *Simulator) issuePoll(cycle int64) {
 // and ungranted leftovers are re-validated against the next cycle (an entry
 // whose source availability falls into a hole leaves the ready list and
 // re-enters the calendar at its next obtainable cycle).
-//
-//rblint:hotpath per-cycle issue loop; calBuf reuse keeps the calendar pop allocation-free
 func (s *Simulator) issueEvent(cycle int64) {
 	// Deliver this cycle's wakeups.
 	s.calBuf = s.cal.Pop(cycle, s.calBuf[:0])
@@ -270,8 +266,6 @@ func (s *Simulator) wakeDependents(pi int32, cycle int64) {
 
 // execute models the granted instruction's execution, records its result
 // availability, and accounts statistics.
-//
-//rblint:hotpath per-instruction execute; reads the uop's op word and address, never the trace
 func (s *Simulator) execute(u *uop, cycle int64) {
 	s.accountBypass(u, cycle)
 

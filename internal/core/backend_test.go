@@ -138,10 +138,11 @@ func TestParseBackend(t *testing.T) {
 
 // TestSteadyStateIssueLoopZeroAllocs is the regression test for the slab
 // rewrite: the per-cycle work (fetch, dispatch, wakeup, select, execute,
-// retire) must allocate nothing. Setup allocations (the slab, the dependence
-// tables, the calendar's first touch of each bucket) are constant per run,
-// so a run over a 4x-longer trace — tens of thousands more simulated cycles
-// — must not allocate more than a small constant beyond the short run.
+// retire) must allocate nothing, on either backend (issueEvent and
+// issuePoll). Setup allocations (the slab, the dependence tables, the
+// calendar's first touch of each bucket) are constant per run, so a run over
+// a 4x-longer trace — tens of thousands more simulated cycles — must not
+// allocate more than a small constant beyond the short run.
 func TestSteadyStateIssueLoopZeroAllocs(t *testing.T) {
 	build := func(iters int) []emu.TraceEntry {
 		p := loopProgram(t, "li r10, 0x2000\nli r2, 1", iters, `
@@ -155,23 +156,27 @@ func TestSteadyStateIssueLoopZeroAllocs(t *testing.T) {
 	}
 	shortTrace, longTrace := build(500), build(2000)
 	cfg := machine.NewRBFull(8)
-	run := func(trace []emu.TraceEntry) func() {
-		return func() {
-			if _, err := Run(cfg, "alloc", decodeTrace(t, trace), Options{}); err != nil {
-				t.Fatal(err)
+	for _, backend := range []Backend{BackendEvent, BackendPoll} {
+		t.Run(backend.String(), func(t *testing.T) {
+			run := func(trace []emu.TraceEntry) func() {
+				return func() {
+					if _, err := Run(cfg, "alloc", decodeTrace(t, trace), Options{Backend: backend}); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-	}
-	short := testing.AllocsPerRun(5, run(shortTrace))
-	long := testing.AllocsPerRun(5, run(longTrace))
-	// The long trace itself is 4x larger, so per-run allocations that scale
-	// with trace length (done/prod/dispCluster tables...) triple the delta;
-	// what must NOT appear is anything scaling with the ~15k extra simulated
-	// cycles. Allow the table growth plus slack.
-	perEntry := (long - short) / float64(len(longTrace)-len(shortTrace))
-	if perEntry > 0.01 {
-		t.Errorf("issue loop allocates in steady state: %.0f allocs short, %.0f long (%.4f per extra trace entry)",
-			short, long, perEntry)
+			short := testing.AllocsPerRun(5, run(shortTrace))
+			long := testing.AllocsPerRun(5, run(longTrace))
+			// The long trace itself is 4x larger, so per-run allocations that
+			// scale with trace length (done/prod/dispCluster tables...) triple
+			// the delta; what must NOT appear is anything scaling with the
+			// ~15k extra simulated cycles. Allow the table growth plus slack.
+			perEntry := (long - short) / float64(len(longTrace)-len(shortTrace))
+			if perEntry > 0.01 {
+				t.Errorf("issue loop allocates in steady state: %.0f allocs short, %.0f long (%.4f per extra trace entry)",
+					short, long, perEntry)
+			}
+		})
 	}
 }
 

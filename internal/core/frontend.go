@@ -96,8 +96,6 @@ func (s *Simulator) predictBranch(idx int32, pc int, op opWord) (mispredict bool
 }
 
 // dispatch moves instructions from the front-end queue into the schedulers.
-//
-//rblint:hotpath per-instruction dispatch; the uop is filled in place in its slab slot
 func (s *Simulator) dispatch(cycle int64) {
 	dispatched := 0
 	for s.fqLen > 0 && dispatched < s.cfg.FrontWidth {

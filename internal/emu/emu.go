@@ -136,8 +136,6 @@ func (e *Emulator) Step() (TraceEntry, error) {
 // StepInto executes one instruction, writing its trace entry into t — the
 // allocation-free form of Step for fast-forward loops that execute millions
 // of instructions and inspect each entry in place.
-//
-//rblint:hotpath fast-forward inner step: the sampler executes millions of these per cell plan
 func (e *Emulator) StepInto(t *TraceEntry) error {
 	if e.halted {
 		return errHalted
@@ -223,7 +221,7 @@ func (e *Emulator) errEval(err error) error {
 	return fmt.Errorf("emu: pc %d: %v", e.PC, err)
 }
 
-// errHalted is allocated once so the hotpath Step never constructs an error
+// errHalted is allocated once so that Step never constructs an error
 // on the (caller-checkable) already-halted path.
 var errHalted = fmt.Errorf("emu: program has halted")
 

@@ -484,3 +484,41 @@ func TestForkIsolatesMemory(t *testing.T) {
 		t.Errorf("fork follows the parent's later execution: halted=%v r3=%d", f.Halted(), f.Regs[3])
 	}
 }
+
+// TestStepIntoAllocatesNothing: the sampler's fast-forward executes millions
+// of instructions through StepInto, so once a load/store loop has touched its
+// pages (including a store and a load that straddle a page boundary), a step
+// must not allocate.
+func TestStepIntoAllocatesNothing(t *testing.T) {
+	p, err := asm.Assemble(`
+        li   r8, 0x2000
+        li   r29, 100000
+loop:
+        ldq  r2, 0(r8)
+        addq r2, #1, r2
+        stq  r2, 0(r8)
+        stq  r2, 4092(r31)
+        ldl  r3, 4094(r31)
+        addq r8, #8, r8
+        and  r8, #0x3fff, r8
+        subq r29, #1, r29
+        bgt  r29, loop
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(p)
+	var te TraceEntry
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := e.StepInto(&te); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step(20_000) // every page of the 16 KiB the loop sweeps, and page 0
+	if n := testing.AllocsPerRun(100, func() { step(1000) }); n != 0 {
+		t.Fatalf("StepInto: %v allocs per 1000 steps, want 0", n)
+	}
+}

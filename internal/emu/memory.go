@@ -93,8 +93,6 @@ func (m *Memory) StoreByte(addr uint64, v byte) {
 }
 
 // Read reads size bytes (1..8) little-endian.
-//
-//rblint:hotpath emulator fast-forward: one page resolve per access, no allocation
 func (m *Memory) Read(addr uint64, size int) uint64 {
 	off := addr & (pageSize - 1)
 	if off+uint64(size) <= pageSize {
@@ -116,8 +114,6 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 }
 
 // Write writes size bytes (1..8) little-endian.
-//
-//rblint:hotpath emulator fast-forward: one page resolve per access, no allocation
 func (m *Memory) Write(addr uint64, size int, v uint64) {
 	off := addr & (pageSize - 1)
 	if off+uint64(size) <= pageSize {

@@ -6,9 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
+
+// TestMain closes the shared harness once the tests are done, so the leak
+// check counts only what a test left running.
+func TestMain(m *testing.M) {
+	leakcheck.Main(m, func() {
+		if defaultHarness != nil {
+			defaultHarness.Close()
+		}
+	})
+}
 
 // The experiment tests assert the *shape* of the paper's results: orderings,
 // rough magnitudes, and crossovers. Absolute IPC values differ from the

@@ -52,8 +52,6 @@ func (c *Circuit) PackedEvaluator() *PackedEvaluator {
 // input (in Input creation order), bit k being lane k's value of that input.
 // The outputs' lane words are appended to dst (pass dst[:0] of a reusable
 // slice for an allocation-free call) and returned in outs order.
-//
-//rblint:hotpath inner loop of every fault campaign; BenchmarkPackedEval pins 0 allocs/op
 func (e *PackedEvaluator) Eval(assignment []uint64, outs []Node, dst []uint64) ([]uint64, error) {
 	return e.EvalFault(assignment, outs, nil, dst)
 }
@@ -65,13 +63,9 @@ func (e *PackedEvaluator) Eval(assignment []uint64, outs []Node, dst []uint64) (
 // with overlapping lane masks on the same net compose in that order (the
 // scalar EvalFault's map semantics — one override per net — correspond to
 // the disjoint-lanes case every differential consumer uses).
-//
-//rblint:hotpath 64-lane gate walk under fault campaigns; steady state reuses e.vals and dst
 func (e *PackedEvaluator) EvalFault(assignment []uint64, outs []Node, faults []PackedFault, dst []uint64) ([]uint64, error) {
 	c := e.c
 	if len(assignment) != len(c.inputs) {
-		// Error path: boxing the counts is fine, the campaign is over anyway.
-		//rblint:allow hotalloc
 		return dst, fmt.Errorf("gates: %d assignments for %d inputs", len(assignment), len(c.inputs))
 	}
 	sorted, err := e.orderFaults(faults)
@@ -80,7 +74,6 @@ func (e *PackedEvaluator) EvalFault(assignment []uint64, outs []Node, faults []P
 	}
 	if len(e.vals) < len(c.ops) {
 		// One-time growth on first use (or a larger circuit); amortized free.
-		//rblint:allow hotalloc
 		e.vals = make([]uint64, len(c.ops))
 	}
 	vals := e.vals[:len(c.ops)]
@@ -132,8 +125,6 @@ func (e *PackedEvaluator) EvalFault(assignment []uint64, outs []Node, faults []P
 	}
 	for _, o := range outs {
 		if int(o) < 0 || int(o) >= len(c.ops) {
-			// Error path; the boxed Node never occurs on a valid netlist.
-			//rblint:allow hotalloc
 			return dst, fmt.Errorf("gates: output net %d out of range", o)
 		}
 		dst = append(dst, vals[o])

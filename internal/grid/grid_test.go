@@ -9,9 +9,12 @@ import (
 
 	"repro/internal/bypass"
 	"repro/internal/experiments"
+	"repro/internal/leakcheck"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestCellKey(t *testing.T) {
 	req := &CellRequest{Config: machine.NewRBFull(8), Workload: "mcf"}

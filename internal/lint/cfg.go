@@ -1,6 +1,6 @@
 package lint
 
-// Control-flow graphs for the dataflow analyzers (lockstate, goleak, the
+// Control-flow graphs for the dataflow analyzers (lockstate and the
 // determinism taint upgrade). The builder turns one function body into basic
 // blocks of *executed-in-order* nodes: simple statements appear whole,
 // composite statements contribute only their head parts (an if contributes

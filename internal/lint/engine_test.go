@@ -24,37 +24,6 @@ func TestLockstateGolden(t *testing.T) {
 	checkGolden(t, "lockstate.golden", got)
 }
 
-func TestGoleakGolden(t *testing.T) {
-	l := newTestLoader(t)
-	prog := loadProgram(t, l, "goleakbad", "goleakok")
-	diags := Apply(prog, []*Analyzer{Goleak})
-	if len(diags) == 0 {
-		t.Fatal("seeded goroutine leaks produced no diagnostics")
-	}
-	got := render(t, l, diags)
-	if strings.Contains(got, "goleakok") {
-		t.Errorf("negative fixture was flagged:\n%s", got)
-	}
-	checkGolden(t, "goleak.golden", got)
-}
-
-func TestHotAllocGolden(t *testing.T) {
-	l := newTestLoader(t)
-	prog := loadProgram(t, l, "hotallocbad", "hotallocok")
-	diags := Apply(prog, []*Analyzer{HotAlloc})
-	if len(diags) == 0 {
-		t.Fatal("seeded hotpath allocations produced no diagnostics")
-	}
-	got := render(t, l, diags)
-	if strings.Contains(got, "hotallocok") {
-		t.Errorf("negative fixture was flagged:\n%s", got)
-	}
-	if strings.Contains(got, "not flagged: unreachable") || strings.Contains(got, "deadTail") {
-		t.Errorf("allocation in dead code was flagged:\n%s", got)
-	}
-	checkGolden(t, "hotalloc.golden", got)
-}
-
 // TestDeterminismFlowGolden exercises the taint upgrade: map-iteration order
 // escaping the loop through assignments before reaching ordered output —
 // including the figure1 regression shape — with the collect-then-sort and

@@ -5,11 +5,12 @@
 // The simulator's correctness argument is structural — redundant binary
 // digits are disjoint (plus, minus) pairs, and the machine models must be
 // deterministic replicas of one another — and the serving layer's rests on
-// locks, goroutines and hot paths having the right shape. The rules here
+// its locks having the right shape. The rules here
 // check those shapes statically, at review time, before any simulation
 // runs. A property the program can check where it holds is checked there
 // instead: bypass schedules by machine.Config.Validate, opcode coverage by
-// internal/check's ops layer.
+// internal/check's ops layer, goroutine leaks by internal/leakcheck at the
+// end of each test binary, and hot-path allocations by AllocsPerRun tests.
 //
 // The framework provides:
 //
@@ -21,8 +22,8 @@
 //     trailing comment) or on the line directly below (for a standalone
 //     comment line). Every suppression is deliberate and greppable.
 //
-// The concrete rules live in rbconstruct.go, determinism.go, lockstate.go,
-// goleak.go and hotalloc.go; the gate-netlist checks (which operate on built
+// The concrete rules live in rbconstruct.go, determinism.go and
+// lockstate.go; the gate-netlist checks (which operate on built
 // gates.Circuit values rather than source) live in internal/gates/lint.go.
 package lint
 
@@ -36,11 +37,11 @@ import (
 	"time"
 )
 
-// Analyzers returns the default rule set cmd/rblint runs. The first two
-// are the v1 syntactic rules; the last three ride on the CFG/dataflow engine
-// in cfg.go and dataflow.go.
+// Analyzers returns the default rule set cmd/rblint runs. rbconstruct is
+// syntactic; determinism's taint pass and lockstate ride on the CFG/dataflow
+// engine in cfg.go and dataflow.go.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{RBConstruct, Determinism, Lockstate, Goleak, HotAlloc}
+	return []*Analyzer{RBConstruct, Determinism, Lockstate}
 }
 
 // Diagnostic is one finding: a rule violation anchored to a source position.

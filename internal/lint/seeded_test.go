@@ -8,10 +8,9 @@ import (
 )
 
 // Seeded-defect tests: each takes a copy of a real package, re-introduces a
-// bug class this PR's analyzers exist to catch (a removed unlock, a leaked
-// goroutine, a heap-allocating closure in the issue loop), and asserts the
-// corresponding rule reports it. These pin
-// the rules to the production code shapes, not just the synthetic fixtures.
+// bug class an analyzer exists to catch (a removed unlock), and asserts the
+// corresponding rule reports it. These pin the rules to the production code
+// shapes, not just the synthetic fixtures.
 
 // copyGoFiles copies a package's non-test Go sources into dst.
 func copyGoFiles(t *testing.T, src, dst string) {
@@ -106,33 +105,6 @@ func TestSeededRcacheUnlockCaught(t *testing.T) {
 	})
 	diags := Apply(prog, []*Analyzer{Lockstate})
 	requireFinding(t, diags, "lockstate", "sh.mu")
-}
-
-// TestSeededServerLeakCaught inserts an escape-less goroutine into server
-// construction — the Submit-vs-Close class of leak goleak exists to catch.
-func TestSeededServerLeakCaught(t *testing.T) {
-	l := newTestLoader(t)
-	prog := loadMutated(t, l, "internal/server", "repro/internal/servermut", func(dir string) {
-		mutate(t, filepath.Join(dir, "server.go"),
-			"\ts.mux = http.NewServeMux()\n",
-			"\tgo func() {\n\t\tfor {\n\t\t}\n\t}()\n\ts.mux = http.NewServeMux()\n")
-	})
-	diags := Apply(prog, []*Analyzer{Goleak})
-	requireFinding(t, diags, "goleak", "no ctx/done/close escape path")
-}
-
-// TestSeededCoreClosureCaught wraps the calendar pop of the annotated
-// issueEvent hot path in a capturing closure; hotalloc must flag the
-// allocation the steady-state zero-alloc guarantee forbids.
-func TestSeededCoreClosureCaught(t *testing.T) {
-	l := newTestLoader(t)
-	prog := loadMutated(t, l, "internal/core", "repro/internal/coremut", func(dir string) {
-		mutate(t, filepath.Join(dir, "backend.go"),
-			"\ts.calBuf = s.cal.Pop(cycle, s.calBuf[:0])\n",
-			"\tfunc() { s.calBuf = s.cal.Pop(cycle, s.calBuf[:0]) }()\n")
-	})
-	diags := Apply(prog, []*Analyzer{HotAlloc})
-	requireFinding(t, diags, "hotalloc", "closure", "issueEvent")
 }
 
 // TestSeededCleanCopiesPass: the unmutated copies must be clean, proving the

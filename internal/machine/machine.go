@@ -125,15 +125,31 @@ type Config struct {
 	ClassSchedulers bool
 }
 
+// Upper bounds on the fields that size a run's allocations (the window
+// slab, the scheduler lists, the fetch queue). Each is a multiple of the
+// largest value a preset, sweep or ablation uses, so no wire config can ask
+// one run for gigabytes.
+const (
+	// MaxWidth bounds Width, NumSchedulers, SelectWidth, FrontWidth and
+	// RetireWidth: 4x the width sweep's 16, 8x the presets' front width 8.
+	MaxWidth = 64
+	// MaxWindow bounds WindowSize and SchedulerSize: 16x the window sweep's 256.
+	MaxWindow = 4096
+	// MaxFrontLatency bounds FrontLatency, which with FrontWidth sizes the
+	// fetch queue: 8x the presets' 8.
+	MaxFrontLatency = 64
+)
+
 // Validate reports configuration inconsistencies: everything the core and
 // the cache hierarchy need to build a machine that runs, including a known
-// Kind and, for every latency class, schedules that pass
-// bypass.Schedule.Validate and reach a register file. core.New calls it,
-// so a /v1/cell config is refused with an error rather than failing inside
-// a simulation.
+// Kind, sizes within the Max bounds above and mem's, and, for every latency
+// class, schedules that pass bypass.Schedule.Validate and reach a register
+// file. core.New calls it, so a /v1/cell config is refused with an error
+// rather than failing inside a simulation.
 func (c *Config) Validate() error {
-	if c.Width <= 0 || c.Width%2 != 0 {
-		return fmt.Errorf("machine: width %d must be a positive multiple of 2", c.Width)
+	// Sizes first: the checks below multiply them.
+	if err := c.validateSizes(); err != nil {
+		return err
 	}
 	if c.NumSchedulers*c.SelectWidth != c.Width {
 		return fmt.Errorf("machine: %d schedulers x select-%d != width %d", c.NumSchedulers, c.SelectWidth, c.Width)
@@ -144,20 +160,8 @@ func (c *Config) Validate() error {
 	if c.Clusters < 1 || c.Width%c.Clusters != 0 {
 		return fmt.Errorf("machine: %d clusters do not divide width %d", c.Clusters, c.Width)
 	}
-	if c.NumSchedulers < 1 || c.SchedulerSize < 1 {
-		return fmt.Errorf("machine: %d schedulers of %d entries; want at least one scheduler of at least one entry",
-			c.NumSchedulers, c.SchedulerSize)
-	}
 	if c.NumSchedulers%c.Clusters != 0 {
 		return fmt.Errorf("machine: %d clusters do not divide %d schedulers", c.Clusters, c.NumSchedulers)
-	}
-	if c.FrontWidth < 1 || c.RetireWidth < 1 || c.MaxFetchBlocks < 1 {
-		return fmt.Errorf("machine: front width %d, retire width %d and fetch blocks %d must each be at least 1",
-			c.FrontWidth, c.RetireWidth, c.MaxFetchBlocks)
-	}
-	if c.FrontLatency < 0 || c.IssueToExecute < 0 || c.InterClusterDelay < 0 {
-		return fmt.Errorf("machine: front latency %d, issue-to-execute %d and inter-cluster delay %d must not be negative",
-			c.FrontLatency, c.IssueToExecute, c.InterClusterDelay)
 	}
 	if c.Kind > Staggered {
 		return fmt.Errorf("machine: unknown kind %d", uint8(c.Kind))
@@ -178,6 +182,31 @@ func (c *Config) Validate() error {
 		}
 	}
 	return c.Mem.Validate()
+}
+
+// validateSizes checks the fields that size a run's allocations, and the
+// pipeline latencies. It is apart from Validate to keep Validate's frame
+// small: a /v1 cell request runs it deep in the request goroutine's stack,
+// where a larger frame made that stack grow (a copy per request).
+func (c *Config) validateSizes() error {
+	if c.Width <= 0 || c.Width > MaxWidth || c.Width%2 != 0 {
+		return fmt.Errorf("machine: width %d must be a positive multiple of 2 of at most %d", c.Width, MaxWidth)
+	}
+	if c.NumSchedulers < 1 || c.NumSchedulers > MaxWidth || c.SelectWidth < 1 || c.SelectWidth > MaxWidth ||
+		c.SchedulerSize < 1 || c.SchedulerSize > MaxWindow || c.WindowSize > MaxWindow {
+		return fmt.Errorf("machine: %d schedulers of %d entries, select-%d, window %d; want 1 to %d schedulers of 1 to %d entries, select width 1 to %d, window at most %d",
+			c.NumSchedulers, c.SchedulerSize, c.SelectWidth, c.WindowSize, MaxWidth, MaxWindow, MaxWidth, MaxWindow)
+	}
+	if c.FrontWidth < 1 || c.FrontWidth > MaxWidth || c.RetireWidth < 1 || c.RetireWidth > MaxWidth ||
+		c.MaxFetchBlocks < 1 {
+		return fmt.Errorf("machine: front width %d, retire width %d and fetch blocks %d; want widths 1 to %d and at least 1 fetch block",
+			c.FrontWidth, c.RetireWidth, c.MaxFetchBlocks, MaxWidth)
+	}
+	if c.FrontLatency < 0 || c.FrontLatency > MaxFrontLatency || c.IssueToExecute < 0 || c.InterClusterDelay < 0 {
+		return fmt.Errorf("machine: front latency %d, issue-to-execute %d and inter-cluster delay %d; want a front latency 0 to %d and no negative delay",
+			c.FrontLatency, c.IssueToExecute, c.InterClusterDelay, MaxFrontLatency)
+	}
+	return nil
 }
 
 // MinPipeline is the paper's minimum pipeline depth in cycles: 6 fetch and
@@ -381,8 +410,8 @@ func WithWindow(c Config, window int) (Config, error) {
 // by width/2 schedulers, so a width below 2 would panic during construction
 // rather than fail Config.Validate.
 func checkWidth(width int) error {
-	if width < 2 || width%2 != 0 || width > 64 {
-		return fmt.Errorf("machine: invalid width %d (want an even width in [2, 64])", width)
+	if width < 2 || width%2 != 0 || width > MaxWidth {
+		return fmt.Errorf("machine: invalid width %d (want an even width in [2, %d])", width, MaxWidth)
 	}
 	return nil
 }

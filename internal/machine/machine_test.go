@@ -108,6 +108,20 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"L2 banks 0", func(c *Config) { c.Mem.L2Banks = 0 }},
 		{"memory banks 0", func(c *Config) { c.Mem.MemBanks = 0 }},
 		{"memory latency -1", func(c *Config) { c.Mem.MemLatency = -1 }},
+		// Oversized: each row passes every other check, so only the bound
+		// refuses it.
+		{"width 128", func(c *Config) { c.Width, c.NumSchedulers, c.SchedulerSize = 128, 64, 2 }},
+		{"window 1<<20", func(c *Config) { c.WindowSize, c.SchedulerSize = 1<<20, 1<<18 }},
+		{"schedulers whose products wrap", func(c *Config) {
+			c.NumSchedulers, c.SelectWidth, c.SchedulerSize, c.WindowSize = 2+1<<62, 4, 32, 64
+		}},
+		{"front width 1<<40", func(c *Config) { c.FrontWidth = 1 << 40 }},
+		{"retire width 1<<40", func(c *Config) { c.RetireWidth = 1 << 40 }},
+		{"front latency 1<<40", func(c *Config) { c.FrontLatency = 1 << 40 }},
+		{"L2 size 1<<62", func(c *Config) { c.Mem.L2.SizeBytes = 1 << 62 }},
+		{"L2 ways 128", func(c *Config) { c.Mem.L2.Ways = 128 }},
+		{"L2 banks 1<<40", func(c *Config) { c.Mem.L2Banks = 1 << 40 }},
+		{"memory banks 1<<40", func(c *Config) { c.Mem.MemBanks = 1 << 40 }},
 	} {
 		c := NewRBFull(8)
 		tc.edit(&c)

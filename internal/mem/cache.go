@@ -58,10 +58,33 @@ const (
 	lineDirty = 1 << 1
 )
 
-// Validate reports a geometry NewCache cannot build: a line size that is
-// not a power of two, or a capacity that does not split into a power-of-two
-// number (at least one) of sets of Ways lines.
+// Upper bounds on the fields that size a hierarchy's allocations. Each is a
+// multiple of the largest value a preset or example uses, so no wire config
+// can ask one run for gigabytes of cache tags.
+const (
+	// MaxCacheBytes bounds a cache's capacity: 16x the 1 MiB L2.
+	MaxCacheBytes = 16 << 20
+	// MaxWays bounds a cache's associativity: 8x the L2's 8 ways.
+	MaxWays = 64
+	// MaxBanks bounds the L2 and memory bank counts: 32x the 32 memory banks.
+	MaxBanks = 1024
+)
+
+// Built once: formatting them in Validate, which every /v1 cell request runs
+// deep in its goroutine's stack, grew its frame and with it that stack.
+var (
+	errCacheBounds = fmt.Errorf("mem: cache larger than %d bytes or with more than %d ways", MaxCacheBytes, MaxWays)
+	errBankBounds  = fmt.Errorf("mem: more than %d L2 or memory banks", MaxBanks)
+)
+
+// Validate reports a geometry NewCache cannot build: a capacity above
+// MaxCacheBytes or more than MaxWays ways, a line size that is not a power
+// of two, or a capacity that does not split into a power-of-two number (at
+// least one) of sets of Ways lines.
 func (cfg CacheConfig) Validate() error {
+	if cfg.SizeBytes > MaxCacheBytes || cfg.Ways > MaxWays {
+		return errCacheBounds
+	}
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		return fmt.Errorf("mem: line size %d is not a power of two", cfg.LineBytes)
 	}

@@ -82,6 +82,9 @@ func (cfg *HierarchyConfig) Validate() error {
 	if cfg.L2Banks < 1 || cfg.MemBanks < 1 {
 		return fmt.Errorf("mem: %d L2 banks and %d memory banks; want at least one of each", cfg.L2Banks, cfg.MemBanks)
 	}
+	if cfg.L2Banks > MaxBanks || cfg.MemBanks > MaxBanks {
+		return errBankBounds
+	}
 	if cfg.L1ILatency < 0 || cfg.L1DLatency < 0 || cfg.L2Latency < 0 || cfg.MemLatency < 0 ||
 		cfg.L2BankBusy < 0 || cfg.MemBankBusy < 0 {
 		return fmt.Errorf("mem: negative latency or bank busy time in %+v", *cfg)

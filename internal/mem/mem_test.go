@@ -17,6 +17,8 @@ func TestCacheConfigValidation(t *testing.T) {
 		{SizeBytes: 0, LineBytes: 64, Ways: 2},               // no sets
 		{SizeBytes: -1024, LineBytes: 64, Ways: 2},           // negative sets
 		{SizeBytes: 1024, LineBytes: 1 << 32, Ways: 1 << 32}, // line x ways overflows
+		{SizeBytes: 1 << 62, LineBytes: 64, Ways: 8},         // over MaxCacheBytes
+		{SizeBytes: 1 << 20, LineBytes: 64, Ways: 128},       // over MaxWays
 	}
 	for _, cfg := range bad {
 		if _, err := NewCache(cfg); err == nil {
@@ -30,14 +32,18 @@ func TestCacheConfigValidation(t *testing.T) {
 // an error from NewHierarchy, never a panic in the core's MustHierarchy.
 func TestHierarchyConfigValidation(t *testing.T) {
 	for name, edit := range map[string]func(*HierarchyConfig){
-		"L1I size 0":     func(c *HierarchyConfig) { c.L1I.SizeBytes = 0 },
-		"L1D size 0":     func(c *HierarchyConfig) { c.L1D.SizeBytes = 0 },
-		"L2 ways 3":      func(c *HierarchyConfig) { c.L2.Ways = 3 },
-		"L2 banks 0":     func(c *HierarchyConfig) { c.L2Banks = 0 },
-		"memory banks 0": func(c *HierarchyConfig) { c.MemBanks = 0 },
-		"L1D latency -1": func(c *HierarchyConfig) { c.L1DLatency = -1 },
-		"L2 busy -1":     func(c *HierarchyConfig) { c.L2BankBusy = -1 },
-		"memory -100":    func(c *HierarchyConfig) { c.MemLatency = -100 },
+		"L1I size 0":      func(c *HierarchyConfig) { c.L1I.SizeBytes = 0 },
+		"L1D size 0":      func(c *HierarchyConfig) { c.L1D.SizeBytes = 0 },
+		"L2 ways 3":       func(c *HierarchyConfig) { c.L2.Ways = 3 },
+		"L2 banks 0":      func(c *HierarchyConfig) { c.L2Banks = 0 },
+		"memory banks 0":  func(c *HierarchyConfig) { c.MemBanks = 0 },
+		"L1D latency -1":  func(c *HierarchyConfig) { c.L1DLatency = -1 },
+		"L2 busy -1":      func(c *HierarchyConfig) { c.L2BankBusy = -1 },
+		"memory -100":     func(c *HierarchyConfig) { c.MemLatency = -100 },
+		"L2 size 1<<62":   func(c *HierarchyConfig) { c.L2.SizeBytes = 1 << 62 },
+		"L2 ways 128":     func(c *HierarchyConfig) { c.L2.Ways = 128 },
+		"L2 banks 1<<40":  func(c *HierarchyConfig) { c.L2Banks = 1 << 40 },
+		"mem banks 1<<40": func(c *HierarchyConfig) { c.MemBanks = 1 << 40 },
 	} {
 		cfg := DefaultConfig()
 		edit(&cfg)

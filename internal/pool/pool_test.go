@@ -7,7 +7,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestSubmitRunsEverything(t *testing.T) {
 	p := New(4, 0)

@@ -78,8 +78,6 @@ func New(shards int, maxCost int64) *Cache {
 }
 
 // fnv1a hashes the key to pick a shard.
-//
-//rblint:hotpath shard selection on every cache call; a hash that allocates would tax every hit
 func fnv1a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -163,8 +161,6 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, int64, 
 }
 
 // Get returns the cached value for key if present and complete.
-//
-//rblint:hotpath hit path of the result cache; served results must not allocate per lookup
 func (c *Cache) Get(key string) (any, bool) {
 	sh := c.shards[fnv1a(key)&c.mask]
 	sh.mu.Lock()

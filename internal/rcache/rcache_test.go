@@ -229,3 +229,24 @@ func TestReadyOnlyOnceCharged(t *testing.T) {
 		t.Fatalf("after evicting a for b: %+v, want 1 entry of cost 70 and 1 eviction", st)
 	}
 }
+
+// TestGetHitAllocatesNothing: a hit (shard hash, lookup, LRU move) must not
+// allocate; the result cache serves every repeated request through it.
+func TestGetHitAllocatesNothing(t *testing.T) {
+	c := New(8, 0)
+	keys := []string{"fig9|RB-full-8|gcc00", "fig9|baseline-4|mcf", "k"}
+	for _, k := range keys {
+		if _, _, err := c.Do(context.Background(), k, func() (any, int64, error) { return k, 1, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, k := range keys {
+			if _, ok := c.Get(k); !ok {
+				t.Fatalf("Get(%q) missed", k)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("Get on a hit: %v allocs per run, want 0", n)
+	}
+}

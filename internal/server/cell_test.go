@@ -76,11 +76,14 @@ func TestCellAliasRefused(t *testing.T) {
 	}
 	ctx := context.Background()
 	w, _ := workload.ByName("compress")
-	want, err := experiments.NewHarness(1).RunCell(ctx, small, w)
+	h, hStock := experiments.NewHarness(1), experiments.NewHarness(1)
+	defer h.Close()
+	defer hStock.Close()
+	want, err := h.RunCell(ctx, small, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stock, err := experiments.NewHarness(1).RunCell(ctx, machine.NewRBFull(8), w)
+	stock, err := hStock.RunCell(ctx, machine.NewRBFull(8), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +147,11 @@ func TestCellUnknownFieldRefused(t *testing.T) {
 // TestCellBadConfigRefused: /v1/cell is a wire format, so a config no
 // machine can be built from — an unknown kind, a converter finishing
 // before or never after its adder, a cache without sets, a hierarchy
-// without banks, a negative pipeline latency — is refused with 400 by
-// machine.Config.Validate, never simulated, and the server stays up.
-// Before Validate checked them, the unknown kind and the memory geometries
-// panicked on a pool goroutine and took the process down.
+// without banks, a negative pipeline latency, or a size past its bound —
+// is refused with 400 by machine.Config.Validate, never simulated, and the
+// server stays up. Before Validate checked them, the unknown kind, the
+// memory geometries and the oversized L2 (a makeslice panic) panicked on a
+// pool goroutine and took the process down.
 func TestCellBadConfigRefused(t *testing.T) {
 	s := privateServer(t, Config{Parallel: 2})
 	for _, tc := range []struct {
@@ -161,6 +165,18 @@ func TestCellBadConfigRefused(t *testing.T) {
 		{"l2banks0", "L2 banks", func(c *machine.Config) { c.Mem.L2Banks = 0 }},
 		{"membanks0", "memory banks", func(c *machine.Config) { c.Mem.MemBanks = 0 }},
 		{"front-5", "front latency -5", func(c *machine.Config) { c.FrontLatency = -5 }},
+		{"width128", "width 128", func(c *machine.Config) { c.Width, c.NumSchedulers, c.SchedulerSize = 128, 64, 2 }},
+		{"window1M", "window 1048576", func(c *machine.Config) { c.WindowSize, c.SchedulerSize = 1<<20, 1<<18 }},
+		{"schedwrap", "4611686018427387906 schedulers", func(c *machine.Config) {
+			c.NumSchedulers, c.SelectWidth, c.SchedulerSize, c.WindowSize = 2+1<<62, 4, 32, 64
+		}},
+		{"frontwidth", "front width 1099511627776", func(c *machine.Config) { c.FrontWidth = 1 << 40 }},
+		{"retirewidth", "retire width 1099511627776", func(c *machine.Config) { c.RetireWidth = 1 << 40 }},
+		{"frontlat", "front latency 1099511627776", func(c *machine.Config) { c.FrontLatency = 1 << 40 }},
+		{"l2huge", "cache larger than 16777216 bytes", func(c *machine.Config) { c.Mem.L2.SizeBytes = 1 << 62 }},
+		{"l2ways128", "more than 64 ways", func(c *machine.Config) { c.Mem.L2.Ways = 128 }},
+		{"l2banks", "more than 1024 L2 or memory banks", func(c *machine.Config) { c.Mem.L2Banks = 1 << 40 }},
+		{"membanks", "more than 1024 L2 or memory banks", func(c *machine.Config) { c.Mem.MemBanks = 1 << 40 }},
 	} {
 		cfg := machine.NewRBFull(8)
 		cfg.Name = "RB-full-8-" + tc.name

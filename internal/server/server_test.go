@@ -17,9 +17,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/experiments"
+	"repro/internal/leakcheck"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
+
+// TestMain closes the shared server once the tests are done, so the leak
+// check counts only what a test left running.
+func TestMain(m *testing.M) {
+	leakcheck.Main(m, func() {
+		if testSrv != nil {
+			testSrv.Close()
+		}
+	})
+}
 
 // testServer builds one server per test binary: the harness cell cache makes
 // repeated experiments nearly free, so sharing it keeps the suite fast.
@@ -105,7 +116,9 @@ func TestExperimentTextMatchesCLI(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	f, err := experiments.Figure11(context.Background(), experiments.Default())
+	h := experiments.NewHarness(0)
+	defer h.Close()
+	f, err := experiments.Figure11(context.Background(), h)
 	if err != nil {
 		t.Fatalf("Figure11: %v", err)
 	}
