@@ -103,6 +103,37 @@ func BenchmarkFigure10(b *testing.B) { benchIPCFigure(b, 8, workload.SPECint95()
 func BenchmarkFigure11(b *testing.B) { benchIPCFigure(b, 4, workload.SPECint2000()) }
 func BenchmarkFigure12(b *testing.B) { benchIPCFigure(b, 4, workload.SPECint95()) }
 
+// BenchmarkWarmFigure9 is Figure 9 regenerated from warm cells: a private
+// harness simulates the 48 cells once, then each iteration regenerates and
+// renders the figure, every cell a cache hit read on the caller's
+// goroutine. It is the hit path's cost beside the cold per-figure runs.
+func BenchmarkWarmFigure9(b *testing.B) {
+	h := experiments.NewHarness(0)
+	defer h.Close()
+	ctx := context.Background()
+	if _, err := experiments.Figure9(ctx, h); err != nil {
+		b.Fatal(err)
+	}
+	runs := h.Runs()
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := experiments.Figure9(ctx, h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf.Reset()
+		if err := f.Render(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if h.Runs() != runs {
+		b.Fatalf("warm regenerations simulated %d cells", h.Runs()-runs)
+	}
+}
+
 // BenchmarkFigure13 regenerates the bypass-case distribution and reports the
 // average fraction of critical bypasses requiring RB->TC conversion.
 func BenchmarkFigure13(b *testing.B) {

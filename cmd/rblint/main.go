@@ -28,7 +28,9 @@
 // Package patterns follow the usual shapes ("./...", "./internal/rb", a
 // directory); the default is ./... from the module root. -rules restricts
 // the run to a comma-separated subset; -list prints the rule set and exits.
-// A finding on a line marked //rblint:allow <rule> is suppressed. The exit
+// A finding on a line marked //rblint:allow <rule> is suppressed; a
+// directive naming a rule that does not exist (nor "all") is itself a
+// finding, since it would suppress nothing. The exit
 // status is 0 iff no findings, no load errors, and every depth budget holds,
 // so the tier-1 CI gate can run it directly. A package that fails to load is
 // reported and skipped — findings from the packages that did load are still

@@ -4,7 +4,9 @@ package experiments
 // (machine, workload) cells, and every layer that names, caches, or fans out
 // cells — this harness and its sampler, the grid router and its batch tees,
 // the server's journals — does it through the functions below, so serial,
-// pooled, and distributed runs cannot drift apart.
+// pooled, and distributed runs cannot drift apart. A cell the harness has
+// cached is answered on the caller's goroutine (cachedHit): only misses,
+// and joins on a simulation already in flight, are handed to a pool.
 
 import (
 	"context"
@@ -41,7 +43,13 @@ func CellKey(cfg *machine.Config, workload string, spec *SampleSpec) string {
 // cellKey joins the key fields in one allocation; the sampler's window keys
 // pass their own spec field.
 func cellKey(cfg *machine.Config, workload, spec string) string {
-	return cfg.Name + "|" + workload + "|" + strconv.Itoa(cfg.Width) + "|" + cfg.IdealBypass.String() + "|" + spec
+	return cfg.Name + "|" + workload + keyTail(cfg, spec)
+}
+
+// keyTail is the part of cfg's keys after the workload name, "|width|bypass|
+// spec": a matrix row or a sampled estimate builds it once for all its cells.
+func keyTail(cfg *machine.Config, spec string) string {
+	return "|" + strconv.Itoa(cfg.Width) + "|" + cfg.IdealBypass.String() + "|" + spec
 }
 
 // cellEntry is a cached cell value beside the config that computed it. A
@@ -72,6 +80,25 @@ func CachedCell(ctx context.Context, c *rcache.Cache, key string, cfg *machine.C
 	if err != nil {
 		return nil, err
 	}
+	return entryValue(v, key, cfg)
+}
+
+// cachedHit is CachedCell's hit alone: the value ready under key, read on
+// the caller's goroutine with no compute and no wait. ok is false on a miss
+// and on a computation still in flight; the caller sends those through
+// CachedCell, which fills or joins. rcache counts the lookup once either
+// way: a hit here under Get, a miss or join there under Do.
+func cachedHit(c *rcache.Cache, key string, cfg *machine.Config) (val any, ok bool, err error) {
+	v, ok := c.Get(key)
+	if !ok {
+		return nil, false, nil
+	}
+	val, err = entryValue(v, key, cfg)
+	return val, true, err
+}
+
+// entryValue unwraps a cached cellEntry through the alias guard.
+func entryValue(v any, key string, cfg *machine.Config) (any, error) {
 	e := v.(*cellEntry)
 	if e.known && e.cfg != *cfg {
 		return nil, fmt.Errorf("%w: cell %s is cached for a different %s config; give the variant its own name",
@@ -143,19 +170,51 @@ func Spawn(_ context.Context, f func()) error {
 	return nil
 }
 
-// Matrix is every Runner's RunMatrix: it fans run over the (config,
-// workload) product through FanOut and returns the results indexed by
-// config name then workload name.
-func Matrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload,
+// Matrix is every Runner's RunMatrix: it runs run over the (config,
+// workload) product and returns the results indexed by config name then
+// workload name. Given the harness's cell cache, it first looks every cell
+// up on the calling goroutine and fans only the misses out through FanOut,
+// so a warm matrix never reaches submit. The router and the batch tee pass
+// a nil cache and fan every cell out (the tee must observe each one).
+func Matrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload, cache *rcache.Cache,
 	submit func(context.Context, func()) error,
 	run func(context.Context, machine.Config, *workload.Workload) (*core.Result, error),
 ) (map[string]map[string]*core.Result, error) {
+	if cache != nil {
+		// A done context fails the matrix, as a pool's Submit or the inline
+		// loop fails it, even when every cell is cached.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 	out := make(map[string]map[string]*core.Result, len(cfgs))
 	for _, c := range cfgs {
 		out[c.Name] = make(map[string]*core.Result, len(wls))
 	}
+	miss := make([]int, 0, len(cfgs)*len(wls))
+	for ci := range cfgs {
+		c := &cfgs[ci]
+		var tail string
+		if cache != nil {
+			tail = keyTail(c, "full")
+		}
+		for wi, w := range wls {
+			if cache != nil {
+				v, ok, err := cachedHit(cache, c.Name+"|"+w.Name+tail, c)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					out[c.Name][w.Name] = v.(*core.Result)
+					continue
+				}
+			}
+			miss = append(miss, ci*len(wls)+wi)
+		}
+	}
 	var mu sync.Mutex
-	err := FanOut(ctx, len(cfgs)*len(wls), submit, func(i int) error {
+	err := FanOut(ctx, len(miss), submit, func(j int) error {
+		i := miss[j]
 		c, w := &cfgs[i/len(wls)], wls[i%len(wls)]
 		r, err := run(ctx, *c, w)
 		if err != nil {

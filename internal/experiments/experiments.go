@@ -151,9 +151,33 @@ func (h *Harness) RunCell(ctx context.Context, cfg machine.Config, w *workload.W
 	return v.(*core.Result), nil
 }
 
-// RunMatrix simulates every (config, workload) pair — through the worker
-// pool when the harness has one, inline otherwise — and returns results
-// indexed by config name then workload name.
+// RunCellOn is RunCell with the simulation handed to run (a server's
+// pool): a cached cell is answered on the caller's goroutine and never
+// enters run; a miss, or a join on a simulation in flight, goes through run.
+func (h *Harness) RunCellOn(ctx context.Context, cfg machine.Config, w *workload.Workload, run func(context.Context, func()) error) (*core.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if v, ok, err := cachedHit(h.cache, CellKey(&cfg, w.Name, nil), &cfg); ok || err != nil {
+		if err != nil {
+			return nil, err
+		}
+		return v.(*core.Result), nil
+	}
+	var (
+		res *core.Result
+		err error
+	)
+	if perr := run(ctx, func() { res, err = h.RunCell(ctx, cfg, w) }); perr != nil {
+		return nil, perr
+	}
+	return res, err
+}
+
+// RunMatrix simulates every (config, workload) pair and returns results
+// indexed by config name then workload name. Cached cells are read on the
+// caller's goroutine; the misses run through the worker pool when the
+// harness has one, inline otherwise.
 func (h *Harness) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
 	if h.pool != nil {
 		// Build the workloads' timing traces serially: they are cached and
@@ -165,7 +189,7 @@ func (h *Harness) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*w
 			}
 		}
 	}
-	return Matrix(ctx, cfgs, wls, h.submit(), h.RunCell)
+	return Matrix(ctx, cfgs, wls, h.cache, h.submit(), h.RunCell)
 }
 
 // submit is where the harness fans cells out: its pool, or nil (inline, in

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/branch"
@@ -206,13 +207,35 @@ func (h *Harness) library(ctx context.Context, cfg machine.Config, w *workload.W
 	return v.(*ckptLibrary), nil
 }
 
-// cellCPIs runs the detailed cells at the given starts — parallel when the
-// harness has a pool, memoized per cell — and returns their CPIs in order.
+// cellCPIs runs the detailed cells at the given starts and returns their
+// CPIs in order. Cached cells are read on the calling goroutine; the misses
+// run in parallel when the harness has a pool, and are memoized.
 func (h *Harness) cellCPIs(ctx context.Context, cfg machine.Config, w *workload.Workload, spec SampleSpec, lib *ckptLibrary, starts []int64) ([]float64, error) {
 	cpis := make([]float64, len(starts))
-	err := FanOut(ctx, len(starts), h.submit(), func(i int) error {
+	keys := make([]string, len(starts))
+	var miss []int
+	// Window keys are cellKey(&cfg, w.Name, "window/<print>/<ffwarm>/<gap>+
+	// <warmup>/<measure>"); only the checkpoint print and the gap vary.
+	head := cfg.Name + "|" + w.Name + keyTail(&cfg, "window/")
+	ff := "/" + strconv.FormatInt(spec.FFWarm, 10) + "/"
+	tail := "+" + strconv.Itoa(spec.Warmup) + "/" + strconv.Itoa(spec.Measure)
+	for i, start := range starts {
+		j := start / lib.stride
+		keys[i] = head + lib.prints[j] + ff + strconv.FormatInt(start-j*lib.stride, 10) + tail
+		v, ok, err := cachedHit(h.cache, keys[i], &cfg)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			cpis[i] = v.(float64)
+			continue
+		}
+		miss = append(miss, i)
+	}
+	err := FanOut(ctx, len(miss), h.submit(), func(m int) error {
+		i := miss[m]
 		var err error
-		cpis[i], err = h.runSampleCell(ctx, cfg, w, spec, lib, starts[i], i)
+		cpis[i], err = h.runSampleCell(ctx, cfg, w, spec, lib, keys[i], starts[i], i)
 		return err
 	})
 	if err != nil {
@@ -249,15 +272,13 @@ func summarize(cfg machine.Config, w *workload.Workload, spec SampleSpec, lib *c
 	return res
 }
 
-// runSampleCell runs (or fetches) one detailed cell and returns its
+// runSampleCell runs (or fetches) cell i, cached under key, and returns its
 // measurement-window CPI. The cell resumes at the library checkpoint
 // preceding start, functionally warms the gap, then runs its window in
 // detail.
-func (h *Harness) runSampleCell(ctx context.Context, cfg machine.Config, w *workload.Workload, spec SampleSpec, lib *ckptLibrary, start int64, i int) (float64, error) {
+func (h *Harness) runSampleCell(ctx context.Context, cfg machine.Config, w *workload.Workload, spec SampleSpec, lib *ckptLibrary, key string, start int64, i int) (float64, error) {
 	j := start / lib.stride
 	gap := start - j*lib.stride
-	key := cellKey(&cfg, w.Name, fmt.Sprintf("window/%s/%d/%d+%d/%d",
-		lib.prints[j], spec.FFWarm, gap, spec.Warmup, spec.Measure))
 	v, err := CachedCell(ctx, h.cache, key, &cfg, func() (any, error) {
 		h.runs.Add(1)
 		prog, err := w.Program()

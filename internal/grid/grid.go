@@ -101,8 +101,9 @@ func (r *CellResult) IPC() float64 {
 
 // RunLocal computes one cell on a harness: a worker's /v1/cell endpoint
 // and a single-process server's /v1/batch share this path, so a cell is
-// computed by the same code wherever it runs. A full cell runs through run
-// (the server passes its pool); a sampled cell fans its windows over the
+// computed by the same code wherever it runs. A full cell the harness has
+// cached is answered on the calling goroutine; a miss runs through run (the
+// server passes its pool). A sampled cell fans its windows over the
 // harness's own pool, so it runs outside run.
 func RunLocal(ctx context.Context, h *experiments.Harness, req *CellRequest, run func(context.Context, func()) error) (*CellResult, error) {
 	if err := req.Validate(); err != nil {
@@ -113,8 +114,8 @@ func RunLocal(ctx context.Context, h *experiments.Harness, req *CellRequest, run
 	var err error
 	if req.Sampled != nil {
 		out.Sampled, err = h.RunSampled(ctx, req.Config, w, *req.Sampled)
-	} else if perr := run(ctx, func() { out.Result, err = h.RunCell(ctx, req.Config, w) }); perr != nil {
-		err = perr
+	} else {
+		out.Result, err = h.RunCellOn(ctx, req.Config, w, run)
 	}
 	if err != nil {
 		return nil, err

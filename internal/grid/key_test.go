@@ -27,7 +27,7 @@ func (r *recorder) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*
 	r.mu.Lock()
 	r.cfgs = append(r.cfgs, cfgs...)
 	r.mu.Unlock()
-	return experiments.Matrix(ctx, cfgs, wls, nil, r.RunCell)
+	return experiments.Matrix(ctx, cfgs, wls, nil, nil, r.RunCell)
 }
 
 // TestCellKeyPinned pins the cell key byte for byte for every config the

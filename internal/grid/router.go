@@ -376,7 +376,7 @@ func (r *Router) RunCell(ctx context.Context, cfg machine.Config, w *workload.Wo
 // product fans out concurrently; the router's in-flight semaphore is the
 // only bound the coordinator needs (workers bound their own CPU).
 func (r *Router) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
-	return experiments.Matrix(ctx, cfgs, wls, experiments.Spawn, r.RunCell)
+	return experiments.Matrix(ctx, cfgs, wls, nil, experiments.Spawn, r.RunCell)
 }
 
 // WorkerSnapshot is one worker's health for /metrics.
@@ -456,5 +456,5 @@ func (t *TeeRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload
 // underlying runner's RunCell (the router's semaphore, or a pool that
 // RunCell submits to — a bare Harness.RunCell runs unbounded).
 func (t *TeeRunner) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
-	return experiments.Matrix(ctx, cfgs, wls, experiments.Spawn, t.RunCell)
+	return experiments.Matrix(ctx, cfgs, wls, nil, experiments.Spawn, t.RunCell)
 }

@@ -20,7 +20,9 @@
 //   - Allowlist directives: a "//rblint:allow <rule> [<rule>...]" comment
 //     suppresses findings of the named rules on the comment's line (for a
 //     trailing comment) or on the line directly below (for a standalone
-//     comment line). Every suppression is deliberate and greppable.
+//     comment line). Every suppression is deliberate and greppable. A
+//     directive naming a rule that is neither in Analyzers() nor "all"
+//     suppresses nothing, so it is itself a finding (rule "allow").
 //
 // The concrete rules live in rbconstruct.go, determinism.go and
 // lockstate.go; the gate-netlist checks (which operate on built
@@ -93,6 +95,8 @@ type Package struct {
 
 	// allow maps file name -> line -> set of rule names suppressed there.
 	allow map[string]map[int]map[string]bool
+	// unknownAllows are the findings for directive names no rule has.
+	unknownAllows []Diagnostic
 }
 
 // Program is the set of packages one driver invocation analyzes, in load
@@ -141,6 +145,24 @@ func (pkg *Package) selectorPkg(e ast.Expr) (path, name string) {
 // allowDirective is the comment prefix that suppresses findings.
 const allowDirective = "//rblint:allow"
 
+// allowRule is the rule name of a finding for an allow directive that
+// names an unknown rule.
+const allowRule = "allow"
+
+// knownAllow reports whether an allow directive may name rule: "all" or one
+// of Analyzers().
+func knownAllow(rule string) bool {
+	if rule == "all" {
+		return true
+	}
+	for _, a := range Analyzers() {
+		if a.Name == rule {
+			return true
+		}
+	}
+	return false
+}
+
 // collectAllows scans a file's comments for allow directives. src is the raw
 // file content, used to decide whether a directive is trailing (suppresses
 // its own line) or standalone (suppresses the next line).
@@ -175,7 +197,12 @@ func (pkg *Package) collectAllows(file *ast.File, src []byte) {
 				fm[line] = rm
 			}
 			for _, r := range rules {
-				rm[strings.TrimSuffix(r, ",")] = true
+				r = strings.TrimSuffix(r, ",")
+				if !knownAllow(r) {
+					pkg.unknownAllows = append(pkg.unknownAllows, pkg.diag(c.Pos(), allowRule,
+						"//rblint:allow names unknown rule %q, so it suppresses nothing (run rblint -list)", r))
+				}
+				rm[r] = true
 			}
 		}
 	}
@@ -234,9 +261,14 @@ func Apply(prog *Program, analyzers []*Analyzer) []Diagnostic {
 }
 
 // ApplyTimed is Apply plus a per-analyzer timing entry (in analyzer order,
-// one per analyzer whether or not it found anything).
+// one per analyzer whether or not it found anything). The findings for
+// allow directives that name an unknown rule are always included; they
+// belong to no analyzer and get no timing entry.
 func ApplyTimed(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []RuleTiming) {
 	var out []Diagnostic
+	for _, pkg := range prog.Pkgs {
+		out = append(out, pkg.unknownAllows...)
+	}
 	timings := make([]RuleTiming, 0, len(analyzers))
 	for _, a := range analyzers {
 		start := time.Now()

@@ -111,6 +111,21 @@ func TestDeterminismGolden(t *testing.T) {
 	checkGolden(t, "determinism.golden", got)
 }
 
+// TestUnknownAllowReported: an allow directive naming a rule rblint does
+// not have is exactly one finding, which names the rule; directives naming
+// known rules or "all" are silent.
+func TestUnknownAllowReported(t *testing.T) {
+	l := newTestLoader(t)
+	prog := loadProgram(t, l, "allowfix")
+	diags := Apply(prog, Analyzers())
+	if len(diags) != 1 {
+		t.Fatalf("%d findings, want 1:\n%s", len(diags), render(t, l, diags))
+	}
+	if d := diags[0]; d.Rule != allowRule || d.Line != 5 || !strings.Contains(d.Message, `"goleak"`) {
+		t.Errorf("finding %s, want rule %q on line 5 naming \"goleak\"", d, allowRule)
+	}
+}
+
 func TestExpandSkipsTestdata(t *testing.T) {
 	l := newTestLoader(t)
 	paths, err := l.Expand([]string{"./..."})

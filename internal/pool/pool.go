@@ -3,7 +3,10 @@
 // a FIFO task queue. One pool per process bounds simulator concurrency at
 // GOMAXPROCS no matter how many experiments (or HTTP requests) fan out cells
 // into it, and its queue depth is the backpressure signal the server's
-// /metrics endpoint and 429 admission control read.
+// /metrics endpoint and 429 admission control read. Only simulations enter
+// it: the harness answers a cached cell on the caller's goroutine, so a
+// cache hit is never queued, never counted in Depth or Submitted, and never
+// waits behind a cold simulation.
 package pool
 
 import (

@@ -160,7 +160,10 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, int64, 
 	return e.val, false, e.err
 }
 
-// Get returns the cached value for key if present and complete.
+// Get returns the cached value for key if present and complete, and counts
+// it as a hit, as Do does. A miss is not counted: a caller that probes with
+// Get and then computes through Do has Do count the miss (or the join), so
+// every lookup is counted exactly once.
 func (c *Cache) Get(key string) (any, bool) {
 	sh := c.shards[fnv1a(key)&c.mask]
 	sh.mu.Lock()
@@ -170,6 +173,7 @@ func (c *Cache) Get(key string) (any, bool) {
 		return nil, false
 	}
 	sh.moveToFront(e)
+	c.hits.Add(1)
 	return e.val, true
 }
 

@@ -36,6 +36,29 @@ func TestHitAfterMiss(t *testing.T) {
 	}
 }
 
+// TestGetCountsHits: a Get that finds a ready entry counts one hit, as Do
+// does; a Get that misses counts nothing, so the Do that follows it counts
+// the lookup once.
+func TestGetCountsHits(t *testing.T) {
+	c := New(4, 0)
+	ctx := context.Background()
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("Get hit an empty cache")
+	}
+	if st := c.Stats(); st.Hits+st.Joins+st.Misses != 0 {
+		t.Fatalf("a Get miss was counted: %+v", st)
+	}
+	c.Do(ctx, "k", func() (any, int64, error) { return 1, 1, nil })
+	for i := 0; i < 3; i++ {
+		if v, ok := c.Get("k"); !ok || v.(int) != 1 {
+			t.Fatalf("Get = (%v, %v), want (1, true)", v, ok)
+		}
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 1 || st.Joins != 0 {
+		t.Fatalf("stats = %+v, want 3 hits / 1 miss / 0 joins", st)
+	}
+}
+
 func TestSingleflightDedup(t *testing.T) {
 	c := New(1, 0)
 	var calls atomic.Int64

@@ -197,6 +197,34 @@ func TestCellBadConfigRefused(t *testing.T) {
 	}
 }
 
+// TestWarmCellAnswersOnExhaustedPool: a repeated /v1/cell is a harness
+// cache hit, answered on the request goroutine, so it returns 200 with the
+// first answer's body while pool-exhaustion chaos holds every worker, and
+// it submits nothing to the pool.
+func TestWarmCellAnswersOnExhaustedPool(t *testing.T) {
+	s := privateServer(t, Config{Parallel: 2})
+	body := cellBody(t, machine.NewRBFull(8), "compress")
+	rec, first := postJSON(t, s, "/v1/cell", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("cold cell = %d: %s", rec.Code, first)
+	}
+	const hold = 2 * time.Second
+	s.exhaustPool(hold)
+	if d, n := s.pool.Depth(), s.pool.Workers(); d != int64(n) {
+		t.Fatalf("exhaustPool holds %d tasks, want all %d workers", d, n)
+	}
+	submitted := s.pool.Submitted()
+	within(t, hold/2, "warm /v1/cell on an exhausted pool", func() {
+		rec, out := postJSON(t, s, "/v1/cell", body)
+		if rec.Code != http.StatusOK || string(out) != string(first) {
+			t.Errorf("warm cell = %d, want 200 and the cold body: %s", rec.Code, out)
+		}
+	})
+	if got := s.pool.Submitted(); got != submitted {
+		t.Errorf("warm cell submitted %d pool tasks, want 0", got-submitted)
+	}
+}
+
 // within fails the test if fn has not returned after d, instead of letting
 // a wedged pool hang the whole package until the go test timeout.
 func within(t *testing.T, d time.Duration, what string, fn func()) {

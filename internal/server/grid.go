@@ -39,9 +39,11 @@ const maxCellBody = 1 << 20
 //
 // The coordinator is the only intended caller, but the endpoint is plain
 // JSON-over-HTTP: a full machine.Config in, a CellResult out, computed by
-// grid.RunLocal — the path a non-coordinator's /v1/batch takes too. Full
-// cells run through the shared worker pool; sampled cells drive the
-// harness's sampler, which fans its windows over the same pool itself.
+// grid.RunLocal — the path a non-coordinator's /v1/batch takes too. A full
+// cell the harness has cached is answered on the request goroutine, and a
+// missing one runs through the shared worker pool; sampled cells drive the
+// harness's sampler, which reads its cached windows the same way and fans
+// the missing ones over the pool itself.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCellBody))
 	if err != nil {

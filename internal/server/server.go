@@ -13,8 +13,8 @@
 //	             single-process or worker server, the grid router's shared
 //	             tier in a coordinator; both dedup concurrent misses. The
 //	             response cache stays because a warm fig9 text hit is
-//	             about 10 µs p50 against about 0.5 ms to render it from
-//	             warm cells
+//	             about 6 µs p50 against about 0.45 ms to render it from
+//	             warm cells, two thirds of which is the text render
 //	cells        one cell key (experiments.CellKey) for the harness, the
 //	             coordinator's router, batch tees and journals; every cell
 //	             cache keeps the full machine.Config beside its value and
@@ -35,7 +35,9 @@
 //	             server funnels through — experiments, batches, /v1/cell
 //	             and /v1/sim — shared with the experiments harness so HTTP
 //	             traffic and rbexp-style matrix fan-out obey a single CPU
-//	             bound; a coordinator routes its cells to workers instead
+//	             bound; a cell the harness has cached is answered on the
+//	             request goroutine and never waits in (or counts toward)
+//	             the pool; a coordinator routes its cells to workers instead
 //	robustness   admission control (429 + Retry-After once MaxInflight
 //	             requests are active), a circuit breaker (grid.Breaker)
 //	             shedding load with 503 once the recent 5xx rate crosses a
@@ -302,20 +304,14 @@ func (s *Server) runCell(ctx context.Context, req *grid.CellRequest) (*grid.Cell
 }
 
 // poolRunner is a non-coordinator server's Runner. RunMatrix is the
-// harness's, which already submits each cell to the pool; RunCell submits
-// its one cell too, so a TeeRunner over it, whose fan-out calls RunCell
-// on fresh goroutines, stays inside the pool's CPU bound.
+// harness's, which already submits each missing cell to the pool; RunCell
+// submits its one cell too when it misses, so a TeeRunner over it, whose
+// fan-out calls RunCell on fresh goroutines, stays inside the pool's CPU
+// bound. A cached cell is read on the calling goroutine either way.
 type poolRunner struct{ s *Server }
 
 func (p poolRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload.Workload) (*core.Result, error) {
-	var (
-		res *core.Result
-		err error
-	)
-	if perr := p.s.runInPool(ctx, func() { res, err = p.s.harness.RunCell(ctx, cfg, w) }); perr != nil {
-		return nil, perr
-	}
-	return res, err
+	return p.s.harness.RunCellOn(ctx, cfg, w, p.s.runInPool)
 }
 
 func (p poolRunner) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {

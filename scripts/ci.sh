@@ -69,9 +69,11 @@ go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/grid/
 go test -race -count=2 -timeout 20m ./internal/pool/ ./internal/rcache/ ./internal/server/ ./internal/fault/ ./internal/grid/ ./internal/core/ ./internal/workload/
 # The checkpoint-library pass runs the emulator and the warmer on two
 # goroutines (ckpt.FastForward): repeat its identity, failure-path and
-# goroutine-lifetime tests under race. The full experiments suite is too
-# slow under race to repeat, so only these tests run here (~2 min).
-go test -race -count=10 -timeout 20m -run '^(TestFastForward|TestLibrary)' ./internal/ckpt/ ./internal/experiments/
+# goroutine-lifetime tests under race. Cached cells are read on the
+# caller's goroutine while pool workers fill the same cache: repeat the
+# warm-path tests too. The full experiments suite is too slow under race
+# to repeat, so only these tests run here (~9 min on 2 CPUs).
+go test -race -count=10 -timeout 20m -run '^(TestFastForward|TestLibrary|TestWarmCellsStayOffPool|TestPartlyWarmMatrixSubmitsMisses|TestSampledWindowKeysPinned|TestWarmMatrixAliasRefused|TestCellCountersExact)' ./internal/ckpt/ ./internal/experiments/
 
 # rbserve smoke test: boot the server on an ephemeral port, probe liveness
 # and metrics with its built-in client (no curl dependency), and require the
