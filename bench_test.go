@@ -103,36 +103,55 @@ func BenchmarkFigure10(b *testing.B) { benchIPCFigure(b, 8, workload.SPECint95()
 func BenchmarkFigure11(b *testing.B) { benchIPCFigure(b, 4, workload.SPECint2000()) }
 func BenchmarkFigure12(b *testing.B) { benchIPCFigure(b, 4, workload.SPECint95()) }
 
-// BenchmarkWarmFigure9 is Figure 9 regenerated from warm cells: a private
-// harness simulates the 48 cells once, then each iteration regenerates and
-// renders the figure, every cell a cache hit read on the caller's
-// goroutine. It is the hit path's cost beside the cold per-figure runs.
-func BenchmarkWarmFigure9(b *testing.B) {
+// BenchmarkWarmFigures splits a warm regeneration of each figure the
+// benchmark's figures workload serves into its two halves: build, the
+// figure regenerated from a private harness whose cells were simulated
+// once, every one a cache hit read on the caller's goroutine; and render,
+// the built figure's text (experiments.RenderText, what rbexp prints and
+// /v1/experiment serves).
+func BenchmarkWarmFigures(b *testing.B) {
 	h := experiments.NewHarness(0)
 	defer h.Close()
 	ctx := context.Background()
-	if _, err := experiments.Figure9(ctx, h); err != nil {
-		b.Fatal(err)
-	}
-	runs := h.Runs()
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.Figure9(ctx, h)
+	for _, fig := range []struct {
+		name  string
+		build func() (experiments.Artifact, error)
+	}{
+		{"fig9", func() (experiments.Artifact, error) { return experiments.Figure9(ctx, h) }},
+		{"fig11", func() (experiments.Artifact, error) { return experiments.Figure11(ctx, h) }},
+		{"fig13", func() (experiments.Artifact, error) { return experiments.Figure13(ctx, h) }},
+		{"fig14", func() (experiments.Artifact, error) { return experiments.Figure14(ctx, h) }},
+	} {
+		a, err := fig.build() // simulates the figure's cells once
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf.Reset()
-		if err := f.Render(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if h.Runs() != runs {
-		b.Fatalf("warm regenerations simulated %d cells", h.Runs()-runs)
+		runs := h.Runs()
+		b.Run(fig.name+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := fig.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if h.Runs() != runs {
+				b.Fatalf("warm regenerations simulated %d cells", h.Runs()-runs)
+			}
+		})
+		b.Run(fig.name+"/render", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if benchText, err = experiments.RenderText(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
+
+// benchText keeps the last render live, so the compiler cannot drop it.
+var benchText []byte
 
 // BenchmarkFigure13 regenerates the bypass-case distribution and reports the
 // average fraction of critical bypasses requiring RB->TC conversion.

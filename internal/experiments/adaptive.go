@@ -20,9 +20,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
+	"strconv"
 
 	"repro/internal/machine"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -171,35 +172,38 @@ func AdaptiveVsFull(ctx context.Context, h *Harness, cfg machine.Config, wls []*
 
 // Render writes the comparison as a table: oracle IPC, adaptive IPC with
 // its achieved relative CI, and the cell-count trail.
-func (f *AdaptiveFigure) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Adaptive sampling vs full simulation, %s (target relCI %.3f, warmup=%d, measure=%d)\n",
-		f.Machine, f.Target, f.Spec.Warmup, f.Spec.Measure); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %9s %9s %8s %7s %6s  %s\n",
-		"workload", "full", "adaptive", "relci", "err%", "cells", "rounds"); err != nil {
-		return err
-	}
+func (f *AdaptiveFigure) Render(w io.Writer) error { return write(w, f.Append(nil)) }
+
+// Append appends the comparison table.
+func (f *AdaptiveFigure) Append(dst []byte) []byte {
+	dst = append(append(dst, "Adaptive sampling vs full simulation, "...), f.Machine...)
+	dst = stats.AppendFixed(append(dst, " (target relCI "...), f.Target, 3)
+	dst = appendWindows(dst, f.Spec)
+	dst = append(dst, "workload        full  adaptive    relci    err%  cells  rounds\n"...)
 	for i := range f.Rows {
 		r := &f.Rows[i]
 		var relErr float64
 		if r.FullIPC != 0 {
 			relErr = math.Abs(r.Adaptive.MeanIPC-r.FullIPC) / r.FullIPC
 		}
-		trail := make([]string, len(r.Adaptive.Rounds))
-		for j, rd := range r.Adaptive.Rounds {
-			trail[j] = fmt.Sprintf("%d", rd.Samples)
-		}
-		mark := " "
+		dst = stats.AppendLeft(dst, r.Workload, 10)
+		dst = appendField(dst, r.FullIPC, 4, 9)
+		dst = appendField(dst, r.Adaptive.MeanIPC, 4, 9)
+		dst = appendField(dst, r.Adaptive.RelCI(), 4, 8)
+		dst = append(appendField(dst, 100*relErr, 2, 6), '%')
+		dst = appendIntField(dst, int64(len(r.Adaptive.CellIPCs)), 6)
+		mark := byte(' ')
 		if !r.Adaptive.Converged {
-			mark = "!" // ran out of slots before the target
+			mark = '!' // ran out of slots before the target
 		}
-		if _, err := fmt.Fprintf(w, "%-10s %9.4f %9.4f %8.4f %6.2f%% %6d%s %s\n",
-			r.Workload, r.FullIPC, r.Adaptive.MeanIPC, r.Adaptive.RelCI(),
-			100*relErr, len(r.Adaptive.CellIPCs), mark, strings.Join(trail, ">")); err != nil {
-			return err
+		dst = append(dst, mark, ' ')
+		for j, rd := range r.Adaptive.Rounds {
+			if j > 0 {
+				dst = append(dst, '>')
+			}
+			dst = strconv.AppendInt(dst, int64(rd.Samples), 10)
 		}
+		dst = append(dst, '\n')
 	}
-	_, err := fmt.Fprintln(w, "(! marks a workload that exhausted the slot grid before the target)")
-	return err
+	return append(dst, "(! marks a workload that exhausted the slot grid before the target)\n"...)
 }

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"io"
+
+	"repro/internal/stats"
 )
 
 // Artifact is one computed artifact: a data structure that renders itself
 // as its text table and marshals to JSON through its exported fields.
+// Append is the one text render: it appends the artifact's text to dst,
+// formatting numbers with stats.AppendFixed, and Render writes what Append
+// builds in a single Write.
 type Artifact interface {
+	Append(dst []byte) []byte
 	Render(w io.Writer) error
 }
 
@@ -64,12 +70,33 @@ func ArtifactNames() []string {
 // blank line that separates artifacts, so rbexp's output, every format=text
 // body and every journaled batch output are the same bytes.
 func RenderText(a Artifact) ([]byte, error) {
-	var b bytes.Buffer
-	if err := a.Render(&b); err != nil {
-		return nil, err
-	}
-	b.WriteByte('\n')
-	return b.Bytes(), nil
+	return append(a.Append(nil), '\n'), nil
+}
+
+// write is every artifact's Render: one Write of its Append.
+func write(w io.Writer, text []byte) error {
+	_, err := w.Write(text)
+	return err
+}
+
+// fixed is a table cell holding v with prec decimals, as %.<prec>f.
+func fixed(v float64, prec int) string {
+	var b [32]byte
+	return string(stats.AppendFixed(b[:0], v, prec))
+}
+
+// pct is a table cell holding the fraction v as a percentage with one
+// decimal, as %.1f%% of 100*v.
+func pct(v float64) string {
+	var b [32]byte
+	return string(append(stats.AppendFixed(b[:0], 100*v, 1), '%'))
+}
+
+// gainPct renders a ratio as a signed percentage change, as %+.1f%% of
+// 100*(ratio-1).
+func gainPct(ratio float64) string {
+	var b [32]byte
+	return string(append(stats.AppendFixedSigned(b[:0], 100*(ratio-1), 1), '%'))
 }
 
 // TextTable is a configuration table (Tables 2 and 3) held as its rendered
@@ -84,6 +111,9 @@ func (t *TextTable) Render(w io.Writer) error {
 	_, err := io.WriteString(w, t.Text)
 	return err
 }
+
+// Append appends the table's text.
+func (t *TextTable) Append(dst []byte) []byte { return append(dst, t.Text...) }
 
 func textTable(title string, render func(io.Writer) error) (*TextTable, error) {
 	var b bytes.Buffer

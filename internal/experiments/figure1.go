@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/gates"
 	"repro/internal/machine"
@@ -112,11 +112,19 @@ func Figure1(ctx context.Context, r Runner) (*Figure1Data, error) {
 }
 
 // Render writes the comparison.
-func (d *Figure1Data) Render(w io.Writer) error {
-	fmt.Fprintf(w, "Figure 1. Three ALU configurations at their achievable clocks\n\n")
-	fmt.Fprintf(w, "Gate-level adder depths (internal/gates): 64-bit CLA %d, 32-bit stagger slice %d, RB adder %d\n",
-		d.DepthCLA, d.DepthStagger, d.DepthRB)
-	fmt.Fprintf(w, "=> fast clock is %.2fx the slow clock\n\n", d.ClockRatio)
+func (d *Figure1Data) Render(w io.Writer) error { return write(w, d.Append(nil)) }
+
+// Append appends the comparison.
+func (d *Figure1Data) Append(dst []byte) []byte {
+	dst = append(dst, "Figure 1. Three ALU configurations at their achievable clocks\n\n"...)
+	dst = append(dst, "Gate-level adder depths (internal/gates): 64-bit CLA "...)
+	dst = strconv.AppendInt(dst, int64(d.DepthCLA), 10)
+	dst = append(dst, ", 32-bit stagger slice "...)
+	dst = strconv.AppendInt(dst, int64(d.DepthStagger), 10)
+	dst = append(dst, ", RB adder "...)
+	dst = strconv.AppendInt(dst, int64(d.DepthRB), 10)
+	dst = append(dst, "\n=> fast clock is "...)
+	dst = append(stats.AppendFixed(dst, d.ClockRatio, 2), "x the slow clock\n\n"...)
 	t := &stats.Table{Headers: []string{"configuration", "IPC", "relative clock", "relative throughput"}}
 	for _, name := range d.Order {
 		clock := 1.0
@@ -126,16 +134,11 @@ func (d *Figure1Data) Render(w io.Writer) error {
 		case d.Order[2]:
 			clock = d.StaggerRatio
 		}
-		t.AddRow(name,
-			fmt.Sprintf("%.3f", d.IPC[name]),
-			fmt.Sprintf("%.2f", clock),
-			fmt.Sprintf("%.3f", d.Throughput[name]))
+		t.AddRow(name, fixed(d.IPC[name], 3), fixed(clock, 2), fixed(d.Throughput[name], 3))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nBoth fast-clock cores beat the slow 1-cycle-adder core on throughput;\n")
-	fmt.Fprintf(w, "the RB core keeps the pipelined core's clock while recovering most of\n")
-	fmt.Fprintf(w, "its lost back-to-back execution — the paper's motivating argument.\n")
-	return nil
+	return append(t.Append(dst), `
+Both fast-clock cores beat the slow 1-cycle-adder core on throughput;
+the RB core keeps the pipelined core's clock while recovering most of
+its lost back-to-back execution — the paper's motivating argument.
+`...)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/bypass"
 	"repro/internal/core"
@@ -89,8 +90,15 @@ func Figure12(ctx context.Context, r Runner) (*IPCFigure, error) {
 }
 
 // Render writes the figure as a table with ASCII bars.
-func (f *IPCFigure) Render(w io.Writer) error {
-	fmt.Fprintf(w, "%s. %s\n\n", f.ID, f.Title)
+func (f *IPCFigure) Render(w io.Writer) error { return write(w, f.Append(nil)) }
+
+// Append appends the figure's text: the IPC table, then one ASCII bar per
+// (workload, machine) scaled to the largest IPC.
+func (f *IPCFigure) Append(dst []byte) []byte {
+	dst = append(dst, f.ID...)
+	dst = append(dst, ". "...)
+	dst = append(dst, f.Title...)
+	dst = append(dst, "\n\n"...)
 	var max float64
 	for _, m := range MachineOrder {
 		for _, wl := range f.Workloads {
@@ -100,28 +108,31 @@ func (f *IPCFigure) Render(w io.Writer) error {
 		}
 	}
 	t := &stats.Table{Headers: append([]string{"benchmark"}, MachineOrder...)}
+	t.Rows = make([][]string, 0, len(f.Workloads)+1)
 	for _, wl := range f.Workloads {
-		row := []string{wl}
+		row := append(make([]string, 0, 1+len(MachineOrder)), wl)
 		for _, m := range MachineOrder {
-			row = append(row, fmt.Sprintf("%.3f", f.IPC[m][wl]))
+			row = append(row, fixed(f.IPC[m][wl], 3))
 		}
 		t.AddRow(row...)
 	}
-	hm := []string{"harmonic mean"}
+	hm := append(make([]string, 0, 1+len(MachineOrder)), "harmonic mean")
 	for _, m := range MachineOrder {
-		hm = append(hm, fmt.Sprintf("%.3f", f.HMean[m]))
+		hm = append(hm, fixed(f.HMean[m], 3))
 	}
 	t.AddRow(hm...)
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	dst = append(t.Append(dst), '\n')
 	for _, wl := range f.Workloads {
 		for _, m := range MachineOrder {
-			fmt.Fprintf(w, "%-10s %-10s %6.3f |%s\n", wl, m, f.IPC[m][wl], stats.Bar(f.IPC[m][wl], max, 40))
+			v := f.IPC[m][wl]
+			dst = append(stats.AppendLeft(dst, wl, 10), ' ')
+			dst = append(stats.AppendLeft(dst, m, 10), ' ')
+			start := len(dst)
+			dst = stats.RightAlign(stats.AppendFixed(dst, v, 3), start, 6)
+			dst = append(stats.AppendBar(append(dst, " |"...), v, max, 40), '\n')
 		}
 	}
-	return nil
+	return dst
 }
 
 // Figure13Data is the distribution of potentially critical bypass cases
@@ -174,20 +185,24 @@ func Figure13(ctx context.Context, r Runner) (*Figure13Data, error) {
 }
 
 // Render writes Figure 13 as a table.
-func (d *Figure13Data) Render(w io.Writer) error {
-	fmt.Fprintf(w, "Figure 13. Potentially critical bypass cases (8-wide RB-full, SPECint2000)\n\n")
+func (d *Figure13Data) Render(w io.Writer) error { return write(w, d.Append(nil)) }
+
+// Append appends Figure 13's table.
+func (d *Figure13Data) Append(dst []byte) []byte {
+	dst = append(dst, "Figure 13. Potentially critical bypass cases (8-wide RB-full, SPECint2000)\n\n"...)
 	t := &stats.Table{Headers: []string{"benchmark", "bypassed", "TC->TC", "TC->RB", "RB->RB", "RB->TC", "conv"}}
+	t.Rows = make([][]string, 0, len(d.Workloads))
 	for _, wl := range d.Workloads {
 		cf := d.CaseFrac[wl]
 		t.AddRow(wl,
-			fmt.Sprintf("%.1f%%", 100*d.FracBypassed[wl]),
-			fmt.Sprintf("%.1f%%", 100*cf[core.TCtoTC]),
-			fmt.Sprintf("%.1f%%", 100*cf[core.TCtoRB]),
-			fmt.Sprintf("%.1f%%", 100*cf[core.RBtoRB]),
-			fmt.Sprintf("%.1f%%", 100*cf[core.RBtoTC]),
-			fmt.Sprintf("%.1f%%", 100*d.FracConversion[wl]))
+			pct(d.FracBypassed[wl]),
+			pct(cf[core.TCtoTC]),
+			pct(cf[core.TCtoRB]),
+			pct(cf[core.RBtoRB]),
+			pct(cf[core.RBtoTC]),
+			pct(d.FracConversion[wl]))
 	}
-	return t.Render(w)
+	return t.Append(dst)
 }
 
 // Figure14Configs are the bypass configurations of Figure 14, in the
@@ -259,23 +274,25 @@ func Figure14(ctx context.Context, r Runner) (*Figure14Data, error) {
 }
 
 // Render writes Figure 14.
-func (d *Figure14Data) Render(w io.Writer) error {
-	fmt.Fprintf(w, "Figure 14. Harmonic-mean IPC with limited bypass networks (all 20 benchmarks)\n\n")
+func (d *Figure14Data) Render(w io.Writer) error { return write(w, d.Append(nil)) }
+
+// Append appends Figure 14's table and its source-locality lines.
+func (d *Figure14Data) Append(dst []byte) []byte {
+	dst = append(dst, "Figure 14. Harmonic-mean IPC with limited bypass networks (all 20 benchmarks)\n\n"...)
 	t := &stats.Table{Headers: []string{"machine", "4-wide", "8-wide"}}
+	t.Rows = make([][]string, 0, len(d.Configs))
 	for _, c := range d.Configs {
-		t.AddRow(c,
-			fmt.Sprintf("%.3f", d.HMean[4][c]),
-			fmt.Sprintf("%.3f", d.HMean[8][c]))
+		t.AddRow(c, fixed(d.HMean[4][c], 3), fixed(d.HMean[8][c], 3))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nSource locality on the full network (Ideal): \n")
+	dst = t.Append(dst)
+	dst = append(dst, "\nSource locality on the full network (Ideal): \n"...)
 	for _, width := range []int{4, 8} {
-		fmt.Fprintf(w, "  %d-wide: %.0f%% no bypassed source, %.0f%% first-level, %.0f%% other level\n",
-			width, 100*d.SrcNone[width], 100*d.SrcLevel1[width], 100*d.SrcOther[width])
+		dst = append(strconv.AppendInt(append(dst, "  "...), int64(width), 10), "-wide: "...)
+		dst = append(stats.AppendFixed(dst, 100*d.SrcNone[width], 0), "% no bypassed source, "...)
+		dst = append(stats.AppendFixed(dst, 100*d.SrcLevel1[width], 0), "% first-level, "...)
+		dst = append(stats.AppendFixed(dst, 100*d.SrcOther[width], 0), "% other level\n"...)
 	}
-	return nil
+	return dst
 }
 
 // Table1Data is the measured dynamic instruction-class mix (Table 1's
@@ -321,8 +338,11 @@ func Table1() (*Table1Data, error) {
 }
 
 // Render writes Table 1.
-func (d *Table1Data) Render(w io.Writer) error {
-	fmt.Fprintf(w, "Table 1. Instruction classifications: dynamic fraction of the instruction stream\n\n")
+func (d *Table1Data) Render(w io.Writer) error { return write(w, d.Append(nil)) }
+
+// Append appends Table 1.
+func (d *Table1Data) Append(dst []byte) []byte {
+	dst = append(dst, "Table 1. Instruction classifications: dynamic fraction of the instruction stream\n\n"...)
 	t := &stats.Table{Headers: []string{"class", "in", "out", "measured", "paper"}}
 	format := func(r isa.Table1Row) (string, string) {
 		switch r {
@@ -338,11 +358,9 @@ func (d *Table1Data) Render(w io.Writer) error {
 	}
 	for r := isa.Table1Row(0); r < isa.NumTable1Rows; r++ {
 		in, out := format(r)
-		t.AddRow(r.String(), in, out,
-			fmt.Sprintf("%.1f%%", 100*d.RowFrac[r]),
-			fmt.Sprintf("%.1f%%", 100*d.PaperFrac[r]))
+		t.AddRow(r.String(), in, out, pct(d.RowFrac[r]), pct(d.PaperFrac[r]))
 	}
-	return t.Render(w)
+	return t.Append(dst)
 }
 
 // Summary computes the §5.2 headline comparisons from Figures 9-12.
@@ -379,7 +397,7 @@ func ComputeSummary(ctx context.Context, r Runner) (*Summary, error) {
 	add := func(claim, paper string, value float64) {
 		s.Rows = append(s.Rows, SummaryRow{
 			Claim: claim, Paper: paper,
-			Measured: fmt.Sprintf("%+.1f%%", 100*(value-1)), Value: value,
+			Measured: gainPct(value), Value: value,
 		})
 	}
 	rel := func(f *IPCFigure, a, b string) float64 { return f.HMean[a] / f.HMean[b] }
@@ -405,11 +423,15 @@ func ComputeSummary(ctx context.Context, r Runner) (*Summary, error) {
 }
 
 // Render writes the summary table.
-func (s *Summary) Render(w io.Writer) error {
-	fmt.Fprintf(w, "Headline comparisons (paper §1/§5.2 vs this reproduction)\n\n")
+func (s *Summary) Render(w io.Writer) error { return write(w, s.Append(nil)) }
+
+// Append appends the summary table.
+func (s *Summary) Append(dst []byte) []byte {
+	dst = append(dst, "Headline comparisons (paper §1/§5.2 vs this reproduction)\n\n"...)
 	t := &stats.Table{Headers: []string{"claim", "paper", "measured"}}
+	t.Rows = make([][]string, 0, len(s.Rows))
 	for _, r := range s.Rows {
 		t.AddRow(r.Claim, r.Paper, r.Measured)
 	}
-	return t.Render(w)
+	return t.Append(dst)
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"repro/internal/machine"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -60,28 +62,50 @@ func SampledVsFull(ctx context.Context, h *Harness, cfg machine.Config, wls []*w
 
 // Render writes the comparison as a table: oracle IPC, sampled IPC with CI,
 // relative error, and how much of the stream ran in detail.
-func (f *SampledFigure) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Sampled vs full simulation, %s (k=%d, warmup=%d, measure=%d)\n",
-		f.Machine, f.Spec.Samples, f.Spec.Warmup, f.Spec.Measure); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %9s %9s %8s %7s %9s %9s\n",
-		"workload", "full", "sampled", "ci95", "err%", "detailed", "of insts"); err != nil {
-		return err
-	}
+func (f *SampledFigure) Render(w io.Writer) error { return write(w, f.Append(nil)) }
+
+// Append appends the comparison table.
+func (f *SampledFigure) Append(dst []byte) []byte {
+	dst = append(append(dst, "Sampled vs full simulation, "...), f.Machine...)
+	dst = strconv.AppendInt(append(dst, " (k="...), int64(f.Spec.Samples), 10)
+	dst = appendWindows(dst, f.Spec)
+	dst = append(dst, "workload        full   sampled     ci95    err%  detailed  of insts\n"...)
 	for i := range f.Rows {
 		r := &f.Rows[i]
-		inCI := " "
+		dst = stats.AppendLeft(dst, r.Workload, 10)
+		dst = appendField(dst, r.FullIPC, 4, 9)
+		dst = appendField(dst, r.Sampled.MeanIPC, 4, 9)
+		dst = appendField(dst, r.Sampled.CI95, 4, 8)
+		dst = appendField(dst, 100*r.RelErr(), 2, 6)
+		mark := byte(' ')
 		if math.Abs(r.Sampled.MeanIPC-r.FullIPC) > r.Sampled.CI95 {
-			inCI = "!" // oracle outside the reported CI
+			mark = '!' // oracle outside the reported CI
 		}
-		if _, err := fmt.Fprintf(w, "%-10s %9.4f %9.4f %8.4f %6.2f%s %9d %9d\n",
-			r.Workload, r.FullIPC, r.Sampled.MeanIPC, r.Sampled.CI95,
-			100*r.RelErr(), inCI,
-			r.Sampled.MeasuredInstructions, r.Sampled.TotalInstructions); err != nil {
-			return err
-		}
+		dst = appendIntField(append(dst, mark), r.Sampled.MeasuredInstructions, 9)
+		dst = appendIntField(dst, r.Sampled.TotalInstructions, 9)
+		dst = append(dst, '\n')
 	}
-	_, err := fmt.Fprintln(w, "(! marks an oracle outside the sampled 95% CI)")
-	return err
+	return append(dst, "(! marks an oracle outside the sampled 95% CI)\n"...)
+}
+
+// appendWindows appends the sampled figures' title tail, ", warmup=<w>,
+// measure=<m>)\n".
+func appendWindows(dst []byte, spec SampleSpec) []byte {
+	dst = strconv.AppendInt(append(dst, ", warmup="...), int64(spec.Warmup), 10)
+	dst = strconv.AppendInt(append(dst, ", measure="...), int64(spec.Measure), 10)
+	return append(dst, ")\n"...)
+}
+
+// appendField appends a separating space and v as %<width>.<prec>f.
+func appendField(dst []byte, v float64, prec, width int) []byte {
+	dst = append(dst, ' ')
+	start := len(dst)
+	return stats.RightAlign(stats.AppendFixed(dst, v, prec), start, width)
+}
+
+// appendIntField appends a separating space and n as %<width>d.
+func appendIntField(dst []byte, n int64, width int) []byte {
+	dst = append(dst, ' ')
+	start := len(dst)
+	return stats.RightAlign(strconv.AppendInt(dst, n, 10), start, width)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/branch"
 	"repro/internal/ckpt"
@@ -190,10 +189,9 @@ func (h *Harness) RunSampled(ctx context.Context, cfg machine.Config, w *workloa
 // memoized per (cache geometry, workload, FFWarm) — machines differing only
 // in width/bypass share it, and so do all sample specs.
 func (h *Harness) library(ctx context.Context, cfg machine.Config, w *workload.Workload, ffWarm int64) (*ckptLibrary, error) {
-	ckKey := strings.Join([]string{
-		"ckptlib", w.Name, fmt.Sprintf("%+v", cfg.Mem),
-		fmt.Sprintf("%d", ffWarm),
-	}, "|")
+	key := append(make([]byte, 0, 128), "ckptlib|"...)
+	key = cfg.Mem.AppendKey(append(append(key, w.Name...), '|'))
+	ckKey := string(strconv.AppendInt(append(key, '|'), ffWarm, 10))
 	v, _, err := h.cache.Do(ctx, ckKey, func() (any, int64, error) {
 		lib, err := buildLibrary(cfg, w, ffWarm)
 		if err != nil {

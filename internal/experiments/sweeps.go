@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -94,25 +95,25 @@ func Sweeps(ctx context.Context, r Runner) (*SweepData, error) {
 }
 
 // Render writes both sweep tables.
-func (d *SweepData) Render(w io.Writer) error {
-	fmt.Fprintf(w, "Sensitivity sweeps (SPECint95, harmonic means): RB-full vs Baseline\n\n")
+func (d *SweepData) Render(w io.Writer) error { return write(w, d.Append(nil)) }
+
+// Append appends both sweep tables.
+func (d *SweepData) Append(dst []byte) []byte {
+	dst = append(dst, "Sensitivity sweeps (SPECint95, harmonic means): RB-full vs Baseline\n\n"...)
 	t := &stats.Table{Headers: []string{"window (8-wide)", "Baseline", "RB-full", "gain"}}
 	for _, win := range d.Windows {
-		t.AddRow(fmt.Sprintf("%d", win),
-			fmt.Sprintf("%.3f", d.WindowIPC[win]["Baseline"]),
-			fmt.Sprintf("%.3f", d.WindowIPC[win]["RB-full"]),
-			fmt.Sprintf("%+.1f%%", 100*(d.WindowGain[win]-1)))
+		t.AddRow(strconv.Itoa(win),
+			fixed(d.WindowIPC[win]["Baseline"], 3),
+			fixed(d.WindowIPC[win]["RB-full"], 3),
+			gainPct(d.WindowGain[win]))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
+	dst = append(t.Append(dst), '\n')
 	t = &stats.Table{Headers: []string{"width (128-entry window)", "Baseline", "RB-full", "gain"}}
 	for _, width := range d.Widths {
-		t.AddRow(fmt.Sprintf("%d", width),
-			fmt.Sprintf("%.3f", d.WidthIPC[width]["Baseline"]),
-			fmt.Sprintf("%.3f", d.WidthIPC[width]["RB-full"]),
-			fmt.Sprintf("%+.1f%%", 100*(d.WidthGain[width]-1)))
+		t.AddRow(strconv.Itoa(width),
+			fixed(d.WidthIPC[width]["Baseline"], 3),
+			fixed(d.WidthIPC[width]["RB-full"], 3),
+			gainPct(d.WidthGain[width]))
 	}
-	return t.Render(w)
+	return t.Append(dst)
 }

@@ -269,7 +269,9 @@ func implementsWriter(t types.Type) bool {
 
 // escapingAppend reports an append whose destination is declared outside the
 // range statement — the classic nondeterministic-slice-order bug — and the
-// destination object.
+// destination object. Besides the builtin, x = f(x, …) counts as an append
+// when x is a slice: the append-style formatters (strconv.AppendInt,
+// stats.AppendFixed, Table.Append) grow their first argument the same way.
 func (pkg *Package) escapingAppend(as *ast.AssignStmt, r *ast.RangeStmt) (string, types.Object) {
 	if len(as.Lhs) != len(as.Rhs) {
 		return "", nil
@@ -279,24 +281,44 @@ func (pkg *Package) escapingAppend(as *ast.AssignStmt, r *ast.RangeStmt) (string
 		if !ok {
 			continue
 		}
-		fn, ok := call.Fun.(*ast.Ident)
-		if !ok || fn.Name != "append" {
-			continue
-		}
-		if obj, ok := pkg.TypesInfo.Uses[fn]; !ok || obj != types.Universe.Lookup("append") {
-			continue
-		}
 		id, ok := as.Lhs[i].(*ast.Ident)
 		if !ok {
 			continue
 		}
 		obj := pkg.TypesInfo.ObjectOf(id)
-		if obj == nil {
+		if obj == nil || obj.Pos() >= r.Pos() && obj.Pos() <= r.End() {
 			continue
 		}
-		if obj.Pos() < r.Pos() || obj.Pos() > r.End() {
+		if fn, ok := call.Fun.(*ast.Ident); ok && pkg.TypesInfo.Uses[fn] == types.Universe.Lookup("append") {
 			return "appends to " + id.Name + ", declared outside the loop", obj
+		}
+		if pkg.threadsSlice(call, obj) {
+			return "appends to " + id.Name + " through " + calleeName(call.Fun) + ", declared outside the loop", obj
 		}
 	}
 	return "", nil
+}
+
+// threadsSlice reports whether call passes the slice obj as its first
+// argument: the x of x = f(x, …).
+func (pkg *Package) threadsSlice(call *ast.CallExpr, obj types.Object) bool {
+	if len(call.Args) == 0 {
+		return false
+	}
+	if _, ok := obj.Type().Underlying().(*types.Slice); !ok {
+		return false
+	}
+	arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+	return ok && pkg.TypesInfo.ObjectOf(arg) == obj
+}
+
+// calleeName is the called function's or method's name.
+func calleeName(fun ast.Expr) string {
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return f.Name
+	case *ast.SelectorExpr:
+		return f.Sel.Name
+	}
+	return "a call"
 }

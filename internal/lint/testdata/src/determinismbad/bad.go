@@ -41,3 +41,25 @@ func mapEscapingAppend(m map[string]int) []string {
 	}
 	return keys
 }
+
+func appendKey(dst []byte, k string) []byte { return append(dst, k...) }
+
+type table struct{ rows []string }
+
+func (t *table) Append(dst []byte) []byte { return append(dst, t.rows[0]...) }
+
+func mapAppendThroughCall(m map[string]int) []byte {
+	var buf []byte
+	for k := range m {
+		buf = appendKey(buf, k)
+	}
+	return buf
+}
+
+func mapAppendThroughMethod(m map[string]*table) []byte {
+	var buf []byte
+	for _, t := range m {
+		buf = t.Append(buf)
+	}
+	return buf
+}

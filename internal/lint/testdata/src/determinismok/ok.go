@@ -43,3 +43,37 @@ func allowedStandalone() time.Time {
 	//rblint:allow determinism
 	return time.Now()
 }
+
+// Threading a non-slice accumulator through a call is not ordered output.
+func largest(m map[string]int) int {
+	best := 0
+	for _, v := range m {
+		best = max(best, v)
+	}
+	return best
+}
+
+// A buffer declared inside the loop, or threaded through a call and
+// sorted afterwards, carries no iteration order out of it.
+func quotedLength(m map[string]int) int {
+	n := 0
+	for k := range m {
+		var buf []byte
+		buf = appendQuoted(buf, k)
+		n += len(buf)
+	}
+	return n
+}
+
+func sortedThroughCall(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = appendKey(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func appendQuoted(dst []byte, s string) []byte { return append(append(append(dst, '"'), s...), '"') }
+
+func appendKey(dst []string, k string) []string { return append(dst, k) }

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // HierarchyConfig gathers the latency and contention parameters of Table 2.
 // All latencies are in core cycles.
@@ -23,6 +26,31 @@ type HierarchyConfig struct {
 	MemBanks int
 	// MemBankBusy is how long one access occupies a memory bank.
 	MemBankBusy int64
+}
+
+// AppendKey appends a key naming every field of c, for caches that hold a
+// product per hierarchy (the sampler's checkpoint libraries): two configs
+// get the same key only if they are equal. A field added to HierarchyConfig
+// or CacheConfig must be added here; TestAppendKeyCoversEveryField fails
+// until it is.
+func (c HierarchyConfig) AppendKey(dst []byte) []byte {
+	dst = c.L1I.appendKey(dst)
+	dst = c.L1D.appendKey(append(dst, ','))
+	dst = c.L2.appendKey(append(dst, ','))
+	for _, v := range [...]int64{
+		c.L1ILatency, c.L1DLatency, c.L2Latency, int64(c.L2Banks), c.L2BankBusy,
+		c.MemLatency, int64(c.MemBanks), c.MemBankBusy,
+	} {
+		dst = strconv.AppendInt(append(dst, ','), v, 10)
+	}
+	return dst
+}
+
+// appendKey appends "size/line/ways".
+func (c CacheConfig) appendKey(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(c.SizeBytes), 10)
+	dst = strconv.AppendInt(append(dst, '/'), int64(c.LineBytes), 10)
+	return strconv.AppendInt(append(dst, '/'), int64(c.Ways), 10)
 }
 
 // DefaultConfig returns the paper's Table 2 configuration. The bank busy

@@ -1,14 +1,14 @@
 // Package stats provides the aggregation and text rendering used by the
 // experiment harness: harmonic means (the paper's Figure-14 aggregate),
 // relative-IPC comparisons, and simple aligned tables with ASCII bar charts
-// standing in for the paper's bar figures.
+// standing in for the paper's bar figures. Rendering appends to a []byte:
+// numbers go through AppendFixed, which prints exactly what fmt's %.<n>f
+// does without strconv's multi-precision path.
 package stats
 
 import (
-	"fmt"
 	"io"
 	"math"
-	"strings"
 )
 
 // HarmonicMean returns the harmonic mean of xs (0 if empty or if any value
@@ -63,17 +63,17 @@ func GeometricMeanRatio(a, b []float64) float64 {
 	return math.Pow(prod, 1/float64(len(a)))
 }
 
-// Bar renders an ASCII bar proportional to value/max, width characters at
-// full scale.
-func Bar(value, max float64, width int) string {
+// AppendBar appends an ASCII bar proportional to value/max, width
+// characters at full scale.
+func AppendBar(dst []byte, value, max float64, width int) []byte {
 	if max <= 0 || value <= 0 || width <= 0 {
-		return ""
+		return dst
 	}
 	n := int(value/max*float64(width) + 0.5)
-	if n > width {
-		n = width
+	for range min(n, width) {
+		dst = append(dst, '#')
 	}
-	return strings.Repeat("#", n)
+	return dst
 }
 
 // Table is a simple aligned text table.
@@ -87,9 +87,20 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // Render writes the table with aligned columns.
 func (t *Table) Render(w io.Writer) error {
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
+	_, err := w.Write(t.Append(nil))
+	return err
+}
+
+// Append appends the table's text to dst: the header row, a rule of dashes
+// and the rows, each cell left-justified to its column's widest cell (in
+// bytes) and separated by two spaces, with trailing spaces cut from every
+// line. A row longer than the header pads its extra cells to the last
+// column's width.
+func (t *Table) Append(dst []byte) []byte {
+	var buf [16]int
+	widths := buf[:0]
+	for _, h := range t.Headers {
+		widths = append(widths, len(h))
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
@@ -98,38 +109,43 @@ func (t *Table) Render(w io.Writer) error {
 			}
 		}
 	}
-	line := func(cells []string) error {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[min(i, len(widths)-1)], c)
+	dst = appendLine(dst, t.Headers, widths)
+	start := len(dst)
+	for i, n := range widths {
+		if i > 0 {
+			dst = append(dst, "  "...)
 		}
-		_, err := fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-		return err
+		for range n {
+			dst = append(dst, '-')
+		}
 	}
-	if err := line(t.Headers); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	if err := line(sep); err != nil {
-		return err
-	}
+	dst = endLine(dst, start)
 	for _, row := range t.Rows {
-		if err := line(row); err != nil {
-			return err
-		}
+		dst = appendLine(dst, row, widths)
 	}
-	return nil
+	return dst
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// appendLine appends one table line of cells padded to widths.
+func appendLine(dst []byte, cells []string, widths []int) []byte {
+	start := len(dst)
+	for i, c := range cells {
+		if i > 0 {
+			dst = append(dst, "  "...)
+		}
+		width := 0
+		if len(widths) > 0 {
+			width = widths[min(i, len(widths)-1)]
+		}
+		dst = AppendLeft(dst, c, width)
 	}
-	return b
+	return endLine(dst, start)
+}
+
+// endLine cuts trailing spaces from the line begun at start and ends it.
+func endLine(dst []byte, start int) []byte {
+	for len(dst) > start && dst[len(dst)-1] == ' ' {
+		dst = dst[:len(dst)-1]
+	}
+	return append(dst, '\n')
 }

@@ -98,16 +98,19 @@ func TestGeometricMeanRatio(t *testing.T) {
 }
 
 func TestBar(t *testing.T) {
-	if Bar(1, 2, 10) != "#####" {
-		t.Errorf("half bar: %q", Bar(1, 2, 10))
+	bar := func(value, max float64, width int) string {
+		return string(AppendBar([]byte("|"), value, max, width))[1:]
 	}
-	if Bar(2, 2, 10) != "##########" {
-		t.Errorf("full bar: %q", Bar(2, 2, 10))
+	if got := bar(1, 2, 10); got != "#####" {
+		t.Errorf("half bar: %q", got)
 	}
-	if Bar(5, 2, 10) != "##########" {
-		t.Errorf("overfull bar clamps: %q", Bar(5, 2, 10))
+	if got := bar(2, 2, 10); got != "##########" {
+		t.Errorf("full bar: %q", got)
 	}
-	if Bar(0, 2, 10) != "" || Bar(1, 0, 10) != "" {
+	if got := bar(5, 2, 10); got != "##########" {
+		t.Errorf("overfull bar clamps: %q", got)
+	}
+	if bar(0, 2, 10) != "" || bar(1, 0, 10) != "" || bar(math.NaN(), 2, 10) != "" {
 		t.Error("degenerate bars not empty")
 	}
 }

@@ -60,6 +60,8 @@ go test -run '^$' -fuzz '^FuzzAdderEquivalence$' -fuzztime 5s ./internal/check/
 go test -run '^$' -fuzz '^FuzzLockstep$' -fuzztime 5s ./internal/check/
 go test -run '^$' -fuzz '^FuzzCheckpointRoundtrip$' -fuzztime 5s ./internal/ckpt/
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/grid/
+# The render layer's fixed-precision formatter against strconv's 'f' format.
+go test -run '^$' -fuzz '^FuzzAppendFixed$' -fuzztime 5s ./internal/stats/
 # Focused race leg: the packages with real cross-goroutine traffic (worker
 # pool, response cache, HTTP service, fault campaigns, and the per-trace
 # decode every concurrent cell reads, served from the byte-bounded trace
