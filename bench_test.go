@@ -142,9 +142,7 @@ func BenchmarkWarmFigures(b *testing.B) {
 		b.Run(fig.name+"/render", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if benchText, err = experiments.RenderText(a); err != nil {
-					b.Fatal(err)
-				}
+				benchText = experiments.RenderText(a)
 			}
 		})
 	}
@@ -705,6 +703,47 @@ func BenchmarkServerThroughput(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("request %d failed: %d", i, rec.Code)
 		}
+	}
+}
+
+// BenchmarkWarmBatch measures a warm /v1/batch?artifact=fig9 through an
+// in-process coordinator over two httptest workers, in each aggregate
+// format. The first request simulates fig9's cells on the workers and fills
+// the coordinator's shared tier; every timed batch after it finds each cell
+// there. Batches bypass the response cache, so each one rebuilds the figure
+// and serializes it.
+func BenchmarkWarmBatch(b *testing.B) {
+	quiet := func(string, ...any) {}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		// Admission is raised past the coordinator's routing concurrency,
+		// so the cold batch is not shed (TestCoordinatorHTTPDifferential).
+		w := server.New(server.Config{Logf: quiet, MaxInflight: 64})
+		defer w.Close()
+		hs := httptest.NewServer(w.Handler())
+		defer hs.Close()
+		urls = append(urls, hs.URL)
+	}
+	coord := server.New(server.Config{Workers: urls, Logf: quiet})
+	defer coord.Close()
+	h := coord.Handler()
+	for _, format := range []string{"json", "text"} {
+		path := "/v1/batch?artifact=fig9&format=" + format
+		serve := func(b *testing.B) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("%s = %d: %s", path, rec.Code, rec.Body.String())
+			}
+		}
+		b.Run(format, func(b *testing.B) {
+			serve(b) // the cold batch, on the first format
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(b)
+			}
+		})
 	}
 }
 

@@ -95,12 +95,8 @@ func main() {
 
 	run := func(name string, fn func(context.Context, experiments.Runner) (experiments.Artifact, error)) {
 		a, err := fn(ctx, harness)
-		var text []byte
 		if err == nil {
-			text, err = experiments.RenderText(a)
-		}
-		if err == nil {
-			_, err = os.Stdout.Write(text)
+			_, err = os.Stdout.Write(experiments.RenderText(a))
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rbexp: %s: %v\n", name, err)

@@ -69,8 +69,8 @@ func ArtifactNames() []string {
 // RenderText is the one text rendering of an artifact: its table plus the
 // blank line that separates artifacts, so rbexp's output, every format=text
 // body and every journaled batch output are the same bytes.
-func RenderText(a Artifact) ([]byte, error) {
-	return append(a.Append(nil), '\n'), nil
+func RenderText(a Artifact) []byte {
+	return append(a.Append(nil), '\n')
 }
 
 // write is every artifact's Render: one Write of its Append.

@@ -4,9 +4,10 @@ package experiments
 // (machine, workload) cells, and every layer that names, caches, or fans out
 // cells — this harness and its sampler, the grid router and its batch tees,
 // the server's journals — does it through the functions below, so serial,
-// pooled, and distributed runs cannot drift apart. A cell the harness has
-// cached is answered on the caller's goroutine (cachedHit): only misses,
-// and joins on a simulation already in flight, are handed to a pool.
+// pooled, and distributed runs cannot drift apart. A cell a runner already
+// holds is answered on the caller's goroutine (CachedHit, Matrix's lookup):
+// only misses, and joins on a computation already in flight, are handed to
+// a pool or a goroutine.
 
 import (
 	"context"
@@ -83,18 +84,21 @@ func CachedCell(ctx context.Context, c *rcache.Cache, key string, cfg *machine.C
 	return entryValue(v, key, cfg)
 }
 
-// cachedHit is CachedCell's hit alone: the value ready under key, read on
+// CachedHit is CachedCell's hit alone: the value ready under key, read on
 // the caller's goroutine with no compute and no wait. ok is false on a miss
 // and on a computation still in flight; the caller sends those through
 // CachedCell, which fills or joins. rcache counts the lookup once either
-// way: a hit here under Get, a miss or join there under Do.
-func cachedHit(c *rcache.Cache, key string, cfg *machine.Config) (val any, ok bool, err error) {
+// way: a hit here under Get, a miss or join there under Do. seeded reports
+// a value SeedCell installed: it carries no config, so the alias guard had
+// nothing to compare cfg with, and a caller that checks a config before it
+// computes must check cfg before it answers with such a value.
+func CachedHit(c *rcache.Cache, key string, cfg *machine.Config) (val any, ok, seeded bool, err error) {
 	v, ok := c.Get(key)
 	if !ok {
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 	val, err = entryValue(v, key, cfg)
-	return val, true, err
+	return val, true, !v.(*cellEntry).known, err
 }
 
 // entryValue unwraps a cached cellEntry through the alias guard.
@@ -170,22 +174,28 @@ func Spawn(_ context.Context, f func()) error {
 	return nil
 }
 
+// Lookup answers a full-run cell that a runner already holds, on the
+// caller's goroutine, without computing it or waiting for it: ok is false
+// on a miss and on a computation still in flight. key is CellKey(cfg,
+// w.Name, nil), built by the caller. An error (ok is true) fails the
+// matrix, as the cell's computation would have.
+type Lookup func(key string, cfg *machine.Config, w *workload.Workload) (res *core.Result, ok bool, err error)
+
 // Matrix is every Runner's RunMatrix: it runs run over the (config,
 // workload) product and returns the results indexed by config name then
-// workload name. Given the harness's cell cache, it first looks every cell
-// up on the calling goroutine and fans only the misses out through FanOut,
-// so a warm matrix never reaches submit. The router and the batch tee pass
-// a nil cache and fan every cell out (the tee must observe each one).
-func Matrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload, cache *rcache.Cache,
+// workload name. It first looks every cell up on the calling goroutine and
+// fans only the misses out through FanOut, so a warm matrix never reaches
+// submit: the harness looks in its cell cache, the router in its shared
+// tier, and the batch tee in the runner it wraps, observing each hit
+// before the misses fan out. A nil lookup fans every cell out.
+func Matrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload, lookup Lookup,
 	submit func(context.Context, func()) error,
 	run func(context.Context, machine.Config, *workload.Workload) (*core.Result, error),
 ) (map[string]map[string]*core.Result, error) {
-	if cache != nil {
-		// A done context fails the matrix, as a pool's Submit or the inline
-		// loop fails it, even when every cell is cached.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	// A done context fails the matrix, as a pool's Submit or the inline
+	// loop fails it, even when every cell is a hit.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	out := make(map[string]map[string]*core.Result, len(cfgs))
 	for _, c := range cfgs {
@@ -195,17 +205,17 @@ func Matrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload
 	for ci := range cfgs {
 		c := &cfgs[ci]
 		var tail string
-		if cache != nil {
+		if lookup != nil {
 			tail = keyTail(c, "full")
 		}
 		for wi, w := range wls {
-			if cache != nil {
-				v, ok, err := cachedHit(cache, c.Name+"|"+w.Name+tail, c)
+			if lookup != nil {
+				r, ok, err := lookup(c.Name+"|"+w.Name+tail, c, w)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					out[c.Name][w.Name] = v.(*core.Result)
+					out[c.Name][w.Name] = r
 					continue
 				}
 			}

@@ -158,11 +158,8 @@ func (h *Harness) RunCellOn(ctx context.Context, cfg machine.Config, w *workload
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if v, ok, err := cachedHit(h.cache, CellKey(&cfg, w.Name, nil), &cfg); ok || err != nil {
-		if err != nil {
-			return nil, err
-		}
-		return v.(*core.Result), nil
+	if res, ok, err := h.LookupCell(CellKey(&cfg, w.Name, nil), &cfg, w); ok {
+		return res, err
 	}
 	var (
 		res *core.Result
@@ -172,6 +169,17 @@ func (h *Harness) RunCellOn(ctx context.Context, cfg machine.Config, w *workload
 		return nil, perr
 	}
 	return res, err
+}
+
+// LookupCell is the harness's Lookup: a cell in its cell cache, read on
+// the caller's goroutine. A hit cached for a different config under key is
+// refused with ErrBadCell.
+func (h *Harness) LookupCell(key string, cfg *machine.Config, _ *workload.Workload) (*core.Result, bool, error) {
+	v, ok, _, err := CachedHit(h.cache, key, cfg)
+	if !ok || err != nil {
+		return nil, ok, err
+	}
+	return v.(*core.Result), true, nil
 }
 
 // RunMatrix simulates every (config, workload) pair and returns results
@@ -189,7 +197,7 @@ func (h *Harness) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*w
 			}
 		}
 	}
-	return Matrix(ctx, cfgs, wls, h.cache, h.submit(), h.RunCell)
+	return Matrix(ctx, cfgs, wls, h.LookupCell, h.submit(), h.RunCell)
 }
 
 // submit is where the harness fans cells out: its pool, or nil (inline, in

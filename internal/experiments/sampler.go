@@ -220,7 +220,7 @@ func (h *Harness) cellCPIs(ctx context.Context, cfg machine.Config, w *workload.
 	for i, start := range starts {
 		j := start / lib.stride
 		keys[i] = head + lib.prints[j] + ff + strconv.FormatInt(start-j*lib.stride, 10) + tail
-		v, ok, err := cachedHit(h.cache, keys[i], &cfg)
+		v, ok, _, err := CachedHit(h.cache, keys[i], &cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -366,17 +366,44 @@ func (r *Router) RunCell(ctx context.Context, cfg machine.Config, w *workload.Wo
 	if err != nil {
 		return nil, err
 	}
+	return fullResult(res)
+}
+
+// fullResult is a full-run cell's result; a sampled or empty one is an
+// error.
+func fullResult(res *CellResult) (*core.Result, error) {
 	if res.Result == nil {
 		return nil, fmt.Errorf("grid: cell %s returned no full result", res.Key)
 	}
 	return res.Result, nil
 }
 
-// RunMatrix implements experiments.Runner: the full (config, workload)
-// product fans out concurrently; the router's in-flight semaphore is the
-// only bound the coordinator needs (workers bound their own CPU).
+// LookupCell is the router's experiments.Lookup: a full cell in the shared
+// tier, read on the caller's goroutine, under the alias guard Do applies.
+// A cell this router computed holds the config Do validated before
+// routing it, so an equal config needs no second Validate; a journal-seeded
+// cell holds none, and the config is validated as Do would.
+func (r *Router) LookupCell(key string, cfg *machine.Config, w *workload.Workload) (*core.Result, bool, error) {
+	v, ok, seeded, err := experiments.CachedHit(r.cache, key, cfg)
+	if !ok || err != nil {
+		return nil, ok, err
+	}
+	if seeded {
+		req := CellRequest{Config: *cfg, Workload: w.Name}
+		if err := req.Validate(); err != nil {
+			return nil, true, err
+		}
+	}
+	res, err := fullResult(v.(*CellResult))
+	return res, true, err
+}
+
+// RunMatrix implements experiments.Runner: cells in the shared tier are
+// answered on the calling goroutine, and the misses fan out concurrently;
+// the router's in-flight semaphore is the only bound the coordinator needs
+// (workers bound their own CPU).
 func (r *Router) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
-	return experiments.Matrix(ctx, cfgs, wls, nil, experiments.Spawn, r.RunCell)
+	return experiments.Matrix(ctx, cfgs, wls, r.LookupCell, experiments.Spawn, r.RunCell)
 }
 
 // WorkerSnapshot is one worker's health for /metrics.
@@ -419,15 +446,23 @@ func (r *Router) Stats() RouterStats {
 	}
 }
 
-// TeeRunner wraps a Runner and reports each distinct cell result once, by
+// TeeRunner wraps a CellStore and reports each distinct cell result once, by
 // its cell key, as it lands — the /v1/batch streaming and journaling hook.
 // OnCell may be called from many goroutines; the tee serializes the calls.
 type TeeRunner struct {
-	R      experiments.Runner
+	R      CellStore
 	OnCell func(res *CellResult)
 
 	mu   sync.Mutex
 	seen map[string]bool
+}
+
+// CellStore is a Runner that can also answer a cell it holds, on the
+// caller's goroutine, without computing it (an experiments.Lookup): a
+// Harness, a Router, or a server's pool runner.
+type CellStore interface {
+	experiments.Runner
+	LookupCell(key string, cfg *machine.Config, w *workload.Workload) (*core.Result, bool, error)
 }
 
 // RunCell implements experiments.Runner.
@@ -436,7 +471,12 @@ func (t *TeeRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload
 	if err != nil {
 		return nil, err
 	}
-	key := experiments.CellKey(&cfg, w.Name, nil)
+	t.observe(experiments.CellKey(&cfg, w.Name, nil), res)
+	return res, nil
+}
+
+// observe reports the cell under key to OnCell unless it already has.
+func (t *TeeRunner) observe(key string, res *core.Result) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.seen == nil {
@@ -448,13 +488,24 @@ func (t *TeeRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload
 			t.OnCell(&CellResult{Key: key, Result: res})
 		}
 	}
-	return res, nil
 }
 
-// RunMatrix implements experiments.Runner by fanning the product through
-// RunCell so every cell is observed; concurrency is bounded by the
-// underlying runner's RunCell (the router's semaphore, or a pool that
-// RunCell submits to — a bare Harness.RunCell runs unbounded).
+// lookup is the tee's experiments.Lookup: a cell the wrapped runner holds,
+// observed on the calling goroutine.
+func (t *TeeRunner) lookup(key string, cfg *machine.Config, w *workload.Workload) (*core.Result, bool, error) {
+	res, ok, err := t.R.LookupCell(key, cfg, w)
+	if ok && err == nil {
+		t.observe(key, res)
+	}
+	return res, ok, err
+}
+
+// RunMatrix implements experiments.Runner. Every cell the wrapped runner
+// holds is answered and observed on the calling goroutine; the misses fan
+// out through RunCell, one goroutine each, so every cell is observed. Their
+// concurrency is bounded by the wrapped runner's RunCell (the router's
+// semaphore, or a pool that RunCell submits to — a bare Harness.RunCell
+// runs unbounded).
 func (t *TeeRunner) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
-	return experiments.Matrix(ctx, cfgs, wls, nil, experiments.Spawn, t.RunCell)
+	return experiments.Matrix(ctx, cfgs, wls, t.lookup, experiments.Spawn, t.RunCell)
 }

@@ -208,6 +208,14 @@ func TestWarmCellAnswersOnExhaustedPool(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("cold cell = %d: %s", rec.Code, first)
 	}
+	// The cold cell's pool task counts out of Depth only after its function
+	// returns, which can be after the handler has answered: wait for it, or
+	// it is still counted beside the exhaustion's blockers below.
+	for deadline := time.Now().Add(time.Second); s.pool.Depth() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool depth %d a second after the cold cell, want 0", s.pool.Depth())
+		}
+	}
 	const hold = 2 * time.Second
 	s.exhaustPool(hold)
 	if d, n := s.pool.Depth(), s.pool.Workers(); d != int64(n) {

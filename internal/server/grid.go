@@ -367,8 +367,9 @@ func intsParam(v string) ([]int, error) {
 // called from many goroutines). It returns the aggregate response value,
 // the canonical text rendering (the format=text body and the journal's
 // completed output) and the first error; a failed sweep still returns the
-// cells that landed.
-type batchRun func(ctx context.Context, onCell func(*grid.CellResult), onErr func(key string, err error)) (result any, text []byte, err error)
+// cells that landed. text renders on call: a json or streamed response
+// with no journal to finish never calls it.
+type batchRun func(ctx context.Context, onCell func(*grid.CellResult), onErr func(key string, err error)) (result any, text func() []byte, err error)
 
 // newBatch builds a batch from its journal meta, the batch's whole
 // identity. The /v1/batch handler and journal resume both start here, so a
@@ -380,22 +381,21 @@ func (s *Server) newBatch(meta *grid.JournalMeta) (total int, run batchRun, err 
 		// The figure code is untouched: a TeeRunner around the runner
 		// /v1/experiment uses reports each distinct cell as it lands, and
 		// the artifact renders exactly as /v1/experiment does.
-		return 0, func(ctx context.Context, onCell func(*grid.CellResult), _ func(string, error)) (any, []byte, error) {
+		return 0, func(ctx context.Context, onCell func(*grid.CellResult), _ func(string, error)) (any, func() []byte, error) {
 			res, err := runArtifact(ctx, &grid.TeeRunner{R: s.runner(), OnCell: onCell}, meta.Artifact, meta.Width, meta.Suite)
 			if err != nil {
 				return nil, nil, err
 			}
-			text, err := experiments.RenderText(res)
-			return res, text, err
+			return res, func() []byte { return experiments.RenderText(res) }, nil
 		}, nil
 	}
 	cells, err := meta.Spec.Cells()
 	if err != nil {
 		return 0, nil, err
 	}
-	return len(cells), func(ctx context.Context, onCell func(*grid.CellResult), onErr func(string, error)) (any, []byte, error) {
+	return len(cells), func(ctx context.Context, onCell func(*grid.CellResult), onErr func(string, error)) (any, func() []byte, error) {
 		done, err := s.computeCellBatch(ctx, cells, onCell, onErr)
-		return cellBatch{Cells: done, Count: len(done)}, renderCellBatchText(done), err
+		return cellBatch{Cells: done, Count: len(done)}, func() []byte { return renderCellBatchText(done) }, err
 	}, nil
 }
 
@@ -485,10 +485,14 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, meta *grid.J
 	})
 	stopProgress()
 	n := int(landed.Load())
+	var out []byte // the canonical text, rendered once if a journal or format=text uses it
+	if err == nil && (bj != nil || meta.Format == "text") {
+		out = text()
+	}
 	if err != nil {
 		bj.abort()
 	} else {
-		bj.finish(text)
+		bj.finish(out)
 		if total == 0 {
 			total = n // an artifact's cell count is known once it is done
 		}
@@ -528,7 +532,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, meta *grid.J
 	}
 	if meta.Format == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(text)
+		w.Write(out)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

@@ -91,11 +91,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			return cachedResponse{}, err
 		}
 		if format == "text" {
-			b, err := experiments.RenderText(res)
-			if err != nil {
-				return cachedResponse{}, err
-			}
-			return cachedResponse{body: b, contentType: "text/plain; charset=utf-8"}, nil
+			return cachedResponse{body: experiments.RenderText(res), contentType: "text/plain; charset=utf-8"}, nil
 		}
 		b, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {

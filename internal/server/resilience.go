@@ -281,16 +281,16 @@ func (s *Server) resumeJournal(ctx context.Context, id string) error {
 	// built it; journaled cells are cache hits, so only missing cells reach
 	// workers.
 	total, run, err := s.newBatch(&rep.Meta)
-	var out []byte
+	var text func() []byte
 	if err == nil {
-		_, out, err = run(ctx, bj.observe, nil)
+		_, text, err = run(ctx, bj.observe, nil)
 	}
 	if err != nil {
 		bj.abort()
 		s.logf("journal %s: resume failed (will retry next start): %v", id, err)
 		return err
 	}
-	bj.finish(out)
+	bj.finish(text())
 	replayed, appended := bj.counts()
 	if total == 0 {
 		total = replayed + appended // an artifact: every distinct cell is journaled

@@ -13,8 +13,8 @@
 //	             single-process or worker server, the grid router's shared
 //	             tier in a coordinator; both dedup concurrent misses. The
 //	             response cache stays because a warm fig9 text hit is
-//	             about 6 µs p50 against about 0.45 ms to render it from
-//	             warm cells, two thirds of which is the text render
+//	             about 6 µs p50 against about 45 µs to rebuild and
+//	             render it from warm cells
 //	cells        one cell key (experiments.CellKey) for the harness, the
 //	             coordinator's router, batch tees and journals; every cell
 //	             cache keeps the full machine.Config beside its value and
@@ -284,9 +284,9 @@ func newRouter(cfg Config) *grid.Router {
 	return router
 }
 
-// runner is the Runner every artifact runs on: the router in coordinator
+// runner is the CellStore every artifact runs on: the router in coordinator
 // mode, otherwise the harness with every cell on the pool.
-func (s *Server) runner() experiments.Runner {
+func (s *Server) runner() grid.CellStore {
 	if s.router != nil {
 		return s.router
 	}
@@ -306,8 +306,9 @@ func (s *Server) runCell(ctx context.Context, req *grid.CellRequest) (*grid.Cell
 // poolRunner is a non-coordinator server's Runner. RunMatrix is the
 // harness's, which already submits each missing cell to the pool; RunCell
 // submits its one cell too when it misses, so a TeeRunner over it, whose
-// fan-out calls RunCell on fresh goroutines, stays inside the pool's CPU
-// bound. A cached cell is read on the calling goroutine either way.
+// fan-out calls RunCell on fresh goroutines for the cells LookupCell
+// misses, stays inside the pool's CPU bound. A cached cell is read on the
+// calling goroutine either way.
 type poolRunner struct{ s *Server }
 
 func (p poolRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload.Workload) (*core.Result, error) {
@@ -316,6 +317,12 @@ func (p poolRunner) RunCell(ctx context.Context, cfg machine.Config, w *workload
 
 func (p poolRunner) RunMatrix(ctx context.Context, cfgs []machine.Config, wls []*workload.Workload) (map[string]map[string]*core.Result, error) {
 	return p.s.harness.RunMatrix(ctx, cfgs, wls)
+}
+
+// LookupCell is the harness's, so a TeeRunner over a poolRunner observes
+// cached cells on the calling goroutine.
+func (p poolRunner) LookupCell(key string, cfg *machine.Config, w *workload.Workload) (*core.Result, bool, error) {
+	return p.s.harness.LookupCell(key, cfg, w)
 }
 
 // Handler is the fully wired route tree.

@@ -72,10 +72,13 @@ go test -race -count=2 -timeout 20m ./internal/pool/ ./internal/rcache/ ./intern
 # The checkpoint-library pass runs the emulator and the warmer on two
 # goroutines (ckpt.FastForward): repeat its identity, failure-path and
 # goroutine-lifetime tests under race. Cached cells are read on the
-# caller's goroutine while pool workers fill the same cache: repeat the
-# warm-path tests too. The full experiments suite is too slow under race
-# to repeat, so only these tests run here (~9 min on 2 CPUs).
-go test -race -count=10 -timeout 20m -run '^(TestFastForward|TestLibrary|TestWarmCellsStayOffPool|TestPartlyWarmMatrixSubmitsMisses|TestSampledWindowKeysPinned|TestWarmMatrixAliasRefused|TestCellCountersExact)' ./internal/ckpt/ ./internal/experiments/
+# caller's goroutine while pool workers (or, on a coordinator, routed
+# cells) fill the same cache, and a batch tee reports hits from the
+# caller's goroutine beside misses landing on others: repeat the warm-path
+# tests of the harness, the router and the tee too. The full experiments
+# suite is too slow under race to repeat, so only these tests run here
+# (~9 min on 2 CPUs).
+go test -race -count=10 -timeout 20m -run '^(TestFastForward|TestLibrary|TestWarmCellsStayOffPool|TestPartlyWarmMatrixSubmitsMisses|TestSampledWindowKeysPinned|TestWarmMatrixAliasRefused|TestCellCountersExact|TestWarmTeeRunsNoCell|TestPartlyWarmRouterRoutesMisses|TestRouterLookupValidates|TestTeeRunnerObservesEachCellOnce)' ./internal/ckpt/ ./internal/experiments/ ./internal/grid/
 
 # rbserve smoke test: boot the server on an ephemeral port, probe liveness
 # and metrics with its built-in client (no curl dependency), and require the
